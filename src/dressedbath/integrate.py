@@ -49,6 +49,22 @@ def superoperator_from_rhs(rhs) -> np.ndarray:
     return np.array(cols).T
 
 
+def lindblad(h: np.ndarray, channels) -> np.ndarray:
+    """16x16 generator (row-major vec) of -i[h, rho] plus one Lindblad
+    dissipator per ``(rate, jump operator)`` channel; zero rates are skipped.
+    """
+    eye = np.eye(4)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, op in channels:
+        if rate == 0.0:
+            continue
+        opd = op.conj().T
+        norm = opd @ op
+        gen += rate * (np.kron(op, opd.T)
+                       - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
+    return gen
+
+
 def _interval_step(generator, dt, h_limit):
     m = max(1, int(np.ceil(dt / h_limit - 1e-12)))
     return np.linalg.matrix_power(rk4_step_matrix(generator, dt / m), m)

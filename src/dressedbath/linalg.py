@@ -8,7 +8,8 @@ orders are frozen once and for all:
                  (ground, antisymmetric, symmetric, top)
 
 States carry their basis tag explicitly so that basis mistakes fail loudly
-instead of producing silently wrong metrics.
+instead of producing silently wrong metrics.  Hermitian spectra come from
+LAPACK (``numpy.linalg.eigh``) behind a Hermiticity check.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class TraceNotOne(StateValidationError):
 
 
 class NotPSD(StateValidationError):
-    pass
-
-
-class NegativeEigenvalue(StateValidationError):
     pass
 
 
@@ -113,22 +110,17 @@ def partial_trace_q2(rho: DensityMatrix) -> np.ndarray:
                      [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]])
 
 
-def _unitary_of(frame):
-    u = getattr(frame, "unitary", frame)
-    return np.asarray(u, dtype=complex)
-
-
 def change_basis(rho: DensityMatrix, frame, target: str) -> DensityMatrix:
     """Rotate between the computational and dressed bases.
 
-    ``frame`` is either a DressedFrame or a bare 4x4 unitary whose columns
-    are the dressed states written in computational coordinates.
+    ``frame.unitary`` has the dressed states, in computational coordinates,
+    as its columns (see ``model.DressedFrame``).
     """
     if target not in (COMPUTATIONAL, DRESSED):
         raise ValueError(f"unknown basis tag {target!r}")
     if rho.basis == target:
         return rho
-    u = _unitary_of(frame)
+    u = frame.unitary
     if rho.basis == DRESSED:
         out = u @ rho.matrix @ u.conj().T
     else:
@@ -139,8 +131,7 @@ def change_basis(rho: DensityMatrix, frame, target: str) -> DensityMatrix:
 def hermitian_eigs(matrix, herm_tol=1e-10):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
-    Cyclic complex Jacobi rotations with a fixed sweep order, so the result
-    is deterministic.  Works for any small dimension; used here for 2 and 4.
+    Checks Hermiticity, then hands the Hermitian part to LAPACK's ``eigh``.
     """
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
@@ -149,39 +140,4 @@ def hermitian_eigs(matrix, herm_tol=1e-10):
     herm = np.abs(m - m.conj().T).max()
     if herm > herm_tol:
         raise NotHermitian(f"matrix is not Hermitian (off by {herm:.3e})", herm)
-
-    a = 0.5 * (m + m.conj().T)
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, np.abs(a).max())
-    stop = 1e-15 * scale
-
-    for _ in range(60):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                off = max(off, r)
-                if r <= stop:
-                    continue
-                phase = apq / r
-                theta = 0.5 * np.arctan2(2.0 * r, (a[p, p] - a[q, q]).real)
-                c, s = np.cos(theta), np.sin(theta)
-                # columns, then rows, of the two-sided rotation
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                vcol_q = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vcol_p, vcol_q
-        if off <= stop:
-            break
-
-    evals = np.real(np.diag(a))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+    return np.linalg.eigh(0.5 * (m + m.conj().T))

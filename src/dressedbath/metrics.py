@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (COMPUTATIONAL, DensityMatrix, NegativeEigenvalue,
-                     NotPSD, hermitian_eigs, partial_trace_q2)
+from .linalg import (COMPUTATIONAL, DensityMatrix, NotPSD, hermitian_eigs,
+                     partial_trace_q2)
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
@@ -139,8 +139,7 @@ def concurrence_general(rho: DensityMatrix | np.ndarray) -> float:
     flipped = _SYSY @ m.conj() @ _SYSY
     evals, vecs = hermitian_eigs(m)
     if evals[0] < -1e-9:
-        raise NegativeEigenvalue(
-            f"state eigenvalue {evals[0]:.3e} below tolerance", -evals[0])
+        raise NotPSD(f"state eigenvalue {evals[0]:.3e} below tolerance", -evals[0])
     root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     xi, _ = hermitian_eigs(root @ flipped @ root)
     xi = np.sqrt(np.clip(xi[::-1], 0.0, None))
@@ -178,7 +177,8 @@ def discord_approx_q2(x: XStateElements) -> float:
     def ratio_term(a, b):
         if a <= 0.0:
             return 0.0
-        return -a * math.log2(a / (a + b))
+        # a negative b is floating-point dust, as in _plog2
+        return -a * math.log2(a / (a + max(b, 0.0)))
 
     n2 = (ratio_term(x.p00, x.p10) + ratio_term(x.p01, x.p11)
           + ratio_term(x.p10, x.p00) + ratio_term(x.p11, x.p01))

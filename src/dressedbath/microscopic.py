@@ -3,10 +3,11 @@
 The dissipator couples dressed populations through two emission/absorption
 channels and lets each coherence evolve independently or in one of two
 2x2 blocks.  That structure admits closed-form solutions, implemented in
-``propagate_analytic``.  ``liouvillian`` assembles the same generator from
-first principles (jump operators built numerically from the eigenvectors,
-detailed-balance-weighted reverse channels included) and is integrated with
-``propagate_numeric`` as an independent check on the closed forms.
+``propagate_analytic``, the production route.  ``liouvillian`` assembles
+the same generator from first principles (jump operators built numerically
+from the eigenvectors, detailed-balance-weighted reverse channels included);
+integrated with ``integrate.propagate`` it is the independent oracle that
+``selftest`` and the tests hold the closed forms to.
 
 All states in this module are 4x4 complex matrices in the dressed basis.
 """
@@ -16,14 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import integrate
-from .model import KB_OVER_HBAR, DressedFrame, RateSet
+from .model import KB_OVER_HBAR, DressedFrame, RateSet, SystemParams
 
 
 class DegenerateRates(Exception):
     pass
 
 
-def _channel_sums(rates: RateSet):
+def channel_sums(rates: RateSet):
+    """Total relaxation rate of the low and of the high dressed channel."""
     s_low = rates.decay_low + rates.excitation_low
     s_high = rates.decay_high + rates.excitation_high
     return s_low, s_high
@@ -63,22 +65,10 @@ def liouvillian(rates: RateSet, frame: DressedFrame) -> np.ndarray:
     """
     h = np.diag(np.asarray(frame.energies, dtype=complex))
     low, high = jump_operators(frame)
-    channels = [
-        (rates.emission_low, low),
-        (rates.emission_high, high),
-        (rates.absorption_low, low.conj().T),
-        (rates.absorption_high, high.conj().T),
-    ]
-    eye = np.eye(4)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, op in channels:
-        if rate == 0.0:
-            continue
-        opd = op.conj().T
-        norm = opd @ op
-        gen += rate * (np.kron(op, opd.T)
-                       - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
-    return gen
+    return integrate.lindblad(h, [(rates.emission_low, low),
+                                  (rates.emission_high, high),
+                                  (rates.absorption_low, low.conj().T),
+                                  (rates.absorption_high, high.conj().T)])
 
 
 def max_rate(rates: RateSet) -> float:
@@ -89,12 +79,6 @@ def max_rate(rates: RateSet) -> float:
 
 def step_bound(rates: RateSet, frame: DressedFrame) -> float:
     return integrate.step_bound(max_rate(rates), frame.bohr_low + frame.bohr_high)
-
-
-def propagate_numeric(rho0: np.ndarray, generator: np.ndarray, times,
-                      h_max: float) -> np.ndarray:
-    """RK4 integration of the assembled generator; the validation route."""
-    return integrate.propagate(generator, rho0, times, h_max)
 
 
 def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
@@ -113,7 +97,7 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
         raise ValueError("times must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
 
-    s1, s2 = _channel_sums(rates)
+    s1, s2 = channel_sums(rates)
     if s1 == 0.0 and s2 == 0.0:
         out = _unitary_branch(rho0, frame, t)
         return out[0] if scalar else out
@@ -175,7 +159,7 @@ def _unitary_branch(rho0, frame, t):
 
 def steady_state(rates: RateSet) -> np.ndarray:
     """Stationary dressed-basis state from the channel rate ratios."""
-    s1, s2 = _channel_sums(rates)
+    s1, s2 = channel_sums(rates)
     if s1 == 0.0 or s2 == 0.0:
         raise DegenerateRates("stationary state undefined without both channels")
     k = s1 * s2
@@ -198,3 +182,17 @@ def gibbs_state(frame: DressedFrame, temperature: float) -> np.ndarray:
         w = np.exp(-(e - e[0]) / (KB_OVER_HBAR * temperature))
         pops = w / w.sum()
     return np.diag(pops).astype(complex)
+
+
+def thermal_stationarity(p: SystemParams, rates: RateSet, frame: DressedFrame,
+                         generator: np.ndarray):
+    """Whether the rate-ratio stationary state is the Gibbs state at
+    ``p.temperature`` and ``generator`` annihilates it.
+
+    Returns the verdict and the largest entry of the generator residual.
+    """
+    ss = steady_state(rates)
+    residual = np.abs(generator @ ss.reshape(-1)).max()
+    thermal = (np.abs(ss - gibbs_state(frame, p.temperature)).max() <= 1e-10
+               and residual <= 1e-9 * max(p.gamma0, 1e-300))
+    return thermal, residual

@@ -17,7 +17,7 @@ them by detailed balance, gamma_up = exp(-w / (kB/hbar T)) * gamma_down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class SystemParams:
     temperature: float    # bath temperature
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
         if not self.bath_width > 0:

@@ -1,12 +1,14 @@
 """The ad hoc model: local qubit-2 damping bolted onto the coupled dynamics.
 
-Works in the computational basis throughout.  The right-hand side is written
-out element by element (populations plus the six upper-triangle coherences,
-lower triangle mirrored by Hermiticity); a generator assembled directly from
-the lowering/raising operators is provided as an equivalent form for
-cross-checking.  The stationary state has closed-form populations and two
-closed-form coherences, plus a dressed-basis rewrite that exposes its
-non-thermal character.
+Works in the computational basis throughout.  The production generator,
+``liouvillian_from_ops``, is assembled from the qubit-2 lowering/raising
+operators.  The right-hand side ``phenom_rhs`` is written out element by
+element (populations plus the six upper-triangle coherences, lower triangle
+mirrored by Hermiticity); its generator ``liouvillian`` is the independent
+oracle that ``selftest`` and the tests hold the operator form to.  The
+stationary state has closed-form populations and two closed-form
+coherences; rotated into the dressed basis it keeps the coherences that
+expose its non-thermal character.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import integrate
-from .linalg import DRESSED, DensityMatrix
+from .linalg import DRESSED, DensityMatrix, change_basis
 from .model import DressedFrame, RateSet, SystemParams, hamiltonian
 
 
@@ -63,31 +65,22 @@ def phenom_rhs(rho: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
 
 
 def liouvillian(p: SystemParams, rates: RateSet) -> np.ndarray:
-    """16x16 generator matrix of phenom_rhs (row-major vec)."""
+    """16x16 generator matrix of phenom_rhs (row-major vec); the oracle for
+    ``liouvillian_from_ops``."""
     return integrate.superoperator_from_rhs(lambda m: phenom_rhs(m, p, rates))
 
 
 def liouvillian_from_ops(p: SystemParams, rates: RateSet) -> np.ndarray:
-    """Same generator assembled from the qubit-2 ladder operators.
+    """The production generator, assembled from the qubit-2 ladder operators.
 
-    Kept as an independent construction; tests pin it against
-    ``liouvillian`` so the element-wise right-hand side cannot drift.
+    Tests and ``selftest`` pin it against ``liouvillian``, the element-wise
+    right-hand side, so neither construction can drift.
     """
     lower = np.zeros((4, 4), dtype=complex)
     lower[0, 1] = 1.0
     lower[2, 3] = 1.0
-    raise_ = lower.conj().T
-    h = hamiltonian(p)
-    eye = np.eye(4)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, op in ((rates.emission_bare, lower), (rates.absorption_bare, raise_)):
-        if rate == 0.0:
-            continue
-        opd = op.conj().T
-        norm = opd @ op
-        gen += rate * (np.kron(op, opd.T)
-                       - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
-    return gen
+    return integrate.lindblad(hamiltonian(p), ((rates.emission_bare, lower),
+                                               (rates.absorption_bare, lower.conj().T)))
 
 
 def step_bound(p: SystemParams, rates: RateSet) -> float:
@@ -97,7 +90,8 @@ def step_bound(p: SystemParams, rates: RateSet) -> float:
 
 def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times) -> np.ndarray:
     """RK4 trajectory in the computational basis."""
-    return integrate.propagate(liouvillian(p, rates), rho0, times, step_bound(p, rates))
+    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times,
+                               step_bound(p, rates))
 
 
 def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
@@ -145,25 +139,9 @@ def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
 
 def steady_state_dressed(p: SystemParams, rates: RateSet,
                          frame: DressedFrame) -> DensityMatrix:
-    """Stationary state rewritten in the dressed basis, term by term.
+    """Stationary state rotated into the dressed basis.
 
-    Equals the generic basis change of ``steady_state``; spelled out
-    separately because the surviving ground-top and antisym-sym coherences
-    are what certify that this state is not thermal.
+    Its surviving ground-top and antisym-sym coherences are what certify
+    that this state is not thermal.
     """
-    ss = steady_state(p, rates)
-    p11, p22, p33, p44 = (ss[i, i].real for i in range(4))
-    c14 = ss[0, 3]
-    c23 = ss[1, 2]
-    ap, am = frame.mix_plus, frame.mix_minus
-
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = am ** 2 * p44 + ap ** 2 * p11 - 2 * ap * am * c14.real
-    out[1, 1] = 0.5 * (p22 + p33) - c23.real
-    out[2, 2] = 0.5 * (p22 + p33) + c23.real
-    out[3, 3] = am ** 2 * p11 + ap ** 2 * p44 + 2 * ap * am * c14.real
-    out[0, 3] = ap * am * (p11 - p44) + ap ** 2 * c14 - am ** 2 * np.conj(c14)
-    out[3, 0] = ap * am * (p11 - p44) + ap ** 2 * np.conj(c14) - am ** 2 * c14
-    out[1, 2] = 0.5 * (p33 - p22) - 1j * c23.imag
-    out[2, 1] = 0.5 * (p33 - p22) + 1j * c23.imag
-    return DensityMatrix(out, DRESSED)
+    return change_basis(DensityMatrix(steady_state(p, rates)), frame, DRESSED)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import pathlib
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,9 @@ INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 STATIONARY_FRACTION = 0.05
+
+# labels name output files, so they must not reach outside --out
+_SAFE_LABEL = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_.+-]*")
 
 
 class ConfigError(Exception):
@@ -61,6 +65,10 @@ class ScenarioConfig:
         for m in self.metrics:
             if m not in METRICS:
                 raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
+        if not _SAFE_LABEL.fullmatch(self.label):
+            raise ConfigError(
+                f"label {self.label!r} is not a safe file name: use letters, "
+                "digits and _ . + -, and do not start with '.'")
         if not self.models:
             raise ConfigError("at least one model must be enabled")
         for m in self.models:
@@ -111,8 +119,7 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     """
     if cfg.t_max != "auto":
         return float(cfg.t_max)
-    s_low = rates.decay_low + rates.excitation_low
-    s_high = rates.decay_high + rates.excitation_high
+    s_low, s_high = microscopic.channel_sums(rates)
     s_bare = rates.emission_bare + rates.absorption_bare
     if stationary:
         candidates = [s for s in (s_low, s_high, s_bare) if s > 0]
@@ -268,8 +275,7 @@ def figure_preset(n: int):
         return ScenarioConfig(params=_preset_params(n, temperature),
                               metrics=metric, label=f"figure{n}")
     cold = _preset_params(n, _WEAK_TEMPS[0])
-    rates = rate_set(cold)
-    span = 10.0 / (rates.decay_low + rates.excitation_low)
+    span = 10.0 / microscopic.channel_sums(rate_set(cold))[0]
     return [ScenarioConfig(params=_preset_params(n, t), metrics=metric,
                            t_max=span, label=f"figure{n}_T{t:g}")
             for t in _WEAK_TEMPS]
@@ -467,11 +473,8 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
 
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
-    ss = microscopic.steady_state(rates)
-    gibbs = microscopic.gibbs_state(frame, cfg.params.temperature)
-    residual = microscopic.liouvillian(rates, frame) @ ss.reshape(-1)
-    micro_thermal = (np.abs(ss - gibbs).max() <= 1e-10
-                     and np.abs(residual).max() <= 1e-9 * max(cfg.params.gamma0, 1e-300))
+    micro_thermal, _ = microscopic.thermal_stationarity(
+        cfg.params, rates, frame, microscopic.liouvillian(rates, frame))
     ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame).matrix
     coherence = max(abs(ss_p[0, 3]), abs(ss_p[1, 2]), abs(ss_p[0, 1]),
                     abs(ss_p[0, 2]), abs(ss_p[1, 3]), abs(ss_p[2, 3]))

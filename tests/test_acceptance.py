@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from dressedbath import integrate
 from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
@@ -49,8 +50,8 @@ def test_criterion_1_solver_cross_validation():
         times = np.linspace(0.0, span, 2000)
         rho0 = frame.unitary.conj().T @ ket10() @ frame.unitary
         analytic = mic.propagate_analytic(rho0, rates, frame, times)
-        numeric = mic.propagate_numeric(rho0, mic.liouvillian(rates, frame),
-                                        times, mic.step_bound(rates, frame))
+        numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
+                                      times, mic.step_bound(rates, frame))
         elapsed = time.perf_counter() - start
         worst_dev = max(worst_dev, np.abs(analytic - numeric).max())
         worst_time = max(worst_time, elapsed)

@@ -138,3 +138,39 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--figure", "2", "--temp", "inf"],
+    ["evolve", "--figure", "2", "--temp", "nan"],
+])
+def test_non_finite_temperature_is_config_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: temperature must be finite")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_label_outside_out_is_config_error(tmp_path, capsys):
+    path = tmp_path / "escape.cfg"
+    path.write_text(FAST_CONFIG.replace("label = fastcli", "label = ../escaped"),
+                    encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 1
+    assert "not a safe file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.cfg"]
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["compare", "--figure", "4", "--temp", "0.001"],
+     "figure4_T0.001_compare.csv"),
+    (["sweep", "--figure", "5", "--axis", "coupling", "--values", "2e9"],
+     "figure5_sweep_coupling.csv"),
+])
+def test_negative_dust_population_keeps_discord_finite(argv, written,
+                                                       tmp_path, capsys):
+    # both runs reach discord_approx_q2 with a population of -1e-17 or so
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert "stationary discord" in capsys.readouterr().out
+    assert (tmp_path / written).exists()

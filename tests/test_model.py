@@ -35,6 +35,14 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             simple_params(coupling=-0.5)
 
+    @pytest.mark.parametrize("field", ["omega", "coupling", "gamma0",
+                                       "bath_width", "bath_center",
+                                       "temperature"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            simple_params(**{field: value})
+
 
 class TestHamiltonian:
     def test_uncoupled_is_diagonal(self):

@@ -32,6 +32,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             fast_config(models=("exact",))
 
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", ".hidden", "",
+                                       "two words", "x\\y"])
+    def test_rejects_unsafe_label(self, label):
+        with pytest.raises(ConfigError, match="not a safe file name"):
+            fast_config(label=label)
+
+    @pytest.mark.parametrize("label", [
+        "figure8_T0.005", "figure7_coupling1e+10", "figure2_temperature0.0005",
+        "figure5_gamma0-1", "gs_full_rank_strong", "fastcli_T0.01", "scenario"])
+    def test_accepts_generated_labels(self, label):
+        assert fast_config(label=label).label == label
+
     def test_rejects_bad_tmax(self):
         with pytest.raises(ConfigError):
             fast_config(t_max=-1.0)
@@ -230,15 +242,15 @@ class TestCompare:
         assert "not thermal" in text
 
     def test_stationary_value_matches_closed_forms(self):
-        from dressedbath import microscopic as mic
-        from dressedbath import metrics as mx
-        from dressedbath.model import dressed_frame, rate_set
+        from dressedbath.model import hamiltonian
 
+        # FAST is at T = 0, so the micro plateau is the Hamiltonian's ground
+        # state a|00> + b|01> + c|10> + d|11>, of concurrence 2|ad - bc|
         cfg = fast_config(metrics=("concurrence",))
         rep = compare_report(cfg)
-        frame = dressed_frame(FAST)
-        ss = mic.steady_state(rate_set(FAST, frame))
-        expected = mx.concurrence_x(mx.x_elements_from_dressed(ss, frame))
+        a, b, c, d = np.linalg.eigh(hamiltonian(FAST))[1][:, 0]
+        expected = 2.0 * abs(a * d - b * c)
+        assert expected > 0.1
         assert rep.stationary["micro"]["concurrence"] == pytest.approx(
             expected, abs=1e-9)
 
