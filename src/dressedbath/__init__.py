@@ -9,10 +9,10 @@ qubit's linear entropy quantify how far the two predictions drift apart.
 """
 
 from ._version import __version__
-from .linalg import (COMPUTATIONAL, DRESSED, DensityMatrix, NotHermitian,
-                     NotPSD, StateValidationError, TraceNotOne, WrongBasis,
-                     change_basis, hermitian_eigs, partial_trace_q2,
-                     validate_density)
+from .linalg import (COMPUTATIONAL, DRESSED, DensityMatrix, Margins,
+                     NotFinite, NotHermitian, NotPSD, StateValidationError,
+                     TraceNotOne, WrongBasis, change_basis, hermitian_eigs,
+                     partial_trace_q2, validate_batch, validate_density)
 from .model import (KB_OVER_HBAR, DressedFrame, FairnessReport, RateSet,
                     SystemParams, dressed_frame, fairness_check, hamiltonian,
                     rate_set, spectral_density, thermal_occupancy)

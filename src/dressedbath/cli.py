@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 import time
 from dataclasses import replace
@@ -30,6 +31,9 @@ from .scenarios import (ConfigError, compare_report, figure_preset,
 CONFIG_ERRORS = (ConfigError, ValueError)
 NUMERIC_ERRORS = (StateValidationError, StepTooLarge, AssumptionViolated,
                   DegenerateRates)
+
+# the "_T<temperature>" suffix of a preset label, replaced by a --temp run
+_TEMP_SUFFIX = r"_T(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?$"
 
 
 def _add_common(sub):
@@ -57,7 +61,7 @@ def _configs_from_args(args) -> list:
 
     if args.temp is not None:
         cfgs = [replace(c, params=replace(c.params, temperature=args.temp),
-                        label=f"{c.label.split('_T')[0]}_T{args.temp:g}")
+                        label=f"{re.sub(_TEMP_SUFFIX, '', c.label)}_T{args.temp:g}")
                 for c in cfgs[:1]]
     out = []
     for cfg in cfgs:
@@ -123,7 +127,9 @@ def cmd_steady(args):
           f"ground-top {abs(ss_pd[0, 3]):.6g}, antisym-sym {abs(ss_pd[1, 2]):.6g}")
     u = frame.unitary
     for tag, state in (("micro", u @ ss_m @ u.conj().T), ("phenom", ss_p)):
-        x = metrics.x_elements_from_matrix(state)
+        x, ok = metrics.x_elements_from_matrix(state)
+        if not ok:
+            raise AssumptionViolated(f"{tag} stationary state is not X-shaped")
         print(f"{tag} stationary concurrence {metrics.concurrence_x(x):.10g}, "
               f"discord {metrics.discord_approx_q2(x):.10g}, "
               f"linear entropy {metrics.linear_entropy_q1(x):.10g}")
@@ -253,12 +259,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NUMERIC_ERRORS as exc:
+        # first: linalg.NotFinite is also a ValueError
+        print(f"numerical invariant violated: {exc}", file=sys.stderr)
+        return 2
     except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except NUMERIC_ERRORS as exc:
-        print(f"numerical invariant violated: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -9,12 +9,15 @@ orders are frozen once and for all:
 
 States carry their basis tag explicitly so that basis mistakes fail loudly
 instead of producing silently wrong metrics.  Hermitian spectra come from
-LAPACK (``numpy.linalg.eigh``) behind a Hermiticity check.
+LAPACK (``numpy.linalg.eigh``) behind a Hermiticity check.  Validation works
+on a whole ``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``);
+a single matrix is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +55,11 @@ class NotPSD(StateValidationError):
     pass
 
 
+class NotFinite(StateValidationError, ValueError):
+    """NaN or infinite entries.  Also a ``ValueError``, so a bad input
+    matrix still reads as a bad value where one is parsed."""
+
+
 class WrongBasis(Exception):
     pass
 
@@ -69,35 +77,60 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def validate_density(matrix, basis=COMPUTATIONAL, *, herm_tol=HERM_TOL,
-                     trace_tol=TRACE_TOL, psd_tol=PSD_TOL) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity; return the tagged state.
+class Margins(NamedTuple):
+    """Worst value of each invariant over a validated stack: the largest
+    Hermiticity and trace deviations and the largest negativity (minus the
+    smallest eigenvalue).  Each is at most its tolerance."""
 
-    Raises the first failed check (NotHermitian, then TraceNotOne, then
-    NotPSD); the exception message lists every violation found so a broken
-    matrix is diagnosed in one pass.
+    hermiticity: float
+    trace: float
+    positivity: float
+
+
+def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
+                   psd_tol=PSD_TOL) -> Margins:
+    """Check Hermiticity, unit trace and positivity of every matrix in an
+    ``(n, 4, 4)`` stack; return the worst margins.
+
+    The first failing matrix decides: non-finite entries raise NotFinite,
+    otherwise the first failed check (NotHermitian, then TraceNotOne, then
+    NotPSD) is raised, with a message listing every violation of that
+    matrix so a broken state is diagnosed in one pass.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix contains non-finite entries")
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4) or len(m) == 0:
+        raise ValueError(f"expected a non-empty (n, 4, 4) stack, got shape {m.shape}")
+    finite = np.isfinite(m.real).all(axis=(1, 2)) & np.isfinite(m.imag).all(axis=(1, 2))
+    first_nonfinite = len(m) if finite.all() else int(np.argmin(finite))
+    checked = m[:first_nonfinite]
 
-    failures = []
-    herm = np.abs(m - m.conj().T).max()
-    if herm > herm_tol:
-        failures.append((NotHermitian, "hermiticity", herm))
-    tr = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-    if tr > trace_tol:
-        failures.append((TraceNotOne, "trace", tr))
-    evals, _ = hermitian_eigs(0.5 * (m + m.conj().T))
-    if evals[0] < -psd_tol:
-        failures.append((NotPSD, "positivity", -evals[0]))
-
-    if failures:
+    mh = np.conj(np.swapaxes(checked, 1, 2))
+    herm = np.abs(checked - mh).max(axis=(1, 2))
+    tr = np.trace(checked, axis1=1, axis2=2)
+    tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    neg = -np.linalg.eigvalsh(0.5 * (checked + mh))[:, 0]
+    failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
+    if failing.any():
+        i = int(np.argmax(failing))
+        failures = [(cls, name, v[i]) for cls, name, v, tol in (
+            (NotHermitian, "hermiticity", herm, herm_tol),
+            (TraceNotOne, "trace", tr, trace_tol),
+            (NotPSD, "positivity", neg, psd_tol)) if v[i] > tol]
         detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
         cls, _, violation = failures[0]
         raise cls(f"invalid density matrix: {detail}", violation)
+    if first_nonfinite < len(m):
+        raise NotFinite("matrix contains non-finite entries")
+    return Margins(float(herm.max()), float(tr.max()), float(neg.max()))
+
+
+def validate_density(matrix, basis=COMPUTATIONAL, *, herm_tol=HERM_TOL,
+                     trace_tol=TRACE_TOL, psd_tol=PSD_TOL) -> DensityMatrix:
+    """Validate one 4x4 matrix (see ``validate_batch``); return the tagged state."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    validate_batch(m[None], herm_tol=herm_tol, trace_tol=trace_tol, psd_tol=psd_tol)
     return DensityMatrix(m, basis)
 
 

@@ -4,8 +4,16 @@ Concurrence comes in two routes: the general spin-flip construction valid
 for any state, and the short form for X-shaped states (only diagonal and
 antidiagonal entries populated), which is what both master equations
 produce from the |1,0> start.  Quantum discord is measured on qubit 2 and
-evaluated through the closed-form two-qubit approximation; a brute-force
-grid minimisation over projective measurements backs it in the tests.
+evaluated through the closed-form two-qubit approximation (Ali, Rau &
+Alber, PRA 81, 042105 (2010)); a brute-force grid minimisation over
+projective measurements backs it in the tests.
+
+The X-state extraction and the X-form metrics work element-wise on arrays:
+a whole trajectory of snapshots is one call, and a single state is a call
+on scalars.  Their arithmetic reproduces the scalar Python formulas bit for
+bit, so squares, base-2 logarithms and complex moduli go through the same C
+library routines as ``x ** 2``, ``math.log2`` and ``abs(z)`` (see
+``_sq``, ``_log2`` and ``_abs``).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -29,15 +38,53 @@ class AssumptionViolated(Exception):
     pass
 
 
-def _plog2(x: float) -> float:
+def _libm(fn, a, *args) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    values = map(fn, a.ravel().tolist(), *args)
+    return np.fromiter(values, float, a.size).reshape(a.shape)
+
+
+def _sq(a) -> np.ndarray:
+    # libm pow(x, 2.0), which is what x ** 2 computes on a float; x * x,
+    # np.square and np.power round differently in about 0.1% of values
+    return _libm(pow, a, repeat(2.0))
+
+
+def _log2(a) -> np.ndarray:
+    # libm log2 as in math.log2; numpy's own log2 differs in the last ulp in
+    # about 0.2% of values, which near-zero discord amplifies past 1e-11
+    return _libm(math.log2, a)
+
+
+def _abs(z) -> np.ndarray:
+    # libm hypot, as Python's abs() of a complex; np.abs rounds differently
+    # in about a third of complex values
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+# Python's max(a, b) and min(a, b): b only when strictly beyond a, so a tie
+# keeps a's signed zero (a "-0" in a CSV is a changed byte)
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _plog2(x) -> np.ndarray:
     # 0 log 0 := 0; clamp fp dust
-    if x <= 0.0:
-        return 0.0
-    return -x * math.log2(min(x, 1.0))
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = ~(x <= 0.0)
+    xp = x[pos]
+    out[pos] = -xp * _log2(_min(xp, 1.0))
+    return out
 
 
-def binary_entropy(x: float) -> float:
-    x = min(max(x, 0.0), 1.0)
+def binary_entropy(x) -> np.ndarray:
+    x = _min(_max(x, 0.0), 1.0)
     return _plog2(x) + _plog2(1.0 - x)
 
 
@@ -46,7 +93,8 @@ class XStateElements:
     """The six entries of an X-shaped computational-basis density matrix.
 
     Populations p00..p11 follow the |qubit1,qubit2> labels; ``outer`` is the
-    |0,0><1,1| coherence and ``inner`` the |0,1><1,0| one.
+    |0,0><1,1| coherence and ``inner`` the |0,1><1,0| one.  Each field is a
+    scalar for one state or an array with one entry per snapshot.
     """
 
     p00: float
@@ -56,17 +104,21 @@ class XStateElements:
     outer: complex
     inner: complex
 
-    def validate(self, tol=1e-9, trace_tol=1e-10):
+    def valid(self, tol=1e-9, trace_tol=1e-10) -> np.ndarray:
+        """Per snapshot: populations sum to 1 and each coherence stays
+        within its population bound."""
         total = self.p00 + self.p01 + self.p10 + self.p11
-        if abs(total - 1.0) > trace_tol:
-            raise AssumptionViolated(f"X populations sum to {total}, not 1")
-        if abs(self.outer) ** 2 > self.p00 * self.p11 + tol:
-            raise AssumptionViolated("outer coherence exceeds its population bound")
-        if abs(self.inner) ** 2 > self.p01 * self.p10 + tol:
-            raise AssumptionViolated("inner coherence exceeds its population bound")
-        return self
+        return ~((np.abs(total - 1.0) > trace_tol)
+                 | (_sq(_abs(self.outer)) > self.p00 * self.p11 + tol)
+                 | (_sq(_abs(self.inner)) > self.p01 * self.p10 + tol))
+
+    def take(self, index) -> XStateElements:
+        """The snapshots picked by an index or boolean mask."""
+        return XStateElements(self.p00[index], self.p01[index], self.p10[index],
+                              self.p11[index], self.outer[index], self.inner[index])
 
     def matrix(self) -> np.ndarray:
+        """The 4x4 matrix of a single state."""
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.p00, self.p01, self.p10, self.p11
         m[0, 3], m[3, 0] = self.outer, np.conj(self.outer)
@@ -75,50 +127,51 @@ class XStateElements:
 
 
 def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
-                            tol: float = X_TOL) -> XStateElements:
+                            tol: float = X_TOL):
     """Computational X elements straight from dressed populations and the
-    antisym-sym coherence.
+    antisym-sym coherence, for a ``(..., 4, 4)`` stack of dressed states.
 
-    Valid only while the ground-top dressed coherence vanishes; otherwise it
-    would leak into the populations and the outer coherence, so we refuse
-    and the caller falls back to a full basis change.
+    Returns the elements and a mask of the snapshots where they hold: the
+    shortcut is valid only while the ground-top dressed coherence vanishes
+    (otherwise it would leak into the populations and the outer coherence,
+    and the caller needs a full basis change) and the elements pass
+    ``XStateElements.valid``.
     """
     r = np.asarray(rho_dressed)
-    if abs(r[0, 3]) > tol:
-        raise AssumptionViolated(
-            f"ground-top coherence {abs(r[0, 3]):.3e} exceeds {tol:g}; "
-            "use a full basis change instead")
-    pa, pb, pc, pd = (r[i, i].real for i in range(4))
-    bc = r[1, 2]
+    pa, pb, pc, pd = (r[..., i, i].real for i in range(4))
+    bc = r[..., 1, 2]
+    inner = np.array(0.5 * (pc - pb), dtype=complex)
+    inner.imag = -bc.imag
     ap, am = frame.mix_plus, frame.mix_minus
-    return XStateElements(
+    x = XStateElements(
         p00=ap ** 2 * pa + am ** 2 * pd,
         p01=0.5 * (pb + pc) - bc.real,
         p10=0.5 * (pb + pc) + bc.real,
         p11=am ** 2 * pa + ap ** 2 * pd,
         outer=ap * am * (pd - pa),
-        inner=complex(0.5 * (pc - pb), -bc.imag),
-    ).validate()
+        inner=inner,
+    )
+    return x, ~(_abs(r[..., 0, 3]) > tol) & x.valid()
 
 
 def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
-                           trace_tol: float = 1e-10) -> XStateElements:
-    """Read the X elements off a computational-basis matrix, insisting the
-    remaining entries really vanish."""
+                           trace_tol: float = 1e-10):
+    """Read the X elements off a ``(..., 4, 4)`` stack of computational-basis
+    matrices; the mask marks the snapshots whose remaining entries really
+    vanish and whose elements pass ``XStateElements.valid``."""
     r = np.asarray(rho)
-    off = max(abs(r[0, 1]), abs(r[0, 2]), abs(r[1, 3]), abs(r[2, 3]))
-    if off > tol:
-        raise AssumptionViolated(f"matrix is not X-shaped (stray entry {off:.3e})")
-    return XStateElements(
-        p00=r[0, 0].real, p01=r[1, 1].real, p10=r[2, 2].real, p11=r[3, 3].real,
-        outer=r[0, 3], inner=r[1, 2],
-    ).validate(trace_tol=trace_tol)
+    off = _abs(r[..., [0, 0, 1, 2], [1, 2, 3, 3]]).max(axis=-1)
+    x = XStateElements(
+        p00=r[..., 0, 0].real, p01=r[..., 1, 1].real, p10=r[..., 2, 2].real,
+        p11=r[..., 3, 3].real, outer=r[..., 0, 3], inner=r[..., 1, 2],
+    )
+    return x, ~(off > tol) & x.valid(trace_tol=trace_tol)
 
 
-def concurrence_x(x: XStateElements) -> float:
-    outer_branch = abs(x.outer) - math.sqrt(max(x.p01 * x.p10, 0.0))
-    inner_branch = abs(x.inner) - math.sqrt(max(x.p00 * x.p11, 0.0))
-    return 2.0 * max(0.0, outer_branch, inner_branch)
+def concurrence_x(x: XStateElements) -> np.ndarray:
+    outer_branch = _abs(x.outer) - np.sqrt(_max(x.p01 * x.p10, 0.0))
+    inner_branch = _abs(x.inner) - np.sqrt(_max(x.p00 * x.p11, 0.0))
+    return 2.0 * _max(_max(0.0, outer_branch), inner_branch)
 
 
 _SYSY = np.zeros((4, 4))
@@ -151,42 +204,50 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
     evals, _ = hermitian_eigs(np.asarray(matrix, dtype=complex))
     if evals[0] < -1e-9:
         raise NotPSD(f"entropy of a non-positive matrix ({evals[0]:.3e})", -evals[0])
-    return float(sum(_plog2(v) for v in np.clip(evals, 0.0, 1.0)))
+    return float(_plog2(np.clip(evals, 0.0, 1.0)).sum())
 
 
 def _x_spectrum(x: XStateElements):
     # the two 2x2 blocks of an X matrix diagonalise independently
-    r_outer = math.sqrt((x.p00 - x.p11) ** 2 + 4.0 * abs(x.outer) ** 2)
-    r_inner = math.sqrt((x.p01 - x.p10) ** 2 + 4.0 * abs(x.inner) ** 2)
+    r_outer = np.sqrt(_sq(x.p00 - x.p11) + 4.0 * _sq(_abs(x.outer)))
+    r_inner = np.sqrt(_sq(x.p01 - x.p10) + 4.0 * _sq(_abs(x.inner)))
     return (0.5 * (x.p00 + x.p11 + r_outer), 0.5 * (x.p00 + x.p11 - r_outer),
             0.5 * (x.p01 + x.p10 + r_inner), 0.5 * (x.p01 + x.p10 - r_inner))
 
 
-def discord_approx_q2(x: XStateElements) -> float:
+def _ratio_term(a, b) -> np.ndarray:
+    # -a log2(a / (a + b)), 0 where a <= 0; a negative b is floating-point
+    # dust, as in _plog2
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    pos = ~(a <= 0.0)
+    ap = a[pos]
+    out[pos] = -ap * _log2(ap / (ap + _max(b[pos], 0.0)))
+    return out
+
+
+def discord_approx_q2(x: XStateElements) -> np.ndarray:
     """Closed-form approximation of the qubit-2-measured quantum discord.
 
     Slightly negative outputs are possible for an approximation; they are
-    clamped to zero and logged, never silently produced.
+    clamped to zero, and clamps beyond 1e-9 are logged (once per call, with
+    their count and the most negative value), never silently produced.
     """
     s_q2 = _plog2(x.p00 + x.p10) + _plog2(x.p01 + x.p11)
-    s_full = sum(_plog2(max(v, 0.0)) for v in _x_spectrum(x))
-    y = 0.5 * (1.0 + math.sqrt((x.p00 - x.p11 + x.p01 - x.p10) ** 2
-                               + 4.0 * (abs(x.outer) + abs(x.inner)) ** 2))
+    s_full = sum(_plog2(_max(v, 0.0)) for v in _x_spectrum(x))
+    y = 0.5 * (1.0 + np.sqrt(_sq(x.p00 - x.p11 + x.p01 - x.p10)
+                             + 4.0 * _sq(_abs(x.outer) + _abs(x.inner))))
     n1 = binary_entropy(y)
-
-    def ratio_term(a, b):
-        if a <= 0.0:
-            return 0.0
-        # a negative b is floating-point dust, as in _plog2
-        return -a * math.log2(a / (a + max(b, 0.0)))
-
-    n2 = (ratio_term(x.p00, x.p10) + ratio_term(x.p01, x.p11)
-          + ratio_term(x.p10, x.p00) + ratio_term(x.p11, x.p01))
-    value = s_q2 - s_full + min(n1, n2)
-    if value < 0.0:
-        if value < -1e-9:
-            log.warning("approximate discord clamped from %.3e to 0", value)
-        value = 0.0
+    n2 = (_ratio_term(x.p00, x.p10) + _ratio_term(x.p01, x.p11)
+          + _ratio_term(x.p10, x.p00) + _ratio_term(x.p11, x.p01))
+    value = s_q2 - s_full + _min(n1, n2)
+    negative = value < 0.0
+    if negative.any():
+        clamped = value[value < -1e-9]
+        if clamped.size:
+            log.warning("approximate discord clamped to 0 at %d snapshot(s), "
+                        "most negative %.3e", clamped.size, clamped.min())
+        value = np.where(negative, 0.0, value)
     return value
 
 
@@ -198,11 +259,12 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _entropy2(m: np.ndarray) -> float:
-    tr = (m[0, 0] + m[1, 1]).real
-    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return _plog2(0.5 * (tr + disc)) + _plog2(max(0.5 * (tr - disc), 0.0))
+def _entropy2(m: np.ndarray) -> np.ndarray:
+    """Entropies of a ``(..., 2, 2)`` stack of qubit states."""
+    tr = (m[..., 0, 0] + m[..., 1, 1]).real
+    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return _plog2(0.5 * (tr + disc)) + _plog2(np.maximum(0.5 * (tr - disc), 0.0))
 
 
 def discord_oracle_q2(rho: DensityMatrix | np.ndarray, grid_n: int = 256) -> float:
@@ -219,27 +281,24 @@ def discord_oracle_q2(rho: DensityMatrix | np.ndarray, grid_n: int = 256) -> flo
     s_q2 = von_neumann_entropy(rho_q2)
     s_full = von_neumann_entropy(m)
 
-    best = math.inf
-    eye2 = np.eye(2, dtype=complex)
-    for nx, ny, nz in _fibonacci_directions(grid_n):
-        ndots = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-        cond = 0.0
-        for sign in (1.0, -1.0):
-            proj = 0.5 * (eye2 + sign * ndots)
-            reduced = np.einsum('aibj,ji->ab', rfold, proj)
-            p = (reduced[0, 0] + reduced[1, 1]).real
-            if p < 1e-14:
-                continue
-            cond += p * _entropy2(reduced / p)
-        best = min(best, cond)
-    return s_q2 - s_full + best
+    nx, ny, nz = _fibonacci_directions(grid_n).T
+    ndots = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]).transpose(2, 0, 1)
+    cond = np.zeros(grid_n)
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sign * ndots)
+        reduced = np.einsum('aibj,gji->gab', rfold, proj)
+        p = (reduced[:, 0, 0] + reduced[:, 1, 1]).real
+        kept = p >= 1e-14
+        cond[kept] += p[kept] * _entropy2(reduced[kept] / p[kept, None, None])
+    return s_q2 - s_full + float(cond.min())
 
 
-def linear_entropy_q1(state: DensityMatrix | XStateElements) -> float:
+def linear_entropy_q1(state: DensityMatrix | XStateElements):
     """Mixedness of qubit 1: 1 - Tr(rho_q1^2), in [0, 1/2].
 
-    For X elements this reduces to 2 P0 (1 - P0) with P0 the qubit-1
-    ground probability; for a full state the partial trace decides.
+    For X elements (one state or an array of snapshots) this reduces to
+    2 P0 (1 - P0) with P0 the qubit-1 ground probability; for a full state
+    the partial trace decides.
     """
     if isinstance(state, XStateElements):
         p0 = state.p00 + state.p01

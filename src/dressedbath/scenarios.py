@@ -11,18 +11,20 @@ from __future__ import annotations
 import math
 import pathlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .linalg import (COMPUTATIONAL, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, DensityMatrix, validate_density)
+                     EVOLVED_TRACE_TOL, DensityMatrix, validate_batch,
+                     validate_density)
 from .metrics import AssumptionViolated, XStateElements
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
 MODELS = ("micro", "phenom")
+ROUTES = ("dressed_x", "matrix_x", "general")   # metric routes, in trial order
 METRICS = ("concurrence", "discord", "linear_entropy", "populations")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
@@ -91,6 +93,8 @@ class Trajectory:
     times: np.ndarray
     states: dict            # model -> (n, 4, 4) computational snapshots
     series: dict            # model -> column name -> np.ndarray
+    margins: dict           # model -> linalg.Margins of its snapshots
+    routes: dict            # model -> per-snapshot index into ROUTES
     config: ScenarioConfig
     fairness_lines: list
 
@@ -133,17 +137,6 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return 10.0 / anchor
 
 
-def _metrics_from_x(x: XStateElements, wanted):
-    out = {}
-    if "concurrence" in wanted:
-        out["concurrence"] = metrics.concurrence_x(x)
-    if "discord" in wanted:
-        out["discord"] = metrics.discord_approx_q2(x)
-    if "linear_entropy" in wanted:
-        out["linear_entropy"] = metrics.linear_entropy_q1(x)
-    return out
-
-
 def _metrics_general(comp: np.ndarray, wanted):
     out = {}
     if "concurrence" in wanted:
@@ -158,27 +151,36 @@ def _metrics_general(comp: np.ndarray, wanted):
     return out
 
 
-def _snapshot_metrics(model, dressed, comp, frame, wanted):
-    """One row of metric values; dressed-channel states use the dressed-basis
-    short forms, the ad hoc model reads computational entries directly."""
-    scalar = {}
-    if model == "micro":
-        try:
-            scalar = _metrics_from_x(metrics.x_elements_from_dressed(dressed, frame),
-                                     wanted)
-        except AssumptionViolated:
-            scalar = None
-    if not scalar:
-        try:
-            scalar = _metrics_from_x(
-                metrics.x_elements_from_matrix(comp, trace_tol=EVOLVED_TRACE_TOL),
-                wanted)
-        except AssumptionViolated:
-            scalar = _metrics_general(comp, wanted)
+def _trajectory_metrics(comp, dressed, frame, wanted):
+    """Metric columns of a validated ``(n, 4, 4)`` trajectory, and the route
+    (index into ROUTES) of each snapshot.
+
+    Each snapshot takes the first route that holds for it: the dressed-basis
+    X elements (micro only, ``dressed`` given), then the X elements of the
+    computational matrix, then the general forms, one snapshot at a time.
+    """
+    x, x_ok = metrics.x_elements_from_matrix(comp, trace_tol=EVOLVED_TRACE_TOL)
+    route = np.where(x_ok, 1, 2).astype(np.int8)
+    if dressed is not None:
+        xd, d_ok = metrics.x_elements_from_dressed(dressed, frame)
+        x = XStateElements(*(np.where(d_ok, getattr(xd, f.name), getattr(x, f.name))
+                             for f in fields(XStateElements)))
+        x_ok = d_ok | x_ok
+        route[d_ok] = 0
+    cols = {c: np.empty(len(comp)) for c in _columns_for(wanted)}
+    x_rows = x.take(x_ok)
+    for name, fn in (("concurrence", metrics.concurrence_x),
+                     ("discord", metrics.discord_approx_q2),
+                     ("linear_entropy", metrics.linear_entropy_q1)):
+        if name in wanted:
+            cols[name][x_ok] = fn(x_rows)
+    for i in np.flatnonzero(~x_ok):
+        for name, value in _metrics_general(comp[i], wanted).items():
+            cols[name][i] = value
     if "populations" in wanted:
         for idx, name in enumerate(("pop_00", "pop_01", "pop_10", "pop_11")):
-            scalar[name] = comp[idx, idx].real
-    return scalar
+            cols[name] = comp[:, idx, idx].real
+    return cols, route
 
 
 def _columns_for(wanted):
@@ -191,8 +193,9 @@ def _columns_for(wanted):
 def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajectory:
     """Propagate every enabled model and evaluate the requested metrics.
 
-    Each emitted snapshot is validated (hermiticity, trace, positivity) at
-    the evolved-state tolerances before any metric touches it.
+    Every emitted snapshot is validated (hermiticity, trace, positivity) at
+    the evolved-state tolerances, the whole trajectory of a model at once,
+    before any metric touches it; the worst margins go to ``margins``.
     """
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -200,7 +203,7 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
     times = np.linspace(0.0, t_max, cfg.n_points)
     rho0_comp = initial_state_matrix(cfg, frame)
 
-    states, series = {}, {}
+    states, series, margins, routes = {}, {}, {}, {}
     for model in cfg.models:
         if model == "micro":
             rho0_dressed = frame.unitary.conj().T @ rho0_comp @ frame.unitary
@@ -213,22 +216,16 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
                                                    rates, times)
             dressed_traj = None
 
-        cols = _columns_for(cfg.metrics)
-        rows = {c: np.empty(len(times)) for c in cols}
-        for i in range(len(times)):
-            validate_density(comp_traj[i], COMPUTATIONAL,
-                             herm_tol=EVOLVED_HERM_TOL,
-                             trace_tol=EVOLVED_TRACE_TOL,
-                             psd_tol=EVOLVED_PSD_TOL)
-            dressed_i = dressed_traj[i] if dressed_traj is not None else None
-            for name, value in _snapshot_metrics(model, dressed_i, comp_traj[i],
-                                                 frame, cfg.metrics).items():
-                rows[name][i] = value
+        margins[model] = validate_batch(comp_traj, herm_tol=EVOLVED_HERM_TOL,
+                                        trace_tol=EVOLVED_TRACE_TOL,
+                                        psd_tol=EVOLVED_PSD_TOL)
         states[model] = comp_traj
-        series[model] = rows
+        series[model], routes[model] = _trajectory_metrics(
+            comp_traj, dressed_traj, frame, cfg.metrics)
 
     return Trajectory(label=cfg.label, times=times, states=states,
-                      series=series, config=cfg,
+                      series=series, margins=margins, routes=routes,
+                      config=cfg,
                       fairness_lines=fairness_check(cfg.params).lines())
 
 
@@ -366,9 +363,10 @@ def trajectory_csv(traj: Trajectory, model: str) -> str:
     cols = _columns_for(traj.config.metrics)
     lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
     lines.append(",".join(["t"] + cols))
-    rows = traj.series[model]
-    for i, t in enumerate(traj.times):
-        lines.append(",".join([_fmt(t)] + [_fmt(rows[c][i]) for c in cols]))
+    # one %-format per row; "%.17g" % x is the same text as _fmt(x)
+    row_fmt = ",".join(["%.17g"] * (1 + len(cols)))
+    table = np.column_stack([traj.times] + [traj.series[model][c] for c in cols])
+    lines += [row_fmt % tuple(row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -174,3 +174,58 @@ def test_negative_dust_population_keeps_discord_finite(argv, written,
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert "stationary discord" in capsys.readouterr().out
     assert (tmp_path / written).exists()
+
+
+FIGURE2_HUGE_DAMPING = """
+omega = 4e9
+coupling = 4e9
+gamma0 = {gamma0}
+bath_width = 5e10
+bath_center = 8e9
+temperature = 5e-4
+n_points = 20
+metrics = concurrence
+label = huge
+"""
+
+
+@pytest.mark.parametrize("gamma0", ["1e300", "1e200"])
+def test_non_finite_evolved_state_is_numeric_error(gamma0, tmp_path, capsys):
+    path = tmp_path / "huge.cfg"
+    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0=gamma0), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--model", "micro",
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("numerical invariant violated: "
+                   "matrix contains non-finite entries\n")
+    assert not out_dir.exists()
+
+
+def test_non_finite_custom_state_is_config_error(tmp_path, capsys):
+    entries = ["0"] * 16
+    entries[0], entries[15] = "nan", "1"
+    path = tmp_path / "nan_state.cfg"
+    path.write_text(FAST_CONFIG + f"\ninitial_state = custom({','.join(entries)})\n",
+                    encoding="utf-8")
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: matrix contains non-finite entries\n")
+
+
+@pytest.mark.parametrize("label, argv, written", [
+    ("my_Trial", ["evolve"], "my_Trial_T0.01_micro.csv"),
+    ("run_T1e-05", ["evolve"], "run_T0.01_micro.csv"),
+    (None, ["evolve", "--figure", "8"], "figure8_T0.01_micro.csv"),
+])
+def test_temp_relabels_only_a_temperature_suffix(label, argv, written,
+                                                 config_file, tmp_path):
+    if label is not None:
+        config_file.write_text(FAST_CONFIG.replace("label = fastcli",
+                                                   f"label = {label}"),
+                               encoding="utf-8")
+        argv = argv + ["--config", str(config_file)]
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--temp", "0.01", "--points", "5", "--model", "micro",
+                        "--out", str(out_dir)]) == 0
+    assert [p.name for p in out_dir.iterdir()] == [written]

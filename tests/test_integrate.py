@@ -45,6 +45,15 @@ def test_trace_leak_raises_step_too_large():
                   np.linspace(0.0, 50.0, 20), 0.5)
 
 
+def test_trace_drift_reports_first_offending_point():
+    # the trace grows as exp(2.2e-8 t): 8.8e-9 off at t = 0.4, 1.1e-8 at 0.5
+    leak = 2.2e-8 * np.eye(16, dtype=complex)
+    with pytest.raises(StepTooLarge) as err:
+        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 1.0, 11), 0.5)
+    assert str(err.value) == ("trace drifted by 1.100e-08 at t=5.000000e-01; "
+                              "reduce the step bound")
+
+
 def test_unitary_generator_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

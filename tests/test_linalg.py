@@ -3,9 +3,11 @@ import pytest
 
 from dressedbath import linalg
 from dressedbath.linalg import (COMPUTATIONAL, DRESSED, DensityMatrix,
-                                NotHermitian, NotPSD, WrongBasis,
+                                NotFinite, NotHermitian, NotPSD,
+                                StateValidationError, WrongBasis,
                                 change_basis, hermitian_eigs,
-                                partial_trace_q2, validate_density)
+                                partial_trace_q2, validate_batch,
+                                validate_density)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
 from conftest import random_density
@@ -167,3 +169,73 @@ class TestHermitianEigs:
         w, v = hermitian_eigs(np.eye(4, dtype=complex) * 0.25)
         assert np.allclose(w, 0.25)
         assert np.abs(v @ v.conj().T - np.eye(4)).max() < 1e-14
+
+
+class TestValidateBatch:
+    """The stacked validator against single-matrix calls."""
+
+    GOOD = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+
+    @staticmethod
+    def bad(kind):
+        m = np.eye(4, dtype=complex) / 4
+        if kind == "hermiticity":
+            m[0, 1] = 0.3
+        elif kind == "trace":
+            m = m * 2.0
+        elif kind == "positivity":
+            m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
+        elif kind == "several":
+            m[0, 1] = 0.3
+            m[3, 3] = 0.5
+        else:  # non-finite
+            m[2, 1] = np.nan
+        return m
+
+    def stack(self, bad_at, n=7):
+        out = np.repeat(self.GOOD[None], n, axis=0)
+        for index, kind in bad_at.items():
+            out[index] = self.bad(kind)
+        return out
+
+    @pytest.mark.parametrize("kind", ["hermiticity", "trace", "positivity",
+                                      "several", "non-finite"])
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    def test_raises_like_single_call(self, kind, index):
+        with pytest.raises(StateValidationError) as single:
+            validate_density(self.bad(kind))
+        with pytest.raises(StateValidationError) as stacked:
+            validate_batch(self.stack({index: kind}))
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.violation == single.value.violation
+
+    @pytest.mark.parametrize("bad_at, expected", [
+        ({2: "positivity", 4: "non-finite"}, NotPSD),
+        ({1: "non-finite", 3: "hermiticity"}, NotFinite),
+        ({5: "hermiticity", 1: "trace"}, linalg.TraceNotOne),
+    ])
+    def test_first_failing_snapshot_decides(self, bad_at, expected):
+        first = self.bad(bad_at[min(bad_at)])
+        with pytest.raises(expected) as single:
+            validate_density(first)
+        with pytest.raises(expected) as stacked:
+            validate_batch(self.stack(bad_at))
+        assert str(stacked.value) == str(single.value)
+
+    def test_evolved_tolerances_apply(self):
+        loose = dict(herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-7)
+        m = self.GOOD.copy()
+        m[0, 0] += 5e-9                     # within 1e-8, beyond 1e-10
+        validate_batch(m[None], **loose)
+        with pytest.raises(linalg.TraceNotOne):
+            validate_batch(m[None])
+
+    def test_non_finite_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density(self.bad("non-finite"))
+
+    def test_rejects_bad_shapes(self):
+        for shape in ((4, 4), (0, 4, 4), (3, 3, 3)):
+            with pytest.raises(ValueError, match="stack"):
+                validate_batch(np.zeros(shape))

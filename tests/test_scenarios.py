@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+                                EVOLVED_TRACE_TOL, Margins)
 from dressedbath.model import SystemParams
-from dressedbath.scenarios import (CompareReport, ConfigError, OutOfRange,
-                                   ScenarioConfig, compare_report,
+from dressedbath.scenarios import (ROUTES, CompareReport, ConfigError,
+                                   OutOfRange, ScenarioConfig, compare_report,
                                    figure_preset, parse_config, run_scenario,
                                    sudden_death_time, sweep, sweep_csv,
                                    trajectory_csv, write_trajectory)
@@ -201,6 +203,50 @@ class TestRunScenario:
         c = traj.series["micro"]["concurrence"]
         assert c.max() > 0.5
         assert abs(traj.series["micro"]["concurrence"][0]) < 1e-12
+
+
+class TestSnapshotLayer:
+    def test_ground_top_coherence_takes_matrix_route_exactly_there(self):
+        from dressedbath import microscopic
+        from dressedbath.metrics import X_TOL
+        from dressedbath.model import dressed_frame, rate_set
+        frame = dressed_frame(FAST)
+        u = frame.unitary
+        dressed0 = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
+        dressed0[0, 3] = dressed0[3, 0] = 0.2
+        cfg = fast_config(initial_state=u @ dressed0 @ u.conj().T, t_max=5.0,
+                          metrics=("concurrence", "discord", "linear_entropy"))
+        traj = run_scenario(cfg)
+        dressed = microscopic.propagate_analytic(
+            u.conj().T @ cfg.initial_state @ u, rate_set(FAST, frame), frame,
+            traj.times)
+        coherent = np.abs(dressed[:, 0, 3]) > X_TOL
+        assert 0 < coherent.sum() < len(coherent)
+        expected = np.where(coherent, ROUTES.index("matrix_x"),
+                            ROUTES.index("dressed_x"))
+        assert np.array_equal(traj.routes["micro"], expected)
+        assert np.all(traj.routes["phenom"] == ROUTES.index("matrix_x"))
+
+    def test_non_x_state_takes_general_route(self, rng):
+        from conftest import random_density
+        traj = run_scenario(fast_config(initial_state=random_density(rng),
+                                        n_points=20,
+                                        metrics=("concurrence", "linear_entropy")))
+        for model in ("micro", "phenom"):
+            assert traj.routes[model][0] == ROUTES.index("general")
+
+    def test_margins_are_worst_snapshot_values(self):
+        traj = run_scenario(fast_config(n_points=200))
+        for model, states in traj.states.items():
+            herm = [np.abs(m - m.conj().T).max() for m in states]
+            trace = [abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
+                     for m in states]
+            neg = [-np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] for m in states]
+            margins = traj.margins[model]
+            assert margins == Margins(max(herm), max(trace), max(neg))
+            assert margins.hermiticity <= EVOLVED_HERM_TOL
+            assert margins.trace <= EVOLVED_TRACE_TOL
+            assert margins.positivity <= EVOLVED_PSD_TOL
 
 
 class TestCsv:
