@@ -60,8 +60,11 @@ def lindblad(h: np.ndarray, channels) -> np.ndarray:
             continue
         opd = op.conj().T
         norm = opd @ op
-        gen += rate * (np.kron(op, opd.T)
-                       - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
+        # an overflowing rate makes inf and nan entries, which the
+        # validation of the evolved states reports (NotFinite)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen += rate * (np.kron(op, opd.T)
+                           - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
     return gen
 
 

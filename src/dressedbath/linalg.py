@@ -9,9 +9,13 @@ orders are frozen once and for all:
 
 States carry their basis tag explicitly so that basis mistakes fail loudly
 instead of producing silently wrong metrics.  Hermitian spectra come from
-LAPACK (``numpy.linalg.eigh``) behind a Hermiticity check.  Validation works
-on a whole ``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``);
-a single matrix is a stack of one.
+LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity check, for one
+matrix or a stack.  Validation works on a whole ``(n, 4, 4)`` stack of
+snapshots in one pass (``validate_batch``); a single matrix is a stack of
+one.  Its positivity check reads the smallest eigenvalue of an X-shaped
+snapshot (every off-X entry exactly zero, as both master equations keep the
+|1,0> start) in closed form from its two 2x2 blocks, and sends only the
+other snapshots to LAPACK.
 """
 
 from __future__ import annotations
@@ -87,6 +91,29 @@ class Margins(NamedTuple):
     positivity: float
 
 
+# the entries outside the diagonal and the antidiagonal of a 4x4 matrix
+_OFF_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])
+
+
+def _smallest_eigenvalues(h) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in an ``(n, 4, 4)`` stack.
+
+    A matrix whose off-X entries are all exactly zero is the direct sum of
+    its {00,11} and {01,10} blocks; each block [[a, z], [z*, b]] has the
+    smallest eigenvalue (a+b)/2 - hypot((a-b)/2, |z|).  The rest go to LAPACK.
+    """
+    x = ~h[:, _OFF_X[0], _OFF_X[1]].any(axis=1)
+    low = np.empty(len(h))
+    blocks = h[x]
+    a = blocks[:, [0, 1], [0, 1]].real
+    b = blocks[:, [3, 2], [3, 2]].real
+    z = np.abs(blocks[:, [0, 1], [3, 2]])
+    low[x] = (0.5 * (a + b) - np.hypot(0.5 * (a - b), z)).min(axis=1)
+    if not x.all():
+        low[~x] = np.linalg.eigvalsh(h[~x])[:, 0]
+    return low
+
+
 def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
                    psd_tol=PSD_TOL) -> Margins:
     """Check Hermiticity, unit trace and positivity of every matrix in an
@@ -108,7 +135,7 @@ def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     herm = np.abs(checked - mh).max(axis=(1, 2))
     tr = np.trace(checked, axis1=1, axis2=2)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    neg = -np.linalg.eigvalsh(0.5 * (checked + mh))[:, 0]
+    neg = -_smallest_eigenvalues(0.5 * (checked + mh))
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -134,13 +161,16 @@ def validate_density(matrix, basis=COMPUTATIONAL, *, herm_tol=HERM_TOL,
     return DensityMatrix(m, basis)
 
 
-def partial_trace_q2(rho: DensityMatrix) -> np.ndarray:
-    """Reduced 2x2 state of qubit 1 (computational basis required)."""
-    if rho.basis != COMPUTATIONAL:
-        raise WrongBasis("partial trace over qubit 2 needs the computational basis")
-    m = rho.matrix
-    return np.array([[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-                     [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]])
+def partial_trace_q2(rho) -> np.ndarray:
+    """Reduced 2x2 state of qubit 1, for a DensityMatrix (computational basis
+    required) or a ``(..., 4, 4)`` stack of computational-basis matrices."""
+    if isinstance(rho, DensityMatrix):
+        if rho.basis != COMPUTATIONAL:
+            raise WrongBasis("partial trace over qubit 2 needs the computational basis")
+        rho = rho.matrix
+    m = np.asarray(rho)
+    # [i, j] = m[2i, 2j] + m[2i+1, 2j+1]
+    return m[..., ::2, ::2] + m[..., 1::2, 1::2]
 
 
 def change_basis(rho: DensityMatrix, frame, target: str) -> DensityMatrix:
@@ -162,15 +192,20 @@ def change_basis(rho: DensityMatrix, frame, target: str) -> DensityMatrix:
 
 
 def hermitian_eigs(matrix, herm_tol=1e-10):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix or of
+    each matrix in a ``(..., n, n)`` stack.
 
-    Checks Hermiticity, then hands the Hermitian part to LAPACK's ``eigh``.
+    Checks each matrix's Hermiticity (the first one off by more than
+    ``herm_tol`` raises NotHermitian), then hands the Hermitian parts to
+    LAPACK's ``eigh``.
     """
     m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    if m.shape != (n, n):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    herm = np.abs(m - m.conj().T).max()
-    if herm > herm_tol:
-        raise NotHermitian(f"matrix is not Hermitian (off by {herm:.3e})", herm)
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
+    mh = np.conj(np.swapaxes(m, -1, -2))
+    herm = np.abs(m - mh).max(axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(herm > herm_tol)
+    if bad.size:
+        off = herm[bad[0]]
+        raise NotHermitian(f"matrix is not Hermitian (off by {off:.3e})", off)
+    return np.linalg.eigh(0.5 * (m + mh))

@@ -179,24 +179,45 @@ _SYSY[0, 3] = _SYSY[3, 0] = -1.0
 _SYSY[1, 2] = _SYSY[2, 1] = 1.0
 
 
-def concurrence_general(rho: DensityMatrix | np.ndarray) -> float:
-    """Spin-flip concurrence for an arbitrary two-qubit state.
+def _ct(a) -> np.ndarray:
+    # conjugate transpose of each matrix in a stack, C-contiguous: numpy's
+    # matmul picks its kernel from the operand strides, and the stacked
+    # products must round as the one-matrix ``a.conj().T`` products did
+    return np.ascontiguousarray(np.conj(np.swapaxes(a, -1, -2)))
+
+
+def concurrence_general(rho: DensityMatrix | np.ndarray):
+    """Spin-flip concurrence for arbitrary two-qubit states: one state, or
+    each state of a ``(..., 4, 4)`` stack (a single state is a length-1
+    call).
 
     The non-Hermitian product rho * flipped(rho) shares its spectrum with
     sqrt(rho) flipped(rho) sqrt(rho), which is Hermitian, so everything runs
-    through the Hermitian eigensolver.
+    through the Hermitian eigensolver.  Once the states themselves pass the
+    Hermiticity check, the first state that fails decides the error: an
+    eigenvalue below -1e-9 (NotPSD) or a spin-flip product that is not
+    Hermitian (NotHermitian).
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if isinstance(rho, DensityMatrix) and rho.basis != COMPUTATIONAL:
-        raise ValueError("concurrence needs the computational basis")
+    if isinstance(rho, DensityMatrix):
+        if rho.basis != COMPUTATIONAL:
+            raise ValueError("concurrence needs the computational basis")
+        rho = rho.matrix
+    m = np.asarray(rho, dtype=complex)
+    lead = m.shape[:-2]
+    m = m.reshape(-1, 4, 4)
     flipped = _SYSY @ m.conj() @ _SYSY
     evals, vecs = hermitian_eigs(m)
-    if evals[0] < -1e-9:
-        raise NotPSD(f"state eigenvalue {evals[0]:.3e} below tolerance", -evals[0])
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    xi, _ = hermitian_eigs(root @ flipped @ root)
-    xi = np.sqrt(np.clip(xi[::-1], 0.0, None))
-    return float(max(0.0, xi[0] - xi[1] - xi[2] - xi[3]))
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ _ct(vecs)
+    product = root @ flipped @ root
+    negative = np.flatnonzero(evals[:, 0] < -1e-9)
+    if negative.size:
+        i = negative[0]
+        hermitian_eigs(product[:i])   # an earlier state's failure comes first
+        raise NotPSD(f"state eigenvalue {evals[i, 0]:.3e} below tolerance",
+                     -evals[i, 0])
+    xi, _ = hermitian_eigs(product)
+    xi = np.sqrt(np.clip(xi[:, ::-1], 0.0, None))
+    return _max(0.0, xi[:, 0] - xi[:, 1] - xi[:, 2] - xi[:, 3]).reshape(lead)[()]
 
 
 def von_neumann_entropy(matrix: np.ndarray) -> float:
@@ -293,16 +314,17 @@ def discord_oracle_q2(rho: DensityMatrix | np.ndarray, grid_n: int = 256) -> flo
     return s_q2 - s_full + float(cond.min())
 
 
-def linear_entropy_q1(state: DensityMatrix | XStateElements):
+def linear_entropy_q1(state):
     """Mixedness of qubit 1: 1 - Tr(rho_q1^2), in [0, 1/2].
 
     For X elements (one state or an array of snapshots) this reduces to
-    2 P0 (1 - P0) with P0 the qubit-1 ground probability; for a full state
-    the partial trace decides.
+    2 P0 (1 - P0) with P0 the qubit-1 ground probability; for full states (a
+    DensityMatrix or a ``(..., 4, 4)`` stack of computational-basis
+    matrices) the partial trace decides.
     """
     if isinstance(state, XStateElements):
         p0 = state.p00 + state.p01
         return 2.0 * p0 * (1.0 - p0)
     reduced = partial_trace_q2(state)
-    purity = np.trace(reduced @ reduced).real
-    return float(1.0 - purity)
+    purity = np.trace(reduced @ reduced, axis1=-2, axis2=-1).real
+    return (1.0 - purity)[()]

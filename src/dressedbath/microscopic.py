@@ -105,46 +105,49 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
         raise DegenerateRates("one relaxation channel is frozen; "
                               "no closed form for this case")
 
-    cl, ch = rates.decay_low, rates.decay_high
-    el, eh = rates.excitation_low, rates.excitation_high
-    k = s1 * s2
-    e1 = np.exp(-s1 * t)
-    e2 = np.exp(-s2 * t)
-    e12 = e1 * e2
-    pa, pb, pc, pd = (rho0[i, i].real for i in range(4))
+    # overflowing rates make inf and nan here; validation reports the
+    # non-finite snapshots (NotFinite), so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        cl, ch = rates.decay_low, rates.decay_high
+        el, eh = rates.excitation_low, rates.excitation_high
+        k = s1 * s2
+        e1 = np.exp(-s1 * t)
+        e2 = np.exp(-s2 * t)
+        e12 = e1 * e2
+        pa, pb, pc, pd = (rho0[i, i].real for i in range(4))
 
-    out = np.zeros((len(t), 4, 4), dtype=complex)
-    out[:, 0, 0] = (cl * ch
-                    + e1 * (el * ch * (pa + pc) - cl * ch * (pb + pd))
-                    + e2 * (cl * eh * (pa + pb) - cl * ch * (pc + pd))
-                    + e12 * (el * eh * pa - cl * eh * pb - el * ch * pc + cl * ch * pd)) / k
-    out[:, 1, 1] = (el * ch
-                    + e1 * (-el * ch * (pa + pc) + cl * ch * (pb + pd))
-                    + e2 * (el * eh * (pa + pb) - el * ch * (pc + pd))
-                    + e12 * (-el * eh * pa + cl * eh * pb + el * ch * pc - cl * ch * pd)) / k
-    out[:, 2, 2] = (cl * eh
-                    + e1 * (el * eh * (pa + pc) - cl * eh * (pb + pd))
-                    + e2 * (-cl * eh * (pa + pb) + cl * ch * (pc + pd))
-                    + e12 * (-el * eh * pa + cl * eh * pb + el * ch * pc - cl * ch * pd)) / k
-    out[:, 3, 3] = (el * eh
-                    + e1 * (-el * eh * (pa + pc) + cl * eh * (pb + pd))
-                    + e2 * (-el * eh * (pa + pb) + el * ch * (pc + pd))
-                    + e12 * (el * eh * pa - cl * eh * pb - el * ch * pc + cl * ch * pd)) / k
+        out = np.zeros((len(t), 4, 4), dtype=complex)
+        out[:, 0, 0] = (cl * ch
+                        + e1 * (el * ch * (pa + pc) - cl * ch * (pb + pd))
+                        + e2 * (cl * eh * (pa + pb) - cl * ch * (pc + pd))
+                        + e12 * (el * eh * pa - cl * eh * pb - el * ch * pc + cl * ch * pd)) / k
+        out[:, 1, 1] = (el * ch
+                        + e1 * (-el * ch * (pa + pc) + cl * ch * (pb + pd))
+                        + e2 * (el * eh * (pa + pb) - el * ch * (pc + pd))
+                        + e12 * (-el * eh * pa + cl * eh * pb + el * ch * pc - cl * ch * pd)) / k
+        out[:, 2, 2] = (cl * eh
+                        + e1 * (el * eh * (pa + pc) - cl * eh * (pb + pd))
+                        + e2 * (-cl * eh * (pa + pb) + cl * ch * (pc + pd))
+                        + e12 * (-el * eh * pa + cl * eh * pb + el * ch * pc - cl * ch * pd)) / k
+        out[:, 3, 3] = (el * eh
+                        + e1 * (-el * eh * (pa + pc) + cl * eh * (pb + pd))
+                        + e2 * (-el * eh * (pa + pb) + el * ch * (pc + pd))
+                        + e12 * (el * eh * pa - cl * eh * pb - el * ch * pc + cl * ch * pd)) / k
 
-    w_low, w_high = frame.bohr_low, frame.bohr_high
-    splitting = w_low + w_high
-    half_total = 0.5 * (s1 + s2)
+        w_low, w_high = frame.bohr_low, frame.bohr_high
+        splitting = w_low + w_high
+        half_total = 0.5 * (s1 + s2)
 
-    ab0, cd0 = rho0[0, 1], rho0[2, 3]
-    ac0, bd0 = rho0[0, 2], rho0[1, 3]
-    pre_low = np.exp((1j * w_low - 0.5 * s1) * t) / s2
-    out[:, 0, 1] = pre_low * ((ch + e2 * eh) * ab0 + (1.0 - e2) * ch * cd0)
-    out[:, 2, 3] = pre_low * ((1.0 - e2) * eh * ab0 + (eh + e2 * ch) * cd0)
-    pre_high = np.exp((1j * w_high - 0.5 * s2) * t) / s1
-    out[:, 0, 2] = pre_high * ((cl + e1 * el) * ac0 - (1.0 - e1) * cl * bd0)
-    out[:, 1, 3] = pre_high * (-(1.0 - e1) * el * ac0 + (el + e1 * cl) * bd0)
-    out[:, 0, 3] = np.exp((1j * splitting - half_total) * t) * rho0[0, 3]
-    out[:, 1, 2] = np.exp((1j * (w_high - w_low) - half_total) * t) * rho0[1, 2]
+        ab0, cd0 = rho0[0, 1], rho0[2, 3]
+        ac0, bd0 = rho0[0, 2], rho0[1, 3]
+        pre_low = np.exp((1j * w_low - 0.5 * s1) * t) / s2
+        out[:, 0, 1] = pre_low * ((ch + e2 * eh) * ab0 + (1.0 - e2) * ch * cd0)
+        out[:, 2, 3] = pre_low * ((1.0 - e2) * eh * ab0 + (eh + e2 * ch) * cd0)
+        pre_high = np.exp((1j * w_high - 0.5 * s2) * t) / s1
+        out[:, 0, 2] = pre_high * ((cl + e1 * el) * ac0 - (1.0 - e1) * cl * bd0)
+        out[:, 1, 3] = pre_high * (-(1.0 - e1) * el * ac0 + (el + e1 * cl) * bd0)
+        out[:, 0, 3] = np.exp((1j * splitting - half_total) * t) * rho0[0, 3]
+        out[:, 1, 2] = np.exp((1j * (w_high - w_low) - half_total) * t) * rho0[1, 2]
 
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
         out[:, j, i] = np.conj(out[:, i, j])

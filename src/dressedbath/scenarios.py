@@ -18,8 +18,7 @@ import numpy as np
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .linalg import (COMPUTATIONAL, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, DensityMatrix, validate_batch,
-                     validate_density)
+                     EVOLVED_TRACE_TOL, validate_batch, validate_density)
 from .metrics import AssumptionViolated, XStateElements
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -137,27 +136,14 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return 10.0 / anchor
 
 
-def _metrics_general(comp: np.ndarray, wanted):
-    out = {}
-    if "concurrence" in wanted:
-        out["concurrence"] = metrics.concurrence_general(comp)
-    if "discord" in wanted:
-        raise AssumptionViolated(
-            "the discord approximation needs an X-shaped state; "
-            "this trajectory left the X family")
-    if "linear_entropy" in wanted:
-        out["linear_entropy"] = metrics.linear_entropy_q1(
-            DensityMatrix(comp, COMPUTATIONAL))
-    return out
-
-
 def _trajectory_metrics(comp, dressed, frame, wanted):
     """Metric columns of a validated ``(n, 4, 4)`` trajectory, and the route
     (index into ROUTES) of each snapshot.
 
     Each snapshot takes the first route that holds for it: the dressed-basis
     X elements (micro only, ``dressed`` given), then the X elements of the
-    computational matrix, then the general forms, one snapshot at a time.
+    computational matrix, then the general forms.  Each route is one call
+    per metric on the stack of its snapshots.
     """
     x, x_ok = metrics.x_elements_from_matrix(comp, trace_tol=EVOLVED_TRACE_TOL)
     route = np.where(x_ok, 1, 2).astype(np.int8)
@@ -174,9 +160,18 @@ def _trajectory_metrics(comp, dressed, frame, wanted):
                      ("linear_entropy", metrics.linear_entropy_q1)):
         if name in wanted:
             cols[name][x_ok] = fn(x_rows)
-    for i in np.flatnonzero(~x_ok):
-        for name, value in _metrics_general(comp[i], wanted).items():
-            cols[name][i] = value
+    general = comp[~x_ok]
+    if len(general) and "discord" in wanted:
+        # the first non-X snapshot decides: its concurrence runs first
+        if "concurrence" in wanted:
+            metrics.concurrence_general(general[:1])
+        raise AssumptionViolated(
+            "the discord approximation needs an X-shaped state; "
+            "this trajectory left the X family")
+    for name, fn in (("concurrence", metrics.concurrence_general),
+                     ("linear_entropy", metrics.linear_entropy_q1)):
+        if name in wanted and len(general):
+            cols[name][~x_ok] = fn(general)
     if "populations" in wanted:
         for idx, name in enumerate(("pop_00", "pop_01", "pop_10", "pop_11")):
             cols[name] = comp[:, idx, idx].real
@@ -201,6 +196,12 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
     rates = rate_set(cfg.params, frame)
     t_max = resolve_t_max(cfg, rates, stationary=stationary_span)
     times = np.linspace(0.0, t_max, cfg.n_points)
+    # the integrated model steps from one grid point to the next; an
+    # automatic span that underflowed repeats times
+    if "phenom" in cfg.models and not (np.diff(times) > 0).all():
+        raise ConfigError(
+            f"time span {t_max:.6g} s is too short for n_points = "
+            f"{cfg.n_points} strictly increasing times; set t_max")
     rho0_comp = initial_state_matrix(cfg, frame)
 
     states, series, margins, routes = {}, {}, {}, {}
@@ -385,12 +386,10 @@ def write_trajectory(traj: Trajectory, out_dir) -> list:
 
 def sudden_death_time(times, series, threshold=DEATH_THRESHOLD, run=DEATH_RUN):
     """First time the series stays at (numerical) zero for ``run`` points."""
-    count = 0
-    for i, v in enumerate(series):
-        count = count + 1 if v <= threshold else 0
-        if count >= run:
-            return float(times[i - run + 1])
-    return None
+    dead = np.cumsum(np.concatenate(([0], np.asarray(series) <= threshold)))
+    # windows of ``run`` points, by start index, that are dead throughout
+    starts = np.flatnonzero(dead[run:] - dead[:-run] == run)
+    return float(times[starts[0]]) if starts.size else None
 
 
 @dataclass

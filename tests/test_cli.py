@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from dressedbath.cli import main
@@ -194,11 +196,29 @@ def test_non_finite_evolved_state_is_numeric_error(gamma0, tmp_path, capsys):
     path = tmp_path / "huge.cfg"
     path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0=gamma0), encoding="utf-8")
     out_dir = tmp_path / "out"
-    assert main(["evolve", "--config", str(path), "--model", "micro",
-                 "--out", str(out_dir)]) == 2
+    with warnings.catch_warnings():
+        # the overflow is reported once, by the exit-2 message alone
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path), "--model", "micro",
+                     "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err == ("numerical invariant violated: "
                    "matrix contains non-finite entries\n")
+    assert not out_dir.exists()
+
+
+def test_underflowing_time_span_is_config_error(tmp_path, capsys):
+    # the automatic span, 10 over the overflowing bare damping rate, is 0
+    path = tmp_path / "huge.cfg"
+    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0="1e300"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path), "--model", "phenom",
+                     "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: time span 0 s is too short for n_points = 20 "
+        "strictly increasing times; set t_max\n")
     assert not out_dir.exists()
 
 

@@ -239,3 +239,138 @@ class TestValidateBatch:
         for shape in ((4, 4), (0, 4, 4), (3, 3, 3)):
             with pytest.raises(ValueError, match="stack"):
                 validate_batch(np.zeros(shape))
+
+
+def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
+    """A Hermitian X-shaped 4x4 matrix whose {00,11} and {01,10} blocks have
+    the given eigenvalues; its off-X entries are ``sign_zero * 0.0``."""
+    m = np.full((4, 4), complex(sign_zero * 0.0, sign_zero * 0.0))
+    for (i, j), eigs in (((0, 3), outer_eigs), ((1, 2), inner_eigs)):
+        theta, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)
+        lo, hi = eigs
+        m[i, i] = c * c * lo + abs(s) ** 2 * hi
+        m[j, j] = abs(s) ** 2 * lo + c * c * hi
+        m[i, j] = c * np.conj(s) * (hi - lo)
+        m[j, i] = np.conj(m[i, j])
+    return m
+
+
+class TestClosedFormPositivity:
+    """validate_batch reads an X-shaped snapshot's smallest eigenvalue off its
+    two 2x2 blocks; LAPACK gets only the other snapshots."""
+
+    NO_BOUNDS = dict(trace_tol=np.inf, psd_tol=np.inf)
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        """Count the matrices handed to np.linalg.eigvalsh."""
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    @staticmethod
+    def x_stack(rng):
+        tol = linalg.EVOLVED_PSD_TOL
+        cases = [((0.0, 1.0), (0.0, 0.0)),            # rank 1, a zero block
+                 ((0.0, 0.0), (0.0, 0.0)),            # all zero
+                 ((0.0, 0.0), (0.3, 0.7)),
+                 ((-tol, 0.6), (0.1, 0.3)),           # at -EVOLVED_PSD_TOL
+                 ((tol, 0.6), (0.1, 0.3)),            # at +EVOLVED_PSD_TOL
+                 ((0.25, 0.25), (0.25, 0.25)),        # degenerate
+                 ((-1e-12, 0.5), (0.2, 0.3))]
+        mats = [x_shaped(o, i, rng) for o, i in cases]
+        mats += [x_shaped(o, i, rng, sign_zero=-1.0) for o, i in cases]
+        for _ in range(400):
+            eigs = rng.dirichlet(np.full(4, 0.5))
+            eigs[rng.integers(4)] = rng.choice([0.0, -tol, tol, eigs[0]])
+            mats.append(x_shaped(np.sort(eigs[:2]), np.sort(eigs[2:]), rng,
+                                 sign_zero=rng.choice([-1.0, 1.0])))
+        return np.array(mats)
+
+    def test_x_stack_matches_lapack(self, rng, lapack_calls):
+        stack = self.x_stack(rng)
+        off_x = stack[:, linalg._OFF_X[0], linalg._OFF_X[1]]
+        assert (off_x == 0).all()
+        assert np.signbit(off_x.real).any() and not np.signbit(off_x.real).all()
+        eps = np.finfo(float).eps
+        singles = [validate_batch(m[None], **self.NO_BOUNDS).positivity
+                   for m in stack]
+        assert lapack_calls == []
+        for m, neg in zip(stack, singles):
+            expected = -np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
+            assert abs(neg - expected) <= 4 * eps * np.abs(m).max()
+        assert validate_batch(stack, **self.NO_BOUNDS).positivity == max(singles)
+
+    def test_evolved_tolerance_edges(self, rng):
+        tol = linalg.EVOLVED_PSD_TOL
+        loose = dict(herm_tol=linalg.EVOLVED_HERM_TOL, trace_tol=np.inf,
+                     psd_tol=tol)
+        validate_batch(x_shaped((-0.5 * tol, 0.6), (0.1, 0.3), rng)[None], **loose)
+        with pytest.raises(NotPSD):
+            validate_batch(x_shaped((-2.0 * tol, 0.6), (0.1, 0.3), rng)[None],
+                           **loose)
+
+    def test_tiny_off_x_entry_goes_to_lapack(self, rng, lapack_calls):
+        stack = np.array([x_shaped((0.1, 0.4), (0.2, 0.3), rng) for _ in range(5)])
+        stack[2, 0, 1] = stack[2, 1, 0] = 1e-300
+        validate_batch(stack)
+        assert lapack_calls == [1]
+
+    @pytest.mark.parametrize("first, second", [(1, 3), (3, 1)])
+    def test_first_failing_snapshot_decides_across_routes(self, rng, first,
+                                                          second):
+        # snapshot `first` fails on the LAPACK route, `second` in closed form
+        stack = np.array([x_shaped((0.1, 0.4), (0.2, 0.3), rng) for _ in range(5)])
+        stack[first] = x_shaped((-0.01, 0.5), (0.2, 0.31), rng)
+        stack[first, 0, 1] = stack[first, 1, 0] = 1e-300
+        stack[second] = x_shaped((-0.02, 0.5), (0.2, 0.32), rng)
+        with pytest.raises(NotPSD) as single:
+            validate_density(stack[min(first, second)])
+        with pytest.raises(NotPSD) as stacked:
+            validate_batch(stack)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.violation == single.value.violation
+
+
+class TestStackedHermitianEigs:
+    def test_bit_equal_to_single_calls(self, rng):
+        from conftest import random_x_state
+        mats = [random_density(rng) for _ in range(20)]
+        for _ in range(20):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            mats.append(np.outer(psi, psi.conj()))
+        mats += [random_x_state(rng).matrix() for _ in range(20)]
+        stack = np.array(mats)
+        w, v = hermitian_eigs(stack)
+        for m, ws, vs in zip(stack, w, v):
+            w1, v1 = hermitian_eigs(m)
+            assert ws.tobytes() == w1.tobytes()
+            assert vs.tobytes() == v1.tobytes()
+        w3, v3 = hermitian_eigs(stack.reshape(3, 20, 4, 4))
+        assert w3.tobytes() == w.tobytes() and v3.tobytes() == v.tobytes()
+
+    def test_first_non_hermitian_matrix_is_reported(self):
+        stack = np.repeat(np.eye(4, dtype=complex)[None] / 4, 5, axis=0)
+        stack[2, 0, 1] = 0.3
+        stack[4, 0, 1] = 0.7
+        with pytest.raises(NotHermitian) as err:
+            hermitian_eigs(stack)
+        assert err.value.violation == 0.3
+        assert "off by 3.000e-01" in str(err.value)
+
+    def test_partial_trace_of_stack(self, rng):
+        stack = np.array([random_density(rng) for _ in range(6)])
+        reduced = partial_trace_q2(stack)
+        assert reduced.shape == (6, 2, 2)
+        for m, r in zip(stack, reduced):
+            assert r.tobytes() == partial_trace_q2(DensityMatrix(m)).tobytes()
+            expected = np.einsum("iaja->ij", m.reshape(2, 2, 2, 2))
+            assert np.abs(r - expected).max() < 1e-15

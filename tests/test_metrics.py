@@ -370,3 +370,100 @@ class TestArrayMetricsMatchScalar:
             discord_approx_q2(x_batch(rng, 80).take(slice(0, 72)))
         assert caplog.records == []
 
+
+
+# -- the stacked general route against one-state calls ------------------------
+
+def scalar_concurrence_general(m):
+    """The one-state spin-flip concurrence, step by step as its formula reads."""
+    sysy = np.zeros((4, 4))
+    sysy[0, 3] = sysy[3, 0] = -1.0
+    sysy[1, 2] = sysy[2, 1] = 1.0
+    flipped = sysy @ m.conj() @ sysy
+    evals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    product = root @ flipped @ root
+    xi = np.linalg.eigh(0.5 * (product + product.conj().T))[0]
+    xi = np.sqrt(np.clip(xi[::-1], 0.0, None))
+    return max(0.0, xi[0] - xi[1] - xi[2] - xi[3])
+
+
+def scalar_linear_entropy_full(m):
+    reduced = np.array([[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
+                        [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]])
+    return 1.0 - np.trace(reduced @ reduced).real
+
+
+def general_stack(rng, n=30):
+    """Random full-rank, pure and X states."""
+    mats = [random_density(rng) for _ in range(n)]
+    for _ in range(n):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        mats.append(np.outer(psi, psi.conj()))
+    mats += [random_x_state(rng).matrix() for _ in range(n)]
+    return np.array(mats)
+
+
+class TestStackedGeneralRoute:
+    @pytest.mark.parametrize("fn, scalar", [
+        (concurrence_general, scalar_concurrence_general),
+        (linear_entropy_q1, scalar_linear_entropy_full)])
+    def test_bit_equal_to_one_state_calls(self, fn, scalar, rng):
+        stack = general_stack(rng)
+        stacked = fn(stack)
+        assert stacked.shape == (len(stack),)
+        singles = [fn(m[None])[0] for m in stack]
+        assert_bitwise(stacked, singles)
+        assert_bitwise(stacked, [fn(m) for m in stack])
+        assert_bitwise(stacked, [scalar(m) for m in stack])
+        assert_bitwise(stacked, [fn(DensityMatrix(m)) for m in stack])
+
+    def test_single_state_gives_scalar(self):
+        assert concurrence_general(bell_matrix()).shape == ()
+        assert linear_entropy_q1(bell_matrix()).shape == ()
+
+    def test_first_non_psd_state_decides(self, rng):
+        stack = general_stack(rng, 4)
+        for i, low in ((5, -5e-9), (2, -2e-9)):
+            stack[i] = np.diag([0.5 - low, 0.3, 0.2, low]).astype(complex)
+        with pytest.raises(metrics.NotPSD) as single:
+            concurrence_general(stack[2])
+        with pytest.raises(metrics.NotPSD) as stacked:
+            concurrence_general(stack)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.violation == single.value.violation
+
+
+class TestTrajectoryRouteErrors:
+    """The general route runs once per trajectory, but the first snapshot
+    that fails still decides the error, as in a one-snapshot-at-a-time
+    loop: concurrence first, then the discord refusal."""
+
+    @staticmethod
+    def stack(rng, kinds):
+        good_x = random_x_state(rng).matrix()
+        non_psd = np.diag([0.5 + 5e-9, 0.3, 0.2, -5e-9]).astype(complex)
+        non_psd[0, 1] = non_psd[1, 0] = 1e-3           # not X-shaped
+        return np.array([{"x": good_x, "general": random_density(rng),
+                          "non_psd": non_psd}[k] for k in kinds])
+
+    @pytest.mark.parametrize("kinds, wanted, expected", [
+        (("x", "non_psd", "general"), ("concurrence", "discord"), metrics.NotPSD),
+        (("x", "general", "non_psd"), ("concurrence", "discord"),
+         metrics.AssumptionViolated),
+        (("x", "non_psd"), ("discord", "linear_entropy"),
+         metrics.AssumptionViolated),
+        (("general", "x", "non_psd"), ("concurrence", "linear_entropy"),
+         metrics.NotPSD),
+    ])
+    def test_first_failing_snapshot_decides(self, rng, kinds, wanted, expected):
+        from dressedbath.scenarios import _trajectory_metrics
+        comp = self.stack(rng, kinds)
+        with pytest.raises((metrics.NotPSD, metrics.AssumptionViolated)) as err:
+            _trajectory_metrics(comp, None, None, wanted)
+        assert type(err.value) is expected
+        if expected is metrics.NotPSD:
+            with pytest.raises(metrics.NotPSD) as single:
+                concurrence_general(comp[kinds.index("non_psd")])
+            assert str(err.value) == str(single.value)

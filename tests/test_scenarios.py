@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                EVOLVED_TRACE_TOL, Margins)
+                                EVOLVED_TRACE_TOL)
 from dressedbath.model import SystemParams
 from dressedbath.scenarios import (ROUTES, CompareReport, ConfigError,
                                    OutOfRange, ScenarioConfig, compare_report,
@@ -243,7 +243,12 @@ class TestSnapshotLayer:
                      for m in states]
             neg = [-np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] for m in states]
             margins = traj.margins[model]
-            assert margins == Margins(max(herm), max(trace), max(neg))
+            assert margins.hermiticity == max(herm)
+            assert margins.trace == max(trace)
+            # X-shaped snapshots get their spectrum in closed form, which
+            # agrees with LAPACK to rounding
+            eps = np.finfo(float).eps
+            assert margins.positivity == pytest.approx(max(neg), rel=0, abs=4 * eps)
             assert margins.hermiticity <= EVOLVED_HERM_TOL
             assert margins.trace <= EVOLVED_TRACE_TOL
             assert margins.positivity <= EVOLVED_PSD_TOL
@@ -306,6 +311,42 @@ class TestCompare:
         assert sudden_death_time(times, series) == pytest.approx(times[4])
         alive = np.full(11, 0.2)
         assert sudden_death_time(times, alive) is None
+
+    @staticmethod
+    def loop_death_time(times, series, threshold=1e-12, run=5):
+        count = 0
+        for i, v in enumerate(series):
+            count = count + 1 if v <= threshold else 0
+            if count >= run:
+                return float(times[i - run + 1])
+        return None
+
+    def test_sudden_death_matches_point_loop(self, rng):
+        n = 40
+        times = np.sort(rng.uniform(0.0, 1.0, n))
+        cases = [np.zeros(n), np.full(n, 0.3)]
+        ending = np.full(n, 0.3)
+        ending[-5:] = 0.0                           # a run ending at the last point
+        exact = np.full(n, 0.3)
+        exact[10:15] = 1e-12                        # exactly `run` points
+        short = np.full(n, 0.3)
+        short[10:14] = short[20:24] = 0.0           # runs one point short
+        cases += [ending, exact, short, ending[:4], ending[:0]]
+        for _ in range(300):
+            series = rng.uniform(0.0, 1.0, n)
+            series[rng.uniform(size=n) < rng.uniform(0.3, 0.95)] = 0.0
+            cases.append(series)
+        found = set()
+        for series in cases:
+            for run in (1, 3, 5):
+                got = sudden_death_time(times, series, run=run)
+                expected = self.loop_death_time(times, series, run=run)
+                assert got == expected and type(got) is type(expected)
+                found.add(got is None)
+        assert found == {True, False}
+        assert sudden_death_time(times, ending) == times[-5]
+        assert sudden_death_time(times, exact) == times[10]
+        assert sudden_death_time(times, short) is None
 
 
 class TestSweep:

@@ -4,7 +4,9 @@
     python3 tools/golden.py --check    # rerun and compare; exit 1 on a change
 
 The runs are `figure 1..10`, `compare --figure 2..7`, three `sweep`s on the
-coarse 400-point grid and `steady --figure 1..10`, each through
+coarse 400-point grid, `steady --figure 1..10` and `evolve --config` on four
+fixed non-X initial states (full-rank and pure, at a strong- and a
+weak-coupling preset; these take the general metric route), each through
 `dressedbath.cli.main` in this process with the package from `src/`.  The
 hashes pin the floating-point results of one numpy/LAPACK build on one
 machine; another build may legitimately differ in the last digits, so this
@@ -37,6 +39,41 @@ SWEEPS = (
     ("5", "gamma0", "5e6,5e7,2e8"),
 )
 
+# evolve --config runs on non-X starts: preset -> parameters, state -> entries
+# (row-major, exactly Hermitian with unit trace as written)
+GENERAL_PRESETS = {
+    "strong": dict(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
+                   bath_center=8e9, temperature=5e-4),
+    "weak": dict(omega=5e6, coupling=4e4, gamma0=500.0, bath_width=5e5,
+                 bath_center=1e7, temperature=0.005),
+}
+GENERAL_STATES = {
+    "full_rank": ("0.4", "0.1+0.05j", "0.05-0.1j", "0.02",
+                  "0.1-0.05j", "0.3", "0.04+0.03j", "-0.05j",
+                  "0.05+0.1j", "0.04-0.03j", "0.2", "0.06",
+                  "0.02", "0.05j", "0.06", "0.1"),
+    # projector on (|00> + i|01> - |10> + |11>) / 2
+    "pure": ("0.25", "-0.25j", "-0.25", "0.25",
+             "0.25j", "0.25", "-0.25j", "0.25j",
+             "-0.25", "0.25j", "0.25", "-0.25",
+             "0.25", "-0.25j", "-0.25", "0.25"),
+}
+
+
+def general_configs() -> dict:
+    """Config file name -> text of each general-route run."""
+    configs = {}
+    for preset, params in GENERAL_PRESETS.items():
+        for kind, entries in GENERAL_STATES.items():
+            label = f"general_{kind}_{preset}"
+            lines = [f"{k} = {v!r}" for k, v in params.items()]
+            lines += [f"initial_state = custom({', '.join(entries)})",
+                      "n_points = 150",
+                      "metrics = concurrence, linear_entropy, populations",
+                      f"label = {label}"]
+            configs[f"{label}.cfg"] = "\n".join(lines) + "\n"
+    return configs
+
 
 def commands() -> list:
     runs = [["figure", str(n)] for n in range(1, 11)]
@@ -64,8 +101,14 @@ def run(argv: list) -> dict:
 
 
 def record() -> dict:
+    runs = {" ".join(argv): run(argv) for argv in commands()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in general_configs().items():
+            path = pathlib.Path(tmp) / name
+            path.write_text(text, encoding="utf-8")
+            runs[f"evolve --config {name}"] = run(["evolve", "--config", str(path)])
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "runs": {" ".join(argv): run(argv) for argv in commands()}}
+            "runs": runs}
 
 
 def main(argv=None) -> int:
