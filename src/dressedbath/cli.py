@@ -18,7 +18,7 @@ import numpy as np
 
 from . import integrate, metrics, microscopic, phenomenological, scenarios
 from ._version import __version__
-from .integrate import StepTooLarge
+from .integrate import TraceDrift
 from .linalg import StateValidationError
 from .metrics import AssumptionViolated
 from .microscopic import DegenerateRates
@@ -29,7 +29,7 @@ from .scenarios import (ConfigError, compare_report, figure_preset,
                         write_trajectory)
 
 CONFIG_ERRORS = (ConfigError, ValueError)
-NUMERIC_ERRORS = (StateValidationError, StepTooLarge, AssumptionViolated,
+NUMERIC_ERRORS = (StateValidationError, TraceDrift, AssumptionViolated,
                   DegenerateRates)
 
 # the "_T<temperature>" suffix of a preset label, replaced by a --temp run
@@ -182,8 +182,7 @@ def cmd_selftest(args):
         rho0 = frame.unitary.conj().T @ rho10 @ frame.unitary
         analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
         gen = microscopic.liouvillian(rates, frame)
-        numeric = integrate.propagate(gen, rho0, times,
-                                      microscopic.step_bound(rates, frame))
+        numeric = integrate.propagate(gen, rho0, times)
         err = np.abs(analytic - numeric).max()
         elapsed = time.perf_counter() - start
         check(f"figure {n} closed form vs integrated generator",

@@ -71,16 +71,6 @@ def liouvillian(rates: RateSet, frame: DressedFrame) -> np.ndarray:
                                   (rates.absorption_high, high.conj().T)])
 
 
-def max_rate(rates: RateSet) -> float:
-    return max(rates.emission_low + rates.absorption_low,
-               rates.emission_high + rates.absorption_high,
-               rates.emission_bare + rates.absorption_bare)
-
-
-def step_bound(rates: RateSet, frame: DressedFrame) -> float:
-    return integrate.step_bound(max_rate(rates), frame.bohr_low + frame.bohr_high)
-
-
 def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
                        times) -> np.ndarray:
     """Closed-form dressed-basis evolution on an arbitrary time grid.

@@ -168,7 +168,13 @@ def thermal_occupancy(freq: float, temperature: float) -> float:
         raise NonPositiveFrequency(f"occupancy needs a positive frequency, got {freq}")
     if temperature == 0:
         return 0.0
-    return 1.0 / math.expm1(freq / (KB_OVER_HBAR * temperature))
+    x = freq / (KB_OVER_HBAR * temperature)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        # a cold bath: past x ~ 709.8 the occupancy is exp(-x) to double
+        # precision, which underflows to 0 instead of raising
+        return math.exp(-x)
 
 
 def _boltzmann(freq: float, temperature: float) -> float:

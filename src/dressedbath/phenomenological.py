@@ -83,15 +83,10 @@ def liouvillian_from_ops(p: SystemParams, rates: RateSet) -> np.ndarray:
                                                (rates.absorption_bare, lower.conj().T)))
 
 
-def step_bound(p: SystemParams, rates: RateSet) -> float:
-    scale = np.hypot(p.coupling, 2.0 * p.omega)
-    return integrate.step_bound(rates.emission_bare + rates.absorption_bare, scale)
-
-
 def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times) -> np.ndarray:
-    """RK4 trajectory in the computational basis."""
-    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times,
-                               step_bound(p, rates))
+    """Exact trajectory in the computational basis (``integrate.propagate``
+    of the operator-form generator)."""
+    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times)
 
 
 def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:

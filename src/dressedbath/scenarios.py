@@ -196,8 +196,8 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
     rates = rate_set(cfg.params, frame)
     t_max = resolve_t_max(cfg, rates, stationary=stationary_span)
     times = np.linspace(0.0, t_max, cfg.n_points)
-    # the integrated model steps from one grid point to the next; an
-    # automatic span that underflowed repeats times
+    # integrate.propagate requires a strictly increasing grid; an automatic
+    # span that underflowed repeats times
     if "phenom" in cfg.models and not (np.diff(times) > 0).all():
         raise ConfigError(
             f"time span {t_max:.6g} s is too short for n_points = "

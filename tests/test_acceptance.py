@@ -51,7 +51,7 @@ def test_criterion_1_solver_cross_validation():
         rho0 = frame.unitary.conj().T @ ket10() @ frame.unitary
         analytic = mic.propagate_analytic(rho0, rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times, mic.step_bound(rates, frame))
+                                      times)
         elapsed = time.perf_counter() - start
         worst_dev = max(worst_dev, np.abs(analytic - numeric).max())
         worst_time = max(worst_time, elapsed)

@@ -222,6 +222,42 @@ def test_underflowing_time_span_is_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_overflowing_phenom_rates_are_numeric_error(tmp_path, capsys):
+    # an explicit span passes the span check; the generator is not finite
+    path = tmp_path / "huge.cfg"
+    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0="1e300"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path), "--model", "phenom",
+                     "--tmax", "1e-9", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == ("numerical invariant violated: "
+                                       "matrix contains non-finite entries\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--figure", "2", "--tmax", "1e-4", "--model", "phenom"],
+    ["sweep", "--figure", "3", "--axis", "gamma0", "--values", "1e6",
+     "--points", "400"],
+])
+def test_long_phenom_span_keeps_trace(argv, tmp_path, capsys):
+    # thousands of bare lifetimes and oscillation periods per run
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--figure", "2", "--temp", "1e-6"],
+    ["evolve", "--figure", "2", "--temp", "1e-6"],
+    ["sweep", "--figure", "7", "--axis", "coupling", "--values", "1e13"],
+])
+def test_cold_bath_occupancy_underflows(argv, tmp_path, capsys):
+    # hbar omega / k_B T is far past the overflow point of exp
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_non_finite_custom_state_is_config_error(tmp_path, capsys):
     entries = ["0"] * 16
     entries[0], entries[15] = "nan", "1"

@@ -226,7 +226,7 @@ class TestNumericPropagation:
         times = np.linspace(0.0, 1.0, 11)
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         traj = integrate.propagate(np.zeros((16, 16), dtype=complex), rho0,
-                                   times, 0.05)
+                                   times)
         assert np.abs(traj - rho0).max() == 0.0
 
     def test_matches_analytic_from_arbitrary_state(self, rng):
@@ -237,7 +237,7 @@ class TestNumericPropagation:
         times = np.linspace(0.0, span, 300)
         analytic = mic.propagate_analytic(rho0, rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times, mic.step_bound(rates, frame))
+                                      times)
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_every_snapshot_valid(self):
@@ -257,8 +257,7 @@ class TestNumericPropagation:
         times = np.concatenate([[0.0], np.geomspace(span * 1e-3, span, 40)])
         analytic = mic.propagate_analytic(ket10_dressed(frame), rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame),
-                                      ket10_dressed(frame), times,
-                                      mic.step_bound(rates, frame))
+                                      ket10_dressed(frame), times)
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_matches_analytic_weak_coupling(self):
@@ -275,6 +274,5 @@ class TestNumericPropagation:
             analytic = mic.propagate_analytic(ket10_dressed(frame), rates,
                                               frame, times)
             numeric = integrate.propagate(
-                mic.liouvillian(rates, frame), ket10_dressed(frame), times,
-                mic.step_bound(rates, frame))
+                mic.liouvillian(rates, frame), ket10_dressed(frame), times)
             assert np.abs(analytic - numeric).max() < 1e-7

@@ -141,6 +141,14 @@ class TestBathFunctions:
     def test_occupancy_characteristic_value(self):
         assert thermal_occupancy(2.472e9, 1.5e-2) == pytest.approx(0.3966427, abs=1e-6)
 
+    def test_occupancy_cold_bath_underflows(self):
+        # exp(x) overflows past x ~ 709.8; the occupancy is exp(-x) there
+        t = 1.0
+        for x in (709.0, 710.0, 745.0):
+            assert thermal_occupancy(KB_OVER_HBAR * t * x, t) == pytest.approx(
+                math.exp(-x), rel=1e-12)
+        assert thermal_occupancy(4e9, 1e-6) == 0.0
+
     def test_occupancy_rejects_nonpositive(self):
         with pytest.raises(NonPositiveFrequency):
             thermal_occupancy(0.0, 1.0)
