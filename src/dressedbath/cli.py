@@ -12,7 +12,7 @@ import pathlib
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -187,6 +187,14 @@ def cmd_selftest(args):
         elapsed = time.perf_counter() - start
         check(f"figure {n} closed form vs integrated generator",
               err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s")
+
+        u = frame.unitary
+        x_dressed, held = metrics.x_elements_from_dressed(analytic, frame)
+        x_comp, ok = metrics.x_elements_from_matrix(u @ analytic @ u.conj().T)
+        dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
+                  for f in fields(metrics.XStateElements))
+        check(f"figure {n} micro X elements: dressed closed form vs basis change",
+              held.all() and ok.all() and dev <= 1e-12, f"max dev {dev:.2e}")
 
         gen_rows = phenomenological.liouvillian(cfg.params, rates)
         gen_ops = phenomenological.liouvillian_from_ops(cfg.params, rates)

@@ -10,10 +10,9 @@ projective measurements backs it in the tests.
 
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
-on scalars.  Their arithmetic reproduces the scalar Python formulas bit for
-bit, so squares, base-2 logarithms and complex moduli go through the same C
-library routines as ``x ** 2``, ``math.log2`` and ``abs(z)`` (see
-``_sq``, ``_log2`` and ``_abs``).
+on scalars.  Both models' trajectories reach them through
+``x_elements_from_matrix``; ``x_elements_from_dressed`` reads the same
+elements off a dressed-basis micro state and serves as its cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -38,53 +36,18 @@ class AssumptionViolated(Exception):
     pass
 
 
-def _libm(fn, a, *args) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    values = map(fn, a.ravel().tolist(), *args)
-    return np.fromiter(values, float, a.size).reshape(a.shape)
-
-
-def _sq(a) -> np.ndarray:
-    # libm pow(x, 2.0), which is what x ** 2 computes on a float; x * x,
-    # np.square and np.power round differently in about 0.1% of values
-    return _libm(pow, a, repeat(2.0))
-
-
-def _log2(a) -> np.ndarray:
-    # libm log2 as in math.log2; numpy's own log2 differs in the last ulp in
-    # about 0.2% of values, which near-zero discord amplifies past 1e-11
-    return _libm(math.log2, a)
-
-
-def _abs(z) -> np.ndarray:
-    # libm hypot, as Python's abs() of a complex; np.abs rounds differently
-    # in about a third of complex values
-    z = np.asarray(z)
-    return np.hypot(z.real, z.imag)
-
-
-# Python's max(a, b) and min(a, b): b only when strictly beyond a, so a tie
-# keeps a's signed zero (a "-0" in a CSV is a changed byte)
-def _max(a, b):
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    return np.where(b < a, b, a)
-
-
 def _plog2(x) -> np.ndarray:
     # 0 log 0 := 0; clamp fp dust
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     pos = ~(x <= 0.0)
     xp = x[pos]
-    out[pos] = -xp * _log2(_min(xp, 1.0))
+    out[pos] = -xp * np.log2(np.minimum(xp, 1.0))
     return out
 
 
 def binary_entropy(x) -> np.ndarray:
-    x = _min(_max(x, 0.0), 1.0)
+    x = np.clip(x, 0.0, 1.0)
     return _plog2(x) + _plog2(1.0 - x)
 
 
@@ -109,8 +72,8 @@ class XStateElements:
         within its population bound."""
         total = self.p00 + self.p01 + self.p10 + self.p11
         return ~((np.abs(total - 1.0) > trace_tol)
-                 | (_sq(_abs(self.outer)) > self.p00 * self.p11 + tol)
-                 | (_sq(_abs(self.inner)) > self.p01 * self.p10 + tol))
+                 | (np.abs(self.outer) ** 2 > self.p00 * self.p11 + tol)
+                 | (np.abs(self.inner) ** 2 > self.p01 * self.p10 + tol))
 
     def take(self, index) -> XStateElements:
         """The snapshots picked by an index or boolean mask."""
@@ -129,13 +92,13 @@ class XStateElements:
 def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
                             tol: float = X_TOL):
     """Computational X elements straight from dressed populations and the
-    antisym-sym coherence, for a ``(..., 4, 4)`` stack of dressed states.
+    antisym-sym coherence, for a ``(..., 4, 4)`` stack of dressed states:
+    the closed-form oracle of ``x_elements_from_matrix`` on micro states.
 
     Returns the elements and a mask of the snapshots where they hold: the
-    shortcut is valid only while the ground-top dressed coherence vanishes
-    (otherwise it would leak into the populations and the outer coherence,
-    and the caller needs a full basis change) and the elements pass
-    ``XStateElements.valid``.
+    closed form is valid only while the ground-top dressed coherence
+    vanishes (otherwise it would leak into the populations and the outer
+    coherence) and the elements pass ``XStateElements.valid``.
     """
     r = np.asarray(rho_dressed)
     pa, pb, pc, pd = (r[..., i, i].real for i in range(4))
@@ -151,7 +114,7 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
         outer=ap * am * (pd - pa),
         inner=inner,
     )
-    return x, ~(_abs(r[..., 0, 3]) > tol) & x.valid()
+    return x, ~(np.abs(r[..., 0, 3]) > tol) & x.valid()
 
 
 def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
@@ -160,7 +123,7 @@ def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
     matrices; the mask marks the snapshots whose remaining entries really
     vanish and whose elements pass ``XStateElements.valid``."""
     r = np.asarray(rho)
-    off = _abs(r[..., [0, 0, 1, 2], [1, 2, 3, 3]]).max(axis=-1)
+    off = np.abs(r[..., [0, 0, 1, 2], [1, 2, 3, 3]]).max(axis=-1)
     x = XStateElements(
         p00=r[..., 0, 0].real, p01=r[..., 1, 1].real, p10=r[..., 2, 2].real,
         p11=r[..., 3, 3].real, outer=r[..., 0, 3], inner=r[..., 1, 2],
@@ -169,21 +132,15 @@ def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
 
 
 def concurrence_x(x: XStateElements) -> np.ndarray:
-    outer_branch = _abs(x.outer) - np.sqrt(_max(x.p01 * x.p10, 0.0))
-    inner_branch = _abs(x.inner) - np.sqrt(_max(x.p00 * x.p11, 0.0))
-    return 2.0 * _max(_max(0.0, outer_branch), inner_branch)
+    outer_branch = np.abs(x.outer) - np.sqrt(np.maximum(x.p01 * x.p10, 0.0))
+    inner_branch = np.abs(x.inner) - np.sqrt(np.maximum(x.p00 * x.p11, 0.0))
+    # neither branch can be -0: |z| is never -0, and |z| - (+-0) is +0 at 0
+    return 2.0 * np.maximum(np.maximum(outer_branch, inner_branch), 0.0)
 
 
 _SYSY = np.zeros((4, 4))
 _SYSY[0, 3] = _SYSY[3, 0] = -1.0
 _SYSY[1, 2] = _SYSY[2, 1] = 1.0
-
-
-def _ct(a) -> np.ndarray:
-    # conjugate transpose of each matrix in a stack, C-contiguous: numpy's
-    # matmul picks its kernel from the operand strides, and the stacked
-    # products must round as the one-matrix ``a.conj().T`` products did
-    return np.ascontiguousarray(np.conj(np.swapaxes(a, -1, -2)))
 
 
 def concurrence_general(rho: DensityMatrix | np.ndarray):
@@ -207,7 +164,8 @@ def concurrence_general(rho: DensityMatrix | np.ndarray):
     m = m.reshape(-1, 4, 4)
     flipped = _SYSY @ m.conj() @ _SYSY
     evals, vecs = hermitian_eigs(m)
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ _ct(vecs)
+    root = ((vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :])
+            @ vecs.conj().swapaxes(-1, -2))
     product = root @ flipped @ root
     negative = np.flatnonzero(evals[:, 0] < -1e-9)
     if negative.size:
@@ -217,7 +175,10 @@ def concurrence_general(rho: DensityMatrix | np.ndarray):
                      -evals[i, 0])
     xi, _ = hermitian_eigs(product)
     xi = np.sqrt(np.clip(xi[:, ::-1], 0.0, None))
-    return _max(0.0, xi[:, 0] - xi[:, 1] - xi[:, 2] - xi[:, 3]).reshape(lead)[()]
+    c = xi[:, 0] - xi[:, 1] - xi[:, 2] - xi[:, 3]
+    # c is -0 when every xi is 0 and the first one -0; np.maximum picks
+    # either zero on a tie depending on the numpy build, so clamp by sign
+    return np.where(c > 0.0, c, 0.0).reshape(lead)[()]
 
 
 def von_neumann_entropy(matrix: np.ndarray) -> float:
@@ -230,8 +191,8 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
 
 def _x_spectrum(x: XStateElements):
     # the two 2x2 blocks of an X matrix diagonalise independently
-    r_outer = np.sqrt(_sq(x.p00 - x.p11) + 4.0 * _sq(_abs(x.outer)))
-    r_inner = np.sqrt(_sq(x.p01 - x.p10) + 4.0 * _sq(_abs(x.inner)))
+    r_outer = np.sqrt((x.p00 - x.p11) ** 2 + 4.0 * np.abs(x.outer) ** 2)
+    r_inner = np.sqrt((x.p01 - x.p10) ** 2 + 4.0 * np.abs(x.inner) ** 2)
     return (0.5 * (x.p00 + x.p11 + r_outer), 0.5 * (x.p00 + x.p11 - r_outer),
             0.5 * (x.p01 + x.p10 + r_inner), 0.5 * (x.p01 + x.p10 - r_inner))
 
@@ -243,7 +204,7 @@ def _ratio_term(a, b) -> np.ndarray:
     out = np.zeros(a.shape)
     pos = ~(a <= 0.0)
     ap = a[pos]
-    out[pos] = -ap * _log2(ap / (ap + _max(b[pos], 0.0)))
+    out[pos] = -ap * np.log2(ap / (ap + np.maximum(b[pos], 0.0)))
     return out
 
 
@@ -255,13 +216,13 @@ def discord_approx_q2(x: XStateElements) -> np.ndarray:
     their count and the most negative value), never silently produced.
     """
     s_q2 = _plog2(x.p00 + x.p10) + _plog2(x.p01 + x.p11)
-    s_full = sum(_plog2(_max(v, 0.0)) for v in _x_spectrum(x))
-    y = 0.5 * (1.0 + np.sqrt(_sq(x.p00 - x.p11 + x.p01 - x.p10)
-                             + 4.0 * _sq(_abs(x.outer) + _abs(x.inner))))
+    s_full = sum(_plog2(v) for v in _x_spectrum(x))
+    y = 0.5 * (1.0 + np.sqrt((x.p00 - x.p11 + x.p01 - x.p10) ** 2
+                             + 4.0 * (np.abs(x.outer) + np.abs(x.inner)) ** 2))
     n1 = binary_entropy(y)
     n2 = (_ratio_term(x.p00, x.p10) + _ratio_term(x.p01, x.p11)
           + _ratio_term(x.p10, x.p00) + _ratio_term(x.p11, x.p01))
-    value = s_q2 - s_full + _min(n1, n2)
+    value = s_q2 - s_full + np.minimum(n1, n2)
     negative = value < 0.0
     if negative.any():
         clamped = value[value < -1e-9]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import pathlib
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,17 +19,21 @@ from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .linalg import (COMPUTATIONAL, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                      EVOLVED_TRACE_TOL, validate_batch, validate_density)
-from .metrics import AssumptionViolated, XStateElements
+from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
 MODELS = ("micro", "phenom")
-ROUTES = ("dressed_x", "matrix_x", "general")   # metric routes, in trial order
+ROUTES = ("matrix_x", "general")   # metric routes, in trial order
 METRICS = ("concurrence", "discord", "linear_entropy", "populations")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 STATIONARY_FRACTION = 0.05
+# a run holds 16 complex numbers per point per model and the temporaries of
+# its array passes: with both models its peak memory grows by about 170 MB
+# per 100,000 points, so the cap keeps one run under about 1 GB
+MAX_POINTS = 500_000
 
 # labels name output files, so they must not reach outside --out
 _SAFE_LABEL = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_.+-]*")
@@ -54,8 +58,9 @@ class ScenarioConfig:
     label: str = "scenario"
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise ConfigError("n_points must be at least 2")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ConfigError(
+                f"n_points must be between 2 and {MAX_POINTS}, got {self.n_points}")
         if self.t_max != "auto":
             try:
                 positive = float(self.t_max) > 0
@@ -136,23 +141,16 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return 10.0 / anchor
 
 
-def _trajectory_metrics(comp, dressed, frame, wanted):
+def _trajectory_metrics(comp, wanted):
     """Metric columns of a validated ``(n, 4, 4)`` trajectory, and the route
     (index into ROUTES) of each snapshot.
 
-    Each snapshot takes the first route that holds for it: the dressed-basis
-    X elements (micro only, ``dressed`` given), then the X elements of the
-    computational matrix, then the general forms.  Each route is one call
-    per metric on the stack of its snapshots.
+    Each snapshot takes the first route that holds for it: the X elements of
+    the computational matrix, then the general forms.  Each route is one
+    call per metric on the stack of its snapshots.
     """
     x, x_ok = metrics.x_elements_from_matrix(comp, trace_tol=EVOLVED_TRACE_TOL)
-    route = np.where(x_ok, 1, 2).astype(np.int8)
-    if dressed is not None:
-        xd, d_ok = metrics.x_elements_from_dressed(dressed, frame)
-        x = XStateElements(*(np.where(d_ok, getattr(xd, f.name), getattr(x, f.name))
-                             for f in fields(XStateElements)))
-        x_ok = d_ok | x_ok
-        route[d_ok] = 0
+    route = np.where(x_ok, 0, 1).astype(np.int8)
     cols = {c: np.empty(len(comp)) for c in _columns_for(wanted)}
     x_rows = x.take(x_ok)
     for name, fn in (("concurrence", metrics.concurrence_x),
@@ -215,14 +213,13 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
         else:
             comp_traj = phenomenological.propagate(rho0_comp, cfg.params,
                                                    rates, times)
-            dressed_traj = None
 
         margins[model] = validate_batch(comp_traj, herm_tol=EVOLVED_HERM_TOL,
                                         trace_tol=EVOLVED_TRACE_TOL,
                                         psd_tol=EVOLVED_PSD_TOL)
         states[model] = comp_traj
-        series[model], routes[model] = _trajectory_metrics(
-            comp_traj, dressed_traj, frame, cfg.metrics)
+        series[model], routes[model] = _trajectory_metrics(comp_traj,
+                                                           cfg.metrics)
 
     return Trajectory(label=cfg.label, times=times, states=states,
                       series=series, margins=margins, routes=routes,

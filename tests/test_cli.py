@@ -116,6 +116,17 @@ def test_figure_out_of_range_is_config_error(capsys):
     assert main(["evolve", "--figure", "12"]) == 1
 
 
+def test_points_beyond_cap_is_config_error(tmp_path, capsys):
+    from dressedbath.scenarios import MAX_POINTS
+    out_dir = tmp_path / "out"
+    assert main(["figure", "2", "--points", str(MAX_POINTS + 1),
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: n_points must be between 2 and {MAX_POINTS}, "
+        f"got {MAX_POINTS + 1}\n")
+    assert not out_dir.exists()
+
+
 def test_invalid_custom_state_is_numeric_error(tmp_path, capsys):
     entries = ["0"] * 16
     entries[0] = "2"          # trace 2, not a state

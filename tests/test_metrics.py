@@ -233,7 +233,7 @@ class TestDiscord:
 
 # -- the array metrics against the scalar formulas ---------------------------
 # One state at a time in plain Python floats, as the formulas read; the array
-# code must reproduce these bit for bit (the trajectory CSVs depend on it).
+# code uses numpy's own arithmetic and must agree to a few eps.
 
 def scalar_plog2(x):
     if x <= 0.0:
@@ -281,6 +281,10 @@ def scalar_linear_entropy(p00, p01, p10, p11, outer, inner):
 
 SCALAR = {concurrence_x: scalar_concurrence_x, discord_approx_q2: scalar_discord,
           linear_entropy_q1: scalar_linear_entropy}
+# absolute bound, in eps, on array vs scalar; discord is a difference of
+# entropies of order 1, so its rounding accumulates over more terms
+EPS_BOUND = {concurrence_x: 2, discord_approx_q2: 8, linear_entropy_q1: 2}
+EPS = np.finfo(float).eps
 
 
 def x_batch(rng, n=400):
@@ -311,12 +315,19 @@ def assert_bitwise(got, expected):
     assert np.asarray(got, dtype=float).tobytes() == np.array(expected).tobytes()
 
 
+def assert_matches_scalar(fn, x):
+    got = fn(x)
+    expected = np.array([SCALAR[fn](*row) for row in scalar_rows(x)])
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= EPS_BOUND[fn] * EPS
+    assert not np.signbit(got[got == 0.0]).any()   # no "-0" reaches a CSV
+
+
 class TestArrayMetricsMatchScalar:
     @pytest.mark.parametrize("fn", [concurrence_x, discord_approx_q2,
                                     linear_entropy_q1])
     def test_random_and_edge_states(self, fn, rng):
-        x = x_batch(rng)
-        assert_bitwise(fn(x), [SCALAR[fn](*row) for row in scalar_rows(x)])
+        assert_matches_scalar(fn, x_batch(rng))
 
     def test_edge_cases_are_present(self, rng):
         x = x_batch(rng)
@@ -328,24 +339,26 @@ class TestArrayMetricsMatchScalar:
 
     @pytest.mark.parametrize("route", ["dressed", "matrix"])
     def test_trajectory_elements(self, route):
-        # the phenom discord of figure 9 sits near zero, where one ulp shows
+        # the phenom discord of figure 9 sits near zero, where rounding shows
         from dressedbath import microscopic
         from dressedbath.model import rate_set
         from dressedbath.scenarios import figure_preset, run_scenario
         cfg = figure_preset(9)[0]
         traj = run_scenario(cfg)
         if route == "matrix":
-            x, ok = x_elements_from_matrix(traj.states["phenom"], trace_tol=1e-8)
+            extracted = [x_elements_from_matrix(states, trace_tol=1e-8)
+                         for states in traj.states.values()]
         else:
             frame = dressed_frame(cfg.params)
             u = frame.unitary
             rho0 = u.conj().T @ np.diag([0, 0, 1, 0]).astype(complex) @ u
             dressed = microscopic.propagate_analytic(
                 rho0, rate_set(cfg.params, frame), frame, traj.times)
-            x, ok = x_elements_from_dressed(dressed, frame)
-        assert ok.all()
-        for fn in SCALAR:
-            assert_bitwise(fn(x), [SCALAR[fn](*row) for row in scalar_rows(x)])
+            extracted = [x_elements_from_dressed(dressed, frame)]
+        for x, ok in extracted:
+            assert ok.all()
+            for fn in SCALAR:
+                assert_matches_scalar(fn, x)
 
     def test_scalar_fields_give_scalar_results(self):
         assert concurrence_x(bell_x()).shape == ()
@@ -359,7 +372,9 @@ class TestArrayMetricsMatchScalar:
         raw = np.array([scalar_discord_raw(*row) for row in scalar_rows(x)])
         assert (raw < -1e-9).sum() == 3
         with caplog.at_level("WARNING", logger="dressedbath.metrics"):
-            assert_bitwise(discord_approx_q2(x), [0.0] * n)
+            discord = discord_approx_q2(x)
+        assert np.abs(discord).max() <= EPS_BOUND[discord_approx_q2] * EPS
+        assert (discord[raw < -1e-9] == 0.0).all()
         assert len(caplog.records) == 1
         assert caplog.records[0].getMessage() == (
             "approximate discord clamped to 0 at 3 snapshot(s), "
@@ -461,7 +476,7 @@ class TestTrajectoryRouteErrors:
         from dressedbath.scenarios import _trajectory_metrics
         comp = self.stack(rng, kinds)
         with pytest.raises((metrics.NotPSD, metrics.AssumptionViolated)) as err:
-            _trajectory_metrics(comp, None, None, wanted)
+            _trajectory_metrics(comp, wanted)
         assert type(err.value) is expected
         if expected is metrics.NotPSD:
             with pytest.raises(metrics.NotPSD) as single:

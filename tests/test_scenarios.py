@@ -4,11 +4,12 @@ import pytest
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL)
 from dressedbath.model import SystemParams
-from dressedbath.scenarios import (ROUTES, CompareReport, ConfigError,
-                                   OutOfRange, ScenarioConfig, compare_report,
-                                   figure_preset, parse_config, run_scenario,
-                                   sudden_death_time, sweep, sweep_csv,
-                                   trajectory_csv, write_trajectory)
+from dressedbath.scenarios import (MAX_POINTS, ROUTES, CompareReport,
+                                   ConfigError, OutOfRange, ScenarioConfig,
+                                   compare_report, figure_preset,
+                                   initial_state_matrix, parse_config,
+                                   run_scenario, sudden_death_time, sweep,
+                                   sweep_csv, trajectory_csv, write_trajectory)
 
 FAST = SystemParams(omega=1e3, coupling=1e3, gamma0=20.0, bath_width=1e4,
                     bath_center=2e3, temperature=0.0)
@@ -24,6 +25,12 @@ class TestConfig:
     def test_rejects_too_few_points(self):
         with pytest.raises(ConfigError):
             fast_config(n_points=1)
+
+    def test_rejects_points_beyond_cap(self):
+        # at the boundary only: a config allocates nothing, a run would
+        assert fast_config(n_points=MAX_POINTS).n_points == MAX_POINTS
+        with pytest.raises(ConfigError, match=f"between 2 and {MAX_POINTS},"):
+            fast_config(n_points=MAX_POINTS + 1)
 
     def test_rejects_unknown_metric(self):
         with pytest.raises(ConfigError) as err:
@@ -206,26 +213,37 @@ class TestRunScenario:
 
 
 class TestSnapshotLayer:
-    def test_ground_top_coherence_takes_matrix_route_exactly_there(self):
-        from dressedbath import microscopic
-        from dressedbath.metrics import X_TOL
+    def test_every_micro_snapshot_takes_matrix_route(self):
+        from dressedbath import metrics, microscopic
         from dressedbath.model import dressed_frame, rate_set
         frame = dressed_frame(FAST)
+        rates = rate_set(FAST, frame)
         u = frame.unitary
+        # a decaying ground-top dressed coherence: the dressed closed form
+        # holds only on the later snapshots, the matrix route on all of them
         dressed0 = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
         dressed0[0, 3] = dressed0[3, 0] = 0.2
-        cfg = fast_config(initial_state=u @ dressed0 @ u.conj().T, t_max=5.0,
-                          metrics=("concurrence", "discord", "linear_entropy"))
-        traj = run_scenario(cfg)
-        dressed = microscopic.propagate_analytic(
-            u.conj().T @ cfg.initial_state @ u, rate_set(FAST, frame), frame,
-            traj.times)
-        coherent = np.abs(dressed[:, 0, 3]) > X_TOL
-        assert 0 < coherent.sum() < len(coherent)
-        expected = np.where(coherent, ROUTES.index("matrix_x"),
-                            ROUTES.index("dressed_x"))
-        assert np.array_equal(traj.routes["micro"], expected)
-        assert np.all(traj.routes["phenom"] == ROUTES.index("matrix_x"))
+        for initial_state in (u @ dressed0 @ u.conj().T, "ket10"):
+            cfg = fast_config(initial_state=initial_state, t_max=5.0,
+                              metrics=("concurrence", "discord", "linear_entropy"))
+            traj = run_scenario(cfg)
+            for model in ("micro", "phenom"):
+                assert np.all(traj.routes[model] == ROUTES.index("matrix_x"))
+            rho0 = initial_state_matrix(cfg, frame)
+            dressed = microscopic.propagate_analytic(
+                u.conj().T @ rho0 @ u, rates, frame, traj.times)
+            oracle, held = metrics.x_elements_from_dressed(dressed, frame)
+            if isinstance(initial_state, str):
+                assert held.all()
+            else:
+                assert 0 < held.sum() < len(held)
+        # from |1,0>, as in the reference figures, the dressed closed form
+        # is the oracle of every micro snapshot's X elements
+        x, ok = metrics.x_elements_from_matrix(traj.states["micro"])
+        assert ok.all()
+        for name in ("p00", "p01", "p10", "p11", "outer", "inner"):
+            dev = np.abs(getattr(x, name) - getattr(oracle, name)).max()
+            assert dev <= 1e-12, name
 
     def test_non_x_state_takes_general_route(self, rng):
         from conftest import random_density
