@@ -8,6 +8,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import re
 import sys
@@ -26,7 +27,7 @@ from .model import (dressed_frame, fairness_check, rate_set,
                     spectral_density, thermal_occupancy)
 from .scenarios import (ConfigError, compare_report, figure_preset,
                         parse_config, run_scenario, sweep, sweep_csv,
-                        write_trajectory)
+                        write_text, write_trajectory)
 
 CONFIG_ERRORS = (ConfigError, ValueError)
 NUMERIC_ERRORS = (StateValidationError, TraceDrift, AssumptionViolated,
@@ -55,7 +56,12 @@ def _configs_from_args(args) -> list:
         cfgs = preset if isinstance(preset, list) else [preset]
     if args.config is not None:
         base = cfgs[0] if cfgs else None
-        cfgs = [parse_config(args.config.read_text(encoding="utf-8"), base=base)]
+        try:
+            text = args.config.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: "
+                              f"{exc.strerror or exc}") from exc
+        cfgs = [parse_config(text, base=base)]
     if cfgs is None:
         raise ConfigError("give --figure N or --config PATH")
 
@@ -140,9 +146,7 @@ def cmd_compare(args):
     for cfg in _configs_from_args(args):
         report = compare_report(cfg)
         print(report.text(), end="")
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"{cfg.label}_compare.csv"
-        path.write_text(report.csv(), encoding="utf-8")
+        path = write_text(args.out, f"{cfg.label}_compare.csv", report.csv())
         print(f"wrote {path}")
     return 0
 
@@ -151,10 +155,8 @@ def cmd_sweep(args):
     cfg = _configs_from_args(args)[0]
     values = [float(v) for v in args.values.split(",") if v.strip()]
     reports = sweep(cfg, args.axis, values)
-    text = sweep_csv(cfg, args.axis, values, reports)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{cfg.label}_sweep_{args.axis}.csv"
-    path.write_text(text, encoding="utf-8")
+    path = write_text(args.out, f"{cfg.label}_sweep_{args.axis}.csv",
+                      sweep_csv(cfg, args.axis, values, reports))
     for rep in reports:
         print(rep.text(), end="")
     print(f"wrote {path}")
@@ -224,7 +226,10 @@ def cmd_selftest(args):
     return 0 if failures == 0 else 2
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call of the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="dressedbath",
         description="Two coupled qubits with a thermal bath on one of them: "

@@ -89,7 +89,8 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
         out[1:, live] = (np.exp(np.outer(times[1:] - times[0], lam)) * coef) @ vecs.T
     out = out.reshape(-1, 4, 4)
 
-    drift = np.abs(np.trace(out[1:], axis1=1, axis2=2).real - 1.0)
+    s = out[1:]
+    drift = np.abs((s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2] + s[:, 3, 3]).real - 1.0)
     over = np.flatnonzero(drift > TRACE_DRIFT_TOL)
     if len(over):
         i = over[0] + 1

@@ -133,7 +133,7 @@ def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
 
     mh = np.conj(np.swapaxes(checked, 1, 2))
     herm = np.abs(checked - mh).max(axis=(1, 2))
-    tr = np.trace(checked, axis1=1, axis2=2)
+    tr = checked[:, 0, 0] + checked[:, 1, 1] + checked[:, 2, 2] + checked[:, 3, 3]
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     neg = -_smallest_eigenvalues(0.5 * (checked + mh))
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)

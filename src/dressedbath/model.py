@@ -17,12 +17,15 @@ them by detailed balance, gamma_up = exp(-w / (kB/hbar T)) * gamma_down.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 # Boltzmann constant over hbar; converts Kelvin to 1/s.
 KB_OVER_HBAR = 1.309193e11
+# hottest bath whose kB T / hbar is a finite double (about 1.37e297 K)
+MAX_TEMPERATURE = sys.float_info.max / KB_OVER_HBAR
 
 
 class NonPositiveFrequency(ValueError):
@@ -55,6 +58,9 @@ class SystemParams:
             raise ValueError("coupling must be non-negative")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
+        if not math.isfinite(KB_OVER_HBAR * self.temperature):
+            raise ValueError(f"temperature must be below {MAX_TEMPERATURE:.3g} K, "
+                             f"got {self.temperature:g}")
 
 
 @dataclass(frozen=True)

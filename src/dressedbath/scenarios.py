@@ -8,6 +8,7 @@ configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import math
 import pathlib
 import re
@@ -63,11 +64,11 @@ class ScenarioConfig:
                 f"n_points must be between 2 and {MAX_POINTS}, got {self.n_points}")
         if self.t_max != "auto":
             try:
-                positive = float(self.t_max) > 0
+                t_max = float(self.t_max)
             except (TypeError, ValueError):
-                positive = False
-            if not positive:
-                raise ConfigError("t_max must be positive or 'auto'")
+                t_max = math.nan
+            if not (t_max > 0 and math.isfinite(t_max)):
+                raise ConfigError("t_max must be positive and finite or 'auto'")
         for m in self.metrics:
             if m not in METRICS:
                 raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
@@ -101,6 +102,11 @@ class Trajectory:
     routes: dict            # model -> per-snapshot index into ROUTES
     config: ScenarioConfig
     fairness_lines: list
+
+    @functools.cached_property
+    def times_text(self) -> list:
+        """The ``t`` column as CSV text, shared by every model's file."""
+        return _column_text(self.times)
 
 
 def initial_state_matrix(cfg: ScenarioConfig, frame) -> np.ndarray:
@@ -183,6 +189,33 @@ def _columns_for(wanted):
     return cols
 
 
+# the dressed states mix only |0,0> with |1,1> and |0,1> with |1,0>: each
+# row and column of the frame unitary is nonzero only in its block
+_BLOCK_OF = ((0, 3), (1, 2), (1, 2), (0, 3))
+
+
+def _dressed_to_computational(u, dressed) -> np.ndarray:
+    """``u @ dressed[t] @ u^dagger`` for every snapshot of an ``(n, 4, 4)``
+    stack, for the block-structured unitary of ``model.dressed_frame``.
+
+    Each entry sums the four terms of its blocks, ``(u[i,j] d[:,j,k])
+    conj(u[l,k])`` in ascending j, then k, from 0.0; that is the order of
+    ``np.einsum('ij,tjk,lk->til', u, d, u.conj())``, whose other twelve
+    terms are exact zeros for finite entries, so the result is the same to
+    the bit.
+    """
+    uc = u.conj()
+    out = np.empty(dressed.shape, dtype=complex)
+    for i in range(4):
+        for l in range(4):
+            acc = 0.0
+            for j in _BLOCK_OF[i]:
+                for k in _BLOCK_OF[l]:
+                    acc = acc + (u[i, j] * dressed[:, j, k]) * uc[l, k]
+            out[:, i, l] = acc
+    return out
+
+
 def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajectory:
     """Propagate every enabled model and evaluate the requested metrics.
 
@@ -208,8 +241,7 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
             rho0_dressed = frame.unitary.conj().T @ rho0_comp @ frame.unitary
             dressed_traj = microscopic.propagate_analytic(rho0_dressed, rates,
                                                           frame, times)
-            u = frame.unitary
-            comp_traj = np.einsum('ij,tjk,lk->til', u, dressed_traj, u.conj())
+            comp_traj = _dressed_to_computational(frame.unitary, dressed_traj)
         else:
             comp_traj = phenomenological.propagate(rho0_comp, cfg.params,
                                                    rates, times)
@@ -357,26 +389,41 @@ def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
     return out
 
 
+def _column_text(column) -> list:
+    # "%.17g" % x is the same text as _fmt(x)
+    return list(map("%.17g".__mod__, column.tolist()))
+
+
 def trajectory_csv(traj: Trajectory, model: str) -> str:
     cols = _columns_for(traj.config.metrics)
     lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
     lines.append(",".join(["t"] + cols))
-    # one %-format per row; "%.17g" % x is the same text as _fmt(x)
-    row_fmt = ",".join(["%.17g"] * (1 + len(cols)))
-    table = np.column_stack([traj.times] + [traj.series[model][c] for c in cols])
-    lines += [row_fmt % tuple(row) for row in table.tolist()]
+    texts = [traj.times_text] + [_column_text(traj.series[model][c]) for c in cols]
+    lines += map(",".join, zip(*texts))
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory(traj: Trajectory, out_dir) -> list:
+def write_text(out_dir, name: str, text: str) -> pathlib.Path:
+    """Write ``text`` to ``out_dir/name``, creating ``out_dir``; an OS error
+    becomes a ConfigError naming the path and the reason."""
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for model in traj.config.models:
-        path = out / f"{traj.label}_{model}.csv"
-        path.write_text(trajectory_csv(traj, model), encoding="utf-8")
-        written.append(path)
-    return written
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror or exc}") from exc
+    path = out / name
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def write_trajectory(traj: Trajectory, out_dir) -> list:
+    return [write_text(out_dir, f"{traj.label}_{model}.csv",
+                       trajectory_csv(traj, model))
+            for model in traj.config.models]
 
 
 # -- model comparison -------------------------------------------------------

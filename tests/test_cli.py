@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from dressedbath.cli import main
+from dressedbath.cli import build_parser, main
 
 FAST_CONFIG = """
 omega = 1e3
@@ -296,3 +296,63 @@ def test_temp_relabels_only_a_temperature_suffix(label, argv, written,
     assert main(argv + ["--temp", "0.01", "--points", "5", "--model", "micro",
                         "--out", str(out_dir)]) == 0
     assert [p.name for p in out_dir.iterdir()] == [written]
+
+
+@pytest.mark.parametrize("case", ["missing_config", "config_is_directory",
+                                  "out_under_a_file"])
+def test_file_boundary_os_error_is_config_error(case, tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("", encoding="utf-8")
+    argv, message = {
+        "missing_config": (
+            ["evolve", "--config", str(tmp_path / "nonexistent.cfg")],
+            f"cannot read config file {tmp_path / 'nonexistent.cfg'}: "),
+        "config_is_directory": (
+            ["evolve", "--config", str(tmp_path)],
+            f"cannot read config file {tmp_path}: "),
+        "out_under_a_file": (
+            ["figure", "2", "--points", "20", "--out", str(plain / "x")],
+            f"cannot create output directory {plain / 'x'}: "),
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " + message)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--figure", "2", "--temp", "1e308"],
+     "temperature must be below 1.37e+297 K, got 1e+308"),
+    (["evolve", "--figure", "2", "--temp", "1e305"],
+     "temperature must be below 1.37e+297 K, got 1e+305"),
+    (["evolve", "--figure", "2", "--tmax", "inf", "--model", "phenom"],
+     "t_max must be positive and finite or 'auto'"),
+    (["evolve", "--figure", "2", "--tmax", "inf", "--model", "micro"],
+     "t_max must be positive and finite or 'auto'"),
+])
+def test_out_of_range_input_is_config_error(argv, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_repeated_main_calls_share_one_parser_without_state(tmp_path, capsys):
+    build_parser.cache_clear()
+    assert main(["figure", "2", "--out", str(tmp_path / "fresh")]) == 0
+    parser = build_parser()
+    assert main(["evolve", "--figure", "2", "--temp", "0.01",
+                 "--out", str(tmp_path / "hot")]) == 0
+    assert main(["figure", "99"]) == 1
+    assert main(["figure", "2", "--out", str(tmp_path / "again")]) == 0
+    assert build_parser() is parser
+    fresh = sorted((tmp_path / "fresh").iterdir())
+    again = sorted((tmp_path / "again").iterdir())
+    assert [p.name for p in fresh] == [p.name for p in again] == [
+        "figure2_micro.csv", "figure2_phenom.csv"]
+    for a, b in zip(fresh, again):
+        assert a.read_bytes() == b.read_bytes()

@@ -43,6 +43,17 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             simple_params(**{field: value})
 
+    @pytest.mark.parametrize("temperature", [1.3732e297, 1e305, 1e308])
+    def test_rejects_temperature_past_overflow(self, temperature):
+        # kB T / hbar overflows to inf, and the occupancy would divide by 0
+        with pytest.raises(ValueError,
+                           match=r"^temperature must be below 1\.37e\+297 K"):
+            simple_params(temperature=temperature)
+
+    def test_accepts_temperature_below_overflow(self):
+        assert math.isfinite(KB_OVER_HBAR * simple_params(temperature=1.373e297)
+                             .temperature)
+
 
 class TestHamiltonian:
     def test_uncoupled_is_diagonal(self):

@@ -1,9 +1,13 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL)
-from dressedbath.model import SystemParams
+from dressedbath.model import SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import (MAX_POINTS, ROUTES, CompareReport,
                                    ConfigError, OutOfRange, ScenarioConfig,
                                    compare_report, figure_preset,
@@ -56,6 +60,12 @@ class TestConfig:
     def test_rejects_bad_tmax(self):
         with pytest.raises(ConfigError):
             fast_config(t_max=-1.0)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, "inf"])
+    def test_rejects_non_finite_tmax(self, t_max):
+        with pytest.raises(ConfigError,
+                           match="^t_max must be positive and finite or 'auto'$"):
+            fast_config(t_max=t_max)
 
     def test_custom_initial_state_validated(self):
         with pytest.raises(Exception):
@@ -272,7 +282,121 @@ class TestSnapshotLayer:
             assert margins.positivity <= EVOLVED_PSD_TOL
 
 
+def _einsum_to_computational(u, dressed):
+    """The dense basis change that ``_dressed_to_computational`` replaces."""
+    return np.einsum('ij,tjk,lk->til', u, dressed, u.conj())
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+def preset_configs():
+    for n in range(1, 11):
+        preset = figure_preset(n)
+        yield from preset if isinstance(preset, list) else [preset]
+
+
+class TestBasisChange:
+    def test_bit_equal_to_einsum_on_presets(self):
+        cfgs = list(preset_configs())
+        assert len(cfgs) == 16
+        for cfg in cfgs:
+            frame = dressed_frame(cfg.params)
+            rates = rate_set(cfg.params, frame)
+            times = np.linspace(0.0, scenarios.resolve_t_max(cfg, rates),
+                                cfg.n_points)
+            u = frame.unitary
+            rho0 = initial_state_matrix(cfg, frame)
+            dressed = microscopic.propagate_analytic(u.conj().T @ rho0 @ u,
+                                                     rates, frame, times)
+            np.testing.assert_array_equal(
+                _bits(scenarios._dressed_to_computational(u, dressed)),
+                _bits(_einsum_to_computational(u, dressed)))
+
+    @staticmethod
+    def random_stacks(n_stacks=60, n=40, decades=300):
+        """Seeded complex non-X stacks spanning magnitudes 1e-decades ..
+        1e+decades, with exact zeros and signed zeros, each with a preset's
+        unitary."""
+        rng = np.random.default_rng(8)
+        units = [dressed_frame(c.params).unitary for c in preset_configs()]
+        units.append(dressed_frame(replace(FAST, coupling=0.0)).unitary)
+        for trial in range(n_stacks):
+            parts = (rng.standard_normal((2, n, 4, 4))
+                     * 10.0 ** rng.uniform(-decades, decades, (2, n, 4, 4)))
+            d = parts[0] + 1j * parts[1]
+            d[rng.random((n, 4, 4)) < 0.2] = 0.0
+            d[rng.random((n, 4, 4)) < 0.1] = complex(-0.0, -0.0)
+            d.real[rng.random((n, 4, 4)) < 0.1] = -0.0
+            d.imag[rng.random((n, 4, 4)) < 0.1] = -0.0
+            yield units[trial % len(units)], d
+
+    def test_bit_equal_to_einsum_on_random_stacks(self):
+        for u, d in self.random_stacks():
+            assert d[:, 0, 1].any()  # not X-shaped
+            with np.errstate(over="ignore", invalid="ignore"):
+                fast = scenarios._dressed_to_computational(u, d)
+                dense = _einsum_to_computational(u, d)
+            np.testing.assert_array_equal(_bits(fast), _bits(dense))
+
+    def test_same_snapshots_non_finite(self):
+        rng = np.random.default_rng(9)
+        # magnitudes that cannot overflow, so the planted entries decide
+        for u, d in self.random_stacks(n_stacks=20, decades=10):
+            for value in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+                hit = rng.random((len(d), 4, 4)) < 0.02
+                d[hit] = value
+            with np.errstate(over="ignore", invalid="ignore"):
+                fast = scenarios._dressed_to_computational(u, d)
+                dense = _einsum_to_computational(u, d)
+            flagged = ~np.isfinite(fast).all(axis=(1, 2))
+            assert 0 < flagged.sum() < len(d)
+            np.testing.assert_array_equal(
+                flagged, ~np.isfinite(dense).all(axis=(1, 2)))
+
+
+def _per_row_csv_rows(traj, model, cols):
+    """The row-at-a-time formatting that ``trajectory_csv`` replaces."""
+    row_fmt = ",".join(["%.17g"] * (1 + len(cols)))
+    table = np.column_stack([traj.times] + [traj.series[model][c] for c in cols])
+    return [row_fmt % tuple(row) for row in table.tolist()]
+
+
 class TestCsv:
+    def test_column_text_equals_per_row_formatting(self):
+        traj = run_scenario(fast_config(n_points=12, metrics=(
+            "concurrence", "linear_entropy", "populations")))
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                            -2.2250738585072014e-308 / 3, 1e-300, -1e300,
+                            0.1, 1.0 / 3.0, 2.0 ** 60])
+        cols = ["concurrence", "linear_entropy",
+                "pop_00", "pop_01", "pop_10", "pop_11"]
+        series = {m: {c: np.roll(special, k + 3 * i) for k, c in enumerate(cols)}
+                  for i, m in enumerate(("micro", "phenom"))}
+        traj = replace(traj, times=special[::-1].copy(), series=series)
+        for model in ("micro", "phenom"):
+            lines = trajectory_csv(traj, model).splitlines()
+            header = lines.index("t," + ",".join(cols))
+            assert lines[header + 1:] == _per_row_csv_rows(traj, model, cols)
+
+    def test_time_column_formatted_once_per_trajectory(self, monkeypatch):
+        traj = run_scenario(fast_config(metrics=("concurrence",)))
+        calls = []
+        real = scenarios._column_text
+        monkeypatch.setattr(scenarios, "_column_text",
+                            lambda col: calls.append(col) or real(col))
+        micro = trajectory_csv(traj, "micro")
+        phenom = trajectory_csv(traj, "phenom")
+        # t and concurrence for micro, then concurrence alone for phenom
+        assert len(calls) == 3
+        assert calls[0] is traj.times
+
+        def t_column(text):
+            return [line.split(",")[0] for line in text.splitlines()
+                    if not line.startswith("#")]
+        assert t_column(micro) == t_column(phenom)
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = fast_config()
         a = trajectory_csv(run_scenario(cfg), "micro")
