@@ -9,9 +9,8 @@ qubit's linear entropy quantify how far the two predictions drift apart.
 """
 
 from ._version import __version__
-from .linalg import (COMPUTATIONAL, DRESSED, DensityMatrix, Margins,
-                     NotFinite, NotHermitian, NotPSD, StateValidationError,
-                     TraceNotOne, WrongBasis, change_basis, hermitian_eigs,
+from .linalg import (Margins, NotFinite, NotHermitian, NotPSD,
+                     StateValidationError, TraceNotOne, hermitian_eigs,
                      partial_trace_q2, validate_batch, validate_density)
 from .model import (KB_OVER_HBAR, DressedFrame, FairnessReport, RateSet,
                     SystemParams, dressed_frame, fairness_check, hamiltonian,

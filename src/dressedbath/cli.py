@@ -128,11 +128,10 @@ def cmd_steady(args):
           + " ".join(f"{ss_p[i, i].real:.10g}" for i in range(4)))
     print(f"phenom inner coherence: {ss_p[1, 2]:.10g}")
     print(f"phenom outer coherence: {ss_p[0, 3]:.10g}")
-    ss_pd = phenomenological.steady_state_dressed(cfg.params, rates, frame).matrix
+    ss_pd = phenomenological.steady_state_dressed(cfg.params, rates, frame)
     print("phenom stationary in dressed basis, surviving coherences: "
           f"ground-top {abs(ss_pd[0, 3]):.6g}, antisym-sym {abs(ss_pd[1, 2]):.6g}")
-    u = frame.unitary
-    for tag, state in (("micro", u @ ss_m @ u.conj().T), ("phenom", ss_p)):
+    for tag, state in (("micro", frame.to_computational(ss_m)), ("phenom", ss_p)):
         x, ok = metrics.x_elements_from_matrix(state)
         if not ok:
             raise AssumptionViolated(f"{tag} stationary state is not X-shaped")
@@ -181,7 +180,7 @@ def cmd_selftest(args):
         start = time.perf_counter()
         span = scenarios.resolve_t_max(cfg, rates)
         times = np.linspace(0.0, span, 400)
-        rho0 = frame.unitary.conj().T @ rho10 @ frame.unitary
+        rho0 = frame.to_dressed(rho10)
         analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
         gen = microscopic.liouvillian(rates, frame)
         numeric = integrate.propagate(gen, rho0, times)
@@ -190,9 +189,8 @@ def cmd_selftest(args):
         check(f"figure {n} closed form vs integrated generator",
               err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s")
 
-        u = frame.unitary
         x_dressed, held = metrics.x_elements_from_dressed(analytic, frame)
-        x_comp, ok = metrics.x_elements_from_matrix(u @ analytic @ u.conj().T)
+        x_comp, ok = metrics.x_elements_from_matrix(frame.to_computational(analytic))
         dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
                   for f in fields(metrics.XStateElements))
         check(f"figure {n} micro X elements: dressed closed form vs basis change",

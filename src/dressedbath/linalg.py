@@ -7,26 +7,21 @@ orders are frozen once and for all:
   dressed:       the four coupled-qubit eigenstates ordered by energy
                  (ground, antisymmetric, symmetric, top)
 
-States carry their basis tag explicitly so that basis mistakes fail loudly
-instead of producing silently wrong metrics.  Hermitian spectra come from
-LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity check, for one
-matrix or a stack.  Validation works on a whole ``(n, 4, 4)`` stack of
-snapshots in one pass (``validate_batch``); a single matrix is a stack of
-one.  Its positivity check reads the smallest eigenvalue of an X-shaped
-snapshot (every off-X entry exactly zero, as both master equations keep the
-|1,0> start) in closed form from its two 2x2 blocks, and sends only the
-other snapshots to LAPACK.
+``model.DressedFrame`` rotates states between the two.  Hermitian spectra
+come from LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity
+check, for one matrix or a stack.  Validation works on a whole
+``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``); a single
+matrix is a stack of one.  Its positivity check reads the smallest
+eigenvalue of an X-shaped snapshot (every off-X entry exactly zero, as both
+master equations keep the |1,0> start) in closed form from its two 2x2
+blocks, and sends only the other snapshots to LAPACK.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-COMPUTATIONAL = "computational"
-DRESSED = "dressed"
 
 # construction tolerances
 HERM_TOL = 1e-12
@@ -62,23 +57,6 @@ class NotPSD(StateValidationError):
 class NotFinite(StateValidationError, ValueError):
     """NaN or infinite entries.  Also a ``ValueError``, so a bad input
     matrix still reads as a bad value where one is parsed."""
-
-
-class WrongBasis(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Validated 4x4 two-qubit density matrix with an explicit basis tag."""
-
-    matrix: np.ndarray
-    basis: str = COMPUTATIONAL
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 class Margins(NamedTuple):
@@ -151,44 +129,24 @@ def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     return Margins(float(herm.max()), float(tr.max()), float(neg.max()))
 
 
-def validate_density(matrix, basis=COMPUTATIONAL, *, herm_tol=HERM_TOL,
-                     trace_tol=TRACE_TOL, psd_tol=PSD_TOL) -> DensityMatrix:
-    """Validate one 4x4 matrix (see ``validate_batch``); return the tagged state."""
-    m = np.asarray(matrix, dtype=complex)
+def validate_density(matrix, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
+                     psd_tol=PSD_TOL) -> np.ndarray:
+    """Validate one 4x4 matrix (see ``validate_batch``); return it as a
+    read-only complex array."""
+    m = np.array(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     validate_batch(m[None], herm_tol=herm_tol, trace_tol=trace_tol, psd_tol=psd_tol)
-    return DensityMatrix(m, basis)
+    m.setflags(write=False)
+    return m
 
 
 def partial_trace_q2(rho) -> np.ndarray:
-    """Reduced 2x2 state of qubit 1, for a DensityMatrix (computational basis
-    required) or a ``(..., 4, 4)`` stack of computational-basis matrices."""
-    if isinstance(rho, DensityMatrix):
-        if rho.basis != COMPUTATIONAL:
-            raise WrongBasis("partial trace over qubit 2 needs the computational basis")
-        rho = rho.matrix
+    """Reduced 2x2 state of qubit 1, for a computational-basis matrix or
+    each matrix of a ``(..., 4, 4)`` stack."""
     m = np.asarray(rho)
     # [i, j] = m[2i, 2j] + m[2i+1, 2j+1]
     return m[..., ::2, ::2] + m[..., 1::2, 1::2]
-
-
-def change_basis(rho: DensityMatrix, frame, target: str) -> DensityMatrix:
-    """Rotate between the computational and dressed bases.
-
-    ``frame.unitary`` has the dressed states, in computational coordinates,
-    as its columns (see ``model.DressedFrame``).
-    """
-    if target not in (COMPUTATIONAL, DRESSED):
-        raise ValueError(f"unknown basis tag {target!r}")
-    if rho.basis == target:
-        return rho
-    u = frame.unitary
-    if rho.basis == DRESSED:
-        out = u @ rho.matrix @ u.conj().T
-    else:
-        out = u.conj().T @ rho.matrix @ u
-    return DensityMatrix(out, target)
 
 
 def hermitian_eigs(matrix, herm_tol=1e-10):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (COMPUTATIONAL, DensityMatrix, NotPSD, hermitian_eigs,
-                     partial_trace_q2)
+from .linalg import NotPSD, hermitian_eigs, partial_trace_q2
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
@@ -143,7 +142,7 @@ _SYSY[0, 3] = _SYSY[3, 0] = -1.0
 _SYSY[1, 2] = _SYSY[2, 1] = 1.0
 
 
-def concurrence_general(rho: DensityMatrix | np.ndarray):
+def concurrence_general(rho):
     """Spin-flip concurrence for arbitrary two-qubit states: one state, or
     each state of a ``(..., 4, 4)`` stack (a single state is a length-1
     call).
@@ -155,10 +154,6 @@ def concurrence_general(rho: DensityMatrix | np.ndarray):
     eigenvalue below -1e-9 (NotPSD) or a spin-flip product that is not
     Hermitian (NotHermitian).
     """
-    if isinstance(rho, DensityMatrix):
-        if rho.basis != COMPUTATIONAL:
-            raise ValueError("concurrence needs the computational basis")
-        rho = rho.matrix
     m = np.asarray(rho, dtype=complex)
     lead = m.shape[:-2]
     m = m.reshape(-1, 4, 4)
@@ -249,7 +244,7 @@ def _entropy2(m: np.ndarray) -> np.ndarray:
     return _plog2(0.5 * (tr + disc)) + _plog2(np.maximum(0.5 * (tr - disc), 0.0))
 
 
-def discord_oracle_q2(rho: DensityMatrix | np.ndarray, grid_n: int = 256) -> float:
+def discord_oracle_q2(rho, grid_n: int = 256) -> float:
     """Brute-force discord: minimise the conditional entropy of qubit 1 over
     a Fibonacci-sphere grid of projective measurements on qubit 2.
 
@@ -257,7 +252,7 @@ def discord_oracle_q2(rho: DensityMatrix | np.ndarray, grid_n: int = 256) -> flo
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     rfold = m.reshape(2, 2, 2, 2)
     rho_q2 = np.einsum('aiaj->ij', rfold)
     s_q2 = von_neumann_entropy(rho_q2)
@@ -279,9 +274,9 @@ def linear_entropy_q1(state):
     """Mixedness of qubit 1: 1 - Tr(rho_q1^2), in [0, 1/2].
 
     For X elements (one state or an array of snapshots) this reduces to
-    2 P0 (1 - P0) with P0 the qubit-1 ground probability; for full states (a
-    DensityMatrix or a ``(..., 4, 4)`` stack of computational-basis
-    matrices) the partial trace decides.
+    2 P0 (1 - P0) with P0 the qubit-1 ground probability; for full states
+    (one computational-basis matrix or a ``(..., 4, 4)`` stack of them) the
+    partial trace decides.
     """
     if isinstance(state, XStateElements):
         p0 = state.p00 + state.p01

@@ -14,6 +14,8 @@ All states in this module are 4x4 complex matrices in the dressed basis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import integrate
@@ -36,8 +38,7 @@ def qubit2_x_dressed(frame: DressedFrame) -> np.ndarray:
     sx2 = np.zeros((4, 4), dtype=complex)
     sx2[0, 1] = sx2[1, 0] = 1.0
     sx2[2, 3] = sx2[3, 2] = 1.0
-    u = frame.unitary
-    return u.conj().T @ sx2 @ u
+    return frame.to_dressed(sx2)
 
 
 def jump_operators(frame: DressedFrame):
@@ -130,18 +131,26 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
 
         ab0, cd0 = rho0[0, 1], rho0[2, 3]
         ac0, bd0 = rho0[0, 2], rho0[1, 3]
-        pre_low = np.exp((1j * w_low - 0.5 * s1) * t) / s2
+        pre_low = _decaying_phase(w_low, 0.5 * s1, t) / s2
         out[:, 0, 1] = pre_low * ((ch + e2 * eh) * ab0 + (1.0 - e2) * ch * cd0)
         out[:, 2, 3] = pre_low * ((1.0 - e2) * eh * ab0 + (eh + e2 * ch) * cd0)
-        pre_high = np.exp((1j * w_high - 0.5 * s2) * t) / s1
+        pre_high = _decaying_phase(w_high, 0.5 * s2, t) / s1
         out[:, 0, 2] = pre_high * ((cl + e1 * el) * ac0 - (1.0 - e1) * cl * bd0)
         out[:, 1, 3] = pre_high * (-(1.0 - e1) * el * ac0 + (el + e1 * cl) * bd0)
-        out[:, 0, 3] = np.exp((1j * splitting - half_total) * t) * rho0[0, 3]
-        out[:, 1, 2] = np.exp((1j * (w_high - w_low) - half_total) * t) * rho0[1, 2]
+        out[:, 0, 3] = _decaying_phase(splitting, half_total, t) * rho0[0, 3]
+        out[:, 1, 2] = _decaying_phase(w_high - w_low, half_total, t) * rho0[1, 2]
 
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
         out[:, j, i] = np.conj(out[:, i, j])
     return out[0] if scalar else out
+
+
+def _decaying_phase(freq, rate, t):
+    """``exp((1j freq - rate) t)``; 0, not nan, where ``freq t`` is past the
+    double range but the decay ``exp(-rate t)`` is already exactly 0."""
+    out = np.exp((1j * freq - rate) * t)
+    out[~np.isfinite(out) & (np.exp(-rate * t) == 0.0)] = 0.0
+    return out
 
 
 def _unitary_branch(rho0, frame, t):
@@ -155,13 +164,12 @@ def steady_state(rates: RateSet) -> np.ndarray:
     s1, s2 = channel_sums(rates)
     if s1 == 0.0 or s2 == 0.0:
         raise DegenerateRates("stationary state undefined without both channels")
-    k = s1 * s2
-    pops = np.array([
-        rates.decay_low * rates.decay_high,
-        rates.excitation_low * rates.decay_high,
-        rates.decay_low * rates.excitation_high,
-        rates.excitation_low * rates.excitation_high,
-    ]) / k
+    # each channel's rates enter only as ratios to its own sum; scaling a
+    # channel by a power of two is exact and keeps the products finite
+    lo, hi = -math.frexp(s1)[1], -math.frexp(s2)[1]
+    cl, el, s1 = (math.ldexp(r, lo) for r in (rates.decay_low, rates.excitation_low, s1))
+    ch, eh, s2 = (math.ldexp(r, hi) for r in (rates.decay_high, rates.excitation_high, s2))
+    pops = np.array([cl * ch, el * ch, cl * eh, el * eh]) / (s1 * s2)
     return np.diag(pops).astype(complex)
 
 

@@ -88,6 +88,38 @@ class DressedFrame:
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
+    def to_dressed(self, m) -> np.ndarray:
+        """``U^dagger m U``: a computational-basis matrix, or each matrix of
+        a ``(..., 4, 4)`` stack, in the dressed basis."""
+        u = self.unitary
+        return u.conj().T @ m @ u
+
+    def to_computational(self, d) -> np.ndarray:
+        """``U d U^dagger``: a dressed-basis matrix, or each matrix of a
+        ``(..., 4, 4)`` stack, in the computational basis.
+
+        Each entry sums the four terms of its blocks, ``(u[i,j] d[...,j,k])
+        conj(u[l,k])``, in ascending j, then k, from 0.0: the order of
+        ``np.einsum('ij,...jk,lk->...il', u, d, u.conj())``, whose other twelve
+        terms are exact zeros for finite entries, so the two agree to the bit.
+        """
+        u = self.unitary
+        uc = u.conj()
+        out = np.empty(d.shape, dtype=complex)
+        for i in range(4):
+            for l in range(4):
+                acc = 0.0
+                for j in _BLOCK_OF[i]:
+                    for k in _BLOCK_OF[l]:
+                        acc = acc + (u[i, j] * d[..., j, k]) * uc[l, k]
+                out[..., i, l] = acc
+        return out
+
+
+# the dressed states mix only |0,0> with |1,1> and |0,1> with |1,0>: each
+# row and column of the frame unitary is nonzero only in its block
+_BLOCK_OF = ((0, 3), (1, 2), (1, 2), (0, 3))
+
 
 @dataclass(frozen=True)
 class RateSet:

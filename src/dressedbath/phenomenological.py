@@ -13,10 +13,11 @@ expose its non-thermal character.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import integrate
-from .linalg import DRESSED, DensityMatrix, change_basis
 from .model import DressedFrame, RateSet, SystemParams, hamiltonian
 
 
@@ -99,8 +100,10 @@ def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
     gb = rates.absorption_bare
     if g + gb <= 0:
         raise ValueError("stationary state needs a nonzero damping rate")
-    lam = p.coupling
-    om = p.omega
+    # homogeneous of degree 0 in (g, gb, coupling, omega): scaling all four down
+    # by a power of two near g + gb is exact and keeps (g + gb)^2 finite
+    e = max(math.frexp(g + gb)[1], 0)
+    g, gb, lam, om = (math.ldexp(v, -e) for v in (g, gb, p.coupling, p.omega))
     lam2 = lam * lam
     om2 = om * om
     box = (gb + g) ** 2 + 2 * lam2 + 8 * om2
@@ -133,10 +136,10 @@ def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
 
 
 def steady_state_dressed(p: SystemParams, rates: RateSet,
-                         frame: DressedFrame) -> DensityMatrix:
+                         frame: DressedFrame) -> np.ndarray:
     """Stationary state rotated into the dressed basis.
 
     Its surviving ground-top and antisym-sym coherences are what certify
     that this state is not thermal.
     """
-    return change_basis(DensityMatrix(steady_state(p, rates)), frame, DRESSED)
+    return frame.to_dressed(steady_state(p, rates))

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
-from .linalg import (COMPUTATIONAL, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, validate_batch, validate_density)
+from .linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL,
+                     validate_batch, validate_density)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -87,9 +87,8 @@ class ScenarioConfig:
                     f"unknown initial_state {self.initial_state!r}; "
                     f"choose from {INITIAL_STATES} or give 16 entries")
         else:
-            object.__setattr__(
-                self, "initial_state",
-                validate_density(self.initial_state, COMPUTATIONAL).matrix)
+            object.__setattr__(self, "initial_state",
+                               validate_density(self.initial_state))
 
 
 @dataclass
@@ -189,33 +188,6 @@ def _columns_for(wanted):
     return cols
 
 
-# the dressed states mix only |0,0> with |1,1> and |0,1> with |1,0>: each
-# row and column of the frame unitary is nonzero only in its block
-_BLOCK_OF = ((0, 3), (1, 2), (1, 2), (0, 3))
-
-
-def _dressed_to_computational(u, dressed) -> np.ndarray:
-    """``u @ dressed[t] @ u^dagger`` for every snapshot of an ``(n, 4, 4)``
-    stack, for the block-structured unitary of ``model.dressed_frame``.
-
-    Each entry sums the four terms of its blocks, ``(u[i,j] d[:,j,k])
-    conj(u[l,k])`` in ascending j, then k, from 0.0; that is the order of
-    ``np.einsum('ij,tjk,lk->til', u, d, u.conj())``, whose other twelve
-    terms are exact zeros for finite entries, so the result is the same to
-    the bit.
-    """
-    uc = u.conj()
-    out = np.empty(dressed.shape, dtype=complex)
-    for i in range(4):
-        for l in range(4):
-            acc = 0.0
-            for j in _BLOCK_OF[i]:
-                for k in _BLOCK_OF[l]:
-                    acc = acc + (u[i, j] * dressed[:, j, k]) * uc[l, k]
-            out[:, i, l] = acc
-    return out
-
-
 def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajectory:
     """Propagate every enabled model and evaluate the requested metrics.
 
@@ -238,10 +210,9 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
     states, series, margins, routes = {}, {}, {}, {}
     for model in cfg.models:
         if model == "micro":
-            rho0_dressed = frame.unitary.conj().T @ rho0_comp @ frame.unitary
-            dressed_traj = microscopic.propagate_analytic(rho0_dressed, rates,
-                                                          frame, times)
-            comp_traj = _dressed_to_computational(frame.unitary, dressed_traj)
+            dressed_traj = microscopic.propagate_analytic(
+                frame.to_dressed(rho0_comp), rates, frame, times)
+            comp_traj = frame.to_computational(dressed_traj)
         else:
             comp_traj = phenomenological.propagate(rho0_comp, cfg.params,
                                                    rates, times)
@@ -516,7 +487,7 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
     rates = rate_set(cfg.params, frame)
     micro_thermal, _ = microscopic.thermal_stationarity(
         cfg.params, rates, frame, microscopic.liouvillian(rates, frame))
-    ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame).matrix
+    ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame)
     coherence = max(abs(ss_p[0, 3]), abs(ss_p[1, 2]), abs(ss_p[0, 1]),
                     abs(ss_p[0, 2]), abs(ss_p[1, 3]), abs(ss_p[2, 3]))
     phenom_thermal = coherence <= 1e-10

@@ -14,7 +14,7 @@ from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath import scenarios
-from dressedbath.linalg import COMPUTATIONAL, validate_density
+from dressedbath.linalg import validate_density
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
@@ -89,7 +89,7 @@ def test_criterion_3_phenom_steady_state_not_thermal():
     closed = ph.steady_state(p, rates)
     integ_dev = np.abs(traj[-1] - closed).max()
 
-    rewrite = ph.steady_state_dressed(p, rates, frame).matrix
+    rewrite = ph.steady_state_dressed(p, rates, frame)
     floor = 1e-4 * np.diag(closed).real.max()
     ground_top = abs(rewrite[0, 3])
     antisym_sym = abs(rewrite[1, 2])
@@ -226,7 +226,7 @@ def test_criterion_7_metric_property_suites():
         traj = run_scenario(cfg)
         for model, states in traj.states.items():
             for snapshot in states:
-                validate_density(snapshot, COMPUTATIONAL, herm_tol=1e-10,
+                validate_density(snapshot, herm_tol=1e-10,
                                  trace_tol=1e-8, psd_tol=1e-7)
                 snapshots += 1
 

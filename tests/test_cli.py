@@ -269,6 +269,27 @@ def test_cold_bath_occupancy_underflows(argv, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_hot_bath_steady_state_is_finite(capsys):
+    # the bare rates, about 1.6e305 /s here, square past the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["steady", "--figure", "2", "--temp", "1e296"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "nan" not in out and "inf" not in out
+    assert "(ground, antisym, sym, top): 0.25 0.25 0.25 0.25\n" in out
+    assert "computational diagonal: 0.25 0.25 0.25 0.25\n" in out
+
+
+def test_micro_span_past_the_phase_range(tmp_path, capsys):
+    # the Bohr phase overflows long after the coherences decayed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--figure", "2", "--tmax", "1e300",
+                     "--model", "micro", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_non_finite_custom_state_is_config_error(tmp_path, capsys):
     entries = ["0"] * 16
     entries[0], entries[15] = "nan", "1"

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from dressedbath import linalg
-from dressedbath.linalg import (COMPUTATIONAL, DRESSED, DensityMatrix,
-                                NotFinite, NotHermitian, NotPSD,
-                                StateValidationError, WrongBasis,
-                                change_basis, hermitian_eigs,
+from dressedbath.linalg import (NotFinite, NotHermitian, NotPSD,
+                                StateValidationError, hermitian_eigs,
                                 partial_trace_q2, validate_batch,
                                 validate_density)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
@@ -22,12 +20,14 @@ def bell_state():
 class TestValidateDensity:
     def test_maximally_mixed(self):
         state = validate_density(np.eye(4) / 4)
-        evals, _ = hermitian_eigs(state.matrix)
+        evals, _ = hermitian_eigs(state)
         assert np.allclose(evals, 0.25, atol=1e-14)
 
     def test_pure_basis_state(self):
-        state = validate_density(np.diag([1.0, 0, 0, 0]).astype(complex))
-        assert state.basis == COMPUTATIONAL
+        pure = np.diag([1.0, 0, 0, 0])
+        state = validate_density(pure)
+        assert isinstance(state, np.ndarray) and state.dtype == complex
+        np.testing.assert_array_equal(state, pure)
 
     def test_constructed_violation_is_not_psd(self):
         bad = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
@@ -48,33 +48,33 @@ class TestValidateDensity:
         assert err.value.violation == pytest.approx(0.3, abs=1e-12)
 
     def test_matrix_is_readonly(self):
-        state = validate_density(np.eye(4) / 4)
+        given = np.eye(4, dtype=complex) / 4
+        state = validate_density(given)
+        np.testing.assert_array_equal(state, given)
         with pytest.raises(ValueError):
-            state.matrix[0, 0] = 1.0
+            state[0, 0] = 1.0
+        given[0, 0] = 1.0  # the caller's array stays its own
+        assert state[0, 0] == 0.25
 
 
 class TestPartialTrace:
     def test_product_state_qubit1_excited(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0  # |1,0><1,0|
-        reduced = partial_trace_q2(DensityMatrix(rho))
+        reduced = partial_trace_q2(rho)
         assert np.allclose(reduced, np.diag([0.0, 1.0]))
 
     def test_bell_reduces_to_maximally_mixed(self):
-        reduced = partial_trace_q2(DensityMatrix(bell_state()))
+        reduced = partial_trace_q2(bell_state())
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
     def test_maximally_mixed(self):
-        reduced = partial_trace_q2(DensityMatrix(np.eye(4, dtype=complex) / 4))
+        reduced = partial_trace_q2(np.eye(4, dtype=complex) / 4)
         assert np.allclose(reduced, np.eye(2) / 2)
-
-    def test_wrong_basis_rejected(self):
-        with pytest.raises(WrongBasis):
-            partial_trace_q2(DensityMatrix(np.eye(4) / 4, DRESSED))
 
     def test_reduction_of_random_state_is_valid(self, rng):
         for _ in range(50):
-            reduced = partial_trace_q2(DensityMatrix(random_density(rng)))
+            reduced = partial_trace_q2(random_density(rng))
             assert abs(np.trace(reduced) - 1) < 1e-12
             assert np.abs(reduced - reduced.conj().T).max() < 1e-12
             evals, _ = hermitian_eigs(reduced)
@@ -90,40 +90,40 @@ class TestChangeBasis:
 
     def test_ground_state_to_computational(self):
         ground = np.diag([1.0, 0, 0, 0]).astype(complex)
-        comp = change_basis(DensityMatrix(ground, DRESSED), self.frame,
-                            COMPUTATIONAL)
+        comp = self.frame.to_computational(ground)
         ap, am = self.frame.mix_plus, self.frame.mix_minus
         vec = np.array([ap, 0, 0, -am])
-        assert np.abs(comp.matrix - np.outer(vec, vec)).max() < 1e-14
+        assert np.abs(comp - np.outer(vec, vec)).max() < 1e-14
 
     def test_uncoupled_limit_ground_is_00(self):
         params = SystemParams(omega=1.0, coupling=0.0, gamma0=0.1,
                               bath_width=5.0, bath_center=2.0, temperature=0.0)
         frame = dressed_frame(params)
         ground = np.diag([1.0, 0, 0, 0]).astype(complex)
-        comp = change_basis(DensityMatrix(ground, DRESSED), frame,
-                            COMPUTATIONAL).matrix
+        comp = frame.to_computational(ground)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.abs(comp - expected).max() < 1e-14
 
     def test_round_trip(self, rng):
         for _ in range(20):
-            rho = DensityMatrix(random_density(rng))
-            back = change_basis(change_basis(rho, self.frame, DRESSED),
-                                self.frame, COMPUTATIONAL)
-            assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+            rho = random_density(rng)
+            back = self.frame.to_computational(self.frame.to_dressed(rho))
+            assert np.abs(back - rho).max() < 1e-12
 
     def test_spectrum_invariant(self, rng):
-        rho = DensityMatrix(random_density(rng))
-        dressed = change_basis(rho, self.frame, DRESSED)
-        w1, _ = hermitian_eigs(rho.matrix)
-        w2, _ = hermitian_eigs(dressed.matrix)
+        rho = random_density(rng)
+        w1, _ = hermitian_eigs(rho)
+        w2, _ = hermitian_eigs(self.frame.to_dressed(rho))
         assert np.abs(w1 - w2).max() < 1e-10
 
-    def test_same_basis_is_identity(self):
-        rho = DensityMatrix(np.eye(4) / 4)
-        assert change_basis(rho, self.frame, COMPUTATIONAL) is rho
+    def test_stack_is_each_matrix(self, rng):
+        stack = np.array([random_density(rng) for _ in range(6)])
+        for rotate in (self.frame.to_dressed, self.frame.to_computational):
+            rotated = rotate(stack)
+            assert rotated.shape == stack.shape
+            for m, r in zip(stack, rotated):
+                assert r.tobytes() == rotate(m).tobytes()
 
 
 class TestHermitianEigs:
@@ -371,6 +371,6 @@ class TestStackedHermitianEigs:
         reduced = partial_trace_q2(stack)
         assert reduced.shape == (6, 2, 2)
         for m, r in zip(stack, reduced):
-            assert r.tobytes() == partial_trace_q2(DensityMatrix(m)).tobytes()
+            assert r.tobytes() == partial_trace_q2(m).tobytes()
             expected = np.einsum("iaja->ij", m.reshape(2, 2, 2, 2))
             assert np.abs(r - expected).max() < 1e-15

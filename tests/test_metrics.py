@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dressedbath import metrics
-from dressedbath.linalg import DensityMatrix, hermitian_eigs
+from dressedbath.linalg import hermitian_eigs
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  concurrence_x, discord_approx_q2,
                                  discord_oracle_q2, linear_entropy_q1,
@@ -168,22 +168,22 @@ class TestEntropies:
     def test_linear_entropy_pure_product(self):
         m = np.zeros((4, 4), dtype=complex)
         m[2, 2] = 1.0
-        assert linear_entropy_q1(DensityMatrix(m)) == pytest.approx(0.0, abs=1e-14)
+        assert linear_entropy_q1(m) == pytest.approx(0.0, abs=1e-14)
 
     def test_linear_entropy_bell(self):
-        assert linear_entropy_q1(DensityMatrix(bell_matrix())) == pytest.approx(0.5)
+        assert linear_entropy_q1(bell_matrix()) == pytest.approx(0.5)
         assert linear_entropy_q1(bell_x()) == pytest.approx(0.5)
 
     def test_linear_entropy_routes_agree(self, rng):
         for _ in range(100):
             x = random_x_state(rng)
             direct = linear_entropy_q1(x)
-            traced = linear_entropy_q1(DensityMatrix(x.matrix()))
+            traced = linear_entropy_q1(x.matrix())
             assert abs(direct - traced) <= 1e-12
 
     def test_linear_entropy_range(self, rng):
         for _ in range(100):
-            value = linear_entropy_q1(DensityMatrix(random_density(rng)))
+            value = linear_entropy_q1(random_density(rng))
             assert -1e-12 <= value <= 0.5 + 1e-12
 
 
@@ -432,7 +432,6 @@ class TestStackedGeneralRoute:
         assert_bitwise(stacked, singles)
         assert_bitwise(stacked, [fn(m) for m in stack])
         assert_bitwise(stacked, [scalar(m) for m in stack])
-        assert_bitwise(stacked, [fn(DensityMatrix(m)) for m in stack])
 
     def test_single_state_gives_scalar(self):
         assert concurrence_general(bell_matrix()).shape == ()

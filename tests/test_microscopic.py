@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dressedbath import integrate
 from dressedbath import microscopic as mic
-from dressedbath.linalg import DRESSED, validate_density
+from dressedbath.linalg import validate_density
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
 
@@ -20,7 +21,7 @@ FIG3 = SystemParams(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
 def ket10_dressed(frame):
     rho = np.zeros((4, 4), dtype=complex)
     rho[2, 2] = 1.0
-    return frame.unitary.conj().T @ rho @ frame.unitary
+    return frame.to_dressed(rho)
 
 
 def level_state(i):
@@ -107,6 +108,19 @@ class TestAnalyticPropagation:
         expected = rho0[1, 2] * np.exp((1j * FIG2.coupling - total / 2) * t)
         assert abs(out[1, 2] - expected) < 1e-12
 
+    def test_phase_past_the_double_range_after_full_decay(self, rng):
+        # bohr_low * 1e300 overflows, but every coherence decayed long before
+        frame = dressed_frame(FIG2)
+        rates = rate_set(FIG2, frame)
+        rho0 = frame.to_dressed(random_density(rng))
+        out = mic.propagate_analytic(rho0, rates, frame, [0.0, 1.0, 1e300])
+        assert np.isfinite(out).all()
+        assert np.abs(out[-1] - mic.steady_state(rates)).max() < 1e-12
+        # unless the decay is not complete: then the phase stays unknown
+        slow = replace(rates, decay_low=1e-320, excitation_low=0.0)
+        out = mic.propagate_analytic(rho0, slow, frame, [0.0, 1e300])
+        assert np.isnan(out[-1, 0, 1])
+
     def test_degenerate_single_channel_raises(self):
         frame = dressed_frame(FIG2)
         broken = RateSet(emission_low=0.0, emission_high=1.0,
@@ -136,6 +150,18 @@ class TestSteadyState:
         pops = np.diag(mic.steady_state(rate_set(FIG3))).real
         assert pops == pytest.approx([0.751011795, 0.213270520,
                                       0.027817998, 0.007899688], abs=1e-8)
+
+    @pytest.mark.parametrize("gamma0", [1e-300, 1e280])
+    def test_free_of_the_rate_scale(self, gamma0):
+        # every rate is proportional to gamma0 and the populations are ratios
+        # of rates, so vanishing or huge rates must not move them
+        ss = mic.steady_state(rate_set(replace(FIG3, gamma0=gamma0)))
+        assert np.abs(ss - mic.steady_state(rate_set(FIG3))).max() < 1e-14
+
+    def test_hot_bath_products_past_the_double_range(self):
+        # the channel rates are about 1e305 /s at 1e296 K
+        ss = mic.steady_state(rate_set(replace(FIG2, temperature=1e296)))
+        assert np.abs(ss - np.eye(4) / 4).max() < 1e-15
 
     def test_rate_route_equals_gibbs_route(self):
         for p in (FIG2, FIG3,
@@ -247,7 +273,7 @@ class TestNumericPropagation:
         traj = mic.propagate_analytic(ket10_dressed(frame), rates, frame,
                                       np.linspace(0.0, span, 200))
         for snapshot in traj:
-            validate_density(snapshot, DRESSED, herm_tol=1e-10,
+            validate_density(snapshot, herm_tol=1e-10,
                              trace_tol=1e-8, psd_tol=1e-7)
 
     def test_log_grid_supported(self):

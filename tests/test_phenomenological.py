@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,14 @@ class TestSteadyState:
             ss = ph.steady_state(p, rate_set(p))
             assert abs(np.trace(ss).real - 1.0) < 1e-12
 
+    def test_hot_bath_rates_square_past_the_double_range(self):
+        # the bare rates are about 1.6e305 /s at 1e296 K
+        p = replace(FIG2, temperature=1e296)
+        rates = rate_set(p)
+        ss = ph.steady_state(p, rates)
+        assert np.abs(ss - np.eye(4) / 4).max() < 1e-15
+        assert not ph.phenom_rhs(ss, p, rates).any()
+
     def test_balanced_rates_kill_coherences(self):
         p = FIG3
         rates = manual_rates(p, 2.5, 2.5)
@@ -167,7 +177,7 @@ class TestDressedRewrite:
         # only populations and coherence magnitudes are compared)
         for p in (FIG2, FIG3):
             rates = rate_set(p)
-            dressed = ph.steady_state_dressed(p, rates, dressed_frame(p)).matrix
+            dressed = ph.steady_state_dressed(p, rates, dressed_frame(p))
             null = np.linalg.svd(ph.liouvillian(p, rates))[2][-1].conj()
             rho = null.reshape(4, 4) / np.trace(null.reshape(4, 4))
             _, v = np.linalg.eigh(hamiltonian(p))
@@ -188,7 +198,7 @@ class TestDressedRewrite:
         frame = dressed_frame(p)
         rates = rate_set(p)
         ss = ph.steady_state(p, rates)
-        rewrite = ph.steady_state_dressed(p, rates, frame).matrix
+        rewrite = ph.steady_state_dressed(p, rates, frame)
         expected = (0.5 * (ss[2, 2].real - ss[1, 1].real)
                     - 1j * ss[1, 2].imag)
         assert rewrite[1, 2] == pytest.approx(expected, rel=1e-12)

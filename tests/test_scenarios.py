@@ -283,7 +283,10 @@ class TestSnapshotLayer:
 
 
 def _einsum_to_computational(u, dressed):
-    """The dense basis change that ``_dressed_to_computational`` replaces."""
+    """The dense basis change that ``DressedFrame.to_computational``
+    replaces, for one matrix or an ``(n, 4, 4)`` stack."""
+    if dressed.ndim == 2:
+        return np.einsum('ij,jk,lk->il', u, dressed, u.conj())
     return np.einsum('ij,tjk,lk->til', u, dressed, u.conj())
 
 
@@ -306,22 +309,25 @@ class TestBasisChange:
             rates = rate_set(cfg.params, frame)
             times = np.linspace(0.0, scenarios.resolve_t_max(cfg, rates),
                                 cfg.n_points)
-            u = frame.unitary
             rho0 = initial_state_matrix(cfg, frame)
-            dressed = microscopic.propagate_analytic(u.conj().T @ rho0 @ u,
+            dressed = microscopic.propagate_analytic(frame.to_dressed(rho0),
                                                      rates, frame, times)
             np.testing.assert_array_equal(
-                _bits(scenarios._dressed_to_computational(u, dressed)),
-                _bits(_einsum_to_computational(u, dressed)))
+                _bits(frame.to_computational(dressed)),
+                _bits(_einsum_to_computational(frame.unitary, dressed)))
+            stationary = microscopic.steady_state(rates)
+            np.testing.assert_array_equal(
+                _bits(frame.to_computational(stationary)),
+                _bits(_einsum_to_computational(frame.unitary, stationary)))
 
     @staticmethod
     def random_stacks(n_stacks=60, n=40, decades=300):
         """Seeded complex non-X stacks spanning magnitudes 1e-decades ..
         1e+decades, with exact zeros and signed zeros, each with a preset's
-        unitary."""
+        frame."""
         rng = np.random.default_rng(8)
-        units = [dressed_frame(c.params).unitary for c in preset_configs()]
-        units.append(dressed_frame(replace(FAST, coupling=0.0)).unitary)
+        frames = [dressed_frame(c.params) for c in preset_configs()]
+        frames.append(dressed_frame(replace(FAST, coupling=0.0)))
         for trial in range(n_stacks):
             parts = (rng.standard_normal((2, n, 4, 4))
                      * 10.0 ** rng.uniform(-decades, decades, (2, n, 4, 4)))
@@ -330,30 +336,44 @@ class TestBasisChange:
             d[rng.random((n, 4, 4)) < 0.1] = complex(-0.0, -0.0)
             d.real[rng.random((n, 4, 4)) < 0.1] = -0.0
             d.imag[rng.random((n, 4, 4)) < 0.1] = -0.0
-            yield units[trial % len(units)], d
+            yield frames[trial % len(frames)], d
 
     def test_bit_equal_to_einsum_on_random_stacks(self):
-        for u, d in self.random_stacks():
+        for frame, d in self.random_stacks():
             assert d[:, 0, 1].any()  # not X-shaped
             with np.errstate(over="ignore", invalid="ignore"):
-                fast = scenarios._dressed_to_computational(u, d)
-                dense = _einsum_to_computational(u, d)
+                fast = frame.to_computational(d)
+                dense = _einsum_to_computational(frame.unitary, d)
+                singles = [frame.to_computational(m) for m in d[:5]]
+                dense_singles = [_einsum_to_computational(frame.unitary, m)
+                                 for m in d[:5]]
             np.testing.assert_array_equal(_bits(fast), _bits(dense))
+            np.testing.assert_array_equal(_bits(np.array(singles)),
+                                          _bits(np.array(dense_singles)))
 
     def test_same_snapshots_non_finite(self):
         rng = np.random.default_rng(9)
         # magnitudes that cannot overflow, so the planted entries decide
-        for u, d in self.random_stacks(n_stacks=20, decades=10):
+        for frame, d in self.random_stacks(n_stacks=20, decades=10):
             for value in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
                 hit = rng.random((len(d), 4, 4)) < 0.02
                 d[hit] = value
             with np.errstate(over="ignore", invalid="ignore"):
-                fast = scenarios._dressed_to_computational(u, d)
-                dense = _einsum_to_computational(u, d)
+                fast = frame.to_computational(d)
+                dense = _einsum_to_computational(frame.unitary, d)
             flagged = ~np.isfinite(fast).all(axis=(1, 2))
             assert 0 < flagged.sum() < len(d)
             np.testing.assert_array_equal(
                 flagged, ~np.isfinite(dense).all(axis=(1, 2)))
+
+
+def test_micro_span_past_the_phase_range_ends_stationary():
+    cfg = replace(figure_preset(2), t_max=1e300, models=("micro",))
+    traj = run_scenario(cfg)
+    frame = dressed_frame(cfg.params)
+    stationary = frame.to_computational(
+        microscopic.steady_state(rate_set(cfg.params, frame)))
+    assert np.abs(traj.states["micro"][-1] - stationary).max() < 1e-12
 
 
 def _per_row_csv_rows(traj, model, cols):
