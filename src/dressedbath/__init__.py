@@ -11,7 +11,7 @@ qubit's linear entropy quantify how far the two predictions drift apart.
 from ._version import __version__
 from .linalg import (Margins, NotFinite, NotHermitian, NotPSD,
                      StateValidationError, TraceNotOne, hermitian_eigs,
-                     partial_trace_q2, validate_batch, validate_density)
+                     partial_trace_q2, validate_batch, validate_density, validate_x)
 from .model import (KB_OVER_HBAR, DressedFrame, FairnessReport, RateSet,
                     SystemParams, dressed_frame, fairness_check, hamiltonian,
                     rate_set, spectral_density, thermal_occupancy)

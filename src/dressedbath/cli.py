@@ -48,6 +48,13 @@ def _add_common(sub):
     sub.add_argument("--temp", type=float, help="bath temperature in K")
 
 
+def _number(flag, text, what) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{flag} must be {what}, got {text!r}") from None
+
+
 def _configs_from_args(args) -> list:
     """Resolve precedence: figure preset < config file < explicit flags."""
     cfgs = None
@@ -72,7 +79,8 @@ def _configs_from_args(args) -> list:
     out = []
     for cfg in cfgs:
         if args.tmax is not None:
-            cfg = replace(cfg, t_max="auto" if args.tmax == "auto" else float(args.tmax))
+            cfg = replace(cfg, t_max="auto" if args.tmax == "auto" else _number(
+                "--tmax", args.tmax, "a time in seconds or 'auto'"))
         if args.points is not None:
             cfg = replace(cfg, n_points=args.points)
         if args.model is not None:
@@ -152,7 +160,8 @@ def cmd_compare(args):
 
 def cmd_sweep(args):
     cfg = _configs_from_args(args)[0]
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [_number("--values", v, "comma-separated numbers")
+              for v in args.values.split(",") if v.strip()]
     reports = sweep(cfg, args.axis, values)
     path = write_text(args.out, f"{cfg.label}_sweep_{args.axis}.csv",
                       sweep_csv(cfg, args.axis, values, reports))

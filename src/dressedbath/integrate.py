@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NotFinite
+from .linalg import ENTRIES, NotFinite, trace_of
 
 TRACE_DRIFT_TOL = 1e-8
 
@@ -48,7 +48,8 @@ def lindblad(h: np.ndarray, channels) -> np.ndarray:
     return gen
 
 
-def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
+def propagate(generator: np.ndarray, rho0: np.ndarray, times,
+              entries=None) -> np.ndarray:
     """Trajectory ``exp((t - times[0]) L) vec(rho0)`` on a strictly increasing
     output grid, uniform or not; the first snapshot is ``rho0`` itself.
 
@@ -61,7 +62,9 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
     nearest 0 is therefore set to 0 when it lies within 16 eps ||L||_1 of
     it.  Raises NotFinite for a generator with inf or nan entries, and
     TraceDrift if the trace of the result is off by more than 1e-8 anywhere
-    on the grid, naming the first such grid point.
+    on the grid, naming the first such grid point.  The result is the
+    ``(n, 4, 4)`` stack, or its ``(n, k)`` columns of ``entries`` (such as
+    ``linalg.X_ENTRIES``), which must hold every entry reached.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
@@ -71,30 +74,34 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
     if not np.isfinite(generator).all():
         raise NotFinite("matrix contains non-finite entries")
 
+    cols = ENTRIES if entries is None else entries
     v = np.asarray(rho0, dtype=complex).reshape(-1)
     live = v != 0
     for _ in range(len(v)):
         live = live | (generator[:, live] != 0).any(axis=1)
+    vec_index = [4 * i + j for i, j in cols]
+    # list.index raises ValueError for a reached entry missing from ``cols``
+    live_cols = [vec_index.index(k) for k in np.flatnonzero(live).tolist()]
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
     k = np.argmin(np.abs(lam))
     if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
-    out = np.zeros((len(times), len(v)), dtype=complex)
-    out[0] = v
+    out = np.zeros((len(times), len(cols)), dtype=complex)
+    out[0] = v[vec_index]
     # huge finite rates can overflow exp; validation of the evolved states
     # reports the non-finite snapshots (NotFinite)
     with np.errstate(over="ignore", invalid="ignore"):
-        out[1:, live] = (np.exp(np.outer(times[1:] - times[0], lam)) * coef) @ vecs.T
-    out = out.reshape(-1, 4, 4)
+        out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
+                              * coef) @ vecs.T
 
-    s = out[1:]
-    drift = np.abs((s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2] + s[:, 3, 3]).real - 1.0)
+    drift = np.abs(trace_of(out[1:], cols).real - 1.0)
     over = np.flatnonzero(drift > TRACE_DRIFT_TOL)
     if len(over):
         i = over[0] + 1
         raise TraceDrift(
             f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
     # evolved states stay Hermitian to fp accuracy; fold the rounding noise
-    return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
+    out = 0.5 * (out + np.conj(out[:, [cols.index((j, i)) for i, j in cols]]))
+    return out.reshape(-1, 4, 4) if entries is None else out

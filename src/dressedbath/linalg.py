@@ -13,7 +13,7 @@ check, for one matrix or a stack.  Validation works on a whole
 ``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``); a single
 matrix is a stack of one.  Its positivity check reads the smallest
 eigenvalue of an X-shaped snapshot (every off-X entry exactly zero, as both
-master equations keep the |1,0> start) in closed form from its two 2x2
+master equations keep an X-shaped start) in closed form from its two 2x2
 blocks, and sends only the other snapshots to LAPACK.
 """
 
@@ -72,23 +72,43 @@ class Margins(NamedTuple):
 # the entries outside the diagonal and the antidiagonal of a 4x4 matrix
 _OFF_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])
 
+# the columns of an (n, 16) stack (row-major) and of an (n, 8) X stack
+ENTRIES = tuple(divmod(k, 4) for k in range(16))
+X_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
 
-def _smallest_eigenvalues(h) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in an ``(n, 4, 4)`` stack.
+
+def trace_of(cols, entries) -> np.ndarray:
+    """Trace of each matrix of an ``(n, k)`` stack of ``entries``."""
+    d = [cols[:, entries.index((i, i))] for i in range(4)]
+    return d[0] + d[1] + d[2] + d[3]
+
+
+def as_matrices(stack) -> np.ndarray:
+    """An ``(n, 4, 4)`` stack itself, or the matrices of an ``(n, 8)`` X
+    stack, with +0 outside the X entries."""
+    if stack.ndim == 3:
+        return stack
+    out = np.zeros((len(stack), 4, 4), dtype=complex)
+    out.reshape(-1, 16)[:, [4 * i + j for i, j in X_ENTRIES]] = stack
+    return out
+
+
+def _smallest_eigenvalues(h, entries) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of an ``(n, k)`` stack.
 
     A matrix whose off-X entries are all exactly zero is the direct sum of
     its {00,11} and {01,10} blocks; each block [[a, z], [z*, b]] has the
     smallest eigenvalue (a+b)/2 - hypot((a-b)/2, |z|).  The rest go to LAPACK.
     """
-    x = ~h[:, _OFF_X[0], _OFF_X[1]].any(axis=1)
+    x = ~h[:, [k for k, e in enumerate(entries) if e not in X_ENTRIES]].any(axis=1)
     low = np.empty(len(h))
-    blocks = h[x]
-    a = blocks[:, [0, 1], [0, 1]].real
-    b = blocks[:, [3, 2], [3, 2]].real
-    z = np.abs(blocks[:, [0, 1], [3, 2]])
+    blocks = h[x][:, [entries.index(e) for e in X_ENTRIES]]   # X_ENTRIES order
+    a = blocks[:, [0, 1]].real
+    b = blocks[:, [3, 2]].real
+    z = np.abs(blocks[:, [4, 6]])
     low[x] = (0.5 * (a + b) - np.hypot(0.5 * (a - b), z)).min(axis=1)
     if not x.all():
-        low[~x] = np.linalg.eigvalsh(h[~x])[:, 0]
+        low[~x] = np.linalg.eigvalsh(h[~x].reshape(-1, 4, 4))[:, 0]
     return low
 
 
@@ -105,15 +125,26 @@ def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     m = np.asarray(stack, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4) or len(m) == 0:
         raise ValueError(f"expected a non-empty (n, 4, 4) stack, got shape {m.shape}")
-    finite = np.isfinite(m.real).all(axis=(1, 2)) & np.isfinite(m.imag).all(axis=(1, 2))
-    first_nonfinite = len(m) if finite.all() else int(np.argmin(finite))
-    checked = m[:first_nonfinite]
+    return _validate(m.reshape(len(m), 16), ENTRIES, herm_tol, trace_tol, psd_tol)
 
-    mh = np.conj(np.swapaxes(checked, 1, 2))
-    herm = np.abs(checked - mh).max(axis=(1, 2))
-    tr = checked[:, 0, 0] + checked[:, 1, 1] + checked[:, 2, 2] + checked[:, 3, 3]
+
+def validate_x(cols, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
+               psd_tol=PSD_TOL) -> Margins:
+    """``validate_batch`` of the matrices of an ``(n, 8)`` X stack, without
+    building them: the same margins, or the same exception and message."""
+    return _validate(np.asarray(cols, complex), X_ENTRIES, herm_tol, trace_tol, psd_tol)
+
+
+def _validate(cols, entries, herm_tol, trace_tol, psd_tol) -> Margins:
+    finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
+    first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
+    checked = cols[:first_nonfinite]
+
+    mh = np.conj(checked[:, [entries.index((j, i)) for i, j in entries]])
+    herm = np.abs(checked - mh).max(axis=1)
+    tr = trace_of(checked, entries)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    neg = -_smallest_eigenvalues(0.5 * (checked + mh))
+    neg = -_smallest_eigenvalues(0.5 * (checked + mh), entries)
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -124,7 +155,7 @@ def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
         detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
         cls, _, violation = failures[0]
         raise cls(f"invalid density matrix: {detail}", violation)
-    if first_nonfinite < len(m):
+    if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
     return Margins(float(herm.max()), float(tr.max()), float(neg.max()))
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .linalg import ENTRIES
+
 # Boltzmann constant over hbar; converts Kelvin to 1/s.
 KB_OVER_HBAR = 1.309193e11
 # hottest bath whose kB T / hbar is a finite double (about 1.37e297 K)
@@ -103,16 +105,20 @@ class DressedFrame:
         ``np.einsum('ij,...jk,lk->...il', u, d, u.conj())``, whose other twelve
         terms are exact zeros for finite entries, so the two agree to the bit.
         """
+        return self.to_computational_columns(d, ENTRIES).reshape(d.shape)
+
+    def to_computational_columns(self, d, entries) -> np.ndarray:
+        """The ``(..., k)`` columns of ``to_computational(d)`` at ``entries``
+        (such as ``linalg.X_ENTRIES``), each equal to its entry to the bit."""
         u = self.unitary
         uc = u.conj()
-        out = np.empty(d.shape, dtype=complex)
-        for i in range(4):
-            for l in range(4):
-                acc = 0.0
-                for j in _BLOCK_OF[i]:
-                    for k in _BLOCK_OF[l]:
-                        acc = acc + (u[i, j] * d[..., j, k]) * uc[l, k]
-                out[..., i, l] = acc
+        out = np.empty(d.shape[:-2] + (len(entries),), dtype=complex)
+        for n, (i, l) in enumerate(entries):
+            acc = 0.0
+            for j in _BLOCK_OF[i]:
+                for k in _BLOCK_OF[l]:
+                    acc = acc + (u[i, j] * d[..., j, k]) * uc[l, k]
+            out[..., n] = acc
         return out
 
 

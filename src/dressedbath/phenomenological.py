@@ -84,10 +84,12 @@ def liouvillian_from_ops(p: SystemParams, rates: RateSet) -> np.ndarray:
                                                (rates.absorption_bare, lower.conj().T)))
 
 
-def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times) -> np.ndarray:
+def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times,
+              entries=None) -> np.ndarray:
     """Exact trajectory in the computational basis (``integrate.propagate``
-    of the operator-form generator)."""
-    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times)
+    of the operator-form generator, optionally only its ``entries``)."""
+    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times,
+                               entries)
 
 
 def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
@@ -104,6 +106,9 @@ def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
     # by a power of two near g + gb is exact and keeps (g + gb)^2 finite
     e = max(math.frexp(g + gb)[1], 0)
     g, gb, lam, om = (math.ldexp(v, -e) for v in (g, gb, p.coupling, p.omega))
+    if (gb + g) ** 2 == 0:   # never scaled up: a tiny rate stays tiny
+        raise ValueError(f"stationary state needs (g+gbar)^2, which underflows "
+                         f"to 0 at the damping rate g+gbar = {g + gb:.3g}")
     lam2 = lam * lam
     om2 = om * om
     box = (gb + g) ** 2 + 2 * lam2 + 8 * om2

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
-from .linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL,
-                     validate_batch, validate_density)
+from .linalg import (_OFF_X, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+                     EVOLVED_TRACE_TOL, X_ENTRIES, as_matrices,
+                     validate_batch, validate_density, validate_x)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -95,12 +96,17 @@ class ScenarioConfig:
 class Trajectory:
     label: str
     times: np.ndarray
-    states: dict            # model -> (n, 4, 4) computational snapshots
+    stacks: dict            # model -> (n, 4, 4) snapshots, or (n, 8) X columns
     series: dict            # model -> column name -> np.ndarray
     margins: dict           # model -> linalg.Margins of its snapshots
     routes: dict            # model -> per-snapshot index into ROUTES
     config: ScenarioConfig
     fairness_lines: list
+
+    @functools.cached_property
+    def states(self) -> dict:
+        """model -> ``(n, 4, 4)`` computational snapshots."""
+        return {model: as_matrices(s) for model, s in self.stacks.items()}
 
     @functools.cached_property
     def times_text(self) -> list:
@@ -146,24 +152,28 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return 10.0 / anchor
 
 
-def _trajectory_metrics(comp, wanted):
-    """Metric columns of a validated ``(n, 4, 4)`` trajectory, and the route
-    (index into ROUTES) of each snapshot.
+def _trajectory_metrics(stack, wanted):
+    """Metric columns of a validated trajectory (``Trajectory.stacks``), and
+    the route (index into ROUTES) of each snapshot.
 
     Each snapshot takes the first route that holds for it: the X elements of
     the computational matrix, then the general forms.  Each route is one
     call per metric on the stack of its snapshots.
     """
-    x, x_ok = metrics.x_elements_from_matrix(comp, trace_tol=EVOLVED_TRACE_TOL)
+    if stack.ndim == 2:   # columns in X_ENTRIES order
+        x = metrics.XStateElements(*stack[:, :4].real.T, *stack[:, [4, 6]].T)
+        x_ok = x.valid(trace_tol=EVOLVED_TRACE_TOL)
+    else:
+        x, x_ok = metrics.x_elements_from_matrix(stack, trace_tol=EVOLVED_TRACE_TOL)
     route = np.where(x_ok, 0, 1).astype(np.int8)
-    cols = {c: np.empty(len(comp)) for c in _columns_for(wanted)}
+    cols = {c: np.empty(len(stack)) for c in _columns_for(wanted)}
     x_rows = x.take(x_ok)
     for name, fn in (("concurrence", metrics.concurrence_x),
                      ("discord", metrics.discord_approx_q2),
                      ("linear_entropy", metrics.linear_entropy_q1)):
         if name in wanted:
             cols[name][x_ok] = fn(x_rows)
-    general = comp[~x_ok]
+    general = as_matrices(stack[~x_ok])
     if len(general) and "discord" in wanted:
         # the first non-X snapshot decides: its concurrence runs first
         if "concurrence" in wanted:
@@ -176,8 +186,8 @@ def _trajectory_metrics(comp, wanted):
         if name in wanted and len(general):
             cols[name][~x_ok] = fn(general)
     if "populations" in wanted:
-        for idx, name in enumerate(("pop_00", "pop_01", "pop_10", "pop_11")):
-            cols[name] = comp[:, idx, idx].real
+        cols.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
+                        (x.p00, x.p01, x.p10, x.p11)))
     return cols, route
 
 
@@ -206,25 +216,27 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
             f"time span {t_max:.6g} s is too short for n_points = "
             f"{cfg.n_points} strictly increasing times; set t_max")
     rho0_comp = initial_state_matrix(cfg, frame)
+    # both models and the basis change keep an X start X-shaped: carry its X columns
+    x_start = not rho0_comp[_OFF_X].any()
 
-    states, series, margins, routes = {}, {}, {}, {}
+    stacks, series, margins, routes = {}, {}, {}, {}
     for model in cfg.models:
         if model == "micro":
             dressed_traj = microscopic.propagate_analytic(
                 frame.to_dressed(rho0_comp), rates, frame, times)
-            comp_traj = frame.to_computational(dressed_traj)
+            stack = (frame.to_computational_columns(dressed_traj, X_ENTRIES)
+                     if x_start else frame.to_computational(dressed_traj))
         else:
-            comp_traj = phenomenological.propagate(rho0_comp, cfg.params,
-                                                   rates, times)
+            stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times,
+                                               X_ENTRIES if x_start else None)
 
-        margins[model] = validate_batch(comp_traj, herm_tol=EVOLVED_HERM_TOL,
-                                        trace_tol=EVOLVED_TRACE_TOL,
-                                        psd_tol=EVOLVED_PSD_TOL)
-        states[model] = comp_traj
-        series[model], routes[model] = _trajectory_metrics(comp_traj,
-                                                           cfg.metrics)
+        margins[model] = (validate_x if x_start else validate_batch)(
+            stack, herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
+            psd_tol=EVOLVED_PSD_TOL)
+        stacks[model] = stack
+        series[model], routes[model] = _trajectory_metrics(stack, cfg.metrics)
 
-    return Trajectory(label=cfg.label, times=times, states=states,
+    return Trajectory(label=cfg.label, times=times, stacks=stacks,
                       series=series, margins=margins, routes=routes,
                       config=cfg,
                       fairness_lines=fairness_check(cfg.params).lines())

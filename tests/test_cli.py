@@ -377,3 +377,30 @@ def test_repeated_main_calls_share_one_parser_without_state(tmp_path, capsys):
         "figure2_micro.csv", "figure2_phenom.csv"]
     for a, b in zip(fresh, again):
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--figure", "2", "--tmax", "abc"],
+     "--tmax must be a time in seconds or 'auto', got 'abc'"),
+    (["sweep", "--figure", "2", "--axis", "temperature", "--values", "1e-3,abc"],
+     "--values must be comma-separated numbers, got 'abc'"),
+])
+def test_non_numeric_flag_is_named(argv, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_steady_with_underflowing_damping_is_config_error(tmp_path, capsys):
+    # figure-2 parameters; (g + gbar)^2 underflows to 0 at this damping rate
+    path = tmp_path / "tiny.cfg"
+    path.write_text("omega = 4e9\ncoupling = 4e9\ngamma0 = 1e-300\n"
+                    "bath_width = 5e10\nbath_center = 8e9\ntemperature = 5e-4\n",
+                    encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["steady", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: stationary state needs (g+gbar)^2, which "
+        "underflows to 0 at the damping rate g+gbar = 9.94e-301\n")
