@@ -16,9 +16,9 @@ from .model import (KB_OVER_HBAR, DressedFrame, FairnessReport, RateSet,
                     SystemParams, dressed_frame, fairness_check, hamiltonian,
                     rate_set, spectral_density, thermal_occupancy)
 from .metrics import (AssumptionViolated, XStateElements, concurrence_general,
-                      concurrence_x, discord_approx_q2, discord_oracle_q2,
-                      linear_entropy_q1, von_neumann_entropy,
-                      x_elements_from_dressed, x_elements_from_matrix)
+                      concurrence_x, discord_approx_q2, linear_entropy_q1,
+                      von_neumann_entropy, x_elements_from_dressed,
+                      x_elements_from_matrix)
 from .scenarios import (CompareReport, ConfigError, OutOfRange,
                         ScenarioConfig, Trajectory, compare_report,
                         figure_preset, parse_config, run_scenario, sweep)

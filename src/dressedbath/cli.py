@@ -26,8 +26,8 @@ from .microscopic import DegenerateRates
 from .model import (dressed_frame, fairness_check, rate_set,
                     spectral_density, thermal_occupancy)
 from .scenarios import (ConfigError, compare_report, figure_preset,
-                        parse_config, run_scenario, sweep, sweep_csv,
-                        write_text, write_trajectory)
+                        parse_config, run_scenario, stationary_metrics, sweep,
+                        sweep_csv, write_text, write_trajectory)
 
 CONFIG_ERRORS = (ConfigError, ValueError)
 NUMERIC_ERRORS = (StateValidationError, TraceDrift, AssumptionViolated,
@@ -35,6 +35,14 @@ NUMERIC_ERRORS = (StateValidationError, TraceDrift, AssumptionViolated,
 
 # the "_T<temperature>" suffix of a preset label, replaced by a --temp run
 _TEMP_SUFFIX = r"_T(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?$"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit 1); its subparsers
+    are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common(sub):
@@ -126,6 +134,7 @@ def cmd_steady(args):
     cfg = _configs_from_args(args)[0]
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
+    stationary = stationary_metrics(cfg.params, frame, rates)
     ss_m = microscopic.steady_state(rates)
     pops = [ss_m[i, i].real for i in range(4)]
     print("micro stationary dressed populations "
@@ -139,13 +148,10 @@ def cmd_steady(args):
     ss_pd = phenomenological.steady_state_dressed(cfg.params, rates, frame)
     print("phenom stationary in dressed basis, surviving coherences: "
           f"ground-top {abs(ss_pd[0, 3]):.6g}, antisym-sym {abs(ss_pd[1, 2]):.6g}")
-    for tag, state in (("micro", frame.to_computational(ss_m)), ("phenom", ss_p)):
-        x, ok = metrics.x_elements_from_matrix(state)
-        if not ok:
-            raise AssumptionViolated(f"{tag} stationary state is not X-shaped")
-        print(f"{tag} stationary concurrence {metrics.concurrence_x(x):.10g}, "
-              f"discord {metrics.discord_approx_q2(x):.10g}, "
-              f"linear entropy {metrics.linear_entropy_q1(x):.10g}")
+    for model, values in stationary.items():
+        print(f"{model} stationary concurrence {values['concurrence']:.10g}, "
+              f"discord {values['discord']:.10g}, "
+              f"linear entropy {values['linear_entropy']:.10g}")
     return 0
 
 
@@ -237,7 +243,7 @@ def cmd_selftest(args):
 def build_parser():
     """The command-line parser, built on the first call and shared by every
     later ``main`` call of the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dressedbath",
         description="Two coupled qubits with a thermal bath on one of them: "
                     "dressed-basis vs phenomenological master equations.")
@@ -274,9 +280,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NUMERIC_ERRORS as exc:
         # first: linalg.NotFinite is also a ValueError

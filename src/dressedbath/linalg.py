@@ -10,11 +10,13 @@ orders are frozen once and for all:
 ``model.DressedFrame`` rotates states between the two.  Hermitian spectra
 come from LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity
 check, for one matrix or a stack.  Validation works on a whole
-``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``); a single
-matrix is a stack of one.  Its positivity check reads the smallest
-eigenvalue of an X-shaped snapshot (every off-X entry exactly zero, as both
-master equations keep an X-shaped start) in closed form from its two 2x2
-blocks, and sends only the other snapshots to LAPACK.
+``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``; a single
+matrix is a stack of one), or on the ``(n, 8)`` X columns (``X_ENTRIES``)
+that an X-shaped run carries instead (``validate_x``).  The positivity
+check reads the smallest eigenvalue of an X-shaped snapshot (every off-X
+entry exactly zero, as both master equations keep an X-shaped start) in
+closed form from its two 2x2 blocks, and sends only the other snapshots to
+LAPACK.
 """
 
 from __future__ import annotations

@@ -5,20 +5,21 @@ for any state, and the short form for X-shaped states (only diagonal and
 antidiagonal entries populated), which is what both master equations
 produce from the |1,0> start.  Quantum discord is measured on qubit 2 and
 evaluated through the closed-form two-qubit approximation (Ali, Rau &
-Alber, PRA 81, 042105 (2010)); a brute-force grid minimisation over
-projective measurements backs it in the tests.
+Alber, PRA 81, 042105 (2010)); the tests hold it to a brute-force grid
+minimisation over projective measurements.
 
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
-on scalars.  Both models' trajectories reach them through
-``x_elements_from_matrix``; ``x_elements_from_dressed`` reads the same
+on scalars.  An X-shaped run carries its X elements as columns
+(``scenarios._trajectory_metrics`` reads them); other trajectories and
+the closed-form stationary states reach them through
+``x_elements_from_matrix``.  ``x_elements_from_dressed`` reads the same
 elements off a dressed-basis micro state and serves as its cross-check.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,48 +227,6 @@ def discord_approx_q2(x: XStateElements) -> np.ndarray:
                         "most negative %.3e", clamped.size, clamped.min())
         value = np.where(negative, 0.0, value)
     return value
-
-
-def _fibonacci_directions(n: int) -> np.ndarray:
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def _entropy2(m: np.ndarray) -> np.ndarray:
-    """Entropies of a ``(..., 2, 2)`` stack of qubit states."""
-    tr = (m[..., 0, 0] + m[..., 1, 1]).real
-    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    return _plog2(0.5 * (tr + disc)) + _plog2(np.maximum(0.5 * (tr - disc), 0.0))
-
-
-def discord_oracle_q2(rho, grid_n: int = 256) -> float:
-    """Brute-force discord: minimise the conditional entropy of qubit 1 over
-    a Fibonacci-sphere grid of projective measurements on qubit 2.
-
-    Upper-bounds the true minimum; tightens as grid_n grows.
-    """
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
-    m = np.asarray(rho, dtype=complex)
-    rfold = m.reshape(2, 2, 2, 2)
-    rho_q2 = np.einsum('aiaj->ij', rfold)
-    s_q2 = von_neumann_entropy(rho_q2)
-    s_full = von_neumann_entropy(m)
-
-    nx, ny, nz = _fibonacci_directions(grid_n).T
-    ndots = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]).transpose(2, 0, 1)
-    cond = np.zeros(grid_n)
-    for sign in (1.0, -1.0):
-        proj = 0.5 * (np.eye(2) + sign * ndots)
-        reduced = np.einsum('aibj,gji->gab', rfold, proj)
-        p = (reduced[:, 0, 0] + reduced[:, 1, 1]).real
-        kept = p >= 1e-14
-        cond[kept] += p[kept] * _entropy2(reduced[kept] / p[kept, None, None])
-    return s_q2 - s_full + float(cond.min())
 
 
 def linear_entropy_q1(state):

@@ -27,11 +27,11 @@ from .model import SystemParams, dressed_frame, fairness_check, rate_set
 MODELS = ("micro", "phenom")
 ROUTES = ("matrix_x", "general")   # metric routes, in trial order
 METRICS = ("concurrence", "discord", "linear_entropy", "populations")
+STATIONARY_METRICS = ("concurrence", "discord", "linear_entropy")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-STATIONARY_FRACTION = 0.05
 # a run holds 16 complex numbers per point per model and the temporaries of
 # its array passes: with both models its peak memory grows by about 170 MB
 # per 100,000 points, so the cap keeps one run under about 1 GB
@@ -104,11 +104,6 @@ class Trajectory:
     fairness_lines: list
 
     @functools.cached_property
-    def states(self) -> dict:
-        """model -> ``(n, 4, 4)`` computational snapshots."""
-        return {model: as_matrices(s) for model, s in self.stacks.items()}
-
-    @functools.cached_property
     def times_text(self) -> list:
         """The ``t`` column as CSV text, shared by every model's file."""
         return _column_text(self.times)
@@ -133,18 +128,16 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     """Time span: explicit value, or the default transient window.
 
     The default covers ten lifetimes of the low dressed channel (or of the
-    bare damping if only the ad hoc model runs).  Comparison runs need the
-    true plateau, so they stretch to fifty lifetimes of the slowest mode.
+    bare damping if only the ad hoc model runs).  The comparison's
+    sudden-death search stretches to fifty lifetimes of the slowest of the
+    channel sums and the bare damping (``stationary``).
     """
     if cfg.t_max != "auto":
         return float(cfg.t_max)
     s_low, s_high = microscopic.channel_sums(rates)
     s_bare = rates.emission_bare + rates.absorption_bare
-    if stationary:
-        candidates = [s for s in (s_low, s_high, s_bare) if s > 0]
-        if not candidates:
-            raise ConfigError("cannot choose a time span: all rates vanish")
-        return 50.0 / min(candidates)
+    if stationary:   # stationary_metrics has ruled out that all rates vanish
+        return 50.0 / min(s for s in (s_low, s_high, s_bare) if s > 0)
     anchor = s_low if "micro" in cfg.models else s_bare
     if anchor <= 0:
         raise ConfigError("cannot choose a time span automatically: "
@@ -198,7 +191,7 @@ def _columns_for(wanted):
     return cols
 
 
-def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajectory:
+def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     """Propagate every enabled model and evaluate the requested metrics.
 
     Every emitted snapshot is validated (hermiticity, trace, positivity) at
@@ -207,7 +200,7 @@ def run_scenario(cfg: ScenarioConfig, stationary_span: bool = False) -> Trajecto
     """
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
-    t_max = resolve_t_max(cfg, rates, stationary=stationary_span)
+    t_max = resolve_t_max(cfg, rates)
     times = np.linspace(0.0, t_max, cfg.n_points)
     # integrate.propagate requires a strictly increasing grid; an automatic
     # span that underflowed repeats times
@@ -469,21 +462,44 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
+def stationary_metrics(params: SystemParams, frame, rates,
+                       wanted=STATIONARY_METRICS) -> dict:
+    """model -> metric -> value on the closed-form stationary states.
+
+    The micro state is the rate-ratio one, the phenom state the closed form
+    of ``phenomenological.steady_state``; both are read by the X route.  At
+    coupling 0 the isolated qubit never relaxes and the phenom stationary
+    state is not unique: the closed form is then its coupling -> 0+ limit.
+    """
+    s_low, s_high = microscopic.channel_sums(rates)
+    if s_low == s_high == rates.emission_bare + rates.absorption_bare == 0:
+        raise ConfigError("no stationary state: all rates vanish")
+    states = {"micro": frame.to_computational(microscopic.steady_state(rates)),
+              "phenom": phenomenological.steady_state(params, rates)}
+    out = {}
+    for model, state in states.items():
+        x, ok = metrics.x_elements_from_matrix(state)
+        if not ok:
+            raise AssumptionViolated(f"{model} stationary state is not X-shaped")
+        out[model] = {m: float(fn(x)) for m, fn in (
+            ("concurrence", metrics.concurrence_x),
+            ("discord", metrics.discord_approx_q2),
+            ("linear_entropy", metrics.linear_entropy_q1)) if m in wanted}
+    return out
+
+
 def compare_report(cfg: ScenarioConfig) -> CompareReport:
     """Stationary metric values of both models and their relative gap.
 
-    Stationary value = mean over the final 5% of a grid long enough for the
-    slowest relaxation mode to die out completely.
+    The stationary values come from ``stationary_metrics``.  A trajectory
+    runs only when concurrence is requested, to find each model's sudden
+    death, over fifty lifetimes of the slowest mode
+    (``resolve_t_max(stationary=True)``).
     """
-    if set(cfg.models) != set(MODELS):
-        cfg = replace(cfg, models=MODELS)
-    traj = run_scenario(cfg, stationary_span=True)
-    tail = max(1, int(round(STATIONARY_FRACTION * len(traj.times))))
-
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
     wanted = [m for m in cfg.metrics if m != "populations"]
-    stationary = {model: {m: float(np.mean(traj.series[model][m][-tail:]))
-                          for m in wanted}
-                  for model in MODELS}
+    stationary = stationary_metrics(cfg.params, frame, rates, wanted)
     relative = {}
     for m in wanted:
         mv, pv = stationary["micro"][m], stationary["phenom"][m]
@@ -491,12 +507,13 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
 
     death = {}
     if "concurrence" in cfg.metrics:
+        traj = run_scenario(replace(
+            cfg, models=MODELS, metrics=("concurrence",),
+            t_max=resolve_t_max(cfg, rates, stationary=True)))
         for model in MODELS:
             death[model] = sudden_death_time(traj.times,
                                              traj.series[model]["concurrence"])
 
-    frame = dressed_frame(cfg.params)
-    rates = rate_set(cfg.params, frame)
     micro_thermal, _ = microscopic.thermal_stationarity(
         cfg.params, rates, frame, microscopic.liouvillian(rates, frame))
     ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame)
@@ -504,11 +521,11 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
                     abs(ss_p[0, 2]), abs(ss_p[1, 3]), abs(ss_p[2, 3]))
     phenom_thermal = coherence <= 1e-10
 
-    return CompareReport(label=cfg.label, config=cfg, stationary=stationary,
-                         relative_diff=relative, death_time=death,
-                         micro_thermal=micro_thermal,
+    return CompareReport(label=cfg.label, config=cfg,
+                         stationary=stationary, relative_diff=relative,
+                         death_time=death, micro_thermal=micro_thermal,
                          phenom_thermal=phenom_thermal,
-                         fairness_lines=traj.fairness_lines)
+                         fairness_lines=fairness_check(cfg.params).lines())
 
 
 _SWEEP_AXES = {"temperature": "temperature", "lambda": "coupling",

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dressedbath.metrics import XStateElements
+from dressedbath.metrics import XStateElements, _plog2, von_neumann_entropy
 
 
 def random_density(rng, dim=4):
@@ -77,6 +79,7 @@ def assert_run_matches_dense(cfg):
     """``run_scenario`` gives the series, routes, margins and snapshots of
     ``dense_stages``, bit for bit, or raises the same error; returns its
     trajectory, or None after an error."""
+    from dressedbath.linalg import as_matrices
     from dressedbath.scenarios import run_scenario
     results = []
     for run in (dense_stages, run_scenario):
@@ -95,5 +98,49 @@ def assert_run_matches_dense(cfg):
         for name, column in series.items():
             np.testing.assert_array_equal(bits(traj.series[model][name]),
                                           bits(column))
-        np.testing.assert_array_equal(bits(traj.states[model]), bits(stack))
+        np.testing.assert_array_equal(bits(as_matrices(traj.stacks[model])), bits(stack))
     return traj
+
+
+# -- brute-force discord: the oracle of metrics.discord_approx_q2 --------------
+
+def _fibonacci_directions(n: int) -> np.ndarray:
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def _entropy2(m: np.ndarray) -> np.ndarray:
+    """Entropies of a ``(..., 2, 2)`` stack of qubit states."""
+    tr = (m[..., 0, 0] + m[..., 1, 1]).real
+    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return _plog2(0.5 * (tr + disc)) + _plog2(np.maximum(0.5 * (tr - disc), 0.0))
+
+
+def discord_oracle_q2(rho, grid_n: int = 256) -> float:
+    """Brute-force discord: minimise the conditional entropy of qubit 1 over
+    a Fibonacci-sphere grid of projective measurements on qubit 2.
+
+    Upper-bounds the true minimum; tightens as grid_n grows.
+    """
+    if grid_n < 64:
+        raise ValueError("grid_n must be at least 64")
+    m = np.asarray(rho, dtype=complex)
+    rfold = m.reshape(2, 2, 2, 2)
+    rho_q2 = np.einsum('aiaj->ij', rfold)
+    s_q2 = von_neumann_entropy(rho_q2)
+    s_full = von_neumann_entropy(m)
+
+    nx, ny, nz = _fibonacci_directions(grid_n).T
+    ndots = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]).transpose(2, 0, 1)
+    cond = np.zeros(grid_n)
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sign * ndots)
+        reduced = np.einsum('aibj,gji->gab', rfold, proj)
+        p = (reduced[:, 0, 0] + reduced[:, 1, 1]).real
+        kept = p >= 1e-14
+        cond[kept] += p[kept] * _entropy2(reduced[kept] / p[kept, None, None])
+    return s_q2 - s_full + float(cond.min())

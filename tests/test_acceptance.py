@@ -14,11 +14,11 @@ from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath import scenarios
-from dressedbath.linalg import validate_density
+from dressedbath.linalg import as_matrices, validate_density
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
-from conftest import random_x_state
+from conftest import discord_oracle_q2, random_x_state
 
 
 def ket10():
@@ -219,13 +219,13 @@ def test_criterion_7_metric_property_suites():
         x = random_x_state(rng)
         discord_dev = max(discord_dev,
                           abs(mx.discord_approx_q2(x)
-                              - mx.discord_oracle_q2(x.matrix(), 256)))
+                              - discord_oracle_q2(x.matrix(), 256)))
 
     snapshots = 0
     for cfg in (figure_preset(2), figure_preset(8)[1]):
         traj = run_scenario(cfg)
-        for model, states in traj.states.items():
-            for snapshot in states:
+        for stack in traj.stacks.values():
+            for snapshot in as_matrices(stack):
                 validate_density(snapshot, herm_tol=1e-10,
                                  trace_tol=1e-8, psd_tol=1e-7)
                 snapshots += 1

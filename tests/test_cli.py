@@ -392,6 +392,45 @@ def test_non_numeric_flag_is_named(argv, message, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--figure", "2", "--temp", "abc"],
+     "argument --temp: invalid float value: 'abc'"),
+    (["evolve", "--figure", "2", "--points", "1.5"],
+     "argument --points: invalid int value: '1.5'"),
+    (["evolve", "--figure", "x"], "argument --figure: invalid int value: 'x'"),
+    (["figure", "x"], "argument number: invalid int value: 'x'"),
+    # the list of choices that follows is worded differently across Pythons
+    (["evolve", "--figure", "2", "--model", "both2"],
+     "argument --model: invalid choice: 'both2' "),
+    (["sweep", "--figure", "2", "--values", "1e-3"],
+     "the following arguments are required: --axis"),
+])
+def test_bad_command_line_is_config_error(argv, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    # one line: no usage text, no traceback
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_vanishing_damping_reads_the_same_in_every_stationary_verb(tmp_path,
+                                                                   capsys):
+    path = tmp_path / "undamped.cfg"
+    path.write_text("omega = 4e9\ncoupling = 4e9\ngamma0 = 0\n"
+                    "bath_width = 5e10\nbath_center = 8e9\ntemperature = 5e-4\n",
+                    encoding="utf-8")
+    out_dir = tmp_path / "out"
+    for verb in (["steady"], ["compare"],
+                 ["sweep", "--axis", "temperature", "--values", "1e-3"]):
+        assert main(verb + ["--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: no stationary state: all rates vanish\n")
+    assert not out_dir.exists()
+
+
 def test_steady_with_underflowing_damping_is_config_error(tmp_path, capsys):
     # figure-2 parameters; (g + gbar)^2 underflows to 0 at this damping rate
     path = tmp_path / "tiny.cfg"

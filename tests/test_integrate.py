@@ -6,7 +6,7 @@ import pytest
 from dressedbath import phenomenological as ph
 from dressedbath.cli import main
 from dressedbath.integrate import TraceDrift, propagate, superoperator_from_rhs
-from dressedbath.linalg import NotFinite
+from dressedbath.linalg import NotFinite, as_matrices
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, rate_set
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
@@ -140,7 +140,7 @@ def test_long_phenom_run_ends_at_steady_state(tmp_path):
     assert main(["evolve", "--figure", "2", "--tmax", "10", "--model", "phenom",
                  "--out", str(out_dir)]) == 0
     cfg = replace(figure_preset(2), t_max=10.0, models=("phenom",))
-    final = run_scenario(cfg).states["phenom"][-1]
+    final = as_matrices(run_scenario(cfg).stacks["phenom"])[-1]
     steady = ph.steady_state(cfg.params, rate_set(cfg.params))
     assert np.abs(final - steady).max() <= 1e-12
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from dressedbath import metrics
-from dressedbath.linalg import hermitian_eigs
+from dressedbath.linalg import as_matrices, hermitian_eigs
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  concurrence_x, discord_approx_q2,
-                                 discord_oracle_q2, linear_entropy_q1,
+                                 linear_entropy_q1,
                                  von_neumann_entropy, x_elements_from_dressed,
                                  x_elements_from_matrix)
 from dressedbath.model import SystemParams, dressed_frame
 
-from conftest import random_density, random_unitary, random_x_state
+from conftest import (discord_oracle_q2, random_density, random_unitary,
+                      random_x_state)
 
 
 def bell_matrix():
@@ -346,8 +347,8 @@ class TestArrayMetricsMatchScalar:
         cfg = figure_preset(9)[0]
         traj = run_scenario(cfg)
         if route == "matrix":
-            extracted = [x_elements_from_matrix(states, trace_tol=1e-8)
-                         for states in traj.states.values()]
+            extracted = [x_elements_from_matrix(as_matrices(stack), trace_tol=1e-8)
+                         for stack in traj.stacks.values()]
         else:
             frame = dressed_frame(cfg.params)
             u = frame.unitary

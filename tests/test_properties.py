@@ -2,7 +2,9 @@
 
 A derandomised Hypothesis profile (fixed examples, no example database), so
 the suite stays deterministic.  Parameters are drawn log-uniformly over
-three decades either side of the strong- and the weak-coupling presets.
+three decades either side of the strong- and the weak-coupling presets; the
+temperature is that draw, 0, or a hot bath of k_B T / hbar up to 1e6 times
+the qubit frequency.
 """
 
 import math
@@ -10,14 +12,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_run_matches_dense
-from dressedbath.metrics import XStateElements
-from dressedbath.model import SystemParams, rate_set
-from dressedbath.scenarios import (INITIAL_STATES, METRICS, ScenarioConfig,
-                                   resolve_t_max)
+from dressedbath import phenomenological
+from dressedbath.linalg import validate_density
+from dressedbath.metrics import XStateElements, x_elements_from_matrix
+from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
+from dressedbath.scenarios import (INITIAL_STATES, METRICS, STATIONARY_METRICS,
+                                   ScenarioConfig, compare_report,
+                                   resolve_t_max, stationary_metrics)
 
 STRONG = dict(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
               bath_center=8e9, temperature=5e-4)
@@ -42,8 +47,12 @@ def around(center, decades=3.0):
 def params(draw):
     family = draw(st.sampled_from([STRONG, WEAK]))
     values = {k: draw(around(v)) for k, v in family.items()}
-    if draw(st.booleans()):
+    bath = draw(st.sampled_from(["preset", "zero", "hot"]))
+    if bath == "zero":
         values["temperature"] = 0.0
+    elif bath == "hot":
+        values["temperature"] = (values["omega"] / KB_OVER_HBAR
+                                 * 10.0 ** draw(st.floats(0.0, 6.0)))
     return SystemParams(**values)
 
 
@@ -83,3 +92,47 @@ def test_x_columns_match_the_dense_stages(cfg):
     traj = assert_run_matches_dense(cfg)
     if traj is not None:   # every X-shaped start carries eight X columns
         assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 8)}
+
+
+# a closed-form state is exact to rounding: the generator residual stays
+# within a few hundred roundings of the generator's largest column sum
+RESIDUAL_BOUND = 1e-13
+
+
+def hexed(stationary):
+    """model -> metric -> the exact bits of the value, as float.hex text."""
+    return {m: {k: v.hex() for k, v in d.items()} for m, d in stationary.items()}
+
+
+@PROFILE
+@given(params())
+# a hot bath lifts the micro channel sums far above gamma0
+@example(SystemParams(omega=4e8, coupling=4e11, gamma0=5e7, bath_width=5e10,
+                      bath_center=8e9, temperature=305.53172832424247))
+# coupling >> omega: the dressed energy differences cancel, the Bohr
+# frequencies do not
+@example(SystemParams(omega=93026728.78540233, coupling=2272669760355.3013,
+                      gamma0=4484563.264713445, bath_width=2596328664.6365485,
+                      bath_center=1223030362.3583772,
+                      temperature=8.970129035512959e-07))
+def test_closed_form_stationary_states(p):
+    frame = dressed_frame(p)
+    rates = rate_set(p, frame)
+    # compare reads the stationary values off the closed forms; its
+    # trajectory, over a span too short to matter, serves only the
+    # sudden-death times
+    rep = compare_report(ScenarioConfig(params=p, metrics=STATIONARY_METRICS,
+                                        n_points=2, t_max=1e-12))
+    assert hexed(rep.stationary) == hexed(stationary_metrics(p, frame, rates))
+
+    # micro: microscopic.thermal_stationarity, the rate-ratio state equal to
+    # the Gibbs state and annihilated by microscopic.liouvillian
+    assert rep.micro_thermal
+
+    ss = phenomenological.steady_state(p, rates)
+    assert abs(np.trace(ss) - 1.0) <= 1e-14
+    validate_density(ss)                  # Hermitian, unit trace, PSD
+    assert x_elements_from_matrix(ss)[1]
+    gen = phenomenological.liouvillian_from_ops(p, rates)
+    norm1 = np.abs(gen).sum(axis=0).max()
+    assert np.abs(gen @ ss.reshape(-1)).max() <= RESIDUAL_BOUND * norm1

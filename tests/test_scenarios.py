@@ -6,9 +6,11 @@ import pytest
 
 from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                EVOLVED_TRACE_TOL)
+                                EVOLVED_TRACE_TOL, as_matrices)
 from dressedbath.model import SystemParams, dressed_frame, rate_set
-from dressedbath.scenarios import (MAX_POINTS, ROUTES, CompareReport,
+from dressedbath.cli import main
+from dressedbath.scenarios import (MAX_POINTS, MODELS, ROUTES,
+                                   STATIONARY_METRICS, CompareReport,
                                    ConfigError, OutOfRange, ScenarioConfig,
                                    compare_report, figure_preset,
                                    initial_state_matrix, parse_config,
@@ -207,7 +209,7 @@ class TestRunScenario:
 
     def test_models_subset(self):
         traj = run_scenario(fast_config(models=("phenom",)))
-        assert set(traj.states) == {"phenom"}
+        assert set(traj.stacks) == {"phenom"}
 
     def test_undamped_run_needs_explicit_span(self):
         params = SystemParams(omega=1e3, coupling=1e3, gamma0=0.0,
@@ -249,7 +251,7 @@ class TestSnapshotLayer:
                 assert 0 < held.sum() < len(held)
         # from |1,0>, as in the reference figures, the dressed closed form
         # is the oracle of every micro snapshot's X elements
-        x, ok = metrics.x_elements_from_matrix(traj.states["micro"])
+        x, ok = metrics.x_elements_from_matrix(as_matrices(traj.stacks["micro"]))
         assert ok.all()
         for name in ("p00", "p01", "p10", "p11", "outer", "inner"):
             dev = np.abs(getattr(x, name) - getattr(oracle, name)).max()
@@ -265,7 +267,8 @@ class TestSnapshotLayer:
 
     def test_margins_are_worst_snapshot_values(self):
         traj = run_scenario(fast_config(n_points=200))
-        for model, states in traj.states.items():
+        for model, stack in traj.stacks.items():
+            states = as_matrices(stack)
             herm = [np.abs(m - m.conj().T).max() for m in states]
             trace = [abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
                      for m in states]
@@ -373,7 +376,7 @@ def test_micro_span_past_the_phase_range_ends_stationary():
     frame = dressed_frame(cfg.params)
     stationary = frame.to_computational(
         microscopic.steady_state(rate_set(cfg.params, frame)))
-    assert np.abs(traj.states["micro"][-1] - stationary).max() < 1e-12
+    assert np.abs(as_matrices(traj.stacks["micro"])[-1] - stationary).max() < 1e-12
 
 
 def _per_row_csv_rows(traj, model, cols):
@@ -466,6 +469,53 @@ class TestCompare:
         assert expected > 0.1
         assert rep.stationary["micro"]["concurrence"] == pytest.approx(
             expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tail_mean_oracle_on_presets(self, n):
+        # the former rule: the mean of the last 5% of a trajectory over fifty
+        # lifetimes of the slowest channel sum or bare damping
+        cfg = replace(figure_preset(n), metrics=STATIONARY_METRICS)
+        span = scenarios.resolve_t_max(cfg, rate_set(cfg.params), stationary=True)
+        traj = run_scenario(replace(cfg, t_max=span))
+        tail = max(1, int(round(0.05 * len(traj.times))))
+        rep = compare_report(cfg)
+        for model in MODELS:
+            for m in STATIONARY_METRICS:
+                tail_mean = float(np.mean(traj.series[model][m][-tail:]))
+                assert abs(tail_mean - rep.stationary[model][m]) <= 1e-12, (model, m)
+
+    def test_phenom_slow_mode_is_stationary(self, tmp_path, capsys):
+        # figure-2 parameters with a bath damping far above the coupling: the
+        # phenom coupling-induced mode relaxes at about
+        # coupling^2 / (2 (g + gbar)), 1.2e3 /s, far below every channel sum
+        params = replace(figure_preset(2).params, coupling=7.85e6,
+                         gamma0=4.94e10, temperature=2.03e-3)
+        rep = compare_report(ScenarioConfig(params=params,
+                                            metrics=("linear_entropy",)))
+        value = rep.stationary["phenom"]["linear_entropy"]
+        assert value == pytest.approx(0.4987, abs=1e-4)
+
+        path = tmp_path / "slow.cfg"
+        path.write_text("".join(f"{k} = {getattr(params, k)!r}\n" for k in (
+            "omega", "coupling", "gamma0", "bath_width", "bath_center",
+            "temperature")), encoding="utf-8")
+        assert main(["steady", "--config", str(path)]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("phenom stationary concurrence")]
+        assert line.endswith(f"linear entropy {value:.10g}")
+
+    @pytest.mark.parametrize("n, metric", [(4, "discord"), (6, "linear_entropy")])
+    def test_stationary_values_need_no_trajectory(self, n, metric, monkeypatch,
+                                                  tmp_path, capsys):
+        from dressedbath import integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trajectory was propagated")
+
+        monkeypatch.setattr(integrate, "propagate", refuse)
+        monkeypatch.setattr(microscopic, "propagate_analytic", refuse)
+        assert main(["compare", "--figure", str(n), "--out", str(tmp_path)]) == 0
+        assert f"stationary {metric}: micro" in capsys.readouterr().out
 
     def test_sudden_death_detector(self):
         times = np.linspace(0.0, 1.0, 11)
