@@ -20,13 +20,15 @@ class TraceDrift(Exception):
 
 
 def superoperator_from_rhs(rhs) -> np.ndarray:
-    """16x16 matrix of a linear map on 4x4 matrices, built column by column."""
-    cols = []
-    for k in range(16):
-        basis = np.zeros((4, 4), dtype=complex)
-        basis[divmod(k, 4)] = 1.0
-        cols.append(np.asarray(rhs(basis), dtype=complex).reshape(-1))
-    return np.array(cols).T
+    """16x16 matrix of a linear map on 4x4 matrices; ``rhs`` maps each matrix
+    of a stack, and is called once, on the stack of the 16 basis matrices."""
+    basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    return np.asarray(rhs(basis), dtype=complex).reshape(16, 16).T
+
+
+def _kron(a, b):
+    """``np.kron`` of two 4x4 matrices: the same products, in one multiply."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
 
 
 def lindblad(h: np.ndarray, channels) -> np.ndarray:
@@ -34,7 +36,7 @@ def lindblad(h: np.ndarray, channels) -> np.ndarray:
     dissipator per ``(rate, jump operator)`` channel; zero rates are skipped.
     """
     eye = np.eye(4)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for rate, op in channels:
         if rate == 0.0:
             continue
@@ -43,8 +45,8 @@ def lindblad(h: np.ndarray, channels) -> np.ndarray:
         # an overflowing rate makes inf and nan entries, which propagation
         # reports (NotFinite)
         with np.errstate(over="ignore", invalid="ignore"):
-            gen += rate * (np.kron(op, opd.T)
-                           - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
+            gen += rate * (_kron(op, opd.T)
+                           - 0.5 * (_kron(norm, eye) + _kron(eye, norm.T)))
     return gen
 
 
@@ -76,9 +78,9 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
 
     cols = ENTRIES if entries is None else entries
     v = np.asarray(rho0, dtype=complex).reshape(-1)
-    live = v != 0
-    for _ in range(len(v)):
-        live = live | (generator[:, live] != 0).any(axis=1)
+    live = v != 0   # grown to its fixed point: what the generator reaches
+    while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
+        live = grown
     vec_index = [4 * i + j for i, j in cols]
     # list.index raises ValueError for a reached entry missing from ``cols``
     live_cols = [vec_index.index(k) for k in np.flatnonzero(live).tolist()]

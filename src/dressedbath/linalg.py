@@ -138,12 +138,14 @@ def validate_x(cols, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
 
 
 def _validate(cols, entries, herm_tol, trace_tol, psd_tol) -> Margins:
-    finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
-    first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
+    first_nonfinite = (len(cols) if np.isfinite(cols).all()
+                       else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
 
     mh = np.conj(checked[:, [entries.index((j, i)) for i, j in entries]])
-    herm = np.abs(checked - mh).max(axis=1)
+    # |a - conj(b)| = |b - conj(a)| to the bit: the upper triangle suffices
+    upper = [k for k, (i, j) in enumerate(entries) if i <= j]
+    herm = np.abs(checked[:, upper] - mh[:, upper]).max(axis=1)
     tr = trace_of(checked, entries)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     neg = -_smallest_eigenvalues(0.5 * (checked + mh), entries)

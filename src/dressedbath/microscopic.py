@@ -131,12 +131,14 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
 
         ab0, cd0 = rho0[0, 1], rho0[2, 3]
         ac0, bd0 = rho0[0, 2], rho0[1, 3]
-        pre_low = _decaying_phase(w_low, 0.5 * s1, t) / s2
-        out[:, 0, 1] = pre_low * ((ch + e2 * eh) * ab0 + (1.0 - e2) * ch * cd0)
-        out[:, 2, 3] = pre_low * ((1.0 - e2) * eh * ab0 + (eh + e2 * ch) * cd0)
-        pre_high = _decaying_phase(w_high, 0.5 * s2, t) / s1
-        out[:, 0, 2] = pre_high * ((cl + e1 * el) * ac0 - (1.0 - e1) * cl * bd0)
-        out[:, 1, 3] = pre_high * (-(1.0 - e1) * el * ac0 + (el + e1 * cl) * bd0)
+        # an X-shaped start has none of these four coherences: they stay +0
+        if ab0 != 0 or cd0 != 0 or ac0 != 0 or bd0 != 0:
+            pre_low = _decaying_phase(w_low, 0.5 * s1, t) / s2
+            out[:, 0, 1] = pre_low * ((ch + e2 * eh) * ab0 + (1.0 - e2) * ch * cd0)
+            out[:, 2, 3] = pre_low * ((1.0 - e2) * eh * ab0 + (eh + e2 * ch) * cd0)
+            pre_high = _decaying_phase(w_high, 0.5 * s2, t) / s1
+            out[:, 0, 2] = pre_high * ((cl + e1 * el) * ac0 - (1.0 - e1) * cl * bd0)
+            out[:, 1, 3] = pre_high * (-(1.0 - e1) * el * ac0 + (el + e1 * cl) * bd0)
         out[:, 0, 3] = _decaying_phase(splitting, half_total, t) * rho0[0, 3]
         out[:, 1, 2] = _decaying_phase(w_high - w_low, half_total, t) * rho0[1, 2]
 
@@ -183,7 +185,9 @@ def gibbs_state(frame: DressedFrame, temperature: float) -> np.ndarray:
         # differences of ``frame.energies`` cancel when coupling >> omega
         e = np.array([0.0, frame.bohr_low, frame.bohr_high,
                       frame.bohr_low + frame.bohr_high])
-        w = np.exp(-e / (KB_OVER_HBAR * temperature))
+        # a cold enough bath overflows e / kT to inf, and exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            w = np.exp(-e / (KB_OVER_HBAR * temperature))
         pops = w / w.sum()
     return np.diag(pops).astype(complex)
 

@@ -28,6 +28,9 @@ from .linalg import ENTRIES
 KB_OVER_HBAR = 1.309193e11
 # hottest bath whose kB T / hbar is a finite double (about 1.37e297 K)
 MAX_TEMPERATURE = sys.float_info.max / KB_OVER_HBAR
+# largest frequency magnitude, so that squares of frequencies stay finite;
+# omega must be at least its inverse, so that omega squared stays nonzero
+MAX_FREQUENCY = 1e150
 
 
 class NonPositiveFrequency(ValueError):
@@ -50,8 +53,13 @@ class SystemParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        for name in ("omega", "coupling", "bath_width", "bath_center"):
+            if abs(getattr(self, name)) > MAX_FREQUENCY:
+                raise ValueError(f"{name} must be at most {MAX_FREQUENCY:g} 1/s "
+                                 f"in magnitude, got {getattr(self, name):g}")
+        if not self.omega >= 1 / MAX_FREQUENCY:
+            raise ValueError(f"omega must be at least {1 / MAX_FREQUENCY:g} 1/s, "
+                             f"got {self.omega:g}")
         if not self.bath_width > 0:
             raise ValueError("bath_width must be positive")
         if self.gamma0 < 0:
@@ -203,7 +211,11 @@ def dressed_frame(p: SystemParams) -> DressedFrame:
 
 def spectral_density(p: SystemParams, freq: float) -> float:
     """Lorentzian bath coupling profile, peak value gamma0."""
-    return p.gamma0 * p.bath_width ** 2 / ((freq - p.bath_center) ** 2 + p.bath_width ** 2)
+    den = (freq - p.bath_center) ** 2 + p.bath_width ** 2
+    if den == 0:   # both squares underflow: divide by the width first
+        r = (freq - p.bath_center) / p.bath_width
+        return p.gamma0 / (r * r + 1.0)
+    return p.gamma0 * p.bath_width ** 2 / den
 
 
 def thermal_occupancy(freq: float, temperature: float) -> float:
@@ -213,6 +225,8 @@ def thermal_occupancy(freq: float, temperature: float) -> float:
     if temperature == 0:
         return 0.0
     x = freq / (KB_OVER_HBAR * temperature)
+    if x == 0:   # so hot a bath that the occupancy, about 1/x, overflows
+        return math.inf
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

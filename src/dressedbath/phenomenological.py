@@ -25,12 +25,14 @@ _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _upper_rows(r: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
+    # the matrix axes go first, so r[i, j] is entry (i, j) of every matrix
+    r = np.moveaxis(r, (-2, -1), (0, 1))
     g = rates.emission_bare
     gb = rates.absorption_bare
     il = 0.5j * p.coupling
     om = p.omega
     half = 0.5 * (g + gb)
-    d = np.zeros((4, 4), dtype=complex)
+    d = np.zeros(r.shape, dtype=complex)
 
     d[0, 0] = -gb * r[0, 0] + g * r[1, 1] + il * (r[0, 3] - r[3, 0])
     d[1, 1] = gb * r[0, 0] - g * r[1, 1] + il * (r[1, 2] - r[2, 1])
@@ -45,11 +47,12 @@ def _upper_rows(r: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
     # the coherent feed here is the conjugate ground-sym coherence; the
     # unconjugated one would break Hermiticity of the flow
     d[2, 3] = (1j * om - half) * r[2, 3] + il * (r[2, 0] - r[1, 3])
-    return d
+    return np.moveaxis(d, (0, 1), (-2, -1))
 
 
 def phenom_rhs(rho: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
-    """Time derivative of the computational-basis density matrix.
+    """Time derivative of the computational-basis density matrix, or of each
+    matrix of a ``(..., 4, 4)`` stack.
 
     Uses the bath rates evaluated at the bare qubit frequency; the coupled
     Hamiltonian enters only through the coherent terms.  Only the diagonal
@@ -59,9 +62,9 @@ def phenom_rhs(rho: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
     """
     r = np.asarray(rho, dtype=complex)
     d = _upper_rows(r, p, rates)
-    mirror = _upper_rows(r.conj().T, p, rates)
+    mirror = _upper_rows(np.conj(np.swapaxes(r, -1, -2)), p, rates)
     for i, j in _UPPER:
-        d[j, i] = np.conj(mirror[i, j])
+        d[..., j, i] = np.conj(mirror[..., i, j])
     return d
 
 

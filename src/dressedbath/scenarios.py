@@ -12,14 +12,14 @@ import functools
 import math
 import pathlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .linalg import (_OFF_X, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, X_ENTRIES, as_matrices,
+                     EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite, as_matrices,
                      validate_batch, validate_density, validate_x)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
@@ -137,12 +137,14 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     s_low, s_high = microscopic.channel_sums(rates)
     s_bare = rates.emission_bare + rates.absorption_bare
     if stationary:   # stationary_metrics has ruled out that all rates vanish
-        return 50.0 / min(s for s in (s_low, s_high, s_bare) if s > 0)
-    anchor = s_low if "micro" in cfg.models else s_bare
-    if anchor <= 0:
+        lifetimes, rate = 50.0, min(s for s in (s_low, s_high, s_bare) if s > 0)
+    else:
+        lifetimes, rate = 10.0, s_low if "micro" in cfg.models else s_bare
+    if not (rate > 0 and math.isfinite(lifetimes / rate)):
+        why = "vanishes" if rate == 0 else f"{rate:.3g} /s is too small"
         raise ConfigError("cannot choose a time span automatically: "
-                          "the relaxation rate vanishes; set t_max")
-    return 10.0 / anchor
+                          f"the relaxation rate {why}; set t_max")
+    return lifetimes / rate
 
 
 def _trajectory_metrics(stack, wanted):
@@ -471,6 +473,8 @@ def stationary_metrics(params: SystemParams, frame, rates,
     coupling 0 the isolated qubit never relaxes and the phenom stationary
     state is not unique: the closed form is then its coupling -> 0+ limit.
     """
+    if not all(math.isfinite(r) for r in astuple(rates)):
+        raise NotFinite("bath rates overflow the double range")
     s_low, s_high = microscopic.channel_sums(rates)
     if s_low == s_high == rates.emission_bare + rates.absorption_bare == 0:
         raise ConfigError("no stationary state: all rates vanish")

@@ -352,6 +352,11 @@ def test_file_boundary_os_error_is_config_error(case, tmp_path, capsys):
      "t_max must be positive and finite or 'auto'"),
     (["evolve", "--figure", "2", "--tmax", "inf", "--model", "micro"],
      "t_max must be positive and finite or 'auto'"),
+    # a frequency past the limit would square past the double range
+    (["sweep", "--figure", "2", "--axis", "coupling", "--values", "1e200"],
+     "coupling must be at most 1e+150 1/s in magnitude, got 1e+200"),
+    (["sweep", "--figure", "7", "--axis", "lambda", "--values", "4e9,1.4e154"],
+     "coupling must be at most 1e+150 1/s in magnitude, got 1.4e+154"),
 ])
 def test_out_of_range_input_is_config_error(argv, message, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -443,3 +448,79 @@ def test_steady_with_underflowing_damping_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: stationary state needs (g+gbar)^2, which "
         "underflows to 0 at the damping rate g+gbar = 9.94e-301\n")
+
+
+FIGURE2 = dict(omega="4e9", coupling="4e9", gamma0="5e7", bath_width="5e10",
+               bath_center="8e9", temperature="5e-4")
+
+
+def figure2_config(tmp_path, **changes):
+    path = tmp_path / "figure2.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in
+                            dict(FIGURE2, **changes).items()) + "n_points = 20\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("omega", "1e200", "omega must be at most 1e+150 1/s in magnitude, got 1e+200"),
+    ("coupling", "1.4e154",
+     "coupling must be at most 1e+150 1/s in magnitude, got 1.4e+154"),
+    ("bath_width", "1e300",
+     "bath_width must be at most 1e+150 1/s in magnitude, got 1e+300"),
+    ("bath_center", "-2e150",
+     "bath_center must be at most 1e+150 1/s in magnitude, got -2e+150"),
+    ("omega", "1e-200", "omega must be at least 1e-150 1/s, got 1e-200"),
+])
+@pytest.mark.parametrize("verb", ["spectrum", "steady", "compare", "evolve"])
+def test_extreme_frequency_is_config_error(field, value, message, verb,
+                                           tmp_path, capsys):
+    path = figure2_config(tmp_path, **{field: value})
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady"], ["compare"], ["sweep", "--axis", "temperature", "--values", "1e-3"]])
+def test_overflowing_rates_in_stationary_verbs_are_numeric_error(argv, tmp_path,
+                                                                 capsys):
+    # every bath rate is inf: no stationary value, and no numpy warning first
+    path = figure2_config(tmp_path, gamma0="1e300")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical invariant violated: bath rates overflow the double range\n")
+    assert not out_dir.exists()
+
+
+def test_subnormal_damping_span_is_config_error(tmp_path, capsys):
+    # ten lifetimes of a 4.94e-324 /s channel overflow to an inf span
+    path = figure2_config(tmp_path, gamma0="5e-324")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: cannot choose a time span automatically: the "
+        "relaxation rate 4.94e-324 /s is too small; set t_max\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["steady", "compare"])
+def test_subnormal_temperature_is_silent(verb, tmp_path, capsys):
+    # the Gibbs weights exp(-E / k_B T) are exactly 0, without an overflow warning
+    path = figure2_config(tmp_path, temperature="5e-324")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", str(path), "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "nan" not in out
+    if verb == "compare":
+        assert "micro steady state: thermal" in out

@@ -3,12 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import bits
+from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath.cli import main
-from dressedbath.integrate import TraceDrift, propagate, superoperator_from_rhs
+from dressedbath.integrate import (TraceDrift, lindblad, propagate,
+                                   superoperator_from_rhs)
 from dressedbath.linalg import NotFinite, as_matrices
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
-from dressedbath.model import dressed_frame, rate_set
+from dressedbath.model import dressed_frame, hamiltonian, rate_set
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
                                    resolve_t_max, run_scenario)
 
@@ -148,3 +151,158 @@ def test_long_phenom_run_ends_at_steady_state(tmp_path):
     x, ok = x_elements_from_matrix(steady)
     assert ok
     assert abs(float(last_row.split(",")[1]) - concurrence_x(x)) <= 1e-12
+
+
+def lindblad_kron(h, channels):
+    """The generator as ``lindblad`` assembled it with ``np.kron``: the
+    bit-for-bit reference for its broadcast products."""
+    eye = np.eye(4)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, op in channels:
+        if rate == 0.0:
+            continue
+        opd = op.conj().T
+        norm = opd @ op
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen += rate * (np.kron(op, opd.T)
+                           - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm.T)))
+    return gen
+
+
+def generator_inputs(cfg):
+    """The ``(h, channels)`` of the micro and of the phenom generator, as
+    ``microscopic.liouvillian`` and ``liouvillian_from_ops`` pass them."""
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
+    low, high = mic.jump_operators(frame)
+    micro = (np.diag(np.asarray(frame.energies, dtype=complex)),
+             [(rates.emission_low, low), (rates.emission_high, high),
+              (rates.absorption_low, low.conj().T),
+              (rates.absorption_high, high.conj().T)])
+    lower = np.zeros((4, 4), dtype=complex)
+    lower[0, 1] = lower[2, 3] = 1.0
+    phenom = (hamiltonian(cfg.params), [(rates.emission_bare, lower),
+                                        (rates.absorption_bare, lower.conj().T)])
+    return frame, rates, micro, phenom
+
+
+@pytest.mark.parametrize("cfg", list(preset_configs()), ids=lambda c: c.label)
+def test_lindblad_is_the_kron_generator_to_the_bit(cfg):
+    frame, rates, micro, phenom = generator_inputs(cfg)
+    for (h, channels), production in (
+            (micro, mic.liouvillian(rates, frame)),
+            (phenom, ph.liouvillian_from_ops(cfg.params, rates))):
+        reference = lindblad_kron(h, channels)
+        np.testing.assert_array_equal(bits(lindblad(h, channels)), bits(reference))
+        np.testing.assert_array_equal(bits(production), bits(reference))
+
+
+def random_complex(rng, shape=(4, 4)):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_lindblad_is_the_kron_generator_on_random_operators():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        h = random_complex(rng)
+        channels = [(rng.exponential(), random_complex(rng))
+                    for _ in range(rng.integers(0, 5))]
+        np.testing.assert_array_equal(bits(lindblad(h, channels)),
+                                      bits(lindblad_kron(h, channels)))
+
+
+def test_lindblad_overflow_lands_where_kron_puts_it():
+    # a zero rate is skipped; 1e300 overflows some products to inf and
+    # some sums of infinities to nan, in the same places in both
+    rng = np.random.default_rng(13)
+    h = random_complex(rng)
+    ops = [1e10 * random_complex(rng) for _ in range(4)]
+    channels = [(0.0, ops[0]), (1e300, ops[1]), (1e300, ops[2]), (1.0, ops[3])]
+    gen = lindblad(h, channels)
+    assert np.isinf(gen).any() and np.isnan(gen).any()
+    np.testing.assert_array_equal(bits(gen), bits(lindblad_kron(h, channels)))
+    np.testing.assert_array_equal(bits(lindblad(h, channels[:1])),
+                                  bits(lindblad_kron(h, [])))
+    # figure 2 with gamma0 = 1e300: every bath rate is inf
+    cfg = figure_preset(2)
+    cfg = replace(cfg, params=replace(cfg.params, gamma0=1e300))
+    for h, channels in generator_inputs(cfg)[2:]:
+        gen = lindblad(h, channels)
+        assert np.isnan(gen).any()
+        np.testing.assert_array_equal(bits(gen), bits(lindblad_kron(h, channels)))
+
+
+def superoperator_per_basis(rhs):
+    """``superoperator_from_rhs`` as a loop over the 16 basis matrices, one
+    ``rhs`` call each: the reference for its single call on the stack."""
+    cols = []
+    for k in range(16):
+        basis = np.zeros((4, 4), dtype=complex)
+        basis[divmod(k, 4)] = 1.0
+        cols.append(np.asarray(rhs(basis), dtype=complex).reshape(-1))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("cfg", list(preset_configs()), ids=lambda c: c.label)
+def test_stacked_phenom_oracle_is_the_per_basis_loop(cfg):
+    rates = rate_set(cfg.params)
+    stacked = ph.liouvillian(cfg.params, rates)
+    reference = superoperator_per_basis(lambda m: ph.phenom_rhs(m, cfg.params, rates))
+    # elementwise arithmetic on a stack rounds as on one matrix; the bound
+    # leaves room for a numpy build whose array loops round differently
+    assert np.abs(stacked - reference).max() <= 1e-15 * np.linalg.norm(reference, 1)
+
+
+def reached_in_16_passes(generator, rho0):
+    """The vec entries reachable from ``rho0``, as ``propagate`` found them
+    before it stopped at the fixed point: always 16 passes."""
+    live = np.asarray(rho0).reshape(-1) != 0
+    for _ in range(16):
+        live = live | (generator[:, live] != 0).any(axis=1)
+    return live
+
+
+class _Reached(Exception):
+    pass
+
+
+def assert_propagate_reaches(generator, rho0, expected, monkeypatch):
+    """``propagate`` restricts itself to exactly the entries ``expected``:
+    every one of them must be in ``entries``, and no other one need be."""
+    def stop(_):
+        raise _Reached
+    monkeypatch.setattr(np.linalg, "eig", stop)
+    entries = [divmod(k, 4) for k in np.flatnonzero(expected)]
+    with pytest.raises(_Reached):
+        propagate(generator, rho0, [0.0, 1.0], entries)
+    for k in range(len(entries)):
+        with pytest.raises(ValueError):
+            propagate(generator, rho0, [0.0, 1.0], entries[:k] + entries[k + 1:])
+
+
+def test_reachability_stops_at_the_16_pass_closure(monkeypatch):
+    rng = np.random.default_rng(14)
+    for density in (0.02, 0.05, 0.1, 0.2):
+        for _ in range(25):
+            gen = random_complex(rng, (16, 16)) * (rng.random((16, 16)) < density)
+            rho0 = np.zeros(16, dtype=complex)
+            rho0[rng.choice(16, size=rng.integers(1, 4), replace=False)] = 1.0
+            rho0 = rho0.reshape(4, 4)
+            assert_propagate_reaches(gen, rho0, reached_in_16_passes(gen, rho0),
+                                     monkeypatch)
+
+
+def test_reachability_follows_a_15_step_chain(monkeypatch):
+    # entry order[k] feeds only order[k + 1]: 15 growth steps reach all 16
+    order = np.random.default_rng(15).permutation(16)
+    gen = np.zeros((16, 16), dtype=complex)
+    gen[order[1:], order[:-1]] = 1.0
+    rho0 = np.zeros(16, dtype=complex)
+    rho0[order[0]] = 1.0
+    rho0 = rho0.reshape(4, 4)
+    assert reached_in_16_passes(gen, rho0).all()
+    assert_propagate_reaches(gen, rho0, np.ones(16, dtype=bool), monkeypatch)
+    rho0_late = np.zeros(16, dtype=complex)
+    rho0_late[order[8]] = 1.0
+    expected = np.isin(np.arange(16), order[8:])
+    assert_propagate_reaches(gen, rho0_late.reshape(4, 4), expected, monkeypatch)

@@ -8,7 +8,8 @@ from dressedbath.linalg import (NotFinite, NotHermitian, NotPSD,
                                 validate_density)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
-from conftest import random_density
+from conftest import outcome, random_density, random_x_state
+from test_x_columns import BAD, x_stack
 
 
 def bell_state():
@@ -374,3 +375,68 @@ class TestStackedHermitianEigs:
             assert r.tobytes() == partial_trace_q2(m).tobytes()
             expected = np.einsum("iaja->ij", m.reshape(2, 2, 2, 2))
             assert np.abs(r - expected).max() < 1e-15
+
+
+def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
+    """``linalg._validate`` as it scanned every row for non-finite entries and
+    took the Hermiticity deviation over all entries: the reference for its
+    finite fast path and its upper-triangle deviation."""
+    finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
+    first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
+    checked = cols[:first_nonfinite]
+    mh = np.conj(checked[:, [entries.index((j, i)) for i, j in entries]])
+    herm = np.abs(checked - mh).max(axis=1)
+    tr = linalg.trace_of(checked, entries)
+    tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    neg = -linalg._smallest_eigenvalues(0.5 * (checked + mh), entries)
+    failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
+    if failing.any():
+        i = int(np.argmax(failing))
+        failures = [(cls, name, v[i]) for cls, name, v, tol in (
+            (NotHermitian, "hermiticity", herm, herm_tol),
+            (linalg.TraceNotOne, "trace", tr, trace_tol),
+            (NotPSD, "positivity", neg, psd_tol)) if v[i] > tol]
+        detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
+        cls, _, violation = failures[0]
+        raise cls(f"invalid density matrix: {detail}", violation)
+    if first_nonfinite < len(cols):
+        raise NotFinite("matrix contains non-finite entries")
+    return linalg.Margins(float(herm.max()), float(tr.max()), float(neg.max()))
+
+
+def validation_stacks():
+    """The X stacks of ``test_x_columns`` (one per bad kind and place, and
+    random X states off Hermitian by up to 1e-9), each also as its dense
+    ``(n, 16)`` stack, and random dense stacks with the same noise."""
+    rng = np.random.default_rng(22)
+    x_stacks = [x_stack({index: kind}) for kind in BAD for index in (0, 3, 6)]
+    x_stacks += [x_stack(bad_at) for bad_at in (
+        {2: "negative block eigenvalue", 4: "nan"}, {1: "inf", 3: "hermiticity"},
+        {5: "hermiticity", 1: "trace"})]
+    for _ in range(5):
+        cols = np.array([[x.p00, x.p01, x.p10, x.p11, x.outer, np.conj(x.outer),
+                          x.inner, np.conj(x.inner)]
+                         for x in (random_x_state(rng) for _ in range(200))])
+        cols += 1e-9 * (rng.normal(size=cols.shape) + 1j * rng.normal(size=cols.shape))
+        x_stacks.append(cols)
+    for cols in x_stacks:
+        yield cols, linalg.X_ENTRIES
+        yield linalg.as_matrices(cols).reshape(-1, 16), linalg.ENTRIES
+    for _ in range(5):
+        dense = np.array([random_density(rng) for _ in range(50)]).reshape(-1, 16)
+        yield dense + 1e-11 * rng.normal(size=dense.shape), linalg.ENTRIES
+
+
+def test_validate_equals_the_full_mh_computation():
+    tolerances = [(linalg.HERM_TOL, linalg.TRACE_TOL, linalg.PSD_TOL),
+                  (linalg.EVOLVED_HERM_TOL, linalg.EVOLVED_TRACE_TOL,
+                   linalg.EVOLVED_PSD_TOL)]
+    results = set()
+    for cols, entries in validation_stacks():
+        for tols in tolerances:
+            result = outcome(linalg._validate, cols, entries, *tols)
+            assert result == outcome(validate_full_mh, cols, entries, *tols)
+            results.add(type(result) if isinstance(result, linalg.Margins)
+                        else result[0])
+    assert results == {linalg.Margins, NotHermitian, linalg.TraceNotOne,
+                       NotPSD, NotFinite}

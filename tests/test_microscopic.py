@@ -9,8 +9,10 @@ from dressedbath import microscopic as mic
 from dressedbath.linalg import validate_density
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
+from dressedbath.scenarios import (figure_preset, initial_state_matrix,
+                                   resolve_t_max)
 
-from conftest import random_density
+from conftest import bits, random_density, random_x_state
 
 FIG2 = SystemParams(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
                     bath_center=8e9, temperature=5e-4)
@@ -302,3 +304,41 @@ class TestNumericPropagation:
             numeric = integrate.propagate(
                 mic.liouvillian(rates, frame), ket10_dressed(frame), times)
             assert np.abs(analytic - numeric).max() < 1e-7
+
+
+def preset_configs():
+    for n in range(1, 11):
+        preset = figure_preset(n)
+        yield from preset if isinstance(preset, list) else [preset]
+
+
+# the dressed X entries and the four off-X coherence pairs of the closed form
+X_ROWS, X_COLS = [0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]
+OFF_X_UPPER = ((0, 1), (2, 3), (0, 2), (1, 3))
+
+
+@pytest.mark.parametrize("cfg", list(preset_configs()), ids=lambda c: c.label)
+def test_x_entries_ignore_the_off_x_coherences(cfg):
+    # an X start skips the off-X coherence pairs; a start with them takes the
+    # full closed form, whose X entries read only the X entries of rho0
+    rng = np.random.default_rng(21)
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
+    times = np.linspace(0.0, resolve_t_max(cfg, rates), 300)
+    x_start = frame.to_dressed(initial_state_matrix(cfg, frame))
+    off_x = np.ones((4, 4), dtype=bool)
+    off_x[X_ROWS, X_COLS] = False
+    for rho0 in (x_start, frame.to_dressed(random_x_state(rng).matrix())):
+        out = mic.propagate_analytic(rho0, rates, frame, times)
+        assert (bits(out[:, off_x].real) == 0).all()   # +0 real parts
+        assert not out[:, off_x].any()
+        # each coherence alone, then all four
+        for pairs in [[pair] for pair in OFF_X_UPPER] + [OFF_X_UPPER]:
+            perturbed = rho0.copy()
+            for i, j in pairs:
+                perturbed[i, j] = 1e-3 * complex(*rng.normal(size=2))
+                perturbed[j, i] = np.conj(perturbed[i, j])
+            full = mic.propagate_analytic(perturbed, rates, frame, times)
+            np.testing.assert_array_equal(bits(out[:, X_ROWS, X_COLS]),
+                                          bits(full[:, X_ROWS, X_COLS]))
+            assert full[1, pairs[0][0], pairs[0][1]] != 0
