@@ -20,7 +20,7 @@ import numpy as np
 from . import integrate, metrics, microscopic, phenomenological, scenarios
 from ._version import __version__
 from .integrate import TraceDrift
-from .linalg import StateValidationError
+from .linalg import ENTRIES, StateValidationError
 from .metrics import AssumptionViolated
 from .microscopic import DegenerateRates
 from .model import (dressed_frame, fairness_check, rate_set,
@@ -198,8 +198,8 @@ def cmd_selftest(args):
         rho0 = frame.to_dressed(rho10)
         analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
         gen = microscopic.liouvillian(rates, frame)
-        numeric = integrate.propagate(gen, rho0, times)
-        err = np.abs(analytic - numeric).max()
+        numeric = integrate.propagate(gen, rho0, times, ENTRIES)
+        err = np.abs(analytic.reshape(-1, 16) - numeric).max()
         elapsed = time.perf_counter() - start
         check(f"figure {n} closed form vs integrated generator",
               err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s")

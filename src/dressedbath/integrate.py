@@ -3,14 +3,15 @@
 Both master equations here are linear and time independent, so
 ``vec(rho(t)) = exp(t L) vec(rho(0))``.  ``propagate`` evaluates that
 exponential through one eigendecomposition of the generator, for every
-output time in one array pass, with no time step.
+output time in one array pass, with no time step, and returns the
+trajectory as the ``(n, k)`` columns of the requested entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ENTRIES, NotFinite, trace_of
+from .linalg import NotFinite, trace_of
 
 TRACE_DRIFT_TOL = 1e-8
 
@@ -51,7 +52,7 @@ def lindblad(h: np.ndarray, channels) -> np.ndarray:
 
 
 def propagate(generator: np.ndarray, rho0: np.ndarray, times,
-              entries=None) -> np.ndarray:
+              entries) -> np.ndarray:
     """Trajectory ``exp((t - times[0]) L) vec(rho0)`` on a strictly increasing
     output grid, uniform or not; the first snapshot is ``rho0`` itself.
 
@@ -65,7 +66,7 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     it.  Raises NotFinite for a generator with inf or nan entries, and
     TraceDrift if the trace of the result is off by more than 1e-8 anywhere
     on the grid, naming the first such grid point.  The result is the
-    ``(n, 4, 4)`` stack, or its ``(n, k)`` columns of ``entries`` (such as
+    ``(n, k)`` columns of ``entries`` (``linalg.ENTRIES`` or
     ``linalg.X_ENTRIES``), which must hold every entry reached.
     """
     times = np.asarray(times, dtype=float)
@@ -76,13 +77,12 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     if not np.isfinite(generator).all():
         raise NotFinite("matrix contains non-finite entries")
 
-    cols = ENTRIES if entries is None else entries
     v = np.asarray(rho0, dtype=complex).reshape(-1)
     live = v != 0   # grown to its fixed point: what the generator reaches
     while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
         live = grown
-    vec_index = [4 * i + j for i, j in cols]
-    # list.index raises ValueError for a reached entry missing from ``cols``
+    vec_index = [4 * i + j for i, j in entries]
+    # list.index raises ValueError for a reached entry missing from ``entries``
     live_cols = [vec_index.index(k) for k in np.flatnonzero(live).tolist()]
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
@@ -90,7 +90,7 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
-    out = np.zeros((len(times), len(cols)), dtype=complex)
+    out = np.zeros((len(times), len(entries)), dtype=complex)
     out[0] = v[vec_index]
     # huge finite rates can overflow exp; validation of the evolved states
     # reports the non-finite snapshots (NotFinite)
@@ -98,12 +98,11 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
         out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
                               * coef) @ vecs.T
 
-    drift = np.abs(trace_of(out[1:], cols).real - 1.0)
+    drift = np.abs(trace_of(out[1:], entries).real - 1.0)
     over = np.flatnonzero(drift > TRACE_DRIFT_TOL)
     if len(over):
         i = over[0] + 1
         raise TraceDrift(
             f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
     # evolved states stay Hermitian to fp accuracy; fold the rounding noise
-    out = 0.5 * (out + np.conj(out[:, [cols.index((j, i)) for i, j in cols]]))
-    return out.reshape(-1, 4, 4) if entries is None else out
+    return 0.5 * (out + np.conj(out[:, [entries.index((j, i)) for i, j in entries]]))

@@ -9,14 +9,14 @@ orders are frozen once and for all:
 
 ``model.DressedFrame`` rotates states between the two.  Hermitian spectra
 come from LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity
-check, for one matrix or a stack.  Validation works on a whole
-``(n, 4, 4)`` stack of snapshots in one pass (``validate_batch``; a single
-matrix is a stack of one), or on the ``(n, 8)`` X columns (``X_ENTRIES``)
-that an X-shaped run carries instead (``validate_x``).  The positivity
-check reads the smallest eigenvalue of an X-shaped snapshot (every off-X
-entry exactly zero, as both master equations keep an X-shaped start) in
-closed form from its two 2x2 blocks, and sends only the other snapshots to
-LAPACK.
+check, for one matrix or a stack.  A trajectory is an ``(n, k)`` stack of
+the columns of its ``entries``: all sixteen (``ENTRIES``), or the eight X
+entries (``X_ENTRIES``) that an X-shaped run carries, with +0 at every
+other entry.  ``validate_columns`` checks such a stack in one pass (a
+single matrix is a stack of one).  The positivity check reads the smallest
+eigenvalue of an X-shaped snapshot (every off-X entry exactly zero, as both
+master equations keep an X-shaped start) in closed form from its two 2x2
+blocks, and sends only the other snapshots to LAPACK.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Margins(NamedTuple):
 # the entries outside the diagonal and the antidiagonal of a 4x4 matrix
 _OFF_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])
 
-# the columns of an (n, 16) stack (row-major) and of an (n, 8) X stack
+# the entries of an (n, 16) stack (row-major) and of an (n, 8) X stack
 ENTRIES = tuple(divmod(k, 4) for k in range(16))
 X_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
 
@@ -85,13 +85,11 @@ def trace_of(cols, entries) -> np.ndarray:
     return d[0] + d[1] + d[2] + d[3]
 
 
-def as_matrices(stack) -> np.ndarray:
-    """An ``(n, 4, 4)`` stack itself, or the matrices of an ``(n, 8)`` X
-    stack, with +0 outside the X entries."""
-    if stack.ndim == 3:
-        return stack
-    out = np.zeros((len(stack), 4, 4), dtype=complex)
-    out.reshape(-1, 16)[:, [4 * i + j for i, j in X_ENTRIES]] = stack
+def as_matrices(cols, entries) -> np.ndarray:
+    """The ``(n, 4, 4)`` matrices of an ``(n, k)`` stack of ``entries``,
+    with +0 at every other entry."""
+    out = np.zeros((len(cols), 4, 4), dtype=complex)
+    out.reshape(-1, 16)[:, [4 * i + j for i, j in entries]] = cols
     return out
 
 
@@ -114,30 +112,20 @@ def _smallest_eigenvalues(h, entries) -> np.ndarray:
     return low
 
 
-def validate_batch(stack, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
-                   psd_tol=PSD_TOL) -> Margins:
-    """Check Hermiticity, unit trace and positivity of every matrix in an
-    ``(n, 4, 4)`` stack; return the worst margins.
+def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
+                     psd_tol=PSD_TOL) -> Margins:
+    """Check Hermiticity, unit trace and positivity of every matrix of an
+    ``(n, k)`` stack of ``entries``; return the worst margins.
 
     The first failing matrix decides: non-finite entries raise NotFinite,
     otherwise the first failed check (NotHermitian, then TraceNotOne, then
     NotPSD) is raised, with a message listing every violation of that
     matrix so a broken state is diagnosed in one pass.
     """
-    m = np.asarray(stack, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (4, 4) or len(m) == 0:
-        raise ValueError(f"expected a non-empty (n, 4, 4) stack, got shape {m.shape}")
-    return _validate(m.reshape(len(m), 16), ENTRIES, herm_tol, trace_tol, psd_tol)
-
-
-def validate_x(cols, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
-               psd_tol=PSD_TOL) -> Margins:
-    """``validate_batch`` of the matrices of an ``(n, 8)`` X stack, without
-    building them: the same margins, or the same exception and message."""
-    return _validate(np.asarray(cols, complex), X_ENTRIES, herm_tol, trace_tol, psd_tol)
-
-
-def _validate(cols, entries, herm_tol, trace_tol, psd_tol) -> Margins:
+    cols = np.asarray(cols, dtype=complex)
+    if cols.ndim != 2 or cols.shape[1] != len(entries) or len(cols) == 0:
+        raise ValueError(f"expected a non-empty (n, {len(entries)}) stack, "
+                         f"got shape {cols.shape}")
     first_nonfinite = (len(cols) if np.isfinite(cols).all()
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
@@ -166,12 +154,13 @@ def _validate(cols, entries, herm_tol, trace_tol, psd_tol) -> Margins:
 
 def validate_density(matrix, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
                      psd_tol=PSD_TOL) -> np.ndarray:
-    """Validate one 4x4 matrix (see ``validate_batch``); return it as a
+    """Validate one 4x4 matrix (see ``validate_columns``); return it as a
     read-only complex array."""
     m = np.array(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    validate_batch(m[None], herm_tol=herm_tol, trace_tol=trace_tol, psd_tol=psd_tol)
+    validate_columns(m.reshape(1, 16), ENTRIES, herm_tol=herm_tol,
+                     trace_tol=trace_tol, psd_tol=psd_tol)
     m.setflags(write=False)
     return m
 

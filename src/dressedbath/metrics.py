@@ -10,10 +10,10 @@ minimisation over projective measurements.
 
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
-on scalars.  An X-shaped run carries its X elements as columns
-(``scenarios._trajectory_metrics`` reads them); other trajectories and
-the closed-form stationary states reach them through
-``x_elements_from_matrix``.  ``x_elements_from_dressed`` reads the same
+on scalars.  ``x_elements_from_columns`` reads them off the ``(n, k)``
+columns that every run carries (``scenarios._trajectory_metrics``), and
+``x_elements_from_matrix`` off computational matrices, such as the
+closed-form stationary states.  ``x_elements_from_dressed`` reads the same
 elements off a dressed-basis micro state and serves as its cross-check.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotPSD, hermitian_eigs, partial_trace_q2
+from .linalg import _OFF_X, ENTRIES, NotPSD, hermitian_eigs, partial_trace_q2
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
@@ -117,18 +117,31 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
     return x, ~(np.abs(r[..., 0, 3]) > tol) & x.valid()
 
 
-def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
-                           trace_tol: float = 1e-10):
-    """Read the X elements off a ``(..., 4, 4)`` stack of computational-basis
-    matrices; the mask marks the snapshots whose remaining entries really
-    vanish and whose elements pass ``XStateElements.valid``."""
-    r = np.asarray(rho)
-    off = np.abs(r[..., [0, 0, 1, 2], [1, 2, 3, 3]]).max(axis=-1)
+def x_elements_from_columns(cols, entries, tol: float = X_TOL,
+                            trace_tol: float = 1e-10):
+    """Read the X elements off a ``(..., k)`` stack of the columns of
+    computational-basis ``entries``; the mask marks the snapshots whose
+    upper off-X entries among ``entries`` really vanish (an entry not among
+    them is zero) and whose elements pass ``XStateElements.valid``."""
+    c = np.asarray(cols)
+    at = entries.index
+    upper = [at(e) for e in zip(*_OFF_X) if e[0] < e[1] and e in entries]
+    off = np.abs(c[..., upper]).max(axis=-1, initial=0.0)
     x = XStateElements(
-        p00=r[..., 0, 0].real, p01=r[..., 1, 1].real, p10=r[..., 2, 2].real,
-        p11=r[..., 3, 3].real, outer=r[..., 0, 3], inner=r[..., 1, 2],
+        p00=c[..., at((0, 0))].real, p01=c[..., at((1, 1))].real,
+        p10=c[..., at((2, 2))].real, p11=c[..., at((3, 3))].real,
+        outer=c[..., at((0, 3))], inner=c[..., at((1, 2))],
     )
     return x, ~(off > tol) & x.valid(trace_tol=trace_tol)
+
+
+def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
+                           trace_tol: float = 1e-10):
+    """``x_elements_from_columns`` of a computational-basis matrix or of
+    each matrix of a ``(..., 4, 4)`` stack."""
+    r = np.asarray(rho)
+    return x_elements_from_columns(r.reshape(r.shape[:-2] + (16,)), ENTRIES,
+                                   tol, trace_tol)
 
 
 def concurrence_x(x: XStateElements) -> np.ndarray:

@@ -212,10 +212,11 @@ def dressed_frame(p: SystemParams) -> DressedFrame:
 def spectral_density(p: SystemParams, freq: float) -> float:
     """Lorentzian bath coupling profile, peak value gamma0."""
     den = (freq - p.bath_center) ** 2 + p.bath_width ** 2
-    if den == 0:   # both squares underflow: divide by the width first
+    num = p.gamma0 * p.bath_width ** 2
+    if den == 0 or num == math.inf:   # an under- or overflow: divide by the width first
         r = (freq - p.bath_center) / p.bath_width
         return p.gamma0 / (r * r + 1.0)
-    return p.gamma0 * p.bath_width ** 2 / den
+    return num / den
 
 
 def thermal_occupancy(freq: float, temperature: float) -> float:

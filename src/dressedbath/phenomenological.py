@@ -88,9 +88,9 @@ def liouvillian_from_ops(p: SystemParams, rates: RateSet) -> np.ndarray:
 
 
 def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times,
-              entries=None) -> np.ndarray:
-    """Exact trajectory in the computational basis (``integrate.propagate``
-    of the operator-form generator, optionally only its ``entries``)."""
+              entries) -> np.ndarray:
+    """Exact trajectory in the computational basis: the ``(n, k)`` columns
+    of ``entries`` (``integrate.propagate`` of the operator-form generator)."""
     return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times,
                                entries)
 

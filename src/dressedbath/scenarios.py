@@ -18,9 +18,9 @@ import numpy as np
 
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
-from .linalg import (_OFF_X, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                      EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite, as_matrices,
-                     validate_batch, validate_density, validate_x)
+                     validate_columns, validate_density)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -96,7 +96,8 @@ class ScenarioConfig:
 class Trajectory:
     label: str
     times: np.ndarray
-    stacks: dict            # model -> (n, 4, 4) snapshots, or (n, 8) X columns
+    stacks: dict            # model -> (n, len(entries)) snapshot columns
+    entries: tuple          # linalg.ENTRIES, or linalg.X_ENTRIES for an X start
     series: dict            # model -> column name -> np.ndarray
     margins: dict           # model -> linalg.Margins of its snapshots
     routes: dict            # model -> per-snapshot index into ROUTES
@@ -147,19 +148,16 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
-def _trajectory_metrics(stack, wanted):
-    """Metric columns of a validated trajectory (``Trajectory.stacks``), and
-    the route (index into ROUTES) of each snapshot.
+def _trajectory_metrics(stack, entries, wanted):
+    """Metric columns of a validated trajectory (a ``Trajectory.stacks`` value
+    over ``entries``), and the route (index into ROUTES) of each snapshot.
 
     Each snapshot takes the first route that holds for it: the X elements of
     the computational matrix, then the general forms.  Each route is one
     call per metric on the stack of its snapshots.
     """
-    if stack.ndim == 2:   # columns in X_ENTRIES order
-        x = metrics.XStateElements(*stack[:, :4].real.T, *stack[:, [4, 6]].T)
-        x_ok = x.valid(trace_tol=EVOLVED_TRACE_TOL)
-    else:
-        x, x_ok = metrics.x_elements_from_matrix(stack, trace_tol=EVOLVED_TRACE_TOL)
+    x, x_ok = metrics.x_elements_from_columns(stack, entries,
+                                              trace_tol=EVOLVED_TRACE_TOL)
     route = np.where(x_ok, 0, 1).astype(np.int8)
     cols = {c: np.empty(len(stack)) for c in _columns_for(wanted)}
     x_rows = x.take(x_ok)
@@ -168,7 +166,7 @@ def _trajectory_metrics(stack, wanted):
                      ("linear_entropy", metrics.linear_entropy_q1)):
         if name in wanted:
             cols[name][x_ok] = fn(x_rows)
-    general = as_matrices(stack[~x_ok])
+    general = as_matrices(stack[~x_ok], entries)
     if len(general) and "discord" in wanted:
         # the first non-X snapshot decides: its concurrence runs first
         if "concurrence" in wanted:
@@ -212,28 +210,25 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
             f"{cfg.n_points} strictly increasing times; set t_max")
     rho0_comp = initial_state_matrix(cfg, frame)
     # both models and the basis change keep an X start X-shaped: carry its X columns
-    x_start = not rho0_comp[_OFF_X].any()
+    entries = ENTRIES if rho0_comp[_OFF_X].any() else X_ENTRIES
 
     stacks, series, margins, routes = {}, {}, {}, {}
     for model in cfg.models:
         if model == "micro":
             dressed_traj = microscopic.propagate_analytic(
                 frame.to_dressed(rho0_comp), rates, frame, times)
-            stack = (frame.to_computational_columns(dressed_traj, X_ENTRIES)
-                     if x_start else frame.to_computational(dressed_traj))
+            stack = frame.to_computational_columns(dressed_traj, entries)
         else:
-            stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times,
-                                               X_ENTRIES if x_start else None)
-
-        margins[model] = (validate_x if x_start else validate_batch)(
-            stack, herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
-            psd_tol=EVOLVED_PSD_TOL)
+            stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times, entries)
+        margins[model] = validate_columns(
+            stack, entries, herm_tol=EVOLVED_HERM_TOL,
+            trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
         stacks[model] = stack
-        series[model], routes[model] = _trajectory_metrics(stack, cfg.metrics)
+        series[model], routes[model] = _trajectory_metrics(stack, entries, cfg.metrics)
 
     return Trajectory(label=cfg.label, times=times, stacks=stacks,
-                      series=series, margins=margins, routes=routes,
-                      config=cfg,
+                      entries=entries, series=series, margins=margins,
+                      routes=routes, config=cfg,
                       fairness_lines=fairness_check(cfg.params).lines())
 
 

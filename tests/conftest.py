@@ -38,8 +38,8 @@ def dense_stages(cfg):
     """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, the route of a
     non-X start: per model the stack, its margins, series and routes."""
     from dressedbath import microscopic, phenomenological, scenarios
-    from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                    EVOLVED_TRACE_TOL, validate_batch)
+    from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+                                    EVOLVED_TRACE_TOL, validate_columns)
     from dressedbath.model import dressed_frame, rate_set
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -51,12 +51,14 @@ def dense_stages(cfg):
             stack = frame.to_computational(microscopic.propagate_analytic(
                 frame.to_dressed(rho0), rates, frame, times))
         else:
-            stack = phenomenological.propagate(rho0, cfg.params, rates, times)
-        margins = validate_batch(stack, herm_tol=EVOLVED_HERM_TOL,
-                                 trace_tol=EVOLVED_TRACE_TOL,
-                                 psd_tol=EVOLVED_PSD_TOL)
-        out[model] = (stack, margins) + scenarios._trajectory_metrics(stack,
-                                                                      cfg.metrics)
+            stack = phenomenological.propagate(rho0, cfg.params, rates, times,
+                                               ENTRIES).reshape(-1, 4, 4)
+        margins = validate_columns(stack.reshape(-1, 16), ENTRIES,
+                                   herm_tol=EVOLVED_HERM_TOL,
+                                   trace_tol=EVOLVED_TRACE_TOL,
+                                   psd_tol=EVOLVED_PSD_TOL)
+        out[model] = (stack, margins) + scenarios._trajectory_metrics(
+            stack.reshape(-1, 16), ENTRIES, cfg.metrics)
     return out
 
 
@@ -98,7 +100,8 @@ def assert_run_matches_dense(cfg):
         for name, column in series.items():
             np.testing.assert_array_equal(bits(traj.series[model][name]),
                                           bits(column))
-        np.testing.assert_array_equal(bits(as_matrices(traj.stacks[model])), bits(stack))
+        np.testing.assert_array_equal(
+            bits(as_matrices(traj.stacks[model], traj.entries)), bits(stack))
     return traj
 
 

@@ -14,7 +14,7 @@ from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath import scenarios
-from dressedbath.linalg import as_matrices, validate_density
+from dressedbath.linalg import ENTRIES, as_matrices, validate_density
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
@@ -51,7 +51,7 @@ def test_criterion_1_solver_cross_validation():
         rho0 = frame.unitary.conj().T @ ket10() @ frame.unitary
         analytic = mic.propagate_analytic(rho0, rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times)
+                                      times, ENTRIES).reshape(-1, 4, 4)
         elapsed = time.perf_counter() - start
         worst_dev = max(worst_dev, np.abs(analytic - numeric).max())
         worst_time = max(worst_time, elapsed)
@@ -85,7 +85,8 @@ def test_criterion_3_phenom_steady_state_not_thermal():
     frame = dressed_frame(p)
     rates = rate_set(p, frame)
     span = 50.0 / (rates.emission_bare + rates.absorption_bare)
-    traj = ph.propagate(ket10(), p, rates, np.linspace(0.0, span, 500))
+    traj = ph.propagate(ket10(), p, rates, np.linspace(0.0, span, 500),
+                        ENTRIES).reshape(-1, 4, 4)
     closed = ph.steady_state(p, rates)
     integ_dev = np.abs(traj[-1] - closed).max()
 
@@ -225,7 +226,7 @@ def test_criterion_7_metric_property_suites():
     for cfg in (figure_preset(2), figure_preset(8)[1]):
         traj = run_scenario(cfg)
         for stack in traj.stacks.values():
-            for snapshot in as_matrices(stack):
+            for snapshot in as_matrices(stack, traj.entries):
                 validate_density(snapshot, herm_tol=1e-10,
                                  trace_tol=1e-8, psd_tol=1e-7)
                 snapshots += 1

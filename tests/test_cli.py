@@ -1,8 +1,12 @@
+import math
 import warnings
+from dataclasses import astuple
 
 import pytest
 
 from dressedbath.cli import build_parser, main
+from dressedbath.model import dressed_frame, rate_set, spectral_density
+from dressedbath.scenarios import parse_config
 
 FAST_CONFIG = """
 omega = 1e3
@@ -220,8 +224,7 @@ def test_non_finite_evolved_state_is_numeric_error(gamma0, tmp_path, capsys):
 
 def test_underflowing_time_span_is_config_error(tmp_path, capsys):
     # the automatic span, 10 over the overflowing bare damping rate, is 0
-    path = tmp_path / "huge.cfg"
-    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0="1e300"), encoding="utf-8")
+    path = figure2_config(tmp_path, gamma0="1e300", temperature="1e100")
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -485,11 +488,12 @@ def test_extreme_frequency_is_config_error(field, value, message, verb,
 
 
 @pytest.mark.parametrize("argv", [
-    ["steady"], ["compare"], ["sweep", "--axis", "temperature", "--values", "1e-3"]])
+    ["steady"], ["compare"], ["sweep", "--axis", "temperature", "--values", "1e100"]])
 def test_overflowing_rates_in_stationary_verbs_are_numeric_error(argv, tmp_path,
                                                                  capsys):
-    # every bath rate is inf: no stationary value, and no numpy warning first
-    path = figure2_config(tmp_path, gamma0="1e300")
+    # a 1e100 K bath makes every bath rate inf: no stationary value, and no
+    # numpy warning first
+    path = figure2_config(tmp_path, gamma0="1e300", temperature="1e100")
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -497,6 +501,22 @@ def test_overflowing_rates_in_stationary_verbs_are_numeric_error(argv, tmp_path,
     assert capsys.readouterr() == (
         "", "numerical invariant violated: bath rates overflow the double range\n")
     assert not out_dir.exists()
+
+
+def test_widest_bath_keeps_finite_rates(tmp_path, capsys):
+    # gamma0 * bath_width ** 2 overflows, but the Lorentzian is at most gamma0
+    path = figure2_config(tmp_path, gamma0="1e9", bath_width="1e150")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--config", str(path)]) == 0
+        assert main(["steady", "--config", str(path)]) == 0
+    assert "J(low) = 1000000000, " in capsys.readouterr().out
+    p = parse_config(path.read_text(encoding="utf-8")).params
+    frame = dressed_frame(p)
+    assert all(math.isfinite(r) for r in astuple(rate_set(p, frame)))
+    for freq in (frame.bohr_low, frame.bohr_high, p.omega):
+        r = (freq - p.bath_center) / p.bath_width
+        assert spectral_density(p, freq) == p.gamma0 / (r * r + 1.0)
 
 
 def test_subnormal_damping_span_is_config_error(tmp_path, capsys):

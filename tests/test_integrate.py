@@ -9,7 +9,7 @@ from dressedbath import phenomenological as ph
 from dressedbath.cli import main
 from dressedbath.integrate import (TraceDrift, lindblad, propagate,
                                    superoperator_from_rhs)
-from dressedbath.linalg import NotFinite, as_matrices
+from dressedbath.linalg import ENTRIES, NotFinite, as_matrices
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, hamiltonian, rate_set
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
@@ -45,7 +45,7 @@ def test_superoperator_matches_direct_map():
 
 def test_rejects_non_increasing_grid():
     with pytest.raises(ValueError):
-        propagate(np.zeros((16, 16)), np.eye(4) / 4, [0.0, 1.0, 1.0])
+        propagate(np.zeros((16, 16)), np.eye(4) / 4, [0.0, 1.0, 1.0], ENTRIES)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -53,7 +53,7 @@ def test_non_finite_generator_is_not_finite(bad):
     gen = np.zeros((16, 16), dtype=complex)
     gen[3, 7] = bad
     with pytest.raises(NotFinite):
-        propagate(gen, np.eye(4, dtype=complex) / 4, [0.0, 1.0])
+        propagate(gen, np.eye(4, dtype=complex) / 4, [0.0, 1.0], ENTRIES)
 
 
 def test_trace_leak_raises_trace_drift():
@@ -61,14 +61,16 @@ def test_trace_leak_raises_trace_drift():
     # eigenvalues are all 0.1, far from the pinned-zero window
     leak = 0.1 * np.eye(16, dtype=complex)
     with pytest.raises(TraceDrift):
-        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 50.0, 20))
+        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 50.0, 20),
+                  ENTRIES)
 
 
 def test_trace_drift_reports_first_offending_point():
     # the trace grows as exp(2.2e-8 t): 8.8e-9 off at t = 0.4, 1.1e-8 at 0.5
     leak = 2.2e-8 * np.eye(16, dtype=complex)
     with pytest.raises(TraceDrift) as err:
-        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 1.0, 11))
+        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 1.0, 11),
+                  ENTRIES)
     assert str(err.value) == "trace drifted by 1.100e-08 at t=5.000000e-01"
 
 
@@ -79,7 +81,7 @@ def test_unitary_generator_preserves_trace_and_hermiticity():
     eye = np.eye(4)
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    traj = propagate(gen, rho0, np.linspace(0.0, 3.0, 40))
+    traj = propagate(gen, rho0, np.linspace(0.0, 3.0, 40), ENTRIES).reshape(-1, 4, 4)
     traces = np.einsum('tii->t', traj)
     assert np.abs(traces - 1.0).max() < 1e-10
     assert np.abs(traj - np.conj(np.swapaxes(traj, 1, 2))).max() < 1e-12
@@ -91,7 +93,8 @@ def test_unreachable_entries_stay_exactly_zero():
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     times = np.linspace(0.0, resolve_t_max(cfg, rates), 50)
-    traj = ph.propagate(initial_state_matrix(cfg, frame), cfg.params, rates, times)
+    traj = ph.propagate(initial_state_matrix(cfg, frame), cfg.params, rates, times,
+                        ENTRIES).reshape(-1, 4, 4)
     off_x = np.ones((4, 4), dtype=bool)
     off_x[[0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]] = False
     assert not traj[:, off_x].any()
@@ -104,9 +107,11 @@ def test_grid_may_start_late_and_be_non_uniform():
     rates = rate_set(cfg.params, frame)
     span = resolve_t_max(cfg, rates)
     rho0 = initial_state_matrix(cfg, frame)
-    whole = ph.propagate(rho0, cfg.params, rates, np.linspace(0.0, span, 5))
+    whole = ph.propagate(rho0, cfg.params, rates, np.linspace(0.0, span, 5),
+                         ENTRIES).reshape(-1, 4, 4)
     late = ph.propagate(rho0, cfg.params, rates,
-                        span * np.array([1.0, 1.01, 1.5, 1.75, 2.0]))
+                        span * np.array([1.0, 1.01, 1.5, 1.75, 2.0]),
+                        ENTRIES).reshape(-1, 4, 4)
     assert np.abs(late[[0, 2, 3, 4]] - whole[[0, 2, 3, 4]]).max() < 1e-11
 
 
@@ -118,7 +123,8 @@ def test_phenom_presets_match_expm(cfg, expm):
     rho0 = initial_state_matrix(cfg, frame)
     gen = ph.liouvillian_from_ops(cfg.params, rates)
     exact = expm_trajectory(expm, gen, rho0, times)
-    assert np.abs(propagate(gen, rho0, times) - exact).max() <= 1e-11
+    traj = propagate(gen, rho0, times, ENTRIES).reshape(-1, 4, 4)
+    assert np.abs(traj - exact).max() <= 1e-11
 
 
 def test_exceptional_point_matches_expm(expm):
@@ -134,7 +140,8 @@ def test_exceptional_point_matches_expm(expm):
     rho0[2, 2] = 1.0
     times = np.linspace(0.0, 10.0 / (rates.emission_bare + rates.absorption_bare), 9)
     exact = expm_trajectory(expm, gen, rho0, times)
-    assert np.abs(propagate(gen, rho0, times) - exact).max() <= 1e-10
+    traj = propagate(gen, rho0, times, ENTRIES).reshape(-1, 4, 4)
+    assert np.abs(traj - exact).max() <= 1e-10
 
 
 def test_long_phenom_run_ends_at_steady_state(tmp_path):
@@ -143,7 +150,8 @@ def test_long_phenom_run_ends_at_steady_state(tmp_path):
     assert main(["evolve", "--figure", "2", "--tmax", "10", "--model", "phenom",
                  "--out", str(out_dir)]) == 0
     cfg = replace(figure_preset(2), t_max=10.0, models=("phenom",))
-    final = as_matrices(run_scenario(cfg).stacks["phenom"])[-1]
+    traj = run_scenario(cfg)
+    final = as_matrices(traj.stacks["phenom"], traj.entries)[-1]
     steady = ph.steady_state(cfg.params, rate_set(cfg.params))
     assert np.abs(final - steady).max() <= 1e-12
 
@@ -223,9 +231,9 @@ def test_lindblad_overflow_lands_where_kron_puts_it():
     np.testing.assert_array_equal(bits(gen), bits(lindblad_kron(h, channels)))
     np.testing.assert_array_equal(bits(lindblad(h, channels[:1])),
                                   bits(lindblad_kron(h, [])))
-    # figure 2 with gamma0 = 1e300: every bath rate is inf
+    # figure 2 with gamma0 = 1e300 and a 1e100 K bath: every bath rate is inf
     cfg = figure_preset(2)
-    cfg = replace(cfg, params=replace(cfg.params, gamma0=1e300))
+    cfg = replace(cfg, params=replace(cfg.params, gamma0=1e300, temperature=1e100))
     for h, channels in generator_inputs(cfg)[2:]:
         gen = lindblad(h, channels)
         assert np.isnan(gen).any()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dressedbath import linalg
-from dressedbath.linalg import (NotFinite, NotHermitian, NotPSD,
-                                StateValidationError, hermitian_eigs,
-                                partial_trace_q2, validate_batch,
+from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotFinite, NotHermitian,
+                                NotPSD, StateValidationError, hermitian_eigs,
+                                partial_trace_q2, validate_columns,
                                 validate_density)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
@@ -206,7 +206,7 @@ class TestValidateBatch:
         with pytest.raises(StateValidationError) as single:
             validate_density(self.bad(kind))
         with pytest.raises(StateValidationError) as stacked:
-            validate_batch(self.stack({index: kind}))
+            validate_columns(self.stack({index: kind}).reshape(-1, 16), ENTRIES)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.violation == single.value.violation
@@ -221,16 +221,16 @@ class TestValidateBatch:
         with pytest.raises(expected) as single:
             validate_density(first)
         with pytest.raises(expected) as stacked:
-            validate_batch(self.stack(bad_at))
+            validate_columns(self.stack(bad_at).reshape(-1, 16), ENTRIES)
         assert str(stacked.value) == str(single.value)
 
     def test_evolved_tolerances_apply(self):
         loose = dict(herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-7)
         m = self.GOOD.copy()
         m[0, 0] += 5e-9                     # within 1e-8, beyond 1e-10
-        validate_batch(m[None], **loose)
+        validate_columns(m.reshape(-1, 16), ENTRIES, **loose)
         with pytest.raises(linalg.TraceNotOne):
-            validate_batch(m[None])
+            validate_columns(m.reshape(-1, 16), ENTRIES)
 
     def test_non_finite_is_a_value_error(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -239,7 +239,20 @@ class TestValidateBatch:
     def test_rejects_bad_shapes(self):
         for shape in ((4, 4), (0, 4, 4), (3, 3, 3)):
             with pytest.raises(ValueError, match="stack"):
-                validate_batch(np.zeros(shape))
+                validate_columns(np.zeros(shape), ENTRIES)
+
+
+def test_validate_columns_checks_its_shape():
+    good = np.eye(4, dtype=complex).reshape(1, 16) / 4
+    x_good = good[:, [4 * i + j for i, j in X_ENTRIES]]
+    assert validate_columns(good, ENTRIES) == validate_columns(x_good, X_ENTRIES)
+    for cols, entries in ((x_good, ENTRIES), (good, X_ENTRIES),        # column count
+                          (good[:, :15], ENTRIES),
+                          (good[:0], ENTRIES), (x_good[:0], X_ENTRIES),  # empty
+                          (good.reshape(1, 4, 4), ENTRIES),           # 3-D
+                          (x_good.reshape(1, 1, 8), X_ENTRIES)):
+        with pytest.raises(ValueError, match=rf"non-empty \(n, {len(entries)}\) stack"):
+            validate_columns(cols, entries)
 
 
 def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
@@ -258,7 +271,7 @@ def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
 
 
 class TestClosedFormPositivity:
-    """validate_batch reads an X-shaped snapshot's smallest eigenvalue off its
+    """validate_columns reads an X-shaped snapshot's smallest eigenvalue off its
     two 2x2 blocks; LAPACK gets only the other snapshots."""
 
     NO_BOUNDS = dict(trace_tol=np.inf, psd_tol=np.inf)
@@ -301,27 +314,30 @@ class TestClosedFormPositivity:
         assert (off_x == 0).all()
         assert np.signbit(off_x.real).any() and not np.signbit(off_x.real).all()
         eps = np.finfo(float).eps
-        singles = [validate_batch(m[None], **self.NO_BOUNDS).positivity
+        singles = [validate_columns(m.reshape(-1, 16), ENTRIES,
+                                    **self.NO_BOUNDS).positivity
                    for m in stack]
         assert lapack_calls == []
         for m, neg in zip(stack, singles):
             expected = -np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
             assert abs(neg - expected) <= 4 * eps * np.abs(m).max()
-        assert validate_batch(stack, **self.NO_BOUNDS).positivity == max(singles)
+        assert validate_columns(stack.reshape(-1, 16), ENTRIES,
+                                **self.NO_BOUNDS).positivity == max(singles)
 
     def test_evolved_tolerance_edges(self, rng):
         tol = linalg.EVOLVED_PSD_TOL
         loose = dict(herm_tol=linalg.EVOLVED_HERM_TOL, trace_tol=np.inf,
                      psd_tol=tol)
-        validate_batch(x_shaped((-0.5 * tol, 0.6), (0.1, 0.3), rng)[None], **loose)
+        validate_columns(x_shaped((-0.5 * tol, 0.6), (0.1, 0.3), rng).reshape(-1, 16),
+                         ENTRIES, **loose)
         with pytest.raises(NotPSD):
-            validate_batch(x_shaped((-2.0 * tol, 0.6), (0.1, 0.3), rng)[None],
-                           **loose)
+            validate_columns(x_shaped((-2.0 * tol, 0.6), (0.1, 0.3), rng).reshape(-1, 16),
+                             ENTRIES, **loose)
 
     def test_tiny_off_x_entry_goes_to_lapack(self, rng, lapack_calls):
         stack = np.array([x_shaped((0.1, 0.4), (0.2, 0.3), rng) for _ in range(5)])
         stack[2, 0, 1] = stack[2, 1, 0] = 1e-300
-        validate_batch(stack)
+        validate_columns(stack.reshape(-1, 16), ENTRIES)
         assert lapack_calls == [1]
 
     @pytest.mark.parametrize("first, second", [(1, 3), (3, 1)])
@@ -335,7 +351,7 @@ class TestClosedFormPositivity:
         with pytest.raises(NotPSD) as single:
             validate_density(stack[min(first, second)])
         with pytest.raises(NotPSD) as stacked:
-            validate_batch(stack)
+            validate_columns(stack.reshape(-1, 16), ENTRIES)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.violation == single.value.violation
 
@@ -378,7 +394,7 @@ class TestStackedHermitianEigs:
 
 
 def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
-    """``linalg._validate`` as it scanned every row for non-finite entries and
+    """``linalg.validate_columns`` as it scanned every row for non-finite entries and
     took the Hermiticity deviation over all entries: the reference for its
     finite fast path and its upper-triangle deviation."""
     finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
@@ -421,7 +437,7 @@ def validation_stacks():
         x_stacks.append(cols)
     for cols in x_stacks:
         yield cols, linalg.X_ENTRIES
-        yield linalg.as_matrices(cols).reshape(-1, 16), linalg.ENTRIES
+        yield linalg.as_matrices(cols, X_ENTRIES).reshape(-1, 16), ENTRIES
     for _ in range(5):
         dense = np.array([random_density(rng) for _ in range(50)]).reshape(-1, 16)
         yield dense + 1e-11 * rng.normal(size=dense.shape), linalg.ENTRIES
@@ -434,7 +450,8 @@ def test_validate_equals_the_full_mh_computation():
     results = set()
     for cols, entries in validation_stacks():
         for tols in tolerances:
-            result = outcome(linalg._validate, cols, entries, *tols)
+            result = outcome(validate_columns, cols, entries, herm_tol=tols[0],
+                             trace_tol=tols[1], psd_tol=tols[2])
             assert result == outcome(validate_full_mh, cols, entries, *tols)
             results.add(type(result) if isinstance(result, linalg.Margins)
                         else result[0])

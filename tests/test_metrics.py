@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dressedbath import metrics
-from dressedbath.linalg import as_matrices, hermitian_eigs
+from dressedbath.linalg import ENTRIES, as_matrices, hermitian_eigs
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  concurrence_x, discord_approx_q2,
                                  linear_entropy_q1,
@@ -347,7 +347,8 @@ class TestArrayMetricsMatchScalar:
         cfg = figure_preset(9)[0]
         traj = run_scenario(cfg)
         if route == "matrix":
-            extracted = [x_elements_from_matrix(as_matrices(stack), trace_tol=1e-8)
+            extracted = [x_elements_from_matrix(as_matrices(stack, traj.entries),
+                                                trace_tol=1e-8)
                          for stack in traj.stacks.values()]
         else:
             frame = dressed_frame(cfg.params)
@@ -476,7 +477,7 @@ class TestTrajectoryRouteErrors:
         from dressedbath.scenarios import _trajectory_metrics
         comp = self.stack(rng, kinds)
         with pytest.raises((metrics.NotPSD, metrics.AssumptionViolated)) as err:
-            _trajectory_metrics(comp, wanted)
+            _trajectory_metrics(comp.reshape(-1, 16), ENTRIES, wanted)
         assert type(err.value) is expected
         if expected is metrics.NotPSD:
             with pytest.raises(metrics.NotPSD) as single:

@@ -6,7 +6,7 @@ import pytest
 
 from dressedbath import integrate
 from dressedbath import microscopic as mic
-from dressedbath.linalg import validate_density
+from dressedbath.linalg import ENTRIES, validate_density
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
@@ -254,7 +254,7 @@ class TestNumericPropagation:
         times = np.linspace(0.0, 1.0, 11)
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         traj = integrate.propagate(np.zeros((16, 16), dtype=complex), rho0,
-                                   times)
+                                   times, ENTRIES).reshape(-1, 4, 4)
         assert np.abs(traj - rho0).max() == 0.0
 
     def test_matches_analytic_from_arbitrary_state(self, rng):
@@ -265,7 +265,7 @@ class TestNumericPropagation:
         times = np.linspace(0.0, span, 300)
         analytic = mic.propagate_analytic(rho0, rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times)
+                                      times, ENTRIES).reshape(-1, 4, 4)
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_every_snapshot_valid(self):
@@ -285,7 +285,8 @@ class TestNumericPropagation:
         times = np.concatenate([[0.0], np.geomspace(span * 1e-3, span, 40)])
         analytic = mic.propagate_analytic(ket10_dressed(frame), rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame),
-                                      ket10_dressed(frame), times)
+                                      ket10_dressed(frame), times,
+                                      ENTRIES).reshape(-1, 4, 4)
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_matches_analytic_weak_coupling(self):
@@ -302,7 +303,8 @@ class TestNumericPropagation:
             analytic = mic.propagate_analytic(ket10_dressed(frame), rates,
                                               frame, times)
             numeric = integrate.propagate(
-                mic.liouvillian(rates, frame), ket10_dressed(frame), times)
+                mic.liouvillian(rates, frame), ket10_dressed(frame), times,
+                ENTRIES).reshape(-1, 4, 4)
             assert np.abs(analytic - numeric).max() < 1e-7
 
 

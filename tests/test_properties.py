@@ -4,7 +4,8 @@ A derandomised Hypothesis profile (fixed examples, no example database), so
 the suite stays deterministic.  Parameters are drawn log-uniformly over
 three decades either side of the strong- and the weak-coupling presets; the
 temperature is that draw, 0, or a hot bath of k_B T / hbar up to 1e6 times
-the qubit frequency.
+the qubit frequency.  Starts are X-shaped (eight X columns per snapshot) or
+not (all sixteen).
 """
 
 import math
@@ -12,17 +13,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_run_matches_dense
 from dressedbath import phenomenological
-from dressedbath.linalg import validate_density
-from dressedbath.metrics import XStateElements, x_elements_from_matrix
+from dressedbath.cli import NUMERIC_ERRORS
+from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+                                EVOLVED_TRACE_TOL, as_matrices, validate_density)
+from dressedbath.metrics import (XStateElements, concurrence_general,
+                                 x_elements_from_matrix)
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import (INITIAL_STATES, METRICS, STATIONARY_METRICS,
                                    ScenarioConfig, compare_report,
-                                   resolve_t_max, stationary_metrics)
+                                   resolve_t_max, run_scenario,
+                                   stationary_metrics)
 
 STRONG = dict(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
               bath_center=8e9, temperature=5e-4)
@@ -72,14 +77,30 @@ def x_states(draw):
 
 
 @st.composite
-def x_configs(draw):
+def non_x_states(draw):
+    """A Ginibre state A A^dagger / tr (full rank almost surely) or a pure
+    state, with an upper off-X entry above 1e-2 in magnitude."""
+    unit = st.floats(-1.0, 1.0)
+    size = 16 if draw(st.booleans()) else 4
+    a = np.array([complex(draw(unit), draw(unit)) for _ in range(size)])
+    a = a.reshape(4, size // 4)
+    rho = a @ a.conj().T
+    tr = np.trace(rho).real
+    assume(tr > 1e-3)
+    rho = rho / tr
+    assume(max(abs(rho[0, 1]), abs(rho[0, 2]), abs(rho[1, 3]), abs(rho[2, 3])) > 1e-2)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@st.composite
+def configs(draw, states, metrics=METRICS):
     p = draw(params())
-    metrics = draw(st.sets(st.sampled_from(METRICS), min_size=1))
+    wanted = draw(st.sets(st.sampled_from(metrics), min_size=1))
     cfg = ScenarioConfig(
         params=p,
-        initial_state=draw(st.one_of(st.sampled_from(INITIAL_STATES), x_states())),
+        initial_state=draw(states),
         n_points=draw(st.integers(2, 120)),
-        metrics=tuple(m for m in METRICS if m in metrics))
+        metrics=tuple(m for m in METRICS if m in wanted))
     if draw(st.booleans()):   # an explicit span around the automatic one
         span = resolve_t_max(cfg, rate_set(p)) * 10.0 ** draw(st.floats(-3.0, 2.0))
         cfg = replace(cfg, t_max=span)
@@ -87,11 +108,31 @@ def x_configs(draw):
 
 
 @PROFILE
-@given(x_configs())
+@given(configs(st.one_of(st.sampled_from(INITIAL_STATES), x_states())))
 def test_x_columns_match_the_dense_stages(cfg):
     traj = assert_run_matches_dense(cfg)
     if traj is not None:   # every X-shaped start carries eight X columns
         assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 8)}
+
+
+@settings(PROFILE, max_examples=50)
+@given(configs(non_x_states(), ("concurrence", "linear_entropy", "populations")))
+def test_non_x_start_carries_all_sixteen_columns(cfg):
+    try:
+        traj = run_scenario(cfg)
+    except NUMERIC_ERRORS:
+        return
+    assert traj.entries == ENTRIES
+    assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 16)}
+    for model, stack in traj.stacks.items():
+        margins = traj.margins[model]
+        assert margins.hermiticity <= EVOLVED_HERM_TOL
+        assert margins.trace <= EVOLVED_TRACE_TOL
+        assert margins.positivity <= EVOLVED_PSD_TOL
+        if "concurrence" in cfg.metrics:
+            # snapshots whose off-X entries decayed below 1e-10 take the X route
+            general = concurrence_general(as_matrices(stack, ENTRIES))
+            assert np.abs(traj.series[model]["concurrence"] - general).max() <= 1e-8
 
 
 # a closed-form state is exact to rounding: the generator residual stays

@@ -251,7 +251,8 @@ class TestSnapshotLayer:
                 assert 0 < held.sum() < len(held)
         # from |1,0>, as in the reference figures, the dressed closed form
         # is the oracle of every micro snapshot's X elements
-        x, ok = metrics.x_elements_from_matrix(as_matrices(traj.stacks["micro"]))
+        x, ok = metrics.x_elements_from_matrix(
+            as_matrices(traj.stacks["micro"], traj.entries))
         assert ok.all()
         for name in ("p00", "p01", "p10", "p11", "outer", "inner"):
             dev = np.abs(getattr(x, name) - getattr(oracle, name)).max()
@@ -268,7 +269,7 @@ class TestSnapshotLayer:
     def test_margins_are_worst_snapshot_values(self):
         traj = run_scenario(fast_config(n_points=200))
         for model, stack in traj.stacks.items():
-            states = as_matrices(stack)
+            states = as_matrices(stack, traj.entries)
             herm = [np.abs(m - m.conj().T).max() for m in states]
             trace = [abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
                      for m in states]
@@ -376,7 +377,8 @@ def test_micro_span_past_the_phase_range_ends_stationary():
     frame = dressed_frame(cfg.params)
     stationary = frame.to_computational(
         microscopic.steady_state(rate_set(cfg.params, frame)))
-    assert np.abs(as_matrices(traj.stacks["micro"])[-1] - stationary).max() < 1e-12
+    final = as_matrices(traj.stacks["micro"], traj.entries)[-1]
+    assert np.abs(final - stationary).max() < 1e-12
 
 
 def _per_row_csv_rows(traj, model, cols):

@@ -1,8 +1,9 @@
-"""An X-shaped start runs on the eight X columns of its snapshots.
+"""An X-shaped start runs on the eight X columns of its snapshots, any other
+start on all sixteen.
 
 Each X column equals its entry of the dense ``(n, 4, 4)`` stages to the bit,
-every other dense entry is exactly +0, and ``validate_x`` gives the margins
-or the error of ``validate_batch`` on the dense stack.
+every other dense entry is exactly +0, and ``validate_columns`` gives the
+same margins or error on the X columns as on all sixteen.
 """
 
 from dataclasses import replace
@@ -12,15 +13,14 @@ import pytest
 
 from conftest import (assert_run_matches_dense, bits, outcome,
                       random_density, random_x_state)
-from dressedbath import (cli, integrate, linalg, microscopic,
-                         phenomenological, scenarios)
-from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+from dressedbath import (integrate, linalg, microscopic, phenomenological,
+                         scenarios)
+from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, X_ENTRIES, NotPSD,
-                                TraceNotOne, as_matrices, validate_batch,
-                                validate_x)
+                                TraceNotOne, as_matrices, validate_columns)
 from dressedbath.model import DressedFrame, dressed_frame, rate_set
-from dressedbath.scenarios import (figure_preset, initial_state_matrix,
-                                   run_scenario)
+from dressedbath.scenarios import (MODELS, figure_preset, initial_state_matrix,
+                                   parse_config, run_scenario)
 
 X_ROWS, X_COLS = (list(c) for c in zip(*X_ENTRIES))
 EVOLVED = dict(herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
@@ -47,11 +47,17 @@ def x_start_configs():
 CONFIGS = list(x_start_configs())
 
 
+def validate_dense(cols, **tolerances):
+    """``validate_columns`` on all sixteen columns of an X stack."""
+    return validate_columns(as_matrices(cols, X_ENTRIES).reshape(-1, 16),
+                            ENTRIES, **tolerances)
+
+
 def assert_x_columns_of(cols, dense):
     np.testing.assert_array_equal(bits(cols), bits(dense[:, X_ROWS, X_COLS]))
     off_x = dense[:, linalg._OFF_X[0], linalg._OFF_X[1]]
     assert (bits(off_x) == 0).all()           # +0+0j, no signed zero
-    np.testing.assert_array_equal(bits(as_matrices(cols)), bits(dense))
+    np.testing.assert_array_equal(bits(as_matrices(cols, X_ENTRIES)), bits(dense))
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
@@ -67,16 +73,18 @@ def test_columns_are_the_dense_entries(cfg):
     assert_x_columns_of(micro, frame.to_computational(dressed))
     gen = phenomenological.liouvillian_from_ops(cfg.params, rates)
     phenom = integrate.propagate(gen, rho0, times, X_ENTRIES)
-    assert_x_columns_of(phenom, integrate.propagate(gen, rho0, times))
+    assert_x_columns_of(phenom, integrate.propagate(gen, rho0, times, ENTRIES)
+                        .reshape(-1, 4, 4))
     for cols in (micro, phenom):
-        margins = validate_x(cols, **EVOLVED)
-        assert margins == validate_batch(as_matrices(cols), **EVOLVED)
+        margins = validate_columns(cols, X_ENTRIES, **EVOLVED)
+        assert margins == validate_dense(cols, **EVOLVED)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS[::3])
 def test_run_scenario_matches_dense_stages(cfg):
     traj = assert_run_matches_dense(cfg)
     assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 8)}
+    assert traj.entries == X_ENTRIES
 
 
 def test_propagate_rejects_entries_missing_a_reached_one(rng):
@@ -111,11 +119,12 @@ def x_stack(bad_at, n=7):
 @pytest.mark.parametrize("kind", list(BAD))
 @pytest.mark.parametrize("index", [0, 3, 6])
 def test_validate_x_raises_like_validate_batch(kind, index):
+    """The X columns fail like all sixteen: same class, message, violation."""
     cols = x_stack({index: kind})
     for tolerances in ({}, EVOLVED):
-        result = outcome(validate_x, cols, **tolerances)
+        result = outcome(validate_columns, cols, X_ENTRIES, **tolerances)
         assert isinstance(result, tuple)
-        assert result == outcome(validate_batch, as_matrices(cols), **tolerances)
+        assert result == outcome(validate_dense, cols, **tolerances)
 
 
 @pytest.mark.parametrize("bad_at, expected", [
@@ -125,54 +134,63 @@ def test_validate_x_raises_like_validate_batch(kind, index):
 ])
 def test_first_failing_snapshot_decides(bad_at, expected):
     cols = x_stack(bad_at)
-    result = outcome(validate_x, cols)
+    result = outcome(validate_columns, cols, X_ENTRIES)
     assert result[0] is expected
-    assert result == outcome(validate_batch, as_matrices(cols))
+    assert result == outcome(validate_dense, cols)
 
 
 def test_validate_x_margins_equal_validate_batch(rng):
+    """The X columns give the margins of all sixteen."""
     cols = np.array([[x.p00, x.p01, x.p10, x.p11, x.outer, np.conj(x.outer),
                       x.inner, np.conj(x.inner)]
                      for x in (random_x_state(rng) for _ in range(200))])
     cols[::7, 4] += 1e-12                  # within the evolved tolerance
-    margins = validate_x(cols, **EVOLVED)
+    margins = validate_columns(cols, X_ENTRIES, **EVOLVED)
     assert margins.hermiticity > 0
-    assert margins == validate_batch(as_matrices(cols), **EVOLVED)
+    assert margins == validate_dense(cols, **EVOLVED)
+
+
+NON_X = parse_config(
+    "omega = 4e9\ncoupling = 4e9\ngamma0 = 5e7\n"
+    "bath_width = 5e10\nbath_center = 8e9\ntemperature = 5e-4\n"
+    "n_points = 50\nmetrics = concurrence\n"
+    "initial_state = custom(0.25, 0.1, 0, 0, 0.1, 0.25, 0, 0, "
+    "0, 0, 0.25, 0, 0, 0, 0, 0.25)\n")
+# each start shape, and the entries its run carries
+STARTS = {"x": (replace(NON_X, initial_state="ket10"), X_ENTRIES),
+          "non_x": (NON_X, ENTRIES)}
+
+
+@pytest.mark.parametrize("start", list(STARTS))
+def test_each_start_carries_the_columns_of_its_entries(start):
+    cfg, entries = STARTS[start]
+    traj = run_scenario(cfg)
+    assert traj.entries == entries
+    assert {m: s.shape for m, s in traj.stacks.items()} == {
+        "micro": (50, len(entries)), "phenom": (50, len(entries))}
+
+
+@pytest.mark.parametrize("start", list(STARTS))
+def test_each_model_validates_its_columns_once(start, monkeypatch):
+    cfg, entries = STARTS[start]
+    calls = []
+
+    def spy(cols, entries, **tolerances):
+        calls.append((cols.shape, entries))
+        return validate_columns(cols, entries, **tolerances)
+
+    monkeypatch.setattr(scenarios, "validate_columns", spy)
+    for models in (("micro",), ("phenom",), MODELS):
+        calls.clear()
+        run_scenario(replace(cfg, models=models))
+        assert calls == [((50, len(entries)), entries)] * len(models)
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a dense stage ran")
 
 
-def test_x_run_never_builds_the_dense_stack(monkeypatch):
+@pytest.mark.parametrize("start", list(STARTS))
+def test_run_never_builds_the_dense_stack(start, monkeypatch):
     monkeypatch.setattr(DressedFrame, "to_computational", _refuse)
-    monkeypatch.setattr(scenarios, "validate_batch", _refuse)
-    monkeypatch.setattr(linalg, "validate_batch", _refuse)
-    traj = run_scenario(figure_preset(2))
-    assert {m: s.shape for m, s in traj.stacks.items()} == {
-        "micro": (2000, 8), "phenom": (2000, 8)}
-
-
-def test_non_x_config_start_takes_the_dense_stages(monkeypatch, tmp_path):
-    calls = []
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(DressedFrame, "to_computational",
-                        spy("to_computational", DressedFrame.to_computational))
-    monkeypatch.setattr(scenarios, "validate_batch",
-                        spy("validate_batch", scenarios.validate_batch))
-    path = tmp_path / "nonx.cfg"
-    path.write_text("omega = 4e9\ncoupling = 4e9\ngamma0 = 5e7\n"
-                    "bath_width = 5e10\nbath_center = 8e9\ntemperature = 5e-4\n"
-                    "n_points = 50\nmetrics = concurrence\n"
-                    "initial_state = custom(0.25, 0.1, 0, 0, 0.1, 0.25, 0, 0, "
-                    "0, 0, 0.25, 0, 0, 0, 0, 0.25)\n", encoding="utf-8")
-    assert cli.main(["evolve", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 0
-    assert calls.count("to_computational") == 1
-    assert calls.count("validate_batch") == 2
+    run_scenario(STARTS[start][0])
