@@ -123,10 +123,14 @@ def cmd_spectrum(args):
 
 
 def cmd_evolve(args):
+    previous = None   # figures 8-10 run three temperatures on one time grid
     for cfg in _configs_from_args(args):
         traj = run_scenario(cfg)
+        if previous is not None and np.array_equal(traj.times, previous.times):
+            traj.times_text = previous.times_text   # the grid's text, formatted once
         for path in write_trajectory(traj, args.out):
             print(f"wrote {path}")
+        previous = traj
     return 0
 
 

@@ -105,4 +105,6 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
         raise TraceDrift(
             f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
     # evolved states stay Hermitian to fp accuracy; fold the rounding noise
-    return 0.5 * (out + np.conj(out[:, [entries.index((j, i)) for i, j in entries]]))
+    out += np.conj(out[:, [entries.index((j, i)) for i, j in entries]])
+    out *= 0.5
+    return out

@@ -13,14 +13,13 @@ check, for one matrix or a stack.  A trajectory is an ``(n, k)`` stack of
 the columns of its ``entries``: all sixteen (``ENTRIES``), or the eight X
 entries (``X_ENTRIES``) that an X-shaped run carries, with +0 at every
 other entry.  ``validate_columns`` checks such a stack in one pass (a
-single matrix is a stack of one).  The positivity check reads the smallest
-eigenvalue of an X-shaped snapshot (every off-X entry exactly zero, as both
-master equations keep an X-shaped start) in closed form from its two 2x2
-blocks, and sends only the other snapshots to LAPACK.
+single matrix is a stack of one); it reads the smallest eigenvalue of an
+X-shaped snapshot in closed form and sends only the others to LAPACK.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -93,25 +92,6 @@ def as_matrices(cols, entries) -> np.ndarray:
     return out
 
 
-def _smallest_eigenvalues(h, entries) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix of an ``(n, k)`` stack.
-
-    A matrix whose off-X entries are all exactly zero is the direct sum of
-    its {00,11} and {01,10} blocks; each block [[a, z], [z*, b]] has the
-    smallest eigenvalue (a+b)/2 - hypot((a-b)/2, |z|).  The rest go to LAPACK.
-    """
-    x = ~h[:, [k for k, e in enumerate(entries) if e not in X_ENTRIES]].any(axis=1)
-    low = np.empty(len(h))
-    blocks = h[x][:, [entries.index(e) for e in X_ENTRIES]]   # X_ENTRIES order
-    a = blocks[:, [0, 1]].real
-    b = blocks[:, [3, 2]].real
-    z = np.abs(blocks[:, [4, 6]])
-    low[x] = (0.5 * (a + b) - np.hypot(0.5 * (a - b), z)).min(axis=1)
-    if not x.all():
-        low[~x] = np.linalg.eigvalsh(h[~x].reshape(-1, 4, 4))[:, 0]
-    return low
-
-
 def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
                      psd_tol=PSD_TOL) -> Margins:
     """Check Hermiticity, unit trace and positivity of every matrix of an
@@ -130,13 +110,37 @@ def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
 
-    mh = np.conj(checked[:, [entries.index((j, i)) for i, j in entries]])
-    # |a - conj(b)| = |b - conj(a)| to the bit: the upper triangle suffices
-    upper = [k for k, (i, j) in enumerate(entries) if i <= j]
-    herm = np.abs(checked[:, upper] - mh[:, upper]).max(axis=1)
+    above = [(i, j) for i, j in entries if i < j]
+    a = checked[:, [entries.index(e) for e in above]]
+    b = np.conj(checked[:, [entries.index((j, i)) for i, j in above]])
+    # |a - conj(b)| = |b - conj(a)| to the bit, so the entries above the
+    # diagonal suffice, and |d - conj(d)| is |Im d + Im d|; column by column,
+    # as numpy reduces a short row axis slowly
+    diag = [checked[:, entries.index((i, i))] for i in range(4)]
+    herm = functools.reduce(np.maximum, [*np.abs(a - b).T,
+                                         *(np.abs(d.imag + d.imag) for d in diag)])
     tr = trace_of(checked, entries)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    neg = -_smallest_eigenvalues(0.5 * (checked + mh), entries)
+    # where the off-X entries of h = (M + M^H)/2 are all exactly zero, h is the
+    # direct sum of its {00,11} and {01,10} blocks, and the smallest
+    # eigenvalue of a block [[p, z], [z*, q]] is (p+q)/2 - hypot((p-q)/2, |z|);
+    # h is formed in full only for the other matrices, which go to LAPACK
+    h = 0.5 * (a + b)
+    x = ~functools.reduce(np.logical_or, [h[:, k] != 0 for k, e in enumerate(above)
+                                          if e not in X_ENTRIES], np.zeros(len(h), bool))
+    rows = slice(None) if x.all() else x
+    low = []
+    for i, j in ((0, 3), (1, 2)):
+        # Re h_ii = Re((d + conj(d)) / 2), rounded as that complex sum rounds it
+        p, q = (0.5 * (r + r) for r in (diag[i][rows].real, diag[j][rows].real))
+        z = np.abs(h[rows, above.index((i, j))])
+        low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
+    neg = np.empty(len(h))
+    neg[rows] = -np.minimum(*low)
+    if rows is x:
+        h = checked[~x]
+        h = 0.5 * (h + np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
+        neg[~x] = -np.linalg.eigvalsh(h.reshape(-1, 4, 4))[:, 0]
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))

@@ -314,10 +314,8 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
                 fields["n_points"] = int(value)
             elif key == "t_max":
                 fields["t_max"] = "auto" if value == "auto" else float(value)
-            elif key == "metrics":
-                fields["metrics"] = tuple(v.strip() for v in value.split(","))
-            elif key == "models":
-                fields["models"] = tuple(v.strip() for v in value.split(","))
+            elif key in ("metrics", "models"):
+                fields[key] = tuple(v.strip() for v in value.split(","))
             elif key == "label":
                 fields["label"] = value
             elif key == "initial_state":
@@ -363,8 +361,8 @@ def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
 
 
 def _column_text(column) -> list:
-    # "%.17g" % x is the same text as _fmt(x)
-    return list(map("%.17g".__mod__, column.tolist()))
+    # one "%" for the whole column; each value reads as "%.17g" % x, or _fmt(x)
+    return (("%.17g\n" * len(column)) % tuple(column.tolist())).split("\n")[:-1]
 
 
 def trajectory_csv(traj: Trajectory, model: str) -> str:

@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bits
+from conftest import bits, random_density
+from dressedbath import integrate
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath.cli import main
 from dressedbath.integrate import (TraceDrift, lindblad, propagate,
                                    superoperator_from_rhs)
-from dressedbath.linalg import ENTRIES, NotFinite, as_matrices
+from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotFinite, as_matrices,
+                                trace_of)
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, hamiltonian, rate_set
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
@@ -314,3 +316,28 @@ def test_reachability_follows_a_15_step_chain(monkeypatch):
     rho0_late[order[8]] = 1.0
     expected = np.isin(np.arange(16), order[8:])
     assert_propagate_reaches(gen, rho0_late.reshape(4, 4), expected, monkeypatch)
+
+
+
+@pytest.mark.parametrize("start", ["x", "entries"])
+def test_in_place_fold_is_the_out_of_place_fold_to_the_bit(start, monkeypatch):
+    """The result is 0.5 * (out + conj(out[:, mirror])) of the unfolded
+    trajectory, to the bit, on an X start and on an all-entries start."""
+    cfg = figure_preset(2)
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
+    times = np.linspace(0.0, resolve_t_max(cfg, rates), 400)
+    gen = ph.liouvillian_from_ops(cfg.params, rates)
+    rho0, entries = initial_state_matrix(cfg, frame), X_ENTRIES
+    if start == "entries":
+        rho0, entries = random_density(np.random.default_rng(8)), ENTRIES
+    unfolded = []   # the trace check reads out[1:] just before the fold
+    monkeypatch.setattr(integrate, "trace_of",
+                        lambda cols, e: unfolded.append(cols.copy()) or trace_of(cols, e))
+    folded = propagate(gen, rho0, times, entries)
+    out = np.concatenate([[rho0.reshape(-1)[[4 * i + j for i, j in entries]]],
+                          unfolded[0]])
+    mirror = [entries.index((j, i)) for i, j in entries]
+    assert folded.shape == (len(times), len(entries))
+    assert not np.array_equal(out, folded)      # the fold changes some bits
+    assert bits(folded).tobytes() == bits(0.5 * (out + np.conj(out[:, mirror]))).tobytes()

@@ -9,7 +9,7 @@ from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotFinite, NotHermitian,
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
 from conftest import outcome, random_density, random_x_state
-from test_x_columns import BAD, x_stack
+from test_x_columns import BAD, EVOLVED, x_stack
 
 
 def bell_state():
@@ -393,10 +393,28 @@ class TestStackedHermitianEigs:
             assert np.abs(r - expected).max() < 1e-15
 
 
+def parent_smallest_eigenvalues(h, entries):
+    """``linalg._smallest_eigenvalues`` as it took the whole Hermitian part
+    of the stack: every off-X entry gathered, an ``h[x]`` copy of the X rows,
+    each 2x2 block read from a gathered ``(n, 8)`` X stack."""
+    x = ~h[:, [k for k, e in enumerate(entries) if e not in X_ENTRIES]].any(axis=1)
+    low = np.empty(len(h))
+    blocks = h[x][:, [entries.index(e) for e in X_ENTRIES]]
+    a = blocks[:, [0, 1]].real
+    b = blocks[:, [3, 2]].real
+    z = np.abs(blocks[:, [4, 6]])
+    low[x] = (0.5 * (a + b) - np.hypot(0.5 * (a - b), z)).min(axis=1)
+    if not x.all():
+        low[~x] = np.linalg.eigvalsh(h[~x].reshape(-1, 4, 4))[:, 0]
+    return low
+
+
 def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
-    """``linalg.validate_columns`` as it scanned every row for non-finite entries and
-    took the Hermiticity deviation over all entries: the reference for its
-    finite fast path and its upper-triangle deviation."""
+    """``linalg.validate_columns`` as it scanned every row for non-finite
+    entries, took the Hermiticity deviation over all entries and formed the
+    whole Hermitian part ``(M + M^H) / 2`` of the stack: the reference for
+    its finite fast path, its upper-triangle deviation and its Hermitian
+    part formed only where it is read."""
     finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
     first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
     checked = cols[:first_nonfinite]
@@ -404,7 +422,7 @@ def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
     herm = np.abs(checked - mh).max(axis=1)
     tr = linalg.trace_of(checked, entries)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    neg = -linalg._smallest_eigenvalues(0.5 * (checked + mh), entries)
+    neg = -parent_smallest_eigenvalues(0.5 * (checked + mh), entries)
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -420,10 +438,44 @@ def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
     return linalg.Margins(float(herm.max()), float(tr.max()), float(neg.max()))
 
 
+def mixed_stacks(rng):
+    """``(n, 16)`` stacks that mix X-shaped and non-X rows, with edge values:
+    signed zeros, subnormals, entries near the double range, an off-X pair
+    whose Hermitian part is exactly zero, and a non-finite row."""
+    lows = rng.uniform(-1e-8, 0.2, size=40)
+    x_rows = np.array([x_shaped((low, 0.5 - low), (0.2, 0.3), rng,
+                                sign_zero=rng.choice([1.0, -1.0])) for low in lows])
+    dense = np.array([random_density(rng) for _ in range(40)])
+    order = rng.permutation(80)
+    rows = np.concatenate([x_rows, dense])[order].reshape(-1, 16)
+    yield rows
+    x = np.flatnonzero(order < 40)              # the X-shaped rows
+    edge = rows.copy()
+    edge[x[0], 1] = complex(1e-300, 2e-300)     # off-X, anti-Hermitian pair:
+    edge[x[0], 4] = complex(-1e-300, 2e-300)    # its Hermitian part is 0
+    edge[x[1], 2] = edge[x[1], 8] = 5e-324      # subnormal off-X pair
+    edge[x[2], 0] = edge[x[2], 15] = -0.0       # signed zero diagonal
+    # near the double range, where the Hermitian part overflows (on X rows:
+    # LAPACK does not converge on an infinite entry)
+    edge[x[3], 0] = 1e308
+    edge[x[4], 5] = complex(-1e308, 1e308)
+    edge[x[5], 3] = edge[x[5], 12] = 1e308
+    yield edge
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        stack = rows.copy()
+        stack[17, 6] = bad
+        yield stack
+    for row, cols, value in ((2, [1], 0.3), (6, [5], 0.7), (8, [3, 12], 0.9)):
+        stack = rows.copy()                     # Hermiticity, trace, positivity
+        stack[row, cols] = value
+        yield stack
+
+
 def validation_stacks():
     """The X stacks of ``test_x_columns`` (one per bad kind and place, and
     random X states off Hermitian by up to 1e-9), each also as its dense
-    ``(n, 16)`` stack, and random dense stacks with the same noise."""
+    ``(n, 16)`` stack; random dense stacks with the same noise; and stacks
+    that mix X-shaped and non-X rows."""
     rng = np.random.default_rng(22)
     x_stacks = [x_stack({index: kind}) for kind in BAD for index in (0, 3, 6)]
     x_stacks += [x_stack(bad_at) for bad_at in (
@@ -441,19 +493,48 @@ def validation_stacks():
     for _ in range(5):
         dense = np.array([random_density(rng) for _ in range(50)]).reshape(-1, 16)
         yield dense + 1e-11 * rng.normal(size=dense.shape), linalg.ENTRIES
+    for stack in mixed_stacks(rng):
+        yield stack, linalg.ENTRIES
+    for n in (1, 2):                            # stacks of one and two rows
+        yield x_stack({}, n=n), linalg.X_ENTRIES
+        yield x_stack({0: "negative block eigenvalue"}, n=n), linalg.X_ENTRIES
+    for zeros, one in (([0, 15], 5), ([5, 10], 0)):   # a block eigenvalue -0.0
+        ket = np.zeros((1, 16), dtype=complex)
+        ket[0, one] = 1.0
+        ket[0, zeros] = -0.0
+        yield ket, linalg.ENTRIES
+        yield ket[:, [4 * i + j for i, j in X_ENTRIES]], linalg.X_ENTRIES
+    for _ in range(20):   # one row: X-shaped Hermitian part, off-X entries not 0
+        row = x_shaped((rng.uniform(-1e-8, 1e-8), 0.5), (0.2, 0.3), rng).reshape(1, 16)
+        row[0, [1, 4]] = complex(0.0, rng.uniform(1e-9, 1e-8))   # anti-Hermitian pair
+        yield row, linalg.ENTRIES
 
 
 def test_validate_equals_the_full_mh_computation():
+    """Margins, classes, messages and violations are those of the parent
+    computation, to the bit (``repr`` tells -0.0 from 0.0)."""
     tolerances = [(linalg.HERM_TOL, linalg.TRACE_TOL, linalg.PSD_TOL),
                   (linalg.EVOLVED_HERM_TOL, linalg.EVOLVED_TRACE_TOL,
-                   linalg.EVOLVED_PSD_TOL)]
+                   linalg.EVOLVED_PSD_TOL), (np.inf, np.inf, np.inf)]
     results = set()
-    for cols, entries in validation_stacks():
-        for tols in tolerances:
-            result = outcome(validate_columns, cols, entries, herm_tol=tols[0],
-                             trace_tol=tols[1], psd_tol=tols[2])
-            assert result == outcome(validate_full_mh, cols, entries, *tols)
-            results.add(type(result) if isinstance(result, linalg.Margins)
-                        else result[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols, entries in validation_stacks():
+            for tols in tolerances:
+                result = outcome(validate_columns, cols, entries, herm_tol=tols[0],
+                                 trace_tol=tols[1], psd_tol=tols[2])
+                assert repr(result) == repr(outcome(validate_full_mh, cols,
+                                                    entries, *tols))
+                results.add(type(result) if isinstance(result, linalg.Margins)
+                            else result[0])
     assert results == {linalg.Margins, NotHermitian, linalg.TraceNotOne,
                        NotPSD, NotFinite}
+
+
+def test_mixed_stacks_fail_in_each_class():
+    """Each failure class is reached on a stack that mixes X and non-X rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        classes = [outcome(validate_columns, stack, ENTRIES, **EVOLVED)
+                   for stack in mixed_stacks(np.random.default_rng(22))]
+    kinds = [c if isinstance(c, linalg.Margins) else c[0] for c in classes]
+    assert isinstance(kinds[0], linalg.Margins)
+    assert kinds[2:] == [NotFinite] * 3 + [NotHermitian, linalg.TraceNotOne, NotPSD]

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +390,42 @@ def _per_row_csv_rows(traj, model, cols):
     return [row_fmt % tuple(row) for row in table.tolist()]
 
 
+def parent_column_text(column):
+    """``scenarios._column_text`` as it formatted one value per call."""
+    return list(map("%.17g".__mod__, column.tolist()))
+
+
+def parent_trajectory_csv(traj, model):
+    """``trajectory_csv`` as it formatted and joined one row at a time."""
+    cols = scenarios._columns_for(traj.config.metrics)
+    lines = scenarios._meta_lines(traj.config, traj.fairness_lines,
+                                  (f"model = {model}",))
+    lines.append(",".join(["t"] + cols))
+    lines += _per_row_csv_rows(traj, model, cols)
+    return "\n".join(lines) + "\n"
+
+
+def preset_configs():
+    """The sixteen scenario configurations of ``figure 1`` .. ``figure 10``."""
+    for n in range(1, 11):
+        preset = figure_preset(n)
+        yield from preset if isinstance(preset, list) else [preset]
+
+
+def golden_general_configs():
+    """The four non-X ``evolve --config`` runs of ``tools/golden.py``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return [parse_config(text) for text in golden.general_configs().values()]
+
+
+def t_column(text):
+    return [line.split(",")[0] for line in text.splitlines()
+            if not line.startswith("#")][1:]
+
+
 class TestCsv:
     def test_column_text_equals_per_row_formatting(self):
         traj = run_scenario(fast_config(n_points=12, metrics=(
@@ -416,11 +454,66 @@ class TestCsv:
         # t and concurrence for micro, then concurrence alone for phenom
         assert len(calls) == 3
         assert calls[0] is traj.times
-
-        def t_column(text):
-            return [line.split(",")[0] for line in text.splitlines()
-                    if not line.startswith("#")]
         assert t_column(micro) == t_column(phenom)
+
+    @pytest.mark.parametrize("n", [1, 2, 150, 2000])
+    def test_column_text_is_the_per_value_text(self, n):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                   2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+                   1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1,
+                   1.0 / 3.0, -2.0 ** 60, 1e16, 123456789012345678.0]
+        rng = np.random.default_rng(n)
+        pool = np.concatenate([special, rng.normal(size=50),
+                               10.0 ** rng.uniform(-320, 308, size=50)])
+        column = rng.choice(pool, size=n)
+        column[: min(n, len(special))] = special[:n]
+        assert scenarios._column_text(column) == parent_column_text(column)
+
+    def test_column_text_of_every_preset_time_grid(self):
+        for cfg in preset_configs():
+            t_max = scenarios.resolve_t_max(cfg, rate_set(cfg.params))
+            times = np.linspace(0.0, t_max, cfg.n_points)
+            assert scenarios._column_text(times) == parent_column_text(times)
+
+    def test_presets_and_general_runs_are_the_row_join_bytes(self):
+        """All ten figures and the four non-X golden runs: the column-wise
+        CSV text is the row-at-a-time text, byte for byte."""
+        configs = list(preset_configs()) + golden_general_configs()
+        assert len(configs) == 20
+        for cfg in configs:
+            traj = run_scenario(cfg)
+            for model in cfg.models:
+                assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
+
+    def test_figure_9_formats_its_shared_time_axis_once(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        real = scenarios._column_text
+        monkeypatch.setattr(scenarios, "_column_text",
+                            lambda col: calls.append(col) or real(col))
+        assert main(["figure", "9", "--out", str(tmp_path)]) == 0
+        files = sorted(tmp_path.glob("*.csv"))
+        assert len(files) == 6
+        cfg = figure_preset(9)[0]
+        grid = np.linspace(0.0, cfg.t_max, cfg.n_points)
+        expected = parent_column_text(grid)
+        for path in files:
+            assert t_column(path.read_text()) == expected
+        # the grid once, then one discord column per file
+        assert sum(np.array_equal(col, grid) for col in calls) == 1
+        assert len(calls) == 1 + 6
+
+    def test_automatic_spans_keep_their_own_time_axes(self, tmp_path):
+        assert main(["evolve", "--figure", "8", "--tmax", "auto",
+                     "--out", str(tmp_path)]) == 0
+        columns = set()
+        for cfg in figure_preset(8):
+            times = run_scenario(replace(cfg, t_max="auto")).times
+            for model in MODELS:
+                text = (tmp_path / f"{cfg.label}_{model}.csv").read_text()
+                assert t_column(text) == parent_column_text(times)
+            columns.add(tuple(parent_column_text(times)))
+        assert len(columns) == 3
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = fast_config()
