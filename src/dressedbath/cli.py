@@ -126,8 +126,9 @@ def cmd_evolve(args):
     previous = None   # figures 8-10 run three temperatures on one time grid
     for cfg in _configs_from_args(args):
         traj = run_scenario(cfg)
-        if previous is not None and np.array_equal(traj.times, previous.times):
-            traj.times_text = previous.times_text   # the grid's text, formatted once
+        if (previous is not None and np.array_equal(traj.times, previous.times)
+                and traj.config.metrics == previous.config.metrics):
+            traj.row_template = previous.row_template   # the grid's text, formatted once
         for path in write_trajectory(traj, args.out):
             print(f"wrote {path}")
         previous = traj

@@ -2,9 +2,10 @@
 
 Both master equations here are linear and time independent, so
 ``vec(rho(t)) = exp(t L) vec(rho(0))``.  ``propagate`` evaluates that
-exponential through one eigendecomposition of the generator, for every
-output time in one array pass, with no time step, and returns the
-trajectory as the ``(n, k)`` columns of the requested entries.
+exponential through one eigendecomposition of the generator, with no time
+step, into the ``(n, k)`` columns of the requested entries, one block of
+rows at a time, so its working set beyond that result does not grow with
+the grid.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from .linalg import NotFinite, trace_of
 
 TRACE_DRIFT_TOL = 1e-8
+_BLOCK_WORK = 32768   # rows x L^2 of a propagation block: 512 rows at L = 8
 
 
 class TraceDrift(Exception):
@@ -92,19 +94,25 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     coef = np.linalg.solve(vecs, v[live])
     out = np.zeros((len(times), len(entries)), dtype=complex)
     out[0] = v[vec_index]
-    # huge finite rates can overflow exp; validation of the evolved states
-    # reports the non-finite snapshots (NotFinite)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
-                              * coef) @ vecs.T
-
-    drift = np.abs(trace_of(out[1:], entries).real - 1.0)
-    over = np.flatnonzero(drift > TRACE_DRIFT_TOL)
-    if len(over):
-        i = over[0] + 1
-        raise TraceDrift(
-            f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
-    # evolved states stay Hermitian to fp accuracy; fold the rounding noise
-    out += np.conj(out[:, [entries.index((j, i)) for i, j in entries]])
-    out *= 0.5
+    # blocks of rows x L^2 under OpenBLAS's threading threshold, so no temporary
+    # grows with the grid and the matmul runs on one thread; a one-row last
+    # block would take numpy's matrix-vector product, which rounds differently
+    rows, last = _BLOCK_WORK // len(lam) ** 2, max(len(times) - 1, 1)
+    for start in range(0, last, rows):
+        stop = start + rows if start + rows < last else len(times)
+        lo = max(start, 1)   # the first snapshot is rho0 itself
+        # huge finite rates can overflow exp; validation reports it (NotFinite)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(np.multiply.outer(times[lo:stop] - times[0], lam))
+            e *= coef
+            out[lo:stop, live_cols] = e @ vecs.T
+        drift = np.abs(trace_of(out[lo:stop], entries).real - 1.0)
+        over = np.flatnonzero(drift > TRACE_DRIFT_TOL)
+        if len(over):
+            raise TraceDrift(f"trace drifted by {drift[over[0]]:.3e} "
+                             f"at t={times[lo + over[0]]:.6e}")
+        # evolved states stay Hermitian to fp accuracy; fold the rounding noise
+        block = out[start:stop]
+        block += np.conj(block[:, [entries.index((j, i)) for i, j in entries]])
+        block *= 0.5
     return out

@@ -92,6 +92,13 @@ def as_matrices(cols, entries) -> np.ndarray:
     return out
 
 
+def _half_sum(a, b):
+    """``(a + b) / 2``, or ``a / 2 + b / 2`` where ``a + b`` overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (a + b)
+    return np.where(np.isfinite(h), h, 0.5 * a + 0.5 * b)
+
+
 def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
                      psd_tol=PSD_TOL) -> Margins:
     """Check Hermiticity, unit trace and positivity of every matrix of an
@@ -125,21 +132,20 @@ def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     # direct sum of its {00,11} and {01,10} blocks, and the smallest
     # eigenvalue of a block [[p, z], [z*, q]] is (p+q)/2 - hypot((p-q)/2, |z|);
     # h is formed in full only for the other matrices, which go to LAPACK
-    h = 0.5 * (a + b)
+    h = _half_sum(a, b)
     x = ~functools.reduce(np.logical_or, [h[:, k] != 0 for k, e in enumerate(above)
                                           if e not in X_ENTRIES], np.zeros(len(h), bool))
     rows = slice(None) if x.all() else x
     low = []
     for i, j in ((0, 3), (1, 2)):
-        # Re h_ii = Re((d + conj(d)) / 2), rounded as that complex sum rounds it
-        p, q = (0.5 * (r + r) for r in (diag[i][rows].real, diag[j][rows].real))
+        p, q = diag[i][rows].real, diag[j][rows].real   # Re h_ii = Re d_ii
         z = np.abs(h[rows, above.index((i, j))])
         low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
     neg = np.empty(len(h))
     neg[rows] = -np.minimum(*low)
     if rows is x:
         h = checked[~x]
-        h = 0.5 * (h + np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
+        h = _half_sum(h, np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
         neg[~x] = -np.linalg.eigvalsh(h.reshape(-1, 4, 4))[:, 0]
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():

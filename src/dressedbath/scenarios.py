@@ -32,9 +32,9 @@ INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-# a run holds 16 complex numbers per point per model and the temporaries of
-# its array passes: with both models its peak memory grows by about 170 MB
-# per 100,000 points, so the cap keeps one run under about 1 GB
+# at the cap the process peaked at 256 MB for `figure 2` (an X start; X runs
+# stay under 320 MB) and at 1.34 GB for a non-X `evolve --config` run with
+# three metrics (general concurrence temporaries), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
 
 # labels name output files, so they must not reach outside --out
@@ -105,9 +105,10 @@ class Trajectory:
     fairness_lines: list
 
     @functools.cached_property
-    def times_text(self) -> list:
-        """The ``t`` column as CSV text, shared by every model's file."""
-        return _column_text(self.times)
+    def row_template(self) -> str:
+        """The CSV rows, their ``t`` text in place and a ``%.17g`` per metric
+        column, shared by every model's file: one string, not one per value."""
+        return _row_template(self.times, len(_columns_for(self.config.metrics)))
 
 
 def initial_state_matrix(cfg: ScenarioConfig, frame) -> np.ndarray:
@@ -214,10 +215,9 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
 
     stacks, series, margins, routes = {}, {}, {}, {}
     for model in cfg.models:
-        if model == "micro":
-            dressed_traj = microscopic.propagate_analytic(
-                frame.to_dressed(rho0_comp), rates, frame, times)
-            stack = frame.to_computational_columns(dressed_traj, entries)
+        if model == "micro":   # the (n, 4, 4) dressed stack is dropped once rotated
+            stack = frame.to_computational_columns(microscopic.propagate_analytic(
+                frame.to_dressed(rho0_comp), rates, frame, times), entries)
         else:
             stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times, entries)
         margins[model] = validate_columns(
@@ -360,18 +360,18 @@ def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
     return out
 
 
-def _column_text(column) -> list:
-    # one "%" for the whole column; each value reads as "%.17g" % x, or _fmt(x)
-    return (("%.17g\n" * len(column)) % tuple(column.tolist())).split("\n")[:-1]
+def _row_template(times, columns: int) -> str:
+    # one "%" for the whole grid; each t reads as "%.17g" % t, or _fmt(t)
+    return ((("%.17g" + ",%%.17g" * columns + "\n") * len(times))
+            % tuple(times.tolist()))
 
 
 def trajectory_csv(traj: Trajectory, model: str) -> str:
     cols = _columns_for(traj.config.metrics)
     lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
     lines.append(",".join(["t"] + cols))
-    texts = [traj.times_text] + [_column_text(traj.series[model][c]) for c in cols]
-    lines += map(",".join, zip(*texts))
-    return "\n".join(lines) + "\n"
+    values = np.array([traj.series[model][c] for c in cols]).T.ravel()
+    return "\n".join(lines) + "\n" + traj.row_template % tuple(values.tolist())
 
 
 def write_text(out_dir, name: str, text: str) -> pathlib.Path:

@@ -544,3 +544,20 @@ def test_subnormal_temperature_is_silent(verb, tmp_path, capsys):
     assert "nan" not in out
     if verb == "compare":
         assert "micro steady state: thermal" in out
+
+
+@pytest.mark.parametrize("big", ["1e300", "1e308"])
+def test_custom_state_near_the_double_range_is_numeric_error(big, tmp_path,
+                                                             capsys):
+    # an off-diagonal pair near the double range: one invariant line, no
+    # numpy warning, no LAPACK error
+    entries = ["0.25" if k % 5 == 0 else "0" for k in range(16)]
+    entries[1] = entries[4] = big
+    path = figure2_config(tmp_path, initial_state=f"custom({', '.join(entries)})")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", "numerical invariant violated: invalid "
+                                   f"density matrix: positivity off by {float(big):.3e}\n")
+    assert not out_dir.exists()

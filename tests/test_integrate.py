@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,13 +332,162 @@ def test_in_place_fold_is_the_out_of_place_fold_to_the_bit(start, monkeypatch):
     rho0, entries = initial_state_matrix(cfg, frame), X_ENTRIES
     if start == "entries":
         rho0, entries = random_density(np.random.default_rng(8)), ENTRIES
-    unfolded = []   # the trace check reads out[1:] just before the fold
+    unfolded = []   # the trace check reads each block just before its fold
     monkeypatch.setattr(integrate, "trace_of",
                         lambda cols, e: unfolded.append(cols.copy()) or trace_of(cols, e))
     folded = propagate(gen, rho0, times, entries)
     out = np.concatenate([[rho0.reshape(-1)[[4 * i + j for i, j in entries]]],
-                          unfolded[0]])
+                          *unfolded])
     mirror = [entries.index((j, i)) for i, j in entries]
     assert folded.shape == (len(times), len(entries))
     assert not np.array_equal(out, folded)      # the fold changes some bits
     assert bits(folded).tobytes() == bits(0.5 * (out + np.conj(out[:, mirror]))).tobytes()
+
+
+def parent_propagate(generator, rho0, times, entries):
+    """``integrate.propagate`` as it evolved, checked and folded the whole
+    grid in one array pass: the reference for its row blocks."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 1:
+        raise ValueError("need a 1-d, non-empty time grid")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    if not np.isfinite(generator).all():
+        raise NotFinite("matrix contains non-finite entries")
+    v = np.asarray(rho0, dtype=complex).reshape(-1)
+    live = v != 0
+    while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
+        live = grown
+    vec_index = [4 * i + j for i, j in entries]
+    live_cols = [vec_index.index(k) for k in np.flatnonzero(live).tolist()]
+    sub = generator[np.ix_(live, live)]
+    lam, vecs = np.linalg.eig(sub)
+    k = np.argmin(np.abs(lam))
+    if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
+        lam[k] = 0.0
+    coef = np.linalg.solve(vecs, v[live])
+    out = np.zeros((len(times), len(entries)), dtype=complex)
+    out[0] = v[vec_index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
+                              * coef) @ vecs.T
+    drift = np.abs(trace_of(out[1:], entries).real - 1.0)
+    over = np.flatnonzero(drift > integrate.TRACE_DRIFT_TOL)
+    if len(over):
+        i = over[0] + 1
+        raise TraceDrift(
+            f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
+    out += np.conj(out[:, [entries.index((j, i)) for i, j in entries]])
+    out *= 0.5
+    return out
+
+
+def propagation_outcome(fn, *args):
+    """The result's bits, or the class and message of the exception raised."""
+    try:
+        return bits(fn(*args)).tobytes()
+    except (TraceDrift, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_blocked_is_parent(generator, rho0, times, entries):
+    result = propagation_outcome(propagate, generator, rho0, times, entries)
+    assert result == propagation_outcome(parent_propagate, generator, rho0,
+                                         times, entries)
+    return result
+
+
+def block_rows(live):
+    return integrate._BLOCK_WORK // live ** 2
+
+
+def phenom_inputs(cfg):
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
+    times = np.linspace(0.0, resolve_t_max(cfg, rates), cfg.n_points)
+    return (ph.liouvillian_from_ops(cfg.params, rates),
+            initial_state_matrix(cfg, frame), times)
+
+
+class TestBlockedPropagation:
+    """The row-blocked propagation is the one-pass propagation, to the bit."""
+
+    def test_preset_phenom_runs(self):
+        configs = list(preset_configs())
+        assert len(configs) == 16
+        for cfg in configs:
+            gen, rho0, times = phenom_inputs(cfg)
+            assert isinstance(assert_blocked_is_parent(gen, rho0, times, X_ENTRIES),
+                              bytes)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_selftest_micro_generator(self, n):
+        cfg = figure_preset(n)
+        frame = dressed_frame(cfg.params)
+        rates = rate_set(cfg.params, frame)
+        times = np.linspace(0.0, resolve_t_max(cfg, rates), 400)
+        rho10 = np.zeros((4, 4), dtype=complex)
+        rho10[2, 2] = 1.0
+        assert isinstance(assert_blocked_is_parent(
+            mic.liouvillian(rates, frame), frame.to_dressed(rho10), times,
+            ENTRIES), bytes)
+
+    def test_random_non_x_starts(self):
+        rng = np.random.default_rng(15)
+        configs = list(preset_configs())
+        for i in range(32):
+            gen, _, times = phenom_inputs(configs[i % len(configs)])
+            assert_blocked_is_parent(gen, random_density(rng), times, ENTRIES)
+
+    @pytest.mark.parametrize("start", ["x", "entries"])
+    def test_grid_lengths_around_the_block_size(self, start):
+        gen, rho0, times = phenom_inputs(figure_preset(2))
+        rows, entries = block_rows(8), X_ENTRIES
+        if start == "entries":
+            rho0, rows, entries = (random_density(np.random.default_rng(3)),
+                                   block_rows(16), ENTRIES)
+        span = times[-1]
+        rng = np.random.default_rng(rows)
+        for n in (1, 2, 3, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 2000):
+            assert_blocked_is_parent(gen, rho0, np.linspace(0.0, span, n), entries)
+            uneven = np.sort(rng.uniform(0.0, span, n))   # non-uniform grids
+            assert_blocked_is_parent(gen, rho0, uneven, entries)
+            assert_blocked_is_parent(gen, rho0, np.geomspace(1e-3, span, n), entries)
+
+    def test_trace_drift_names_the_first_point_in_a_later_block(self):
+        # the trace grows as exp(2.2e-8 t); four live entries
+        leak = 2.2e-8 * np.eye(16, dtype=complex)
+        times = np.linspace(0.0, 1.0, 5001)
+        result = assert_blocked_is_parent(leak, np.eye(4, dtype=complex) / 4,
+                                          times, ENTRIES)
+        assert result[0] is TraceDrift
+        first = np.flatnonzero(np.expm1(2.2e-8 * times) > integrate.TRACE_DRIFT_TOL)[0]
+        assert first > block_rows(4)
+        assert result[1].endswith(f"at t={times[first]:.6e}")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_generator_on_a_long_grid(self, bad):
+        gen, rho0, times = phenom_inputs(figure_preset(2))
+        gen = gen.copy()
+        gen[0, 0] = bad
+        with pytest.raises(NotFinite):
+            propagate(gen, rho0, times, X_ENTRIES)
+
+    def test_working_set_does_not_grow_with_the_grid(self):
+        """Beyond its result, one X call holds a working set that does not
+        depend on the number of grid points."""
+        gen, rho0, times = phenom_inputs(figure_preset(2))
+        extra = {}
+        for n in (10_000, 100_000):
+            grid = np.linspace(0.0, times[-1], n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = propagate(gen, rho0, grid, X_ENTRIES)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            extra[n] = peak - out.nbytes
+        # one-pass propagation held three result-sized temporaries
+        assert extra[100_000] < 2 ** 20
+        assert abs(extra[100_000] - extra[10_000]) < 2 ** 16

@@ -391,8 +391,21 @@ def _per_row_csv_rows(traj, model, cols):
 
 
 def parent_column_text(column):
-    """``scenarios._column_text`` as it formatted one value per call."""
+    """A CSV column's text as it was formatted one value per call."""
     return list(map("%.17g".__mod__, column.tolist()))
+
+
+def template_rows(times, values):
+    """The rows of ``scenarios._row_template`` filled with the ``(n, m)``
+    ``values``, split at the line ends."""
+    template = scenarios._row_template(times, values.shape[1])
+    return (template % tuple(values.ravel().tolist())).split("\n")[:-1]
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+                  1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1,
+                  1.0 / 3.0, -2.0 ** 60, 1e16, 123456789012345678.0]
 
 
 def parent_trajectory_csv(traj, model):
@@ -446,34 +459,39 @@ class TestCsv:
     def test_time_column_formatted_once_per_trajectory(self, monkeypatch):
         traj = run_scenario(fast_config(metrics=("concurrence",)))
         calls = []
-        real = scenarios._column_text
-        monkeypatch.setattr(scenarios, "_column_text",
-                            lambda col: calls.append(col) or real(col))
+        real = scenarios._row_template
+        monkeypatch.setattr(scenarios, "_row_template",
+                            lambda times, m: calls.append((times, m)) or real(times, m))
         micro = trajectory_csv(traj, "micro")
         phenom = trajectory_csv(traj, "phenom")
-        # t and concurrence for micro, then concurrence alone for phenom
-        assert len(calls) == 3
-        assert calls[0] is traj.times
-        assert t_column(micro) == t_column(phenom)
+        # one template of the grid and one metric column, for both files
+        assert len(calls) == 1
+        assert calls[0][0] is traj.times and calls[0][1] == 1
+        assert t_column(micro) == t_column(phenom) == parent_column_text(traj.times)
 
     @pytest.mark.parametrize("n", [1, 2, 150, 2000])
     def test_column_text_is_the_per_value_text(self, n):
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-                   2.2250738585072014e-308, 1e300, -1e300, 1e-300,
-                   1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1,
-                   1.0 / 3.0, -2.0 ** 60, 1e16, 123456789012345678.0]
+        """Every value of the row template, ``t`` or metric, reads as
+        ``"%.17g" % x``."""
+        special = SPECIAL_VALUES
         rng = np.random.default_rng(n)
         pool = np.concatenate([special, rng.normal(size=50),
                                10.0 ** rng.uniform(-320, 308, size=50)])
         column = rng.choice(pool, size=n)
         column[: min(n, len(special))] = special[:n]
-        assert scenarios._column_text(column) == parent_column_text(column)
+        text = parent_column_text(column)
+        assert template_rows(column, np.empty((n, 0))) == text
+        values = np.column_stack([column[::-1], column])
+        assert template_rows(column, values) == [
+            ",".join(row) for row in zip(text, text[::-1], text)]
 
     def test_column_text_of_every_preset_time_grid(self):
         for cfg in preset_configs():
             t_max = scenarios.resolve_t_max(cfg, rate_set(cfg.params))
             times = np.linspace(0.0, t_max, cfg.n_points)
-            assert scenarios._column_text(times) == parent_column_text(times)
+            m = len(scenarios._columns_for(cfg.metrics))
+            assert scenarios._row_template(times, m).split("\n")[:-1] == [
+                t + ",%.17g" * m for t in parent_column_text(times)]
 
     def test_presets_and_general_runs_are_the_row_join_bytes(self):
         """All ten figures and the four non-X golden runs: the column-wise
@@ -488,9 +506,9 @@ class TestCsv:
     def test_figure_9_formats_its_shared_time_axis_once(self, tmp_path,
                                                         monkeypatch):
         calls = []
-        real = scenarios._column_text
-        monkeypatch.setattr(scenarios, "_column_text",
-                            lambda col: calls.append(col) or real(col))
+        real = scenarios._row_template
+        monkeypatch.setattr(scenarios, "_row_template",
+                            lambda times, m: calls.append(times) or real(times, m))
         assert main(["figure", "9", "--out", str(tmp_path)]) == 0
         files = sorted(tmp_path.glob("*.csv"))
         assert len(files) == 6
@@ -499,9 +517,25 @@ class TestCsv:
         expected = parent_column_text(grid)
         for path in files:
             assert t_column(path.read_text()) == expected
-        # the grid once, then one discord column per file
-        assert sum(np.array_equal(col, grid) for col in calls) == 1
-        assert len(calls) == 1 + 6
+        # one template of the grid for the three runs' six files
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], grid)
+
+    def test_special_values_and_two_points_are_the_row_join_bytes(self):
+        """Columns holding signed zeros, subnormals, 1e+-300, infinities and
+        nan, on runs of two points with every metric and with none."""
+        for metrics in (scenarios.METRICS, ()):
+            traj = run_scenario(fast_config(n_points=2, metrics=metrics))
+            for model in MODELS:
+                assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
+            cols = scenarios._columns_for(metrics)
+            rng = np.random.default_rng(len(cols))
+            series = {m: {c: rng.choice(SPECIAL_VALUES, size=2) for c in cols}
+                      for m in MODELS}
+            special = replace(traj, series=series, times=np.array([-0.0, 5e-324]))
+            for model in MODELS:
+                assert (trajectory_csv(special, model)
+                        == parent_trajectory_csv(special, model))
 
     def test_automatic_spans_keep_their_own_time_axes(self, tmp_path):
         assert main(["evolve", "--figure", "8", "--tmax", "auto",
