@@ -1,12 +1,14 @@
 """Entanglement and correlation measures for the two-qubit states.
 
-Concurrence comes in two routes: the general spin-flip construction valid
-for any state, and the short form for X-shaped states (only diagonal and
-antidiagonal entries populated), which is what both master equations
-produce from the |1,0> start.  Quantum discord is measured on qubit 2 and
-evaluated through the closed-form two-qubit approximation (Ali, Rau &
-Alber, PRA 81, 042105 (2010)); the tests hold it to a brute-force grid
-minimisation over projective measurements.
+Concurrence comes in two routes: the general form valid for any state,
+Wootters' lambda_i as the singular values of his tau matrix after one
+eigendecomposition (its oracles, the two-eigensolve spin-flip form and a
+40-digit mpmath form, live in ``tests/conftest.py``), and the short form for
+X-shaped states (only diagonal and antidiagonal entries populated), which is
+what both master equations produce from the |1,0> start.  Quantum discord is
+measured on qubit 2 and evaluated through the closed-form two-qubit
+approximation (Ali, Rau & Alber, PRA 81, 042105 (2010)); the tests hold it
+to a brute-force grid minimisation over projective measurements.
 
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
@@ -157,36 +159,29 @@ _SYSY[1, 2] = _SYSY[2, 1] = 1.0
 
 
 def concurrence_general(rho):
-    """Spin-flip concurrence for arbitrary two-qubit states: one state, or
-    each state of a ``(..., 4, 4)`` stack (a single state is a length-1
-    call).
+    """Wootters concurrence of one state, or of each state of a
+    ``(..., 4, 4)`` stack (a single state is a length-1 call).
 
-    The non-Hermitian product rho * flipped(rho) shares its spectrum with
-    sqrt(rho) flipped(rho) sqrt(rho), which is Hermitian, so everything runs
-    through the Hermitian eigensolver.  Once the states themselves pass the
-    Hermiticity check, the first state that fails decides the error: an
-    eigenvalue below -1e-9 (NotPSD) or a spin-flip product that is not
-    Hermitian (NotHermitian).
+    With rho = W W^dagger, W = V sqrt(lambda) from one eigendecomposition,
+    Wootters' lambda_i are the singular values of the complex-symmetric
+    tau = W^T (sy x sy) W (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62,
+    032307 (2000)).  The first state that is not Hermitian raises
+    NotHermitian; otherwise the first one with an eigenvalue below -1e-9
+    raises NotPSD.
     """
     m = np.asarray(rho, dtype=complex)
     lead = m.shape[:-2]
-    m = m.reshape(-1, 4, 4)
-    flipped = _SYSY @ m.conj() @ _SYSY
-    evals, vecs = hermitian_eigs(m)
-    root = ((vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :])
-            @ vecs.conj().swapaxes(-1, -2))
-    product = root @ flipped @ root
+    evals, vecs = hermitian_eigs(m.reshape(-1, 4, 4))
     negative = np.flatnonzero(evals[:, 0] < -1e-9)
     if negative.size:
         i = negative[0]
-        hermitian_eigs(product[:i])   # an earlier state's failure comes first
         raise NotPSD(f"state eigenvalue {evals[i, 0]:.3e} below tolerance",
                      -evals[i, 0])
-    xi, _ = hermitian_eigs(product)
-    xi = np.sqrt(np.clip(xi[:, ::-1], 0.0, None))
-    c = xi[:, 0] - xi[:, 1] - xi[:, 2] - xi[:, 3]
-    # c is -0 when every xi is 0 and the first one -0; np.maximum picks
-    # either zero on a tie depending on the numpy build, so clamp by sign
+    w = vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+    s = np.linalg.svd(w.swapaxes(-1, -2) @ _SYSY @ w, compute_uv=False)
+    c = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
+    # np.maximum picks either zero on a tie depending on the numpy build, so
+    # clamp by sign: a -0 difference becomes +0
     return np.where(c > 0.0, c, 0.0).reshape(lead)[()]
 
 

@@ -33,8 +33,8 @@ INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 # at the cap the process peaked at 256 MB for `figure 2` (an X start; X runs
-# stay under 320 MB) and at 1.34 GB for a non-X `evolve --config` run with
-# three metrics (general concurrence temporaries), x86-64, numpy 2.4.6
+# stay under 320 MB) and at 1,043 MB for a non-X `evolve --config` run with
+# three metrics (non-X runs stay under 1,250 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
 
 # labels name output files, so they must not reach outside --out
@@ -70,18 +70,19 @@ class ScenarioConfig:
                 t_max = math.nan
             if not (t_max > 0 and math.isfinite(t_max)):
                 raise ConfigError("t_max must be positive and finite or 'auto'")
-        for m in self.metrics:
-            if m not in METRICS:
-                raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
+        if not self.models:
+            raise ConfigError("at least one model must be enabled")
+        for kind, names, known in (("metric", self.metrics, METRICS),
+                                   ("model", self.models, MODELS)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ConfigError(f"unknown {kind} {name!r}; choose from {known}")
+                if name in names[:i]:
+                    raise ConfigError(f"{kind} {name!r} is listed twice")
         if not _SAFE_LABEL.fullmatch(self.label):
             raise ConfigError(
                 f"label {self.label!r} is not a safe file name: use letters, "
                 "digits and _ . + -, and do not start with '.'")
-        if not self.models:
-            raise ConfigError("at least one model must be enabled")
-        for m in self.models:
-            if m not in MODELS:
-                raise ConfigError(f"unknown model {m!r}; choose from {MODELS}")
         if isinstance(self.initial_state, str):
             if self.initial_state not in INITIAL_STATES:
                 raise ConfigError(
@@ -275,7 +276,7 @@ def figure_preset(n: int):
         return ScenarioConfig(params=_preset_params(n, temperature),
                               metrics=metric, label=f"figure{n}")
     cold = _preset_params(n, _WEAK_TEMPS[0])
-    span = 10.0 / microscopic.channel_sums(rate_set(cold))[0]
+    span = resolve_t_max(ScenarioConfig(params=cold, metrics=metric), rate_set(cold))
     return [ScenarioConfig(params=_preset_params(n, t), metrics=metric,
                            t_max=span, label=f"figure{n}_T{t:g}")
             for t in _WEAK_TEMPS]

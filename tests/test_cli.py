@@ -116,6 +116,22 @@ def test_unknown_metric_is_config_error(tmp_path, capsys):
     assert "sparkle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [
+    ["evolve"], ["sweep", "--axis", "temperature", "--values", "0,1"]])
+@pytest.mark.parametrize("line, message", [
+    ("metrics = concurrence, concurrence", "metric 'concurrence' is listed twice"),
+    ("models = micro, micro", "model 'micro' is listed twice")])
+def test_repeated_metric_or_model_is_config_error(tmp_path, capsys, verb, line,
+                                                  message):
+    path = tmp_path / "dup.cfg"
+    path.write_text(FAST_CONFIG + line + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(verb[:1] + ["--config", str(path), "--out", str(out_dir)]
+                + verb[1:]) == 1
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_figure_out_of_range_is_config_error(capsys):
     assert main(["evolve", "--figure", "12"]) == 1
 

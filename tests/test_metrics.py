@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dressedbath import metrics
-from dressedbath.linalg import ENTRIES, as_matrices, hermitian_eigs
+from dressedbath.linalg import (ENTRIES, NotHermitian, as_matrices,
+                                hermitian_eigs)
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  concurrence_x, discord_approx_q2,
                                  linear_entropy_q1,
@@ -12,8 +13,8 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
                                  x_elements_from_matrix)
 from dressedbath.model import SystemParams, dressed_frame
 
-from conftest import (discord_oracle_q2, random_density, random_unitary,
-                      random_x_state)
+from conftest import (concurrence_mp, concurrence_spin_flip, discord_oracle_q2,
+                      random_density, random_unitary, random_x_state)
 
 
 def bell_matrix():
@@ -93,6 +94,28 @@ class TestXElements:
         assert not ok
 
 
+def pure_states(rng, n):
+    """``n`` random pure states as ``(n, 4, 4)`` projectors, and their exact
+    concurrence 2|ad - bc|; the first quarter lie 1e-12..1e-4 off a product
+    state."""
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    q = n // 4
+    a, b = rng.normal(size=(2, q, 2)) + 1j * rng.normal(size=(2, q, 2))
+    near = 10.0 ** rng.uniform(-12.0, -4.0, size=(q, 1))
+    psi[:q] = (a[:, :, None] * b[:, None, :]).reshape(q, 4) + near * psi[:q]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    exact = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+    return np.einsum("ni,nj->nij", psi, psi.conj()), exact
+
+
+def rank_two_state(rng):
+    psi = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    p = rng.uniform(0.5, 1.0)
+    return (p * np.outer(psi[0], psi[0].conj())
+            + (1.0 - p) * np.outer(psi[1], psi[1].conj()))
+
+
 class TestConcurrence:
     def test_bell_is_maximal(self):
         assert concurrence_x(bell_x()) == pytest.approx(1.0, abs=1e-12)
@@ -132,7 +155,7 @@ class TestConcurrence:
             x = random_x_state(rng)
             worst = max(worst, abs(concurrence_x(x)
                                    - concurrence_general(x.matrix())))
-        assert worst <= 1e-8
+        assert worst <= 1e-13   # measured 1.1e-15
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(25):
@@ -140,7 +163,33 @@ class TestConcurrence:
             u = np.kron(random_unitary(rng), random_unitary(rng))
             rotated = u @ rho @ u.conj().T
             assert abs(concurrence_general(rho)
-                       - concurrence_general(rotated)) <= 1e-8
+                       - concurrence_general(rotated)) <= 1e-13   # measured 1.6e-15
+
+    def test_pure_states_hold_the_closed_form(self, rng):
+        rho, exact = pure_states(rng, 2000)
+        # measured 1.8e-15; the two-eigensolve spin-flip route is off by 2.1e-8
+        assert np.abs(concurrence_general(rho) - exact).max() <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_two"])
+    def test_mixed_states_match_a_40_digit_oracle(self, rng, kind):
+        make = random_density if kind == "full_rank" else rank_two_state
+        stack = np.array([make(rng) for _ in range(30)])
+        exact = np.array([concurrence_mp(m) for m in stack])
+        # measured 8.0e-16 (full rank) and 7.8e-16 (rank two); the spin-flip
+        # route is off by 2.4e-14 and 8.9e-9
+        assert np.abs(concurrence_general(stack) - exact).max() <= 1e-14
+
+    def test_agrees_with_the_spin_flip_oracle(self, rng):
+        stack = np.array([random_density(rng) for _ in range(500)])
+        diff = np.abs(concurrence_general(stack) - concurrence_spin_flip(stack))
+        assert diff.max() <= 1e-12   # measured 7.6e-14, the oracle's own error
+
+    def test_non_hermitian_state_comes_before_non_psd(self):
+        non_psd = np.diag([0.5 + 5e-9, 0.3, 0.2, -5e-9]).astype(complex)
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 1e-6
+        with pytest.raises(NotHermitian, match=r"off by 1\.000e-06"):
+            concurrence_general(np.array([non_psd, skew]))
 
 
 class TestEntropies:
@@ -392,17 +441,15 @@ class TestArrayMetricsMatchScalar:
 # -- the stacked general route against one-state calls ------------------------
 
 def scalar_concurrence_general(m):
-    """The one-state spin-flip concurrence, step by step as its formula reads."""
+    """The one-state concurrence, step by step as its formula reads: the
+    singular values of tau = W^T (sy x sy) W with rho = W W^dagger."""
     sysy = np.zeros((4, 4))
     sysy[0, 3] = sysy[3, 0] = -1.0
     sysy[1, 2] = sysy[2, 1] = 1.0
-    flipped = sysy @ m.conj() @ sysy
     evals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    product = root @ flipped @ root
-    xi = np.linalg.eigh(0.5 * (product + product.conj().T))[0]
-    xi = np.sqrt(np.clip(xi[::-1], 0.0, None))
-    return max(0.0, xi[0] - xi[1] - xi[2] - xi[3])
+    w = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    s = np.linalg.svd(w.T @ sysy @ w, compute_uv=False)
+    return max(0.0, s[0] - s[1] - s[2] - s[3])
 
 
 def scalar_linear_entropy_full(m):

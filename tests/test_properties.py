@@ -132,7 +132,8 @@ def test_non_x_start_carries_all_sixteen_columns(cfg):
         if "concurrence" in cfg.metrics:
             # snapshots whose off-X entries decayed below 1e-10 take the X route
             general = concurrence_general(as_matrices(stack, ENTRIES))
-            assert np.abs(traj.series[model]["concurrence"] - general).max() <= 1e-8
+            # measured 1.4e-16 over 400 draws of this strategy
+            assert np.abs(traj.series[model]["concurrence"] - general).max() <= 1e-12
 
 
 # a closed-form state is exact to rounding: the generator residual stays

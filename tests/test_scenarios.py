@@ -118,6 +118,15 @@ class TestParseConfig:
             parse_config(text)
         assert "omega" in str(err.value)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("metrics", "concurrence, linear_entropy, concurrence",
+         "metric 'concurrence' is listed twice"),
+        ("models", "micro, micro", "model 'micro' is listed twice")])
+    def test_repeated_name_rejected(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{self.GOOD}\n{key} = {value}\n")
+        assert str(err.value) == message
+
     def test_base_provides_defaults(self):
         cfg = parse_config("temperature = 0.5\n", base=figure_preset(2))
         assert cfg.params.temperature == 0.5
