@@ -12,9 +12,10 @@ come from LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity
 check, for one matrix or a stack.  A trajectory is an ``(n, k)`` stack of
 the columns of its ``entries``: all sixteen (``ENTRIES``), or the eight X
 entries (``X_ENTRIES``) that an X-shaped run carries, with +0 at every
-other entry.  ``validate_columns`` checks such a stack in one pass (a
-single matrix is a stack of one); it reads the smallest eigenvalue of an
-X-shaped snapshot in closed form and sends only the others to LAPACK.
+other entry.  ``validate_eigs`` checks such a stack in one pass (a single
+matrix is a stack of one); it reads the smallest eigenvalue of an X-shaped
+snapshot in closed form and returns LAPACK's eigenpairs of the others, for
+the general concurrence (``validate_columns`` drops them).
 """
 
 from __future__ import annotations
@@ -96,13 +97,18 @@ def _half_sum(a, b):
     """``(a + b) / 2``, or ``a / 2 + b / 2`` where ``a + b`` overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = 0.5 * (a + b)
-    return np.where(np.isfinite(h), h, 0.5 * a + 0.5 * b)
+    bad = ~np.isfinite(h)
+    if bad.any():
+        h[bad] = 0.5 * a[bad] + 0.5 * b[bad]
+    return h
 
 
-def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
-                     psd_tol=PSD_TOL) -> Margins:
+def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
+                  psd_tol=PSD_TOL):
     """Check Hermiticity, unit trace and positivity of every matrix of an
-    ``(n, k)`` stack of ``entries``; return the worst margins.
+    ``(n, k)`` stack of ``entries``; return the worst margins and ``(rows,
+    *np.linalg.eigh(h))`` of the Hermitian parts h of the matrices it sent
+    to LAPACK, the ``rows`` (a mask), or None if it sent none.
 
     The first failing matrix decides: non-finite entries raise NotFinite,
     otherwise the first failed check (NotHermitian, then TraceNotOne, then
@@ -143,10 +149,12 @@ def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
         low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
     neg = np.empty(len(h))
     neg[rows] = -np.minimum(*low)
+    eigs = None
     if rows is x:
         h = checked[~x]
         h = _half_sum(h, np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
-        neg[~x] = -np.linalg.eigvalsh(h.reshape(-1, 4, 4))[:, 0]
+        eigs = (~x, *np.linalg.eigh(h.reshape(-1, 4, 4)))
+        neg[~x] = -eigs[1][:, 0]
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -159,7 +167,12 @@ def validate_columns(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
         raise cls(f"invalid density matrix: {detail}", violation)
     if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
-    return Margins(float(herm.max()), float(tr.max()), float(neg.max()))
+    return Margins(float(herm.max()), float(tr.max()), float(neg.max())), eigs
+
+
+def validate_columns(cols, entries, **tolerances) -> Margins:
+    """The margins of ``validate_eigs``."""
+    return validate_eigs(cols, entries, **tolerances)[0]
 
 
 def validate_density(matrix, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,

@@ -2,13 +2,14 @@
 
 Concurrence comes in two routes: the general form valid for any state,
 Wootters' lambda_i as the singular values of his tau matrix after one
-eigendecomposition (its oracles, the two-eigensolve spin-flip form and a
-40-digit mpmath form, live in ``tests/conftest.py``), and the short form for
-X-shaped states (only diagonal and antidiagonal entries populated), which is
-what both master equations produce from the |1,0> start.  Quantum discord is
-measured on qubit 2 and evaluated through the closed-form two-qubit
-approximation (Ali, Rau & Alber, PRA 81, 042105 (2010)); the tests hold it
-to a brute-force grid minimisation over projective measurements.
+eigendecomposition (``concurrence_from_eigs``, which a run feeds with its
+validation's; the spin-flip and 40-digit mpmath oracles are in
+``tests/conftest.py``), and the short form for X-shaped states (only
+diagonal and antidiagonal entries populated), which is what both master
+equations produce from the |1,0> start.  Quantum discord is measured on
+qubit 2 and evaluated through the closed-form two-qubit approximation (Ali,
+Rau & Alber, PRA 81, 042105 (2010)); the tests hold it to a brute-force grid
+minimisation over projective measurements.
 
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
@@ -159,19 +160,23 @@ _SYSY[1, 2] = _SYSY[2, 1] = 1.0
 
 
 def concurrence_general(rho):
-    """Wootters concurrence of one state, or of each state of a
-    ``(..., 4, 4)`` stack (a single state is a length-1 call).
-
-    With rho = W W^dagger, W = V sqrt(lambda) from one eigendecomposition,
-    Wootters' lambda_i are the singular values of the complex-symmetric
-    tau = W^T (sy x sy) W (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62,
-    032307 (2000)).  The first state that is not Hermitian raises
-    NotHermitian; otherwise the first one with an eigenvalue below -1e-9
-    raises NotPSD.
-    """
+    """Wootters concurrence (``concurrence_from_eigs``) of one state or of each
+    state of a ``(..., 4, 4)`` stack; the first state that is not Hermitian
+    raises NotHermitian."""
     m = np.asarray(rho, dtype=complex)
-    lead = m.shape[:-2]
-    evals, vecs = hermitian_eigs(m.reshape(-1, 4, 4))
+    return concurrence_from_eigs(*hermitian_eigs(m.reshape(-1, 4, 4))).reshape(
+        m.shape[:-2])[()]
+
+
+def concurrence_from_eigs(evals, vecs) -> np.ndarray:
+    """Wootters concurrence of each state of a stack, from the ``(n, 4)``
+    eigenvalues and ``(n, 4, 4)`` eigenvectors of its Hermitian parts.
+
+    With rho = W W^dagger, W = V sqrt(lambda), Wootters' lambda_i are the
+    singular values of the complex-symmetric tau = W^T (sy x sy) W
+    (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)).  The
+    first state with an eigenvalue below -1e-9 raises NotPSD.
+    """
     negative = np.flatnonzero(evals[:, 0] < -1e-9)
     if negative.size:
         i = negative[0]
@@ -182,7 +187,7 @@ def concurrence_general(rho):
     c = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
     # np.maximum picks either zero on a tie depending on the numpy build, so
     # clamp by sign: a -0 difference becomes +0
-    return np.where(c > 0.0, c, 0.0).reshape(lead)[()]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def von_neumann_entropy(matrix: np.ndarray) -> float:

@@ -62,12 +62,9 @@ class SystemParams:
                              f"got {self.omega:g}")
         if not self.bath_width > 0:
             raise ValueError("bath_width must be positive")
-        if self.gamma0 < 0:
-            raise ValueError("gamma0 must be non-negative")
-        if self.coupling < 0:
-            raise ValueError("coupling must be non-negative")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        for name in ("gamma0", "coupling", "temperature"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not math.isfinite(KB_OVER_HBAR * self.temperature):
             raise ValueError(f"temperature must be below {MAX_TEMPERATURE:.3g} K, "
                              f"got {self.temperature:g}")
@@ -261,18 +258,11 @@ def rate_set(p: SystemParams, frame: DressedFrame | None = None) -> RateSet:
     em_bare, ab_bare = pair(p.omega)
     a2 = frame.amp_low ** 2
     e2 = frame.amp_high ** 2
-    return RateSet(
-        emission_low=em_low,
-        emission_high=em_high,
-        absorption_low=ab_low,
-        absorption_high=ab_high,
-        decay_low=a2 * em_low,
-        decay_high=e2 * em_high,
-        excitation_low=a2 * ab_low,
-        excitation_high=e2 * ab_high,
-        emission_bare=em_bare,
-        absorption_bare=ab_bare,
-    )
+    return RateSet(emission_low=em_low, emission_high=em_high,
+                   absorption_low=ab_low, absorption_high=ab_high,
+                   decay_low=a2 * em_low, decay_high=e2 * em_high,
+                   excitation_low=a2 * ab_low, excitation_high=e2 * ab_high,
+                   emission_bare=em_bare, absorption_bare=ab_bare)
 
 
 @dataclass(frozen=True)
@@ -329,12 +319,5 @@ def fairness_check(p: SystemParams, threshold: float = 0.15) -> FairnessReport:
 
     devs = (dev_j(frame.bohr_low), dev_j(frame.bohr_high),
             dev_n(frame.bohr_low), dev_n(frame.bohr_high))
-    return FairnessReport(
-        spectral_dev_low=devs[0],
-        spectral_dev_high=devs[1],
-        occupancy_dev_low=devs[2],
-        occupancy_dev_high=devs[3],
-        threshold=threshold,
-        unfair=max(devs) > threshold,
-        strong_damping=p.gamma0 > 0.1 * min(frame.bohr_low, frame.bohr_high),
-    )
+    return FairnessReport(*devs, threshold=threshold, unfair=max(devs) > threshold,
+                          strong_damping=p.gamma0 > 0.1 * min(frame.bohr_low, frame.bohr_high))

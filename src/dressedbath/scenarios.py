@@ -12,7 +12,7 @@ import functools
 import math
 import pathlib
 import re
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                      EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite, as_matrices,
-                     validate_columns, validate_density)
+                     hermitian_eigs, validate_eigs, validate_density)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -33,8 +33,8 @@ INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 # at the cap the process peaked at 256 MB for `figure 2` (an X start; X runs
-# stay under 320 MB) and at 1,043 MB for a non-X `evolve --config` run with
-# three metrics (non-X runs stay under 1,250 MB), x86-64, numpy 2.4.6
+# stay under 320 MB) and at 978 MB for a non-X `evolve --config` run with
+# three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
 
 # labels name output files, so they must not reach outside --out
@@ -150,13 +150,29 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
-def _trajectory_metrics(stack, entries, wanted):
+def _general_eigs(general, rows, eigs):
+    """``hermitian_eigs`` of the ``general`` matrices (the ``rows`` of a stack),
+    reusing ``eigs``, ``validate_eigs``' eigenpairs of it: one per matrix."""
+    if eigs is None:
+        return hermitian_eigs(general)
+    lapack, *pairs = eigs
+    if np.array_equal(rows, lapack):
+        return pairs
+    shared = lapack[rows]
+    out = np.empty((len(general), 4)), np.empty(general.shape, complex)
+    for o, old, new in zip(out, pairs, hermitian_eigs(general[~shared])):
+        o[shared], o[~shared] = old[rows[lapack]], new
+    return out
+
+
+def _trajectory_metrics(stack, entries, wanted, eigs=None):
     """Metric columns of a validated trajectory (a ``Trajectory.stacks`` value
     over ``entries``), and the route (index into ROUTES) of each snapshot.
 
     Each snapshot takes the first route that holds for it: the X elements of
     the computational matrix, then the general forms.  Each route is one
-    call per metric on the stack of its snapshots.
+    call per metric on the stack of its snapshots; the general concurrence
+    reuses the eigenpairs ``eigs`` of the stack's ``validate_eigs``.
     """
     x, x_ok = metrics.x_elements_from_columns(stack, entries,
                                               trace_tol=EVOLVED_TRACE_TOL)
@@ -169,17 +185,17 @@ def _trajectory_metrics(stack, entries, wanted):
         if name in wanted:
             cols[name][x_ok] = fn(x_rows)
     general = as_matrices(stack[~x_ok], entries)
+    if len(general) and "concurrence" in wanted:
+        evals, vecs = _general_eigs(general, ~x_ok, eigs)
+        # with discord wanted, only the first snapshot's runs: it decides before discord fails
+        n = 1 if "discord" in wanted else len(general)
+        cols["concurrence"][~x_ok] = metrics.concurrence_from_eigs(evals[:n], vecs[:n])
     if len(general) and "discord" in wanted:
-        # the first non-X snapshot decides: its concurrence runs first
-        if "concurrence" in wanted:
-            metrics.concurrence_general(general[:1])
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
-    for name, fn in (("concurrence", metrics.concurrence_general),
-                     ("linear_entropy", metrics.linear_entropy_q1)):
-        if name in wanted and len(general):
-            cols[name][~x_ok] = fn(general)
+    if "linear_entropy" in wanted and len(general):
+        cols["linear_entropy"][~x_ok] = metrics.linear_entropy_q1(general)
     if "populations" in wanted:
         cols.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
                         (x.p00, x.p01, x.p10, x.p11)))
@@ -221,11 +237,12 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
                 frame.to_dressed(rho0_comp), rates, frame, times), entries)
         else:
             stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times, entries)
-        margins[model] = validate_columns(
+        margins[model], eigs = validate_eigs(
             stack, entries, herm_tol=EVOLVED_HERM_TOL,
             trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
         stacks[model] = stack
-        series[model], routes[model] = _trajectory_metrics(stack, entries, cfg.metrics)
+        series[model], routes[model] = _trajectory_metrics(stack, entries, cfg.metrics, eigs)
+        del eigs   # not held while the next model propagates
 
     return Trajectory(label=cfg.label, times=times, stacks=stacks,
                       entries=entries, series=series, margins=margins,
@@ -467,7 +484,7 @@ def stationary_metrics(params: SystemParams, frame, rates,
     coupling 0 the isolated qubit never relaxes and the phenom stationary
     state is not unique: the closed form is then its coupling -> 0+ limit.
     """
-    if not all(math.isfinite(r) for r in astuple(rates)):
+    if not all(math.isfinite(r) for r in vars(rates).values()):
         raise NotFinite("bath rates overflow the double range")
     s_low, s_high = microscopic.channel_sums(rates)
     if s_low == s_high == rates.emission_bare + rates.absorption_bare == 0:

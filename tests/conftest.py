@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -60,6 +62,16 @@ def dense_stages(cfg):
         out[model] = (stack, margins) + scenarios._trajectory_metrics(
             stack.reshape(-1, 16), ENTRIES, cfg.metrics)
     return out
+
+
+def golden_general_configs():
+    """The four non-X ``evolve --config`` runs of ``tools/golden.py``."""
+    from dressedbath.scenarios import parse_config
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return [parse_config(text) for text in golden.general_configs().values()]
 
 
 def bits(a):

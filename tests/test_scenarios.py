@@ -1,11 +1,10 @@
-import importlib.util
 import math
-import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import golden_general_configs
 from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, as_matrices)
@@ -432,15 +431,6 @@ def preset_configs():
     for n in range(1, 11):
         preset = figure_preset(n)
         yield from preset if isinstance(preset, list) else [preset]
-
-
-def golden_general_configs():
-    """The four non-X ``evolve --config`` runs of ``tools/golden.py``."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "golden.py"
-    spec = importlib.util.spec_from_file_location("golden", path)
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
-    return [parse_config(text) for text in golden.general_configs().values()]
 
 
 def t_column(text):

@@ -17,7 +17,8 @@ from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, X_ENTRIES, NotPSD,
-                                TraceNotOne, as_matrices, validate_columns)
+                                TraceNotOne, as_matrices, validate_columns,
+                                validate_eigs)
 from dressedbath.model import DressedFrame, dressed_frame, rate_set
 from dressedbath.scenarios import (MODELS, figure_preset, initial_state_matrix,
                                    parse_config, run_scenario)
@@ -177,9 +178,9 @@ def test_each_model_validates_its_columns_once(start, monkeypatch):
 
     def spy(cols, entries, **tolerances):
         calls.append((cols.shape, entries))
-        return validate_columns(cols, entries, **tolerances)
+        return validate_eigs(cols, entries, **tolerances)
 
-    monkeypatch.setattr(scenarios, "validate_columns", spy)
+    monkeypatch.setattr(scenarios, "validate_eigs", spy)
     for models in (("micro",), ("phenom",), MODELS):
         calls.clear()
         run_scenario(replace(cfg, models=models))
