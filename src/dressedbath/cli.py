@@ -20,7 +20,7 @@ import numpy as np
 from . import integrate, metrics, microscopic, phenomenological, scenarios
 from ._version import __version__
 from .integrate import TraceDrift
-from .linalg import ENTRIES, StateValidationError
+from .linalg import ENTRIES, X_ENTRIES, StateValidationError
 from .metrics import AssumptionViolated
 from .microscopic import DegenerateRates
 from .model import (dressed_frame, fairness_check, rate_set,
@@ -140,8 +140,7 @@ def cmd_steady(args):
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     stationary = stationary_metrics(cfg.params, frame, rates)
-    ss_m = microscopic.steady_state(rates)
-    pops = [ss_m[i, i].real for i in range(4)]
+    pops = microscopic.steady_state(rates).diagonal().real
     print("micro stationary dressed populations "
           "(ground, antisym, sym, top): "
           + " ".join(f"{v:.10g}" for v in pops))
@@ -150,7 +149,7 @@ def cmd_steady(args):
           + " ".join(f"{ss_p[i, i].real:.10g}" for i in range(4)))
     print(f"phenom inner coherence: {ss_p[1, 2]:.10g}")
     print(f"phenom outer coherence: {ss_p[0, 3]:.10g}")
-    ss_pd = phenomenological.steady_state_dressed(cfg.params, rates, frame)
+    ss_pd = frame.to_dressed(ss_p)
     print("phenom stationary in dressed basis, surviving coherences: "
           f"ground-top {abs(ss_pd[0, 3]):.6g}, antisym-sym {abs(ss_pd[1, 2]):.6g}")
     for model, values in stationary.items():
@@ -210,7 +209,8 @@ def cmd_selftest(args):
               err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s")
 
         x_dressed, held = metrics.x_elements_from_dressed(analytic, frame)
-        x_comp, ok = metrics.x_elements_from_matrix(frame.to_computational(analytic))
+        x_comp, ok = metrics.x_elements_from_columns(
+            frame.to_computational_columns(analytic, X_ENTRIES), X_ENTRIES)
         dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
                   for f in fields(metrics.XStateElements))
         check(f"figure {n} micro X elements: dressed closed form vs basis change",

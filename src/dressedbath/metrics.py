@@ -14,9 +14,10 @@ minimisation over projective measurements.
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
 on scalars.  ``x_elements_from_columns`` reads them off the ``(n, k)``
-columns that every run carries (``scenarios._trajectory_metrics``), and
-``x_elements_from_matrix`` off computational matrices, such as the
-closed-form stationary states.  ``x_elements_from_dressed`` reads the same
+columns that every run carries (``scenarios._trajectory_metrics``) and off
+the X columns of the closed-form stationary states
+(``scenarios.stationary_metrics``); ``x_elements_from_matrix`` is its form
+for computational matrices.  ``x_elements_from_dressed`` reads the same
 elements off a dressed-basis micro state and serves as its cross-check.
 """
 
@@ -96,7 +97,7 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
                             tol: float = X_TOL):
     """Computational X elements straight from dressed populations and the
     antisym-sym coherence, for a ``(..., 4, 4)`` stack of dressed states:
-    the closed-form oracle of ``x_elements_from_matrix`` on micro states.
+    the closed-form oracle of ``x_elements_from_columns`` on micro states.
 
     Returns the elements and a mask of the snapshots where they hold: the
     closed form is valid only while the ground-top dressed coherence

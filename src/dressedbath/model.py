@@ -192,18 +192,14 @@ def dressed_frame(p: SystemParams) -> DressedFrame:
     ], dtype=complex)
 
     bohr_high = (splitting + p.coupling) / 2.0
-    return DressedFrame(
-        energies=energies,
-        mix_plus=mix_plus,
-        mix_minus=mix_minus,
-        amp_low=amp_low,
-        amp_high=amp_high,
-        # (splitting - coupling)/2 rewritten to dodge the same cancellation;
-        # keeps the product of the two transition frequencies at omega^2
-        bohr_low=p.omega ** 2 / bohr_high,
-        bohr_high=bohr_high,
-        unitary=unitary,
-    )
+    # (splitting - coupling)/2 rewritten to dodge the same cancellation;
+    # keeps the product of the two transition frequencies at omega^2
+    bohr_low = p.omega ** 2 / bohr_high
+    if bohr_low == 0:
+        raise ValueError(f"the low Bohr frequency, omega^2 over the high one, underflows "
+                         f"to 0 at omega = {p.omega:g}, coupling = {p.coupling:g}")
+    return DressedFrame(energies, mix_plus, mix_minus, amp_low, amp_high,
+                        bohr_low, bohr_high, unitary)
 
 
 def spectral_density(p: SystemParams, freq: float) -> float:

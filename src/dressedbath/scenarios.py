@@ -30,6 +30,11 @@ METRICS = ("concurrence", "discord", "linear_entropy", "populations")
 STATIONARY_METRICS = ("concurrence", "discord", "linear_entropy")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
+# metric -> its X-form function, looked up in ``metrics`` at each call so that
+# a wrapper on the module attribute (perfbench/spans.py) sees it
+_X_FORM = (("concurrence", "concurrence_x"), ("discord", "discord_approx_q2"),
+           ("linear_entropy", "linear_entropy_q1"))
+
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 # at the cap the process peaked at 256 MB for `figure 2` (an X start; X runs
@@ -150,17 +155,18 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
-def _general_eigs(general, rows, eigs):
-    """``hermitian_eigs`` of the ``general`` matrices (the ``rows`` of a stack),
-    reusing ``eigs``, ``validate_eigs``' eigenpairs of it: one per matrix."""
+def _general_eigs(stack, entries, rows, eigs):
+    """``hermitian_eigs`` of the ``rows`` (a mask) of an ``(n, k)`` stack of
+    ``entries``, reusing ``eigs``, ``validate_eigs``' eigenpairs of it."""
     if eigs is None:
-        return hermitian_eigs(general)
+        return hermitian_eigs(as_matrices(stack[rows], entries))
     lapack, *pairs = eigs
     if np.array_equal(rows, lapack):
         return pairs
-    shared = lapack[rows]
-    out = np.empty((len(general), 4)), np.empty(general.shape, complex)
-    for o, old, new in zip(out, pairs, hermitian_eigs(general[~shared])):
+    shared, n = lapack[rows], np.count_nonzero(rows)
+    fresh = hermitian_eigs(as_matrices(stack[rows & ~lapack], entries))
+    out = np.empty((n, 4)), np.empty((n, 4, 4), complex)
+    for o, old, new in zip(out, pairs, fresh):
         o[shared], o[~shared] = old[rows[lapack]], new
     return out
 
@@ -179,23 +185,22 @@ def _trajectory_metrics(stack, entries, wanted, eigs=None):
     route = np.where(x_ok, 0, 1).astype(np.int8)
     cols = {c: np.empty(len(stack)) for c in _columns_for(wanted)}
     x_rows = x.take(x_ok)
-    for name, fn in (("concurrence", metrics.concurrence_x),
-                     ("discord", metrics.discord_approx_q2),
-                     ("linear_entropy", metrics.linear_entropy_q1)):
+    for name, fn in _X_FORM:
         if name in wanted:
-            cols[name][x_ok] = fn(x_rows)
-    general = as_matrices(stack[~x_ok], entries)
-    if len(general) and "concurrence" in wanted:
-        evals, vecs = _general_eigs(general, ~x_ok, eigs)
+            cols[name][x_ok] = getattr(metrics, fn)(x_rows)
+    general = ~x_ok
+    if general.any() and "concurrence" in wanted:
+        evals, vecs = _general_eigs(stack, entries, general, eigs)
         # with discord wanted, only the first snapshot's runs: it decides before discord fails
-        n = 1 if "discord" in wanted else len(general)
-        cols["concurrence"][~x_ok] = metrics.concurrence_from_eigs(evals[:n], vecs[:n])
-    if len(general) and "discord" in wanted:
+        n = 1 if "discord" in wanted else len(evals)
+        cols["concurrence"][general] = metrics.concurrence_from_eigs(evals[:n], vecs[:n])
+    if general.any() and "discord" in wanted:
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
-    if "linear_entropy" in wanted and len(general):
-        cols["linear_entropy"][~x_ok] = metrics.linear_entropy_q1(general)
+    if "linear_entropy" in wanted and general.any():
+        cols["linear_entropy"][general] = metrics.linear_entropy_q1(
+            as_matrices(stack[general], entries))
     if "populations" in wanted:
         cols.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
                         (x.p00, x.p01, x.p10, x.p11)))
@@ -480,27 +485,26 @@ def stationary_metrics(params: SystemParams, frame, rates,
     """model -> metric -> value on the closed-form stationary states.
 
     The micro state is the rate-ratio one, the phenom state the closed form
-    of ``phenomenological.steady_state``; both are read by the X route.  At
-    coupling 0 the isolated qubit never relaxes and the phenom stationary
-    state is not unique: the closed form is then its coupling -> 0+ limit.
+    of ``phenomenological.steady_state``.  Both take a run's X route, as one
+    ``(2, 8)`` stack of X columns (every other entry of both is an exact
+    zero) read at the default tolerances.  At coupling 0 the isolated qubit
+    never relaxes and the phenom stationary state is not unique: the closed
+    form is then its coupling -> 0+ limit.
     """
     if not all(math.isfinite(r) for r in vars(rates).values()):
         raise NotFinite("bath rates overflow the double range")
     s_low, s_high = microscopic.channel_sums(rates)
     if s_low == s_high == rates.emission_bare + rates.absorption_bare == 0:
         raise ConfigError("no stationary state: all rates vanish")
-    states = {"micro": frame.to_computational(microscopic.steady_state(rates)),
-              "phenom": phenomenological.steady_state(params, rates)}
-    out = {}
-    for model, state in states.items():
-        x, ok = metrics.x_elements_from_matrix(state)
-        if not ok:
+    micro = frame.to_computational_columns(microscopic.steady_state(rates), X_ENTRIES)
+    phenom = phenomenological.steady_state(params, rates)[tuple(zip(*X_ENTRIES))]
+    x, ok = metrics.x_elements_from_columns(np.stack([micro, phenom]), X_ENTRIES)
+    for model, held in zip(MODELS, ok):
+        if not held:
             raise AssumptionViolated(f"{model} stationary state is not X-shaped")
-        out[model] = {m: float(fn(x)) for m, fn in (
-            ("concurrence", metrics.concurrence_x),
-            ("discord", metrics.discord_approx_q2),
-            ("linear_entropy", metrics.linear_entropy_q1)) if m in wanted}
-    return out
+    values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM if m in wanted}
+    return {model: {m: float(v[i]) for m, v in values.items()}
+            for i, model in enumerate(MODELS)}
 
 
 def compare_report(cfg: ScenarioConfig) -> CompareReport:
@@ -532,9 +536,7 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
     micro_thermal, _ = microscopic.thermal_stationarity(
         cfg.params, rates, frame, microscopic.liouvillian(rates, frame))
     ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame)
-    coherence = max(abs(ss_p[0, 3]), abs(ss_p[1, 2]), abs(ss_p[0, 1]),
-                    abs(ss_p[0, 2]), abs(ss_p[1, 3]), abs(ss_p[2, 3]))
-    phenom_thermal = coherence <= 1e-10
+    phenom_thermal = np.abs(ss_p[np.triu_indices(4, 1)]).max() <= 1e-10
 
     return CompareReport(label=cfg.label, config=cfg,
                          stationary=stationary, relative_diff=relative,

@@ -64,6 +64,24 @@ def dense_stages(cfg):
     return out
 
 
+def stationary_per_model(params, frame, rates):
+    """Stationary values by the per-model route: each closed form as a full
+    computational matrix (the micro one through ``to_computational``), read by
+    ``x_elements_from_matrix`` and the X-form metrics one model at a time;
+    the bitwise oracle of ``scenarios.stationary_metrics``."""
+    from dressedbath import metrics, microscopic, phenomenological
+    states = {"micro": frame.to_computational(microscopic.steady_state(rates)),
+              "phenom": phenomenological.steady_state(params, rates)}
+    out = {}
+    for model, state in states.items():
+        x, ok = metrics.x_elements_from_matrix(state)
+        assert ok, f"{model} stationary state is not X-shaped"
+        out[model] = {"concurrence": float(metrics.concurrence_x(x)),
+                      "discord": float(metrics.discord_approx_q2(x)),
+                      "linear_entropy": float(metrics.linear_entropy_q1(x))}
+    return out
+
+
 def golden_general_configs():
     """The four non-X ``evolve --config`` runs of ``tools/golden.py``."""
     from dressedbath.scenarios import parse_config

@@ -4,6 +4,7 @@ from dataclasses import astuple
 
 import pytest
 
+from dressedbath import phenomenological
 from dressedbath.cli import build_parser, main
 from dressedbath.model import dressed_frame, rate_set, spectral_density
 from dressedbath.scenarios import parse_config
@@ -500,6 +501,41 @@ def test_extreme_frequency_is_config_error(field, value, message, verb,
         warnings.simplefilter("error")
         assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "steady", "compare", "evolve"])
+def test_underflowing_low_bohr_frequency_is_config_error(verb, tmp_path, capsys):
+    # omega^2 over the high Bohr frequency, about 1e140, is below the
+    # smallest subnormal double
+    path = figure2_config(tmp_path, omega="1e-150", coupling="1e140")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr() == (
+        "", "configuration error: the low Bohr frequency, omega^2 over the high "
+        "one, underflows to 0 at omega = 1e-150, coupling = 1e+140\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["steady", "compare"])
+def test_phenom_stationary_state_off_the_x_family_is_numeric_error(
+        verb, tmp_path, capsys, monkeypatch):
+    closed_form = phenomenological.steady_state
+
+    def broken(p, rates):
+        # the inner coherence far past its population bound sqrt(p01 p10)
+        state = closed_form(p, rates)
+        state[1, 2] = state[2, 1] = 1.0
+        return state
+
+    monkeypatch.setattr(phenomenological, "steady_state", broken)
+    out_dir = tmp_path / "out"
+    assert main([verb, "--config", str(figure2_config(tmp_path)),
+                 "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical invariant violated: phenom stationary state is not X-shaped\n")
     assert not out_dir.exists()
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_run_matches_dense
+from conftest import assert_run_matches_dense, stationary_per_model
 from dressedbath import phenomenological
 from dressedbath.cli import NUMERIC_ERRORS
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
@@ -165,7 +165,11 @@ def test_closed_form_stationary_states(p):
     # sudden-death times
     rep = compare_report(ScenarioConfig(params=p, metrics=STATIONARY_METRICS,
                                         n_points=2, t_max=1e-12))
-    assert hexed(rep.stationary) == hexed(stationary_metrics(p, frame, rates))
+    stationary = hexed(stationary_metrics(p, frame, rates))
+    assert hexed(rep.stationary) == stationary
+    # one (2, 8) X-column read for both models gives the bits of the
+    # per-model read of the full matrices
+    assert stationary == hexed(stationary_per_model(p, frame, rates))
 
     # micro: microscopic.thermal_stationarity, the rate-ratio state equal to
     # the Gibbs state and annihilated by microscopic.liouvillian

@@ -75,6 +75,26 @@ def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_matrices):
             bits(metrics.concurrence_general(states[general])))
 
 
+@pytest.mark.parametrize("cfg", golden_general_configs(),
+                         ids=[c.label for c in golden_general_configs()])
+def test_matrices_are_built_only_for_linear_entropy(cfg, monkeypatch):
+    """With concurrence alone, validation decomposed every general snapshot,
+    so no ``(n, 4, 4)`` stack is built; linear entropy builds one per model."""
+    built = []
+
+    def spy(cols, entries):
+        built.append(len(cols))
+        return as_matrices(cols, entries)
+
+    monkeypatch.setattr(scenarios, "as_matrices", spy)
+    traj = run_scenario(replace(cfg, metrics=("concurrence",)))
+    assert built == []
+    for model in scenarios.MODELS:
+        assert (traj.routes[model] == ROUTES.index("general")).all()
+    run_scenario(replace(cfg, metrics=("concurrence", "linear_entropy")))
+    assert built == [cfg.n_points] * len(scenarios.MODELS)
+
+
 # X-shaped, with an outer coherence 1e-8 beyond its population bound: the
 # smallest eigenvalue, -1e-8, passes validation at the evolved tolerances,
 # which read it in closed form, but XStateElements.valid fails, so the
