@@ -30,26 +30,30 @@ def superoperator_from_rhs(rhs) -> np.ndarray:
 
 
 def _kron(a, b):
-    """``np.kron`` of two 4x4 matrices: the same products, in one multiply."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+    """``np.kron`` of two 4x4 matrices, or of each pair of two broadcast
+    ``(..., 4, 4)`` stacks: the same products, in one multiply."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (16, 16))
 
 
 def lindblad(h: np.ndarray, channels) -> np.ndarray:
     """16x16 generator (row-major vec) of -i[h, rho] plus one Lindblad
     dissipator per ``(rate, jump operator)`` channel; zero rates are skipped.
+    The dissipators are one stacked expression, added in channel order.
     """
     eye = np.eye(4)
     gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for rate, op in channels:
-        if rate == 0.0:
-            continue
-        opd = op.conj().T
-        norm = opd @ op
-        # an overflowing rate makes inf and nan entries, which propagation
-        # reports (NotFinite)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gen += rate * (_kron(op, opd.T)
-                           - 0.5 * (_kron(norm, eye) + _kron(eye, norm.T)))
+    rates = np.array([rate for rate, _ in channels if rate != 0.0])
+    op = np.array([jump for rate, jump in channels if rate != 0.0]).reshape(-1, 4, 4)
+    norm = op.conj().swapaxes(-1, -2) @ op
+    # an overflowing rate makes inf and nan entries, which propagation
+    # reports (NotFinite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = rates[:, None, None] * (
+            _kron(op, op.conj())
+            - 0.5 * (_kron(norm, eye) + _kron(eye, norm.swapaxes(-1, -2))))
+        for term in terms:
+            gen += term
     return gen
 
 

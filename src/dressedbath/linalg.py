@@ -14,8 +14,8 @@ the columns of its ``entries``: all sixteen (``ENTRIES``), or the eight X
 entries (``X_ENTRIES``) that an X-shaped run carries, with +0 at every
 other entry.  ``validate_eigs`` checks such a stack in one pass (a single
 matrix is a stack of one); it reads the smallest eigenvalue of an X-shaped
-snapshot in closed form and returns LAPACK's eigenpairs of the others, for
-the general concurrence (``validate_columns`` drops them).
+snapshot in closed form and returns LAPACK's eigenpairs of the rows of the
+general metric route, for the general concurrence.
 """
 
 from __future__ import annotations
@@ -103,12 +103,13 @@ def _half_sum(a, b):
     return h
 
 
-def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
-                  psd_tol=PSD_TOL):
+def validate_eigs(cols, entries, general, *, herm_tol=HERM_TOL,
+                  trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check Hermiticity, unit trace and positivity of every matrix of an
-    ``(n, k)`` stack of ``entries``; return the worst margins and ``(rows,
-    *np.linalg.eigh(h))`` of the Hermitian parts h of the matrices it sent
-    to LAPACK, the ``rows`` (a mask), or None if it sent none.
+    ``(n, k)`` stack of ``entries``; return the worst margins and
+    ``np.linalg.eigh`` of the Hermitian parts of the ``general`` rows (a
+    mask, or False), which one LAPACK call decomposes with every matrix that
+    positivity cannot read in closed form.
 
     The first failing matrix decides: non-finite entries raise NotFinite,
     otherwise the first failed check (NotHermitian, then TraceNotOne, then
@@ -122,6 +123,7 @@ def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     first_nonfinite = (len(cols) if np.isfinite(cols).all()
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
+    general = np.broadcast_to(general, len(cols))[:first_nonfinite]
 
     above = [(i, j) for i, j in entries if i < j]
     a = checked[:, [entries.index(e) for e in above]]
@@ -137,7 +139,7 @@ def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     # where the off-X entries of h = (M + M^H)/2 are all exactly zero, h is the
     # direct sum of its {00,11} and {01,10} blocks, and the smallest
     # eigenvalue of a block [[p, z], [z*, q]] is (p+q)/2 - hypot((p-q)/2, |z|);
-    # h is formed in full only for the other matrices, which go to LAPACK
+    # h is formed in full only for the matrices that go to LAPACK
     h = _half_sum(a, b)
     x = ~functools.reduce(np.logical_or, [h[:, k] != 0 for k, e in enumerate(above)
                                           if e not in X_ENTRIES], np.zeros(len(h), bool))
@@ -149,12 +151,14 @@ def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
         low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
     neg = np.empty(len(h))
     neg[rows] = -np.minimum(*low)
-    eigs = None
-    if rows is x:
-        h = checked[~x]
+    eigs = np.empty((0, 4)), np.empty((0, 4, 4), complex)
+    lapack = ~x | general
+    if lapack.any():
+        h = checked[lapack]
         h = _half_sum(h, np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
-        eigs = (~x, *np.linalg.eigh(h.reshape(-1, 4, 4)))
-        neg[~x] = -eigs[1][:, 0]
+        evals, vecs = np.linalg.eigh(as_matrices(h, entries))
+        neg[~x] = -evals[~x[lapack], 0]
+        eigs = evals[general[lapack]], vecs[general[lapack]]
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -171,8 +175,8 @@ def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
 
 
 def validate_columns(cols, entries, **tolerances) -> Margins:
-    """The margins of ``validate_eigs``."""
-    return validate_eigs(cols, entries, **tolerances)[0]
+    """The margins of ``validate_eigs``, with no general row."""
+    return validate_eigs(cols, entries, False, **tolerances)[0]
 
 
 def validate_density(matrix, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
@@ -196,20 +200,20 @@ def partial_trace_q2(rho) -> np.ndarray:
     return m[..., ::2, ::2] + m[..., 1::2, 1::2]
 
 
-def hermitian_eigs(matrix, herm_tol=1e-10):
+def hermitian_eigs(matrix):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix or of
     each matrix in a ``(..., n, n)`` stack.
 
     Checks each matrix's Hermiticity (the first one off by more than
-    ``herm_tol`` raises NotHermitian), then hands the Hermitian parts to
-    LAPACK's ``eigh``.
+    ``EVOLVED_HERM_TOL`` raises NotHermitian), then hands the Hermitian
+    parts to LAPACK's ``eigh``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     mh = np.conj(np.swapaxes(m, -1, -2))
     herm = np.abs(m - mh).max(axis=(-2, -1)).ravel()
-    bad = np.flatnonzero(herm > herm_tol)
+    bad = np.flatnonzero(herm > EVOLVED_HERM_TOL)
     if bad.size:
         off = herm[bad[0]]
         raise NotHermitian(f"matrix is not Hermitian (off by {off:.3e})", off)

@@ -33,7 +33,8 @@ from .model import DressedFrame
 
 log = logging.getLogger(__name__)
 
-X_TOL = 1e-10
+X_TOL = 1e-10      # an off-X entry at most this large counts as zero
+_BOUND_TOL = 1e-9  # slack of a coherence's population bound
 
 
 class AssumptionViolated(Exception):
@@ -71,13 +72,14 @@ class XStateElements:
     outer: complex
     inner: complex
 
-    def valid(self, tol=1e-9, trace_tol=1e-10) -> np.ndarray:
+    def valid(self, trace_tol=1e-10) -> np.ndarray:
         """Per snapshot: populations sum to 1 and each coherence stays
-        within its population bound."""
+        within its population bound (an overflow fails them, silently)."""
         total = self.p00 + self.p01 + self.p10 + self.p11
-        return ~((np.abs(total - 1.0) > trace_tol)
-                 | (np.abs(self.outer) ** 2 > self.p00 * self.p11 + tol)
-                 | (np.abs(self.inner) ** 2 > self.p01 * self.p10 + tol))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ~((np.abs(total - 1.0) > trace_tol)
+                     | (np.abs(self.outer) ** 2 > self.p00 * self.p11 + _BOUND_TOL)
+                     | (np.abs(self.inner) ** 2 > self.p01 * self.p10 + _BOUND_TOL))
 
     def take(self, index) -> XStateElements:
         """The snapshots picked by an index or boolean mask."""
@@ -93,8 +95,7 @@ class XStateElements:
         return m
 
 
-def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
-                            tol: float = X_TOL):
+def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame):
     """Computational X elements straight from dressed populations and the
     antisym-sym coherence, for a ``(..., 4, 4)`` stack of dressed states:
     the closed-form oracle of ``x_elements_from_columns`` on micro states.
@@ -118,11 +119,10 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame,
         outer=ap * am * (pd - pa),
         inner=inner,
     )
-    return x, ~(np.abs(r[..., 0, 3]) > tol) & x.valid()
+    return x, ~(np.abs(r[..., 0, 3]) > X_TOL) & x.valid()
 
 
-def x_elements_from_columns(cols, entries, tol: float = X_TOL,
-                            trace_tol: float = 1e-10):
+def x_elements_from_columns(cols, entries, trace_tol: float = 1e-10):
     """Read the X elements off a ``(..., k)`` stack of the columns of
     computational-basis ``entries``; the mask marks the snapshots whose
     upper off-X entries among ``entries`` really vanish (an entry not among
@@ -136,16 +136,15 @@ def x_elements_from_columns(cols, entries, tol: float = X_TOL,
         p10=c[..., at((2, 2))].real, p11=c[..., at((3, 3))].real,
         outer=c[..., at((0, 3))], inner=c[..., at((1, 2))],
     )
-    return x, ~(off > tol) & x.valid(trace_tol=trace_tol)
+    return x, ~(off > X_TOL) & x.valid(trace_tol=trace_tol)
 
 
-def x_elements_from_matrix(rho: np.ndarray, tol: float = X_TOL,
-                           trace_tol: float = 1e-10):
+def x_elements_from_matrix(rho: np.ndarray, trace_tol: float = 1e-10):
     """``x_elements_from_columns`` of a computational-basis matrix or of
     each matrix of a ``(..., 4, 4)`` stack."""
     r = np.asarray(rho)
     return x_elements_from_columns(r.reshape(r.shape[:-2] + (16,)), ENTRIES,
-                                   tol, trace_tol)
+                                   trace_tol)
 
 
 def concurrence_x(x: XStateElements) -> np.ndarray:
@@ -153,11 +152,6 @@ def concurrence_x(x: XStateElements) -> np.ndarray:
     inner_branch = np.abs(x.inner) - np.sqrt(np.maximum(x.p00 * x.p11, 0.0))
     # neither branch can be -0: |z| is never -0, and |z| - (+-0) is +0 at 0
     return 2.0 * np.maximum(np.maximum(outer_branch, inner_branch), 0.0)
-
-
-_SYSY = np.zeros((4, 4))
-_SYSY[0, 3] = _SYSY[3, 0] = -1.0
-_SYSY[1, 2] = _SYSY[2, 1] = 1.0
 
 
 def concurrence_general(rho):
@@ -184,7 +178,9 @@ def concurrence_from_eigs(evals, vecs) -> np.ndarray:
         raise NotPSD(f"state eigenvalue {evals[i, 0]:.3e} below tolerance",
                      -evals[i, 0])
     w = vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
-    s = np.linalg.svd(w.swapaxes(-1, -2) @ _SYSY @ w, compute_uv=False)
+    # W^T (sy x sy) is W^T with its columns reversed and the outer two negated
+    flipped = w.swapaxes(-1, -2)[..., ::-1] * np.array([-1.0, 1.0, 1.0, -1.0])
+    s = np.linalg.svd(flipped @ w, compute_uv=False)
     c = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
     # np.maximum picks either zero on a tie depending on the numpy build, so
     # clamp by sign: a -0 difference becomes +0

@@ -157,7 +157,9 @@ def _decaying_phase(freq, rate, t):
 
 def _unitary_branch(rho0, frame, t):
     e = np.asarray(frame.energies, dtype=float)
-    phases = np.exp(-1j * np.subtract.outer(e, e)[None, :, :] * t[:, None, None])
+    # a phase past the double range is nan, which validation reports (NotFinite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * np.subtract.outer(e, e)[None, :, :] * t[:, None, None])
     return phases * rho0[None, :, :]
 
 

@@ -294,12 +294,14 @@ class FairnessReport:
         return out
 
 
+_FAIRNESS_THRESHOLD = 0.15   # a larger bath-sample deviation flags a comparison
+
 # occupancies below a milliphoton cannot move any rate perceptibly, so
 # deviations are measured against at least this floor
 OCCUPANCY_FLOOR = 1e-3
 
 
-def fairness_check(p: SystemParams, threshold: float = 0.15) -> FairnessReport:
+def fairness_check(p: SystemParams) -> FairnessReport:
     frame = dressed_frame(p)
     j_bare = spectral_density(p, p.omega)
     n_bare = thermal_occupancy(p.omega, p.temperature)
@@ -315,5 +317,6 @@ def fairness_check(p: SystemParams, threshold: float = 0.15) -> FairnessReport:
 
     devs = (dev_j(frame.bohr_low), dev_j(frame.bohr_high),
             dev_n(frame.bohr_low), dev_n(frame.bohr_high))
-    return FairnessReport(*devs, threshold=threshold, unfair=max(devs) > threshold,
+    return FairnessReport(*devs, threshold=_FAIRNESS_THRESHOLD,
+                          unfair=max(devs) > _FAIRNESS_THRESHOLD,
                           strong_damping=p.gamma0 > 0.1 * min(frame.bohr_low, frame.bohr_high))

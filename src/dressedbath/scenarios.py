@@ -20,7 +20,7 @@ from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                      EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite, as_matrices,
-                     hermitian_eigs, validate_eigs, validate_density)
+                     validate_eigs, validate_density)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -155,33 +155,16 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
-def _general_eigs(stack, entries, rows, eigs):
-    """``hermitian_eigs`` of the ``rows`` (a mask) of an ``(n, k)`` stack of
-    ``entries``, reusing ``eigs``, ``validate_eigs``' eigenpairs of it."""
-    if eigs is None:
-        return hermitian_eigs(as_matrices(stack[rows], entries))
-    lapack, *pairs = eigs
-    if np.array_equal(rows, lapack):
-        return pairs
-    shared, n = lapack[rows], np.count_nonzero(rows)
-    fresh = hermitian_eigs(as_matrices(stack[rows & ~lapack], entries))
-    out = np.empty((n, 4)), np.empty((n, 4, 4), complex)
-    for o, old, new in zip(out, pairs, fresh):
-        o[shared], o[~shared] = old[rows[lapack]], new
-    return out
-
-
-def _trajectory_metrics(stack, entries, wanted, eigs=None):
+def _trajectory_metrics(stack, entries, wanted, x, x_ok, eigs):
     """Metric columns of a validated trajectory (a ``Trajectory.stacks`` value
     over ``entries``), and the route (index into ROUTES) of each snapshot.
 
-    Each snapshot takes the first route that holds for it: the X elements of
-    the computational matrix, then the general forms.  Each route is one
-    call per metric on the stack of its snapshots; the general concurrence
-    reuses the eigenpairs ``eigs`` of the stack's ``validate_eigs``.
+    ``x, x_ok`` is ``metrics.x_elements_from_columns`` of the stack: the X
+    elements and the mask of the snapshots that take the X route.  The
+    others take the general route, and ``eigs`` holds their eigenpairs from
+    ``validate_eigs``.  Each route is one call per metric on the stack of its
+    snapshots.
     """
-    x, x_ok = metrics.x_elements_from_columns(stack, entries,
-                                              trace_tol=EVOLVED_TRACE_TOL)
     route = np.where(x_ok, 0, 1).astype(np.int8)
     cols = {c: np.empty(len(stack)) for c in _columns_for(wanted)}
     x_rows = x.take(x_ok)
@@ -190,10 +173,9 @@ def _trajectory_metrics(stack, entries, wanted, eigs=None):
             cols[name][x_ok] = getattr(metrics, fn)(x_rows)
     general = ~x_ok
     if general.any() and "concurrence" in wanted:
-        evals, vecs = _general_eigs(stack, entries, general, eigs)
         # with discord wanted, only the first snapshot's runs: it decides before discord fails
-        n = 1 if "discord" in wanted else len(evals)
-        cols["concurrence"][general] = metrics.concurrence_from_eigs(evals[:n], vecs[:n])
+        n = 1 if "discord" in wanted else len(stack)
+        cols["concurrence"][general] = metrics.concurrence_from_eigs(*(e[:n] for e in eigs))
     if general.any() and "discord" in wanted:
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
@@ -242,12 +224,14 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
                 frame.to_dressed(rho0_comp), rates, frame, times), entries)
         else:
             stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times, entries)
+        read = metrics.x_elements_from_columns(stack, entries, trace_tol=EVOLVED_TRACE_TOL)
         margins[model], eigs = validate_eigs(
-            stack, entries, herm_tol=EVOLVED_HERM_TOL,
+            stack, entries, ~read[1], herm_tol=EVOLVED_HERM_TOL,
             trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
         stacks[model] = stack
-        series[model], routes[model] = _trajectory_metrics(stack, entries, cfg.metrics, eigs)
-        del eigs   # not held while the next model propagates
+        series[model], routes[model] = _trajectory_metrics(stack, entries, cfg.metrics,
+                                                           *read, eigs)
+        del read, eigs   # not held while the next model propagates
 
     return Trajectory(label=cfg.label, times=times, stacks=stacks,
                       entries=entries, series=series, margins=margins,

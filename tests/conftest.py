@@ -36,9 +36,27 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def metric_stage(cols, entries, wanted):
+    """``run_scenario``'s stages after propagation on an ``(n, k)`` stack of
+    ``entries``: the X read, validation at the evolved tolerances with the
+    general rows marked, and the metrics; the margins, series and routes."""
+    from dressedbath import metrics, scenarios
+    from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
+                                    EVOLVED_TRACE_TOL, validate_eigs)
+    read = metrics.x_elements_from_columns(cols, entries,
+                                           trace_tol=EVOLVED_TRACE_TOL)
+    margins, eigs = validate_eigs(cols, entries, ~read[1],
+                                  herm_tol=EVOLVED_HERM_TOL,
+                                  trace_tol=EVOLVED_TRACE_TOL,
+                                  psd_tol=EVOLVED_PSD_TOL)
+    return (margins,) + scenarios._trajectory_metrics(cols, entries, wanted,
+                                                      *read, eigs)
+
+
 def dense_stages(cfg):
     """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, the route of a
-    non-X start: per model the stack, its margins, series and routes."""
+    non-X start: per model the stack, its margins, series and routes.  The
+    margins are ``validate_columns``', which marks no general row."""
     from dressedbath import microscopic, phenomenological, scenarios
     from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                     EVOLVED_TRACE_TOL, validate_columns)
@@ -59,8 +77,10 @@ def dense_stages(cfg):
                                    herm_tol=EVOLVED_HERM_TOL,
                                    trace_tol=EVOLVED_TRACE_TOL,
                                    psd_tol=EVOLVED_PSD_TOL)
-        out[model] = (stack, margins) + scenarios._trajectory_metrics(
-            stack.reshape(-1, 16), ENTRIES, cfg.metrics)
+        marked, series, routes = metric_stage(stack.reshape(-1, 16), ENTRIES,
+                                              cfg.metrics)
+        assert marked == margins
+        out[model] = stack, margins, series, routes
     return out
 
 

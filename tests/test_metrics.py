@@ -14,7 +14,8 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
 from dressedbath.model import SystemParams, dressed_frame
 
 from conftest import (concurrence_mp, concurrence_spin_flip, discord_oracle_q2,
-                      random_density, random_unitary, random_x_state)
+                      metric_stage, random_density, random_unitary,
+                      random_x_state)
 
 
 def bell_matrix():
@@ -521,10 +522,9 @@ class TestTrajectoryRouteErrors:
          metrics.NotPSD),
     ])
     def test_first_failing_snapshot_decides(self, rng, kinds, wanted, expected):
-        from dressedbath.scenarios import _trajectory_metrics
         comp = self.stack(rng, kinds)
         with pytest.raises((metrics.NotPSD, metrics.AssumptionViolated)) as err:
-            _trajectory_metrics(comp.reshape(-1, 16), ENTRIES, wanted)
+            metric_stage(comp.reshape(-1, 16), ENTRIES, wanted)
         assert type(err.value) is expected
         if expected is metrics.NotPSD:
             with pytest.raises(metrics.NotPSD) as single:

@@ -1,19 +1,21 @@
-"""A non-X snapshot's Hermitian part reaches LAPACK once per model run:
-validation's eigenpairs feed the general concurrence, and only a general-route
-snapshot that validation read in closed form is decomposed afterwards."""
+"""A snapshot's Hermitian part reaches LAPACK at most once per model run, and
+only from ``linalg.validate_eigs``: validation decomposes every snapshot it
+cannot read in closed form and every snapshot of the general metric route,
+and its eigenpairs of the latter feed the general concurrence."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import bits, golden_general_configs, random_density
-from dressedbath import metrics, scenarios
+from dressedbath import linalg, metrics, scenarios
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, X_ENTRIES, NotPSD,
                                 TraceNotOne, as_matrices, validate_columns,
                                 validate_eigs)
-from dressedbath.scenarios import ROUTES, run_scenario
+from dressedbath.scenarios import ROUTES, figure_preset, run_scenario
 
 EVOLVED = dict(herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
                psd_tol=EVOLVED_PSD_TOL)
@@ -37,38 +39,51 @@ CONFIGS = golden_general_configs() + list(seeded_draws())
 
 
 @pytest.fixture
-def lapack_matrices(monkeypatch):
-    """Every matrix handed to np.linalg.eigh or eigvalsh, in call order."""
+def lapack_calls(monkeypatch):
+    """Each call of np.linalg.eigh or eigvalsh, in order: the code of the
+    calling function and the matrices handed over."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
-            calls.append(np.array(a).reshape(-1, 4, 4))
+            calls.append((sys._getframe(1).f_code, np.array(a).reshape(-1, 4, 4)))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
+def handed(calls):
+    """The matrices of ``lapack_calls``, as one stack."""
+    return np.concatenate([m for _, m in calls] or [np.empty((0, 4, 4))])
+
+
+def hermitian_parts(traj, model):
+    states = as_matrices(traj.stacks[model], traj.entries)
+    return states, 0.5 * (states + states.conj().swapaxes(-1, -2))
+
+
+def off_x_rows(herm):
+    return herm.reshape(-1, 16)[:, [4 * i + j for i, j in ENTRIES
+                                    if (i, j) not in X_ENTRIES]].any(axis=1)
+
+
 @pytest.mark.parametrize("cfg", CONFIGS,
                          ids=[f"{c.label}-{i}" for i, c in enumerate(CONFIGS)])
-def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_matrices):
+def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_calls):
     for model in scenarios.MODELS:
         one_model = replace(cfg, models=(model,))   # validates the start state
-        lapack_matrices.clear()
+        lapack_calls.clear()
         traj = run_scenario(one_model)
-        handed = np.concatenate(lapack_matrices)
-        states = as_matrices(traj.stacks[model], traj.entries)
-        herm = 0.5 * (states + states.conj().swapaxes(-1, -2))
+        states, herm = hermitian_parts(traj, model)
         general = traj.routes[model] == ROUTES.index("general")
-        off_x = herm.reshape(-1, 16)[:, [4 * i + j for i, j in ENTRIES
-                                         if (i, j) not in X_ENTRIES]].any(axis=1)
+        off_x = off_x_rows(herm)
         non_x = off_x | general
         if cfg.t_max == "auto":
             assert non_x.all()
         else:   # validation decomposed snapshots that take the X route
             assert general.any() and (off_x & ~general).any()
-        assert len(handed) == non_x.sum()
-        assert (sorted(m.tobytes() for m in handed)
+        assert len(handed(lapack_calls)) == non_x.sum()
+        assert (sorted(m.tobytes() for m in handed(lapack_calls))
                 == sorted(m.tobytes() for m in herm[non_x]))
         np.testing.assert_array_equal(
             bits(traj.series[model]["concurrence"][general]),
@@ -98,20 +113,25 @@ def test_matrices_are_built_only_for_linear_entropy(cfg, monkeypatch):
 # X-shaped, with an outer coherence 1e-8 beyond its population bound: the
 # smallest eigenvalue, -1e-8, passes validation at the evolved tolerances,
 # which read it in closed form, but XStateElements.valid fails, so the
-# snapshot takes the general route and is decomposed there
+# snapshot takes the general route, and validation decomposes it for the
+# general concurrence
 EDGE = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
 EDGE[0, 3] = EDGE[3, 0] = 0.25 + 1e-8
 PHENOM = replace(golden_general_configs()[0], models=("phenom",))
 
 
 def run_on(stack, monkeypatch, wanted=("concurrence", "linear_entropy"),
-           calls=None):
-    """run_scenario of a phenom-only non-X config whose trajectory is
-    ``stack``; ``calls``, a spy's record, is cleared once the config (and
+           calls=None, start=PHENOM.initial_state):
+    """run_scenario of a phenom-only config whose trajectory is ``stack``,
+    carried as the columns of the start's entries (an X start's eight drop
+    the rest); ``calls``, a spy's record, is cleared once the config (and
     its start state) is validated."""
-    monkeypatch.setattr(scenarios.phenomenological, "propagate",
-                        lambda *args: stack.reshape(-1, 16))
-    cfg = replace(PHENOM, metrics=wanted, n_points=len(stack))
+    cfg = replace(PHENOM, metrics=wanted, n_points=len(stack), initial_state=start)
+
+    def propagate(rho0, params, rates, times, entries):
+        return stack.reshape(-1, 16)[:, [4 * i + j for i, j in entries]]
+
+    monkeypatch.setattr(scenarios.phenomenological, "propagate", propagate)
     if calls is not None:
         calls.clear()
     return run_scenario(cfg)
@@ -135,12 +155,12 @@ def stack_of(*kinds):
 @pytest.mark.parametrize("kinds", [("tiny", "general", "x", "general"),
                                    ("general", "tiny", "general", "tiny")])
 def test_x_route_rows_among_the_decomposed_ones(kinds, monkeypatch,
-                                                lapack_matrices):
+                                                lapack_calls):
     stack = stack_of(*kinds)
-    traj = run_on(stack, monkeypatch, calls=lapack_matrices)
+    traj = run_on(stack, monkeypatch, calls=lapack_calls)
     general = np.array([k == "general" for k in kinds])
     assert (traj.routes["phenom"] == ROUTES.index("general")).tolist() == general.tolist()
-    assert len(np.concatenate(lapack_matrices)) == 4 - kinds.count("x")
+    assert len(handed(lapack_calls)) == 4 - kinds.count("x")
     np.testing.assert_array_equal(
         bits(traj.series["phenom"]["concurrence"][general]),
         bits(metrics.concurrence_general(stack[general])))
@@ -162,12 +182,18 @@ def test_first_non_psd_general_snapshot_decides(kinds, monkeypatch):
     assert err.value.violation == single.value.violation
 
 
-def test_edge_state_passes_validation_unseen_by_lapack():
+def test_edge_state_passes_validation_unseen_by_lapack(lapack_calls):
+    """Validation alone reads the edge state in closed form; marked as a
+    general row, it is decomposed too, and the margins do not move."""
     cols = stack_of("general", "edge").reshape(-1, 16)
-    assert validate_columns(cols, ENTRIES, **EVOLVED).positivity == pytest.approx(
-        1e-8, rel=1e-6)
-    _, (rows, evals, vecs) = validate_eigs(cols, ENTRIES, **EVOLVED)
-    assert rows.tolist() == [True, False] and len(evals) == len(vecs) == 1
+    margins = validate_columns(cols, ENTRIES, **EVOLVED)
+    assert margins.positivity == pytest.approx(1e-8, rel=1e-6)
+    assert len(handed(lapack_calls)) == 1
+    lapack_calls.clear()
+    marked, (evals, vecs) = validate_eigs(cols, ENTRIES, [True, True], **EVOLVED)
+    assert marked == margins
+    assert len(handed(lapack_calls)) == len(evals) == len(vecs) == 2
+    assert evals[1, 0] == pytest.approx(-1e-8, rel=1e-6)
 
 
 def test_later_validation_failure_wins_over_the_edge(monkeypatch):
@@ -187,3 +213,80 @@ def test_with_discord_the_first_general_snapshot_decides(kinds, expected,
     with pytest.raises((NotPSD, metrics.AssumptionViolated)) as err:
         run_on(stack_of(*kinds), monkeypatch, ("concurrence", "discord"))
     assert type(err.value) is expected
+
+
+def assert_lapack_only_in_validation(traj, model, calls):
+    """Each snapshot that validation cannot read in closed form and each
+    general-route one was handed to LAPACK once, in one call from
+    ``linalg.validate_eigs``; no other snapshot was."""
+    _, herm = hermitian_parts(traj, model)
+    decomposed = off_x_rows(herm) | (traj.routes[model] == ROUTES.index("general"))
+    assert [code for code, _ in calls] == (
+        [linalg.validate_eigs.__code__] if decomposed.any() else [])
+    assert (sorted(m.tobytes() for m in handed(calls))
+            == sorted(m.tobytes() for m in herm[decomposed]))
+
+
+# X starts at a figure preset and at a seeded X state; non-X starts at a golden
+# config and at a seeded state whose late snapshots take the X route
+SITE_CONFIGS = [replace(figure_preset(2), n_points=200),
+                replace(figure_preset(7), n_points=200),
+                replace(PHENOM, models=scenarios.MODELS, initial_state="ket01"),
+                golden_general_configs()[1],
+                next(c for c in CONFIGS if c.t_max != "auto")]
+
+
+@pytest.mark.parametrize("cfg", SITE_CONFIGS,
+                         ids=[f"{c.label}-{i}" for i, c in enumerate(SITE_CONFIGS)])
+def test_lapack_is_called_only_from_validation(cfg, lapack_calls):
+    for model in cfg.models:
+        one_model = replace(cfg, models=(model,))   # validates the start state
+        lapack_calls.clear()
+        traj = run_scenario(one_model)
+        assert_lapack_only_in_validation(traj, model, lapack_calls)
+        if traj.entries == X_ENTRIES:
+            assert lapack_calls == []
+
+
+@pytest.mark.parametrize("kinds, start", [
+    (("x", "tiny", "edge", "general"), PHENOM.initial_state),
+    (("edge", "x", "general", "tiny"), PHENOM.initial_state),
+    (("x", "x"), PHENOM.initial_state),
+    (("x", "edge", "x"), "ket10"),
+    (("x", "x"), "ket10")])
+def test_mixed_stacks_are_decomposed_only_in_validation(kinds, start, monkeypatch,
+                                                        lapack_calls):
+    traj = run_on(stack_of(*kinds), monkeypatch, ("linear_entropy",),
+                  lapack_calls, start)
+    assert_lapack_only_in_validation(traj, "phenom", lapack_calls)
+    general = traj.routes["phenom"] == ROUTES.index("general")
+    assert general.tolist() == [k in ("edge", "general") for k in kinds]
+
+
+def test_x_start_edge_state_raises_from_validations_eigenpairs(monkeypatch,
+                                                              lapack_calls):
+    """An X start carries eight columns, so validation builds the edge
+    state's matrix from them; its eigenvalue -1e-8 fails the general
+    concurrence as it does for the matrix itself."""
+    with pytest.raises(NotPSD) as single:
+        metrics.concurrence_general(EDGE)
+    with pytest.raises(NotPSD) as err:
+        run_on(stack_of("x", "edge", "x"), monkeypatch, ("concurrence",),
+               lapack_calls, "ket10")
+    assert (str(err.value), err.value.violation) == (str(single.value),
+                                                     single.value.violation)
+    assert [code for code, _ in lapack_calls] == [linalg.validate_eigs.__code__]
+    np.testing.assert_array_equal(
+        bits(handed(lapack_calls)),
+        bits(0.5 * (EDGE + EDGE.conj().T))[None])
+
+
+@pytest.mark.parametrize("start", [PHENOM.initial_state, "ket10"])
+def test_overflowing_snapshot_fails_validation_not_the_x_read(start, monkeypatch):
+    """The X read runs before validation, so it meets unvalidated snapshots:
+    one whose population products overflow fails the read without a warning
+    (a warning raises here), and validation reports it."""
+    stack = stack_of("x", "x")
+    stack[1] *= 1e200
+    with pytest.raises(TraceNotOne):
+        run_on(stack, monkeypatch, start=start)

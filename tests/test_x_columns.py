@@ -174,17 +174,24 @@ def test_each_start_carries_the_columns_of_its_entries(start):
 @pytest.mark.parametrize("start", list(STARTS))
 def test_each_model_validates_its_columns_once(start, monkeypatch):
     cfg, entries = STARTS[start]
-    calls = []
+    calls, read = [], scenarios.metrics.x_elements_from_columns
 
-    def spy(cols, entries, **tolerances):
-        calls.append((cols.shape, entries))
-        return validate_eigs(cols, entries, **tolerances)
+    def spy(cols, entries, general, **tolerances):
+        calls.append(("validate", cols.shape, entries))
+        return validate_eigs(cols, entries, general, **tolerances)
+
+    def read_spy(cols, entries, **tolerances):
+        calls.append(("read", cols.shape, entries))
+        return read(cols, entries, **tolerances)
 
     monkeypatch.setattr(scenarios, "validate_eigs", spy)
+    monkeypatch.setattr(scenarios.metrics, "x_elements_from_columns", read_spy)
     for models in (("micro",), ("phenom",), MODELS):
         calls.clear()
         run_scenario(replace(cfg, models=models))
-        assert calls == [((50, len(entries)), entries)] * len(models)
+        # one X read per model run, before its one validation
+        assert calls == [(stage, (50, len(entries)), entries)
+                         for stage in ("read", "validate")] * len(models)
 
 
 def _refuse(*args, **kwargs):
