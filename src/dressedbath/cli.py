@@ -181,66 +181,74 @@ def cmd_sweep(args):
     return 0
 
 
+def _selftest_checks(params, frame, rates, span):
+    """The six cross-validation checks of one configuration, as
+    ``(name, ok, detail)`` rows."""
+    rows = []
+    start = time.perf_counter()
+    times = np.linspace(0.0, span, 400)
+    rho0 = frame.to_dressed(np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex))
+    analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
+    gen = microscopic.liouvillian(rates, frame)
+    numeric = integrate.propagate(gen, rho0, times, ENTRIES)
+    err = np.abs(analytic.reshape(-1, 16) - numeric).max()
+    elapsed = time.perf_counter() - start
+    rows.append(("closed form vs integrated generator",
+                 err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s"))
+
+    x_dressed, held = metrics.x_elements_from_dressed(analytic, frame)
+    x_comp, ok = metrics.x_elements_from_columns(
+        frame.to_computational_columns(analytic, X_ENTRIES), X_ENTRIES)
+    dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
+              for f in fields(metrics.XStateElements))
+    rows.append(("micro X elements: dressed closed form vs basis change",
+                 held.all() and ok.all() and dev <= 1e-12, f"max dev {dev:.2e}"))
+
+    gen_rows = phenomenological.liouvillian(params, rates)
+    gen_ops = phenomenological.liouvillian_from_ops(params, rates)
+    scale = max(np.abs(gen_ops).max(), 1.0)
+    dev = np.abs(gen_rows - gen_ops).max() / scale
+    rows.append(("phenom element equations vs operator form",
+                 dev <= 1e-12, f"rel dev {dev:.2e}"))
+
+    thermal, resid = microscopic.thermal_stationarity(params, rates, frame, gen)
+    rows.append(("micro stationarity (Gibbs state, annihilated)",
+                 thermal, f"residual {resid:.2e}"))
+
+    ssp = phenomenological.steady_state(params, rates)
+    dp = np.abs(phenomenological.phenom_rhs(ssp, params, rates)).max()
+    bound = 1e-12 * (rates.emission_bare + rates.absorption_bare)
+    rows.append(("phenom stationarity", dp <= bound, f"residual {dp:.2e}"))
+
+    # observed population-equation coefficients, read off the generator:
+    # row 0 (the ground population) at the columns of |j><j|, vec index 5 j
+    row = gen[0, ::5].real
+    expected = np.array([-(rates.excitation_low + rates.excitation_high),
+                         rates.decay_low, rates.decay_high, 0.0])
+    dev = np.abs(row - expected).max() / max(params.gamma0, 1.0)
+    rows.append(("ground-population equation coefficients",
+                 dev <= 1e-12, f"rel dev {dev:.2e}"))
+    return rows
+
+
 def cmd_selftest(args):
-    """Cross-validate the closed forms against the assembled generators."""
+    """Cross-validate the closed forms against the assembled generators on
+    figures 1-7.  Figures that share a configuration (parameters and time
+    span) share one run of the checks and each print its verdicts and
+    details; a FAIL counts once per figure that prints it."""
     failures = 0
-
-    def check(name, ok, detail=""):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-        failures += 0 if ok else 1
-
-    rho10 = np.zeros((4, 4), dtype=complex)
-    rho10[2, 2] = 1.0
+    runs = {}   # (params, span) -> check rows, for this call only
     for n in range(1, 8):
         cfg = figure_preset(n)
         frame = dressed_frame(cfg.params)
         rates = rate_set(cfg.params, frame)
-        start = time.perf_counter()
         span = scenarios.resolve_t_max(cfg, rates)
-        times = np.linspace(0.0, span, 400)
-        rho0 = frame.to_dressed(rho10)
-        analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
-        gen = microscopic.liouvillian(rates, frame)
-        numeric = integrate.propagate(gen, rho0, times, ENTRIES)
-        err = np.abs(analytic.reshape(-1, 16) - numeric).max()
-        elapsed = time.perf_counter() - start
-        check(f"figure {n} closed form vs integrated generator",
-              err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s")
-
-        x_dressed, held = metrics.x_elements_from_dressed(analytic, frame)
-        x_comp, ok = metrics.x_elements_from_columns(
-            frame.to_computational_columns(analytic, X_ENTRIES), X_ENTRIES)
-        dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
-                  for f in fields(metrics.XStateElements))
-        check(f"figure {n} micro X elements: dressed closed form vs basis change",
-              held.all() and ok.all() and dev <= 1e-12, f"max dev {dev:.2e}")
-
-        gen_rows = phenomenological.liouvillian(cfg.params, rates)
-        gen_ops = phenomenological.liouvillian_from_ops(cfg.params, rates)
-        scale = max(np.abs(gen_ops).max(), 1.0)
-        dev = np.abs(gen_rows - gen_ops).max() / scale
-        check(f"figure {n} phenom element equations vs operator form",
-              dev <= 1e-12, f"rel dev {dev:.2e}")
-
-        thermal, resid = microscopic.thermal_stationarity(cfg.params, rates,
-                                                          frame, gen)
-        check(f"figure {n} micro stationarity (Gibbs state, annihilated)",
-              thermal, f"residual {resid:.2e}")
-
-        ssp = phenomenological.steady_state(cfg.params, rates)
-        dp = np.abs(phenomenological.phenom_rhs(ssp, cfg.params, rates)).max()
-        bound = 1e-12 * (rates.emission_bare + rates.absorption_bare)
-        check(f"figure {n} phenom stationarity", dp <= bound, f"residual {dp:.2e}")
-
-        # observed population-equation coefficients, read off the generator:
-        # row 0 (the ground population) at the columns of |j><j|, vec index 5 j
-        row = gen[0, ::5].real
-        expected = np.array([-(rates.excitation_low + rates.excitation_high),
-                             rates.decay_low, rates.decay_high, 0.0])
-        dev = np.abs(row - expected).max() / max(cfg.params.gamma0, 1.0)
-        check(f"figure {n} ground-population equation coefficients",
-              dev <= 1e-12, f"rel dev {dev:.2e}")
+        key = (cfg.params, span)
+        if key not in runs:
+            runs[key] = _selftest_checks(cfg.params, frame, rates, span)
+        for name, ok, detail in runs[key]:
+            print(f"{'PASS' if ok else 'FAIL'} figure {n} {name} ({detail})")
+            failures += 0 if ok else 1
     return 0 if failures == 0 else 2
 
 

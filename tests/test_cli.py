@@ -1,10 +1,11 @@
 import math
+import re
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
-from dressedbath import phenomenological
+from dressedbath import cli, phenomenological
 from dressedbath.cli import build_parser, main
 from dressedbath.model import dressed_frame, rate_set, spectral_density
 from dressedbath.scenarios import parse_config
@@ -167,11 +168,93 @@ def test_temp_flag_overrides(config_file, tmp_path):
     assert "# temperature = 0.01" in text
 
 
-def test_selftest_passes(capsys):
+# the six checks that selftest prints for each of figures 1-7, in order
+SELFTEST_CHECKS = (
+    "closed form vs integrated generator",
+    "micro X elements: dressed closed form vs basis change",
+    "phenom element equations vs operator form",
+    "micro stationarity (Gibbs state, annihilated)",
+    "phenom stationarity",
+    "ground-population equation coefficients",
+)
+SELFTEST_LINE = re.compile(r"(PASS|FAIL) figure (\d+) (.*) \(([^()]*)\)")
+
+
+def _selftest_lines(out):
+    """(verdict, figure, check name, detail) of every line of selftest."""
+    rows = [SELFTEST_LINE.fullmatch(line).groups() for line in out.splitlines()]
+    assert [(int(fig), name) for _, fig, name, _ in rows] == [
+        (n, name) for n in range(1, 8) for name in SELFTEST_CHECKS]
+    return rows
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name (as cli sees it) and return its list of call args."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _stationarity_reports_temperature(monkeypatch, failing=None):
+    """Make the micro stationarity check print its run's temperature as the
+    residual, and fail at temperature ``failing``; returns its call list."""
+    calls, real = [], cli.microscopic.thermal_stationarity
+
+    def fake(params, *args):
+        calls.append(params.temperature)
+        thermal, _ = real(params, *args)
+        return thermal and params.temperature != failing, params.temperature
+    monkeypatch.setattr(cli.microscopic, "thermal_stationarity", fake)
+    return calls
+
+
+def test_selftest_passes(monkeypatch, capsys):
+    # once per configuration: figures 2-7 are two (5e-4 K and 1.5e-2 K),
+    # figure 1 a third
+    generators = _count_calls(monkeypatch, cli.microscopic, "liouvillian")
+    propagations = _count_calls(monkeypatch, cli.integrate, "propagate")
+    for _ in range(2):   # nothing is kept from one call to the next
+        generators.clear()
+        propagations.clear()
+        assert main(["selftest"]) == 0
+        rows = _selftest_lines(capsys.readouterr().out)
+        assert len(rows) == 42 and {v for v, *_ in rows} == {"PASS"}
+        assert len(generators) == 3 and len(propagations) == 3
+
+
+def test_selftest_runs_a_figure_of_its_own_configuration(monkeypatch, capsys):
+    real = cli.figure_preset
+
+    def preset(n):
+        cfg = real(n)
+        return replace(cfg, params=replace(cfg.params, temperature=1e-3)) \
+            if n == 4 else cfg
+    monkeypatch.setattr(cli, "figure_preset", preset)
+    generators = _count_calls(monkeypatch, cli.microscopic, "liouvillian")
+    temps = _stationarity_reports_temperature(monkeypatch)
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+    rows = _selftest_lines(capsys.readouterr().out)
+    assert len(generators) == 4
+    assert temps == [0.0, 5e-4, 1.5e-2, 1e-3]
+    details = [detail for _, _, name, detail in rows if name == SELFTEST_CHECKS[3]]
+    assert details[1:6:2] == ["residual 5.00e-04", "residual 1.00e-03",   # 2, 4, 6
+                              "residual 5.00e-04"]
+
+
+def test_selftest_fail_is_printed_for_every_figure_sharing_it(monkeypatch, capsys):
+    temps = _stationarity_reports_temperature(monkeypatch, failing=5e-4)
+    assert main(["selftest"]) == 2
+    rows = _selftest_lines(capsys.readouterr().out)
+    assert temps == [0.0, 5e-4, 1.5e-2]
+    assert [(int(fig), name) for verdict, fig, name, _ in rows
+            if verdict == "FAIL"] == [(n, SELFTEST_CHECKS[3]) for n in (2, 4, 6)]
+    # each figure prints the details of the run it shares
+    assert [detail for _, _, name, detail in rows if name == SELFTEST_CHECKS[3]] \
+        == ["residual 0.00e+00"] + ["residual 5.00e-04", "residual 1.50e-02"] * 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,13 +6,15 @@
     python3 tools/golden.py --outputs DIR [--src SRC]   # keep every output
 
 The runs are `figure 1..10`, `compare --figure 2..7`, three `sweep`s on the
-coarse 400-point grid, `steady --figure 1..10`, `spectrum --figure 1..10`
-and `evolve --config` on four fixed non-X initial states (full-rank and pure,
+coarse 400-point grid, `steady --figure 1..10`, `spectrum --figure 1..10`,
+`evolve --config` on four fixed non-X initial states (full-rank and pure,
 at a strong- and a weak-coupling preset; these take the general metric
-route), each through `dressedbath.cli.main` in this process with the package
-from `src/` (or from SRC).  The hashes pin the floating-point results of one
-numpy/LAPACK build on one machine; another build may legitimately differ in
-the last digits, so this is a tool for checking a refactor, not a test.
+route) and `selftest` (which writes no files; the elapsed times it prints are
+removed from its stdout), each through `dressedbath.cli.main` in this
+process with the package from `src/` (or from SRC).  The hashes pin the
+floating-point results of one numpy/LAPACK build on one machine; another
+build may legitimately differ in the last digits, so this is a tool for
+checking a refactor, not a test.
 
 `--diff REV` exports REV with `git archive` into a temporary directory, runs
 this script's golden set against the package source of REV and of this
@@ -72,6 +74,8 @@ GENERAL_STATES = {
 }
 
 STDOUT = "stdout"
+# the elapsed time in selftest's stdout, as perfbench/run.py removes it
+_ELAPSED = re.compile(r"\d+\.\d+s\)")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -104,12 +108,13 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(cli, argv: list) -> tuple:
-    """Exit code, stdout and the bytes of every file the run writes."""
+def run(cli, argv: list, out_flag: bool = True) -> tuple:
+    """Exit code, stdout and the bytes of every file the run writes
+    (under ``--out``, which is appended unless ``out_flag`` is false)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(argv + ["--out", tmp])
+            code = cli.main(argv + (["--out", tmp] if out_flag else []))
         stdout = out.getvalue().replace(tmp, "OUT")
         files = {p.name: p.read_bytes() for p in sorted(pathlib.Path(tmp).iterdir())}
     return code, stdout, files
@@ -125,6 +130,8 @@ def all_runs(cli):
             path.write_text(text, encoding="utf-8")
             yield (f"evolve --config {name}",
                    *run(cli, ["evolve", "--config", str(path)]))
+    code, stdout, files = run(cli, ["selftest"], out_flag=False)
+    yield "selftest", code, _ELAPSED.sub("s)", stdout), files
 
 
 def load_cli(src: pathlib.Path):
