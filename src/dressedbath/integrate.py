@@ -102,6 +102,7 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     # grows with the grid and the matmul runs on one thread; a one-row last
     # block would take numpy's matrix-vector product, which rounds differently
     rows, last = _BLOCK_WORK // len(lam) ** 2, max(len(times) - 1, 1)
+    mirror = [entries.index((j, i)) for i, j in entries]
     for start in range(0, last, rows):
         stop = start + rows if start + rows < last else len(times)
         lo = max(start, 1)   # the first snapshot is rho0 itself
@@ -117,6 +118,6 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
                              f"at t={times[lo + over[0]]:.6e}")
         # evolved states stay Hermitian to fp accuracy; fold the rounding noise
         block = out[start:stop]
-        block += np.conj(block[:, [entries.index((j, i)) for i, j in entries]])
+        block += np.conj(block[:, mirror])
         block *= 0.5
     return out

@@ -151,7 +151,8 @@ def _decaying_phase(freq, rate, t):
     """``exp((1j freq - rate) t)``; 0, not nan, where ``freq t`` is past the
     double range but the decay ``exp(-rate t)`` is already exactly 0."""
     out = np.exp((1j * freq - rate) * t)
-    out[~np.isfinite(out) & (np.exp(-rate * t) == 0.0)] = 0.0
+    bad = np.flatnonzero(~np.isfinite(out))
+    out[bad[np.exp(-rate * t[bad]) == 0.0]] = 0.0
     return out
 
 
@@ -197,7 +198,7 @@ def gibbs_state(frame: DressedFrame, temperature: float) -> np.ndarray:
 def thermal_stationarity(p: SystemParams, rates: RateSet, frame: DressedFrame,
                          generator: np.ndarray):
     """Whether the rate-ratio stationary state is the Gibbs state at
-    ``p.temperature`` and ``generator`` annihilates it.
+    ``p.temperature`` and ``generator`` annihilates it: ``selftest``'s check.
 
     Returns the verdict and the largest entry of the generator residual.
     """

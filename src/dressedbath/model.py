@@ -22,8 +22,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import ENTRIES
-
 # Boltzmann constant over hbar; converts Kelvin to 1/s.
 KB_OVER_HBAR = 1.309193e11
 # hottest bath whose kB T / hbar is a finite double (about 1.37e297 K)
@@ -101,20 +99,16 @@ class DressedFrame:
         u = self.unitary
         return u.conj().T @ m @ u
 
-    def to_computational(self, d) -> np.ndarray:
-        """``U d U^dagger``: a dressed-basis matrix, or each matrix of a
-        ``(..., 4, 4)`` stack, in the computational basis.
+    def to_computational_columns(self, d, entries) -> np.ndarray:
+        """The ``(..., k)`` columns at ``entries`` (such as
+        ``linalg.X_ENTRIES``) of ``U d U^dagger``: a dressed-basis matrix, or
+        each matrix of a ``(..., 4, 4)`` stack, in the computational basis.
 
         Each entry sums the four terms of its blocks, ``(u[i,j] d[...,j,k])
         conj(u[l,k])``, in ascending j, then k, from 0.0: the order of
         ``np.einsum('ij,...jk,lk->...il', u, d, u.conj())``, whose other twelve
         terms are exact zeros for finite entries, so the two agree to the bit.
         """
-        return self.to_computational_columns(d, ENTRIES).reshape(d.shape)
-
-    def to_computational_columns(self, d, entries) -> np.ndarray:
-        """The ``(..., k)`` columns of ``to_computational(d)`` at ``entries``
-        (such as ``linalg.X_ENTRIES``), each equal to its entry to the bit."""
         u = self.unitary
         uc = u.conj()
         out = np.empty(d.shape[:-2] + (len(entries),), dtype=complex)

@@ -37,6 +37,7 @@ _X_FORM = (("concurrence", "concurrence_x"), ("discord", "discord_approx_q2"),
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
+_UPPER = np.triu_indices(4, 1)   # the entries above a 4x4 diagonal
 # at the cap the process peaked at 256 MB for `figure 2` (an X start; X runs
 # stay under 320 MB) and at 978 MB for a non-X `evolve --config` run with
 # three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
@@ -497,7 +498,10 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
     The stationary values come from ``stationary_metrics``.  A trajectory
     runs only when concurrence is requested, to find each model's sudden
     death, over fifty lifetimes of the slowest mode
-    (``resolve_t_max(stationary=True)``).
+    (``resolve_t_max(stationary=True)``).  Micro is thermal when its
+    rate-ratio stationary state is the Gibbs state (detailed balance);
+    phenom is not when dressed coherences survive in its stationary state.
+    ``selftest`` checks that the micro generator annihilates the former.
     """
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -517,10 +521,10 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
             death[model] = sudden_death_time(traj.times,
                                              traj.series[model]["concurrence"])
 
-    micro_thermal, _ = microscopic.thermal_stationarity(
-        cfg.params, rates, frame, microscopic.liouvillian(rates, frame))
+    gibbs = microscopic.gibbs_state(frame, cfg.params.temperature)
+    micro_thermal = np.abs(microscopic.steady_state(rates) - gibbs).max() <= 1e-10
     ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame)
-    phenom_thermal = np.abs(ss_p[np.triu_indices(4, 1)]).max() <= 1e-10
+    phenom_thermal = np.abs(ss_p[_UPPER]).max() <= 1e-10
 
     return CompareReport(label=cfg.label, config=cfg,
                          stationary=stationary, relative_diff=relative,

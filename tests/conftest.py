@@ -25,6 +25,14 @@ def random_x_state(rng) -> XStateElements:
     )
 
 
+def to_computational(frame, d):
+    """``U d U^dagger`` of ``frame``: a dressed-basis matrix, or each matrix
+    of a ``(..., 4, 4)`` stack, in the computational basis, through the
+    basis change of a run on all sixteen entries."""
+    from dressedbath.linalg import ENTRIES
+    return frame.to_computational_columns(d, ENTRIES).reshape(d.shape)
+
+
 def random_unitary(rng, dim=2):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
@@ -68,7 +76,7 @@ def dense_stages(cfg):
     out = {}
     for model in cfg.models:
         if model == "micro":
-            stack = frame.to_computational(microscopic.propagate_analytic(
+            stack = to_computational(frame, microscopic.propagate_analytic(
                 frame.to_dressed(rho0), rates, frame, times))
         else:
             stack = phenomenological.propagate(rho0, cfg.params, rates, times,
@@ -90,7 +98,7 @@ def stationary_per_model(params, frame, rates):
     ``x_elements_from_matrix`` and the X-form metrics one model at a time;
     the bitwise oracle of ``scenarios.stationary_metrics``."""
     from dressedbath import metrics, microscopic, phenomenological
-    states = {"micro": frame.to_computational(microscopic.steady_state(rates)),
+    states = {"micro": to_computational(frame, microscopic.steady_state(rates)),
               "phenom": phenomenological.steady_state(params, rates)}
     out = {}
     for model, state in states.items():

@@ -257,6 +257,21 @@ def test_selftest_fail_is_printed_for_every_figure_sharing_it(monkeypatch, capsy
         == ["residual 0.00e+00"] + ["residual 5.00e-04", "residual 1.50e-02"] * 3
 
 
+def test_compare_and_sweep_build_no_micro_generator(monkeypatch, tmp_path,
+                                                    capsys):
+    # both thermal verdicts are read off the closed-form stationary states;
+    # the micro generator is selftest's oracle only
+    generators = _count_calls(monkeypatch, cli.microscopic, "liouvillian")
+    for n in range(2, 8):
+        assert main(["compare", "--figure", str(n), "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--figure", "2", "--axis", "temperature",
+                 "--values", "5e-4,1.5e-2", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("micro steady state: thermal (detailed balance verified)\n"
+                     "phenom steady state: not thermal") == 8
+    assert generators == []
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--figure", "2", "--temp", "inf"],
     ["evolve", "--figure", "2", "--temp", "nan"],

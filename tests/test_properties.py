@@ -4,7 +4,8 @@ A derandomised Hypothesis profile (fixed examples, no example database), so
 the suite stays deterministic.  Parameters are drawn log-uniformly over
 three decades either side of the strong- and the weak-coupling presets; the
 temperature is that draw, 0, or a hot bath of k_B T / hbar up to 1e6 times
-the qubit frequency.  Starts are X-shaped (eight X columns per snapshot) or
+the qubit frequency.  The micro thermal verdict is also drawn over 150
+decades either side.  Starts are X-shaped (eight X columns per snapshot) or
 not (all sixteen).  The last property drives the command line with hostile
 configuration values.
 """
@@ -23,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_run_matches_dense, stationary_per_model
-from dressedbath import phenomenological
+from dressedbath import microscopic, phenomenological
 from dressedbath.cli import NUMERIC_ERRORS, main
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, as_matrices, validate_density)
@@ -65,6 +66,25 @@ def params(draw):
         values["temperature"] = (values["omega"] / KB_OVER_HBAR
                                  * 10.0 ** draw(st.floats(0.0, 6.0)))
     return SystemParams(**values)
+
+
+@st.composite
+def wide_params(draw):
+    """Each preset parameter scaled by 10^U(-150, 150); the temperature 0, a
+    hot bath as in ``params`` or 10^U(-300, 300) K.  Draws that
+    ``SystemParams`` refuses are rejected."""
+    family = draw(st.sampled_from([STRONG, WEAK]))
+    values = {k: v * 10.0 ** draw(st.floats(-150.0, 150.0))
+              for k, v in family.items() if k != "temperature"}
+    bath = draw(st.sampled_from(["zero", "hot", "wide"]))
+    values["temperature"] = (
+        0.0 if bath == "zero"
+        else values["omega"] / KB_OVER_HBAR * 10.0 ** draw(st.floats(0.0, 6.0))
+        if bath == "hot" else 10.0 ** draw(st.floats(-300.0, 300.0)))
+    try:
+        return SystemParams(**values)
+    except ValueError:
+        assume(False)
 
 
 @st.composite
@@ -177,8 +197,7 @@ def test_closed_form_stationary_states(p):
     # per-model read of the full matrices
     assert stationary == hexed(stationary_per_model(p, frame, rates))
 
-    # micro: microscopic.thermal_stationarity, the rate-ratio state equal to
-    # the Gibbs state and annihilated by microscopic.liouvillian
+    # micro: the rate-ratio state is the Gibbs state
     assert rep.micro_thermal
 
     ss = phenomenological.steady_state(p, rates)
@@ -188,6 +207,44 @@ def test_closed_form_stationary_states(p):
     gen = phenomenological.liouvillian_from_ops(p, rates)
     norm1 = np.abs(gen).sum(axis=0).max()
     assert np.abs(gen @ ss.reshape(-1)).max() <= RESIDUAL_BOUND * norm1
+
+
+def verdict_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def generator_verdict(p, wanted):
+    """``compare_report``'s stages before its micro verdict, then the
+    verdict of the generator oracle: the rate-ratio state is the Gibbs state
+    and ``microscopic.liouvillian`` annihilates it."""
+    frame = dressed_frame(p)
+    rates = rate_set(p, frame)
+    stationary_metrics(p, frame, rates, wanted)
+    return microscopic.thermal_stationarity(
+        p, rates, frame, microscopic.liouvillian(rates, frame))[0]
+
+
+@PROFILE
+@given(st.one_of(params(), wide_params()))
+# channel sums of about 1.6e-316: the oracle's residual bound
+# 1e-9 * max(channel sums) underflows to 0, so at the function level the
+# verdicts differ; compare_report first stops on the phenom steady state
+@example(SystemParams(omega=2.680865464988423e+72, coupling=19571981349.342274,
+                      gamma0=1.9742259454421736e+52,
+                      bath_width=1.2737111370690637e-61,
+                      bath_center=2.9948740163754094e+124,
+                      temperature=9.125261201599285e+63))
+def test_micro_verdict_is_the_generator_oracle(p):
+    """``compare_report`` reads detailed balance off the closed-form
+    stationary states; the generator oracle, which ``selftest`` runs, gives
+    the same verdict, or both raise the same exception."""
+    wanted = ("discord", "linear_entropy")   # no trajectory
+    cfg = ScenarioConfig(params=p, metrics=wanted)
+    assert (verdict_or_error(lambda: compare_report(cfg).micro_thermal)
+            == verdict_or_error(generator_verdict, p, wanted))
 
 
 # -- the command line on hostile input -------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import golden_general_configs
+from conftest import golden_general_configs, to_computational
 from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, as_matrices)
@@ -297,7 +297,7 @@ class TestSnapshotLayer:
 
 
 def _einsum_to_computational(u, dressed):
-    """The dense basis change that ``DressedFrame.to_computational``
+    """The dense basis change that ``DressedFrame.to_computational_columns``
     replaces, for one matrix or an ``(n, 4, 4)`` stack."""
     if dressed.ndim == 2:
         return np.einsum('ij,jk,lk->il', u, dressed, u.conj())
@@ -327,11 +327,11 @@ class TestBasisChange:
             dressed = microscopic.propagate_analytic(frame.to_dressed(rho0),
                                                      rates, frame, times)
             np.testing.assert_array_equal(
-                _bits(frame.to_computational(dressed)),
+                _bits(to_computational(frame, dressed)),
                 _bits(_einsum_to_computational(frame.unitary, dressed)))
             stationary = microscopic.steady_state(rates)
             np.testing.assert_array_equal(
-                _bits(frame.to_computational(stationary)),
+                _bits(to_computational(frame, stationary)),
                 _bits(_einsum_to_computational(frame.unitary, stationary)))
 
     @staticmethod
@@ -356,9 +356,9 @@ class TestBasisChange:
         for frame, d in self.random_stacks():
             assert d[:, 0, 1].any()  # not X-shaped
             with np.errstate(over="ignore", invalid="ignore"):
-                fast = frame.to_computational(d)
+                fast = to_computational(frame, d)
                 dense = _einsum_to_computational(frame.unitary, d)
-                singles = [frame.to_computational(m) for m in d[:5]]
+                singles = [to_computational(frame, m) for m in d[:5]]
                 dense_singles = [_einsum_to_computational(frame.unitary, m)
                                  for m in d[:5]]
             np.testing.assert_array_equal(_bits(fast), _bits(dense))
@@ -373,7 +373,7 @@ class TestBasisChange:
                 hit = rng.random((len(d), 4, 4)) < 0.02
                 d[hit] = value
             with np.errstate(over="ignore", invalid="ignore"):
-                fast = frame.to_computational(d)
+                fast = to_computational(frame, d)
                 dense = _einsum_to_computational(frame.unitary, d)
             flagged = ~np.isfinite(fast).all(axis=(1, 2))
             assert 0 < flagged.sum() < len(d)
@@ -385,8 +385,8 @@ def test_micro_span_past_the_phase_range_ends_stationary():
     cfg = replace(figure_preset(2), t_max=1e300, models=("micro",))
     traj = run_scenario(cfg)
     frame = dressed_frame(cfg.params)
-    stationary = frame.to_computational(
-        microscopic.steady_state(rate_set(cfg.params, frame)))
+    stationary = to_computational(
+        frame, microscopic.steady_state(rate_set(cfg.params, frame)))
     final = as_matrices(traj.stacks["micro"], traj.entries)[-1]
     assert np.abs(final - stationary).max() < 1e-12
 

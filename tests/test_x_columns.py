@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import (assert_run_matches_dense, bits, outcome,
-                      random_density, random_x_state)
+                      random_density, random_x_state, to_computational)
 from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, X_ENTRIES, NotPSD,
                                 TraceNotOne, as_matrices, validate_columns,
                                 validate_eigs)
-from dressedbath.model import DressedFrame, dressed_frame, rate_set
+from dressedbath.model import dressed_frame, rate_set
 from dressedbath.scenarios import (MODELS, figure_preset, initial_state_matrix,
                                    parse_config, run_scenario)
 
@@ -71,7 +71,7 @@ def test_columns_are_the_dense_entries(cfg):
     dressed = microscopic.propagate_analytic(frame.to_dressed(rho0), rates,
                                              frame, times)
     micro = frame.to_computational_columns(dressed, X_ENTRIES)
-    assert_x_columns_of(micro, frame.to_computational(dressed))
+    assert_x_columns_of(micro, to_computational(frame, dressed))
     gen = phenomenological.liouvillian_from_ops(cfg.params, rates)
     phenom = integrate.propagate(gen, rho0, times, X_ENTRIES)
     assert_x_columns_of(phenom, integrate.propagate(gen, rho0, times, ENTRIES)
@@ -200,5 +200,6 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("start", list(STARTS))
 def test_run_never_builds_the_dense_stack(start, monkeypatch):
-    monkeypatch.setattr(DressedFrame, "to_computational", _refuse)
+    # a concurrence-only run builds no (n, 4, 4) stack, X-shaped or not
+    monkeypatch.setattr(scenarios, "as_matrices", _refuse)
     run_scenario(STARTS[start][0])
