@@ -128,7 +128,7 @@ def cmd_evolve(args):
         traj = run_scenario(cfg)
         if (previous is not None and np.array_equal(traj.times, previous.times)
                 and traj.config.metrics == previous.config.metrics):
-            traj.row_template = previous.row_template   # the grid's text, formatted once
+            traj.time_slots = previous.time_slots   # the grid's text, formatted once
         for path in write_trajectory(traj, args.out):
             print(f"wrote {path}")
         previous = traj

@@ -109,13 +109,15 @@ def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
     # by a power of two near g + gb is exact and keeps (g + gb)^2 finite
     e = max(math.frexp(g + gb)[1], 0)
     g, gb, lam, om = (math.ldexp(v, -e) for v in (g, gb, p.coupling, p.omega))
-    if (gb + g) ** 2 == 0:   # never scaled up: a tiny rate stays tiny
-        raise ValueError(f"stationary state needs (g+gbar)^2, which underflows "
-                         f"to 0 at the damping rate g+gbar = {g + gb:.3g}")
     lam2 = lam * lam
     om2 = om * om
     box = (gb + g) ** 2 + 2 * lam2 + 8 * om2
     den = 2 * (gb + g) ** 2 * box
+    if den == 0:   # never scaled up: a tiny rate stays tiny
+        what = ("(g+gbar)^2" if (gb + g) ** 2 == 0
+                else "2 (g+gbar)^2 ((g+gbar)^2 + 2 coupling^2 + 8 omega^2)")
+        raise ValueError(f"stationary state needs {what}, which underflows "
+                         f"to 0 at the damping rate g+gbar = {g + gb:.3g}")
 
     p11 = (3 * g ** 3 * gb + g ** 2 * (3 * gb ** 2 + lam2 + 16 * om2)
            + g * (2 * lam2 * gb + gb ** 3) + lam2 * gb ** 2 + g ** 4) / den

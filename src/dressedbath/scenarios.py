@@ -18,6 +18,7 @@ import numpy as np
 
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
+from .csvtext import SLOTS, _fmt, g17_slots
 from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                      EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite, as_matrices,
                      validate_eigs, validate_density)
@@ -38,10 +39,11 @@ _X_FORM = (("concurrence", "concurrence_x"), ("discord", "discord_approx_q2"),
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 _UPPER = np.triu_indices(4, 1)   # the entries above a 4x4 diagonal
-# at the cap the process peaked at 256 MB for `figure 2` (an X start; X runs
-# stay under 320 MB) and at 978 MB for a non-X `evolve --config` run with
+# at the cap the process peaked at 244 MB for `figure 2` (an X start; X runs
+# stay under 320 MB) and at 887 MB for a non-X `evolve --config` run with
 # three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
+_CSV_VALUES = 1 << 16   # CSV values formatted per block of rows
 
 # labels name output files, so they must not reach outside --out
 _SAFE_LABEL = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_.+-]*")
@@ -112,10 +114,9 @@ class Trajectory:
     fairness_lines: list
 
     @functools.cached_property
-    def row_template(self) -> str:
-        """The CSV rows, their ``t`` text in place and a ``%.17g`` per metric
-        column, shared by every model's file: one string, not one per value."""
-        return _row_template(self.times, len(_columns_for(self.config.metrics)))
+    def time_slots(self) -> np.ndarray:
+        """The ``t`` column's text records, formatted once for every file."""
+        return g17_slots(self.times)
 
 
 def initial_state_matrix(cfg: ScenarioConfig, frame) -> np.ndarray:
@@ -353,10 +354,6 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
 
 # -- CSV --------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
     out = [f"# dressedbath {__version__}", f"# label = {cfg.label}"]
     for k in _FLOAT_KEYS:
@@ -368,18 +365,21 @@ def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
     return out
 
 
-def _row_template(times, columns: int) -> str:
-    # one "%" for the whole grid; each t reads as "%.17g" % t, or _fmt(t)
-    return ((("%.17g" + ",%%.17g" * columns + "\n") * len(times))
-            % tuple(times.tolist()))
-
-
 def trajectory_csv(traj: Trajectory, model: str) -> str:
     cols = _columns_for(traj.config.metrics)
     lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
     lines.append(",".join(["t"] + cols))
-    values = np.array([traj.series[model][c] for c in cols]).T.ravel()
-    return "\n".join(lines) + "\n" + traj.row_template % tuple(values.tolist())
+    k, step = len(cols), -(-_CSV_VALUES // (len(cols) + 1))
+    body = ["\n".join(lines) + "\n"]
+    for a in range(0, len(traj.times), step):   # each value's record, then its
+        t = traj.time_slots[:, a:a + step]      # "," or line end, in row blocks
+        values = g17_slots([traj.series[model][c][a:a + step] for c in cols])
+        table = np.empty((t.shape[1], k + 1, SLOTS + 1), np.uint8)
+        table[:, :, SLOTS] = np.frombuffer(b"," * k + b"\n", np.uint8)
+        table[:, 0, :SLOTS] = t.T
+        table[:, 1:, :SLOTS] = values.reshape(SLOTS, k, len(table)).transpose(2, 1, 0)
+        body.append(table.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(body)
 
 
 def write_text(out_dir, name: str, text: str) -> pathlib.Path:

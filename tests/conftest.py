@@ -33,6 +33,14 @@ def to_computational(frame, d):
     return frame.to_computational_columns(d, ENTRIES).reshape(d.shape)
 
 
+def g17_texts(values):
+    """The text of each value's ``csvtext.g17_slots`` record, NULs dropped."""
+    from dressedbath.csvtext import g17_slots
+    slots = g17_slots(values)
+    lines = np.vstack([slots, np.full((1, slots.shape[1]), ord("\n"), np.uint8)])
+    return lines.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
 def random_unitary(rng, dim=2):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

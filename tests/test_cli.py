@@ -568,6 +568,26 @@ def test_steady_with_underflowing_damping_is_config_error(tmp_path, capsys):
         "underflows to 0 at the damping rate g+gbar = 9.94e-301\n")
 
 
+@pytest.mark.parametrize("verb", ["steady", "compare"])
+def test_underflowing_stationary_denominator_is_config_error(verb, tmp_path, capsys):
+    # (g + gbar)^2 is a nonzero subnormal, but its product with the tiny
+    # (g + gbar)^2 + 2 coupling^2 + 8 omega^2 underflows to 0
+    path = tmp_path / "tiny.cfg"
+    path.write_text("omega = 3.139141445936846e-27\ncoupling = 2.511313156749477e-29\n"
+                    "gamma0 = 3.139141445936846e-31\nbath_width = 3.139141445936846e-28\n"
+                    "bath_center = 1.2368566110047568e+28\n"
+                    "temperature = 2.425943096085021e-37\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr() == (
+        "", "configuration error: stationary state needs 2 (g+gbar)^2 ((g+gbar)^2 "
+        "+ 2 coupling^2 + 8 omega^2), which underflows to 0 at the damping rate "
+        "g+gbar = 4.09e-141\n")
+    assert not out_dir.exists()
+
+
 FIGURE2 = dict(omega="4e9", coupling="4e9", gamma0="5e7", bath_width="5e10",
                bath_center="8e9", temperature="5e-4")
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import golden_general_configs, to_computational
+from conftest import g17_texts, golden_general_configs, to_computational
 from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, as_matrices)
@@ -403,13 +403,6 @@ def parent_column_text(column):
     return list(map("%.17g".__mod__, column.tolist()))
 
 
-def template_rows(times, values):
-    """The rows of ``scenarios._row_template`` filled with the ``(n, m)``
-    ``values``, split at the line ends."""
-    template = scenarios._row_template(times, values.shape[1])
-    return (template % tuple(values.ravel().tolist())).split("\n")[:-1]
-
-
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                   2.2250738585072014e-308, 1e300, -1e300, 1e-300,
                   1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1,
@@ -458,20 +451,20 @@ class TestCsv:
     def test_time_column_formatted_once_per_trajectory(self, monkeypatch):
         traj = run_scenario(fast_config(metrics=("concurrence",)))
         calls = []
-        real = scenarios._row_template
-        monkeypatch.setattr(scenarios, "_row_template",
-                            lambda times, m: calls.append((times, m)) or real(times, m))
+        real = scenarios.g17_slots
+        monkeypatch.setattr(scenarios, "g17_slots",
+                            lambda values: calls.append(values) or real(values))
         micro = trajectory_csv(traj, "micro")
         phenom = trajectory_csv(traj, "phenom")
-        # one template of the grid and one metric column, for both files
-        assert len(calls) == 1
-        assert calls[0][0] is traj.times and calls[0][1] == 1
+        # the grid once for both files, then one table of the metric column
+        # per file
+        assert [values is traj.times for values in calls] == [True, False, False]
+        assert [np.shape(values) for values in calls[1:]] == [(1, len(traj.times))] * 2
         assert t_column(micro) == t_column(phenom) == parent_column_text(traj.times)
 
     @pytest.mark.parametrize("n", [1, 2, 150, 2000])
     def test_column_text_is_the_per_value_text(self, n):
-        """Every value of the row template, ``t`` or metric, reads as
-        ``"%.17g" % x``."""
+        """Every value of a column, ``t`` or metric, reads as ``"%.17g" % x``."""
         special = SPECIAL_VALUES
         rng = np.random.default_rng(n)
         pool = np.concatenate([special, rng.normal(size=50),
@@ -479,18 +472,14 @@ class TestCsv:
         column = rng.choice(pool, size=n)
         column[: min(n, len(special))] = special[:n]
         text = parent_column_text(column)
-        assert template_rows(column, np.empty((n, 0))) == text
-        values = np.column_stack([column[::-1], column])
-        assert template_rows(column, values) == [
-            ",".join(row) for row in zip(text, text[::-1], text)]
+        assert g17_texts(column) == text
+        assert g17_texts(np.stack([column[::-1], column])) == text[::-1] + text
 
     def test_column_text_of_every_preset_time_grid(self):
         for cfg in preset_configs():
             t_max = scenarios.resolve_t_max(cfg, rate_set(cfg.params))
             times = np.linspace(0.0, t_max, cfg.n_points)
-            m = len(scenarios._columns_for(cfg.metrics))
-            assert scenarios._row_template(times, m).split("\n")[:-1] == [
-                t + ",%.17g" * m for t in parent_column_text(times)]
+            assert g17_texts(times) == parent_column_text(times)
 
     def test_presets_and_general_runs_are_the_row_join_bytes(self):
         """All ten figures and the four non-X golden runs: the column-wise
@@ -502,12 +491,22 @@ class TestCsv:
             for model in cfg.models:
                 assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
 
+    @pytest.mark.parametrize("values", [1, 7, 64])
+    def test_row_blocks_join_to_the_row_join_bytes(self, values, monkeypatch):
+        """A table written in blocks of rows, the last one short, is the
+        table written at once."""
+        monkeypatch.setattr(scenarios, "_CSV_VALUES", values)
+        for metrics in (("concurrence",), scenarios.METRICS, ()):
+            traj = run_scenario(fast_config(n_points=61, metrics=metrics))
+            for model in MODELS:
+                assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
+
     def test_figure_9_formats_its_shared_time_axis_once(self, tmp_path,
                                                         monkeypatch):
         calls = []
-        real = scenarios._row_template
-        monkeypatch.setattr(scenarios, "_row_template",
-                            lambda times, m: calls.append(times) or real(times, m))
+        real = scenarios.g17_slots
+        monkeypatch.setattr(scenarios, "g17_slots",
+                            lambda values: calls.append(values) or real(values))
         assert main(["figure", "9", "--out", str(tmp_path)]) == 0
         files = sorted(tmp_path.glob("*.csv"))
         assert len(files) == 6
@@ -516,9 +515,10 @@ class TestCsv:
         expected = parent_column_text(grid)
         for path in files:
             assert t_column(path.read_text()) == expected
-        # one template of the grid for the three runs' six files
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], grid)
+        # the grid once for the three runs' six files, then one table per file
+        grids = [values for values in calls if np.ndim(values) == 1]
+        assert len(grids) == 1 and len(calls) == 7
+        assert np.array_equal(grids[0], grid)
 
     def test_special_values_and_two_points_are_the_row_join_bytes(self):
         """Columns holding signed zeros, subnormals, 1e+-300, infinities and
