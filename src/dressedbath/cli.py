@@ -117,7 +117,7 @@ def cmd_spectrum(args):
     print(f"decay low/high: {rates.decay_low:.10g} / {rates.decay_high:.10g}")
     print(f"excitation low/high: {rates.excitation_low:.10g} / {rates.excitation_high:.10g}")
     print(f"bare emission/absorption: {rates.emission_bare:.10g} / {rates.absorption_bare:.10g}")
-    for line in fairness_check(p).lines():
+    for line in fairness_check(p, frame).lines():
         print(line)
     return 0
 
@@ -126,8 +126,7 @@ def cmd_evolve(args):
     previous = None   # figures 8-10 run three temperatures on one time grid
     for cfg in _configs_from_args(args):
         traj = run_scenario(cfg)
-        if (previous is not None and np.array_equal(traj.times, previous.times)
-                and traj.config.metrics == previous.config.metrics):
+        if previous is not None and np.array_equal(traj.times, previous.times):
             traj.time_slots = previous.time_slots   # the grid's text, formatted once
         for path in write_trajectory(traj, args.out):
             print(f"wrote {path}")

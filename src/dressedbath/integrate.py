@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NotFinite, trace_of
+from .linalg import EVOLVED_TRACE_TOL, NotFinite, trace_of
 
-TRACE_DRIFT_TOL = 1e-8
 _BLOCK_WORK = 32768   # rows x L^2 of a propagation block: 512 rows at L = 8
 
 
@@ -70,9 +69,9 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     which would then make the trace drift linearly in t; the eigenvalue
     nearest 0 is therefore set to 0 when it lies within 16 eps ||L||_1 of
     it.  Raises NotFinite for a generator with inf or nan entries, and
-    TraceDrift if the trace of the result is off by more than 1e-8 anywhere
-    on the grid, naming the first such grid point.  The result is the
-    ``(n, k)`` columns of ``entries`` (``linalg.ENTRIES`` or
+    TraceDrift if the trace drifts by more than ``linalg.EVOLVED_TRACE_TOL``
+    anywhere on the grid, naming the first such grid point.  The result is
+    the ``(n, k)`` columns of ``entries`` (``linalg.ENTRIES`` or
     ``linalg.X_ENTRIES``), which must hold every entry reached.
     """
     times = np.asarray(times, dtype=float)
@@ -112,7 +111,7 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
             e *= coef
             out[lo:stop, live_cols] = e @ vecs.T
         drift = np.abs(trace_of(out[lo:stop], entries).real - 1.0)
-        over = np.flatnonzero(drift > TRACE_DRIFT_TOL)
+        over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
         if len(over):
             raise TraceDrift(f"trace drifted by {drift[over[0]]:.3e} "
                              f"at t={times[lo + over[0]]:.6e}")

@@ -81,11 +81,6 @@ class XStateElements:
                      | (np.abs(self.outer) ** 2 > self.p00 * self.p11 + _BOUND_TOL)
                      | (np.abs(self.inner) ** 2 > self.p01 * self.p10 + _BOUND_TOL))
 
-    def take(self, index) -> XStateElements:
-        """The snapshots picked by an index or boolean mask."""
-        return XStateElements(self.p00[index], self.p01[index], self.p10[index],
-                              self.p11[index], self.outer[index], self.inner[index])
-
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of a single state."""
         m = np.zeros((4, 4), dtype=complex)

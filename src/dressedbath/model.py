@@ -269,7 +269,6 @@ class FairnessReport:
     spectral_dev_high: float
     occupancy_dev_low: float
     occupancy_dev_high: float
-    threshold: float
     unfair: bool
     strong_damping: bool
 
@@ -281,7 +280,7 @@ class FairnessReport:
             f"{self.occupancy_dev_low:.3e} / {self.occupancy_dev_high:.3e}",
         ]
         if self.unfair:
-            out.append(f"WARNING: unfair comparison, deviation above {self.threshold:g}")
+            out.append(f"WARNING: unfair comparison, deviation above {_FAIRNESS_THRESHOLD:g}")
         if self.strong_damping:
             out.append("WARNING: damping rate within 10x of a Bohr frequency; "
                        "weak-coupling treatment is strained")
@@ -295,8 +294,8 @@ _FAIRNESS_THRESHOLD = 0.15   # a larger bath-sample deviation flags a comparison
 OCCUPANCY_FLOOR = 1e-3
 
 
-def fairness_check(p: SystemParams) -> FairnessReport:
-    frame = dressed_frame(p)
+def fairness_check(p: SystemParams, frame: DressedFrame) -> FairnessReport:
+    """The bath-sample deviations of ``p``, whose ``dressed_frame`` is ``frame``."""
     j_bare = spectral_density(p, p.omega)
     n_bare = thermal_occupancy(p.omega, p.temperature)
     eps = OCCUPANCY_FLOOR
@@ -311,6 +310,5 @@ def fairness_check(p: SystemParams) -> FairnessReport:
 
     devs = (dev_j(frame.bohr_low), dev_j(frame.bohr_high),
             dev_n(frame.bohr_low), dev_n(frame.bohr_high))
-    return FairnessReport(*devs, threshold=_FAIRNESS_THRESHOLD,
-                          unfair=max(devs) > _FAIRNESS_THRESHOLD,
+    return FairnessReport(*devs, unfair=max(devs) > _FAIRNESS_THRESHOLD,
                           strong_damping=p.gamma0 > 0.1 * min(frame.bohr_low, frame.bohr_high))

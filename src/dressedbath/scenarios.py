@@ -33,13 +33,13 @@ INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
 # metric -> its X-form function, looked up in ``metrics`` at each call so that
 # a wrapper on the module attribute (perfbench/spans.py) sees it
-_X_FORM = (("concurrence", "concurrence_x"), ("discord", "discord_approx_q2"),
-           ("linear_entropy", "linear_entropy_q1"))
+_X_FORM = {"concurrence": "concurrence_x", "discord": "discord_approx_q2",
+           "linear_entropy": "linear_entropy_q1"}
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 _UPPER = np.triu_indices(4, 1)   # the entries above a 4x4 diagonal
-# at the cap the process peaked at 244 MB for `figure 2` (an X start; X runs
+# at the cap the process peaked at 260 MB for `figure 2` (an X start; X runs
 # stay under 320 MB) and at 887 MB for a non-X `evolve --config` run with
 # three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
@@ -164,31 +164,26 @@ def _trajectory_metrics(stack, entries, wanted, x, x_ok, eigs):
     ``x, x_ok`` is ``metrics.x_elements_from_columns`` of the stack: the X
     elements and the mask of the snapshots that take the X route.  The
     others take the general route, and ``eigs`` holds their eigenpairs from
-    ``validate_eigs``.  Each route is one call per metric on the stack of its
-    snapshots.
+    ``validate_eigs``.  Each X-form metric is one call on the X elements of
+    the whole stack; the general route then overwrites its own rows.
     """
-    route = np.where(x_ok, 0, 1).astype(np.int8)
-    cols = {c: np.empty(len(stack)) for c in _columns_for(wanted)}
-    x_rows = x.take(x_ok)
-    for name, fn in _X_FORM:
-        if name in wanted:
-            cols[name][x_ok] = getattr(metrics, fn)(x_rows)
     general = ~x_ok
-    if general.any() and "concurrence" in wanted:
-        # with discord wanted, only the first snapshot's runs: it decides before discord fails
-        n = 1 if "discord" in wanted else len(stack)
-        cols["concurrence"][general] = metrics.concurrence_from_eigs(*(e[:n] for e in eigs))
     if general.any() and "discord" in wanted:
+        if "concurrence" in wanted:   # a NotPSD of the first general row comes first
+            metrics.concurrence_from_eigs(*(e[:1] for e in eigs))
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
-    if "linear_entropy" in wanted and general.any():
+    cols = {m: getattr(metrics, _X_FORM[m])(x) for m in wanted if m in _X_FORM}
+    if general.any() and "concurrence" in wanted:
+        cols["concurrence"][general] = metrics.concurrence_from_eigs(*eigs)
+    if general.any() and "linear_entropy" in wanted:
         cols["linear_entropy"][general] = metrics.linear_entropy_q1(
             as_matrices(stack[general], entries))
     if "populations" in wanted:
         cols.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
                         (x.p00, x.p01, x.p10, x.p11)))
-    return cols, route
+    return cols, general.astype(np.int8)
 
 
 def _columns_for(wanted):
@@ -238,7 +233,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(label=cfg.label, times=times, stacks=stacks,
                       entries=entries, series=series, margins=margins,
                       routes=routes, config=cfg,
-                      fairness_lines=fairness_check(cfg.params).lines())
+                      fairness_lines=fairness_check(cfg.params, frame).lines())
 
 
 # -- presets ----------------------------------------------------------------
@@ -306,7 +301,7 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
     if base is not None:
         for k in _FLOAT_KEYS:
             params[k] = getattr(base.params, k)
-    fields, custom_state = {}, None
+    fields, seen = {}, {}   # seen: key -> the line that set it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -317,6 +312,9 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         try:
+            if key in seen:
+                raise ValueError(f"{key!r} is already set on line {seen[key]}")
+            seen[key] = lineno
             if key in _FLOAT_KEYS:
                 params[key] = float(value)
             elif key == "n_points":
@@ -327,15 +325,14 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
                 fields[key] = tuple(v.strip() for v in value.split(","))
             elif key == "label":
                 fields["label"] = value
+            elif key == "initial_state" and value.startswith("custom"):
+                inner = value[len("custom"):].strip().strip("()")
+                entries = [complex(v.replace(" ", "")) for v in inner.split(",")]
+                if len(entries) != 16:
+                    raise ValueError(f"custom state needs 16 entries, got {len(entries)}")
+                fields["initial_state"] = np.array(entries, dtype=complex).reshape(4, 4)
             elif key == "initial_state":
-                if value.startswith("custom"):
-                    inner = value[len("custom"):].strip().strip("()")
-                    entries = [complex(v.replace(" ", "")) for v in inner.split(",")]
-                    if len(entries) != 16:
-                        raise ValueError(f"custom state needs 16 entries, got {len(entries)}")
-                    custom_state = np.array(entries, dtype=complex).reshape(4, 4)
-                else:
-                    fields["initial_state"] = value
+                fields["initial_state"] = value
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
@@ -344,8 +341,6 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise ConfigError(f"missing parameter keys: {', '.join(missing)}")
-    if custom_state is not None:
-        fields["initial_state"] = custom_state
     try:
         return ScenarioConfig(params=SystemParams(**params), **fields)
     except (ValueError, ConfigError) as exc:
@@ -487,7 +482,7 @@ def stationary_metrics(params: SystemParams, frame, rates,
     for model, held in zip(MODELS, ok):
         if not held:
             raise AssumptionViolated(f"{model} stationary state is not X-shaped")
-    values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM if m in wanted}
+    values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM.items() if m in wanted}
     return {model: {m: float(v[i]) for m, v in values.items()}
             for i, model in enumerate(MODELS)}
 
@@ -530,7 +525,7 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
                          stationary=stationary, relative_diff=relative,
                          death_time=death, micro_thermal=micro_thermal,
                          phenom_thermal=phenom_thermal,
-                         fairness_lines=fairness_check(cfg.params).lines())
+                         fairness_lines=fairness_check(cfg.params, frame).lines())
 
 
 _SWEEP_AXES = {"temperature": "temperature", "lambda": "coupling",

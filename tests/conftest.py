@@ -1,11 +1,17 @@
 import importlib.util
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from dressedbath.linalg import EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL
 from dressedbath.metrics import XStateElements, _plog2, von_neumann_entropy
+
+# validation keywords of a run's evolved snapshots
+EVOLVED = dict(herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
+               psd_tol=EVOLVED_PSD_TOL)
 
 
 def random_density(rng, dim=4):
@@ -57,14 +63,10 @@ def metric_stage(cols, entries, wanted):
     ``entries``: the X read, validation at the evolved tolerances with the
     general rows marked, and the metrics; the margins, series and routes."""
     from dressedbath import metrics, scenarios
-    from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                    EVOLVED_TRACE_TOL, validate_eigs)
+    from dressedbath.linalg import validate_eigs
     read = metrics.x_elements_from_columns(cols, entries,
                                            trace_tol=EVOLVED_TRACE_TOL)
-    margins, eigs = validate_eigs(cols, entries, ~read[1],
-                                  herm_tol=EVOLVED_HERM_TOL,
-                                  trace_tol=EVOLVED_TRACE_TOL,
-                                  psd_tol=EVOLVED_PSD_TOL)
+    margins, eigs = validate_eigs(cols, entries, ~read[1], **EVOLVED)
     return (margins,) + scenarios._trajectory_metrics(cols, entries, wanted,
                                                       *read, eigs)
 
@@ -74,8 +76,7 @@ def dense_stages(cfg):
     non-X start: per model the stack, its margins, series and routes.  The
     margins are ``validate_columns``', which marks no general row."""
     from dressedbath import microscopic, phenomenological, scenarios
-    from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                    EVOLVED_TRACE_TOL, validate_columns)
+    from dressedbath.linalg import ENTRIES, validate_columns
     from dressedbath.model import dressed_frame, rate_set
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -89,10 +90,7 @@ def dense_stages(cfg):
         else:
             stack = phenomenological.propagate(rho0, cfg.params, rates, times,
                                                ENTRIES).reshape(-1, 4, 4)
-        margins = validate_columns(stack.reshape(-1, 16), ENTRIES,
-                                   herm_tol=EVOLVED_HERM_TOL,
-                                   trace_tol=EVOLVED_TRACE_TOL,
-                                   psd_tol=EVOLVED_PSD_TOL)
+        margins = validate_columns(stack.reshape(-1, 16), ENTRIES, **EVOLVED)
         marked, series, routes = metric_stage(stack.reshape(-1, 16), ENTRIES,
                                               cfg.metrics)
         assert marked == margins
@@ -116,6 +114,14 @@ def stationary_per_model(params, frame, rates):
                       "discord": float(metrics.discord_approx_q2(x)),
                       "linear_entropy": float(metrics.linear_entropy_q1(x))}
     return out
+
+
+def set_key(text, key, value):
+    """Config ``text`` with ``key = value`` on the line that sets ``key``, or
+    on a line appended if none does."""
+    line = f"{key} = {value}"
+    out, n = re.subn(rf"(?m)^([ \t]*){key} =.*$", lambda m: m[1] + line, text)
+    return out if n else f"{text}\n{line}\n"
 
 
 def golden_general_configs():

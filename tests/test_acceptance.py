@@ -14,11 +14,11 @@ from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath import scenarios
-from dressedbath.linalg import ENTRIES, as_matrices, validate_density
+from dressedbath.linalg import ENTRIES, as_matrices, validate_columns
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
-from conftest import discord_oracle_q2, random_x_state
+from conftest import EVOLVED, discord_oracle_q2, random_x_state
 
 
 def ket10():
@@ -227,8 +227,7 @@ def test_criterion_7_metric_property_suites():
         traj = run_scenario(cfg)
         for stack in traj.stacks.values():
             for snapshot in as_matrices(stack, traj.entries):
-                validate_density(snapshot, herm_tol=1e-10,
-                                 trace_tol=1e-8, psd_tol=1e-7)
+                validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
                 snapshots += 1
 
     # conc_dev measured 8.3e-15

@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 
 import pytest
 
+from conftest import set_key
 from dressedbath import cli, phenomenological
 from dressedbath.cli import build_parser, main
 from dressedbath.model import dressed_frame, rate_set, spectral_density
@@ -113,7 +114,7 @@ def test_bad_config_line_number(tmp_path, capsys):
 
 def test_unknown_metric_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text(FAST_CONFIG + "\nmetrics = sparkle\n", encoding="utf-8")
+    path.write_text(set_key(FAST_CONFIG, "metrics", "sparkle"), encoding="utf-8")
     assert main(["evolve", "--config", str(path)]) == 1
     assert "sparkle" in capsys.readouterr().err
 
@@ -126,10 +127,32 @@ def test_unknown_metric_is_config_error(tmp_path, capsys):
 def test_repeated_metric_or_model_is_config_error(tmp_path, capsys, verb, line,
                                                   message):
     path = tmp_path / "dup.cfg"
-    path.write_text(FAST_CONFIG + line + "\n", encoding="utf-8")
+    path.write_text(set_key(FAST_CONFIG, *(s.strip() for s in line.split("="))),
+                    encoding="utf-8")
     out_dir = tmp_path / "out"
     assert main(verb[:1] + ["--config", str(path), "--out", str(out_dir)]
                 + verb[1:]) == 1
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not out_dir.exists()
+
+
+CUSTOM_KET01 = "custom(" + ", ".join("1" if k == 5 else "0" for k in range(16)) + ")"
+
+
+@pytest.mark.parametrize("text, message", [
+    # omega on lines 1 and 7, n_points on lines 6 and 9: the first repeat is named
+    ("omega = 1e3\ncoupling = 1e3\ngamma0 = 20\nbath_width = 1e4\n"
+     "bath_center = 2e3\nn_points = 50\nomega = 1e9\ntemperature = 0\n"
+     "n_points = 60\nmodels = micro\nlabel = dup\n",
+     "line 7: 'omega' is already set on line 1"),
+    (FAST_CONFIG + f"initial_state = {CUSTOM_KET01}\ninitial_state = ket10\n",
+     "line 12: 'initial_state' is already set on line 11")],
+    ids=["float_key", "initial_state"])
+def test_repeated_key_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "dup.cfg"
+    path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr() == ("", f"configuration error: {message}\n")
     assert not out_dir.exists()
 

@@ -11,8 +11,8 @@ from dressedbath import phenomenological as ph
 from dressedbath.cli import main
 from dressedbath.integrate import (TraceDrift, lindblad, propagate,
                                    superoperator_from_rhs)
-from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotFinite, as_matrices,
-                                trace_of)
+from dressedbath.linalg import (ENTRIES, EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite,
+                                as_matrices, trace_of)
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, hamiltonian, rate_set
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
@@ -372,7 +372,7 @@ def parent_propagate(generator, rho0, times, entries):
         out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
                               * coef) @ vecs.T
     drift = np.abs(trace_of(out[1:], entries).real - 1.0)
-    over = np.flatnonzero(drift > integrate.TRACE_DRIFT_TOL)
+    over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
     if len(over):
         i = over[0] + 1
         raise TraceDrift(
@@ -461,7 +461,7 @@ class TestBlockedPropagation:
         result = assert_blocked_is_parent(leak, np.eye(4, dtype=complex) / 4,
                                           times, ENTRIES)
         assert result[0] is TraceDrift
-        first = np.flatnonzero(np.expm1(2.2e-8 * times) > integrate.TRACE_DRIFT_TOL)[0]
+        first = np.flatnonzero(np.expm1(2.2e-8 * times) > EVOLVED_TRACE_TOL)[0]
         assert first > block_rows(4)
         assert result[1].endswith(f"at t={times[first]:.6e}")
 

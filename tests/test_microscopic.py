@@ -6,13 +6,13 @@ import pytest
 
 from dressedbath import integrate
 from dressedbath import microscopic as mic
-from dressedbath.linalg import ENTRIES, validate_density
+from dressedbath.linalg import ENTRIES, validate_columns
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
 from dressedbath.scenarios import (figure_preset, initial_state_matrix,
                                    resolve_t_max)
 
-from conftest import bits, random_density, random_x_state
+from conftest import EVOLVED, bits, random_density, random_x_state
 
 FIG2 = SystemParams(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
                     bath_center=8e9, temperature=5e-4)
@@ -275,8 +275,7 @@ class TestNumericPropagation:
         traj = mic.propagate_analytic(ket10_dressed(frame), rates, frame,
                                       np.linspace(0.0, span, 200))
         for snapshot in traj:
-            validate_density(snapshot, herm_tol=1e-10,
-                             trace_tol=1e-8, psd_tol=1e-7)
+            validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
 
     def test_log_grid_supported(self):
         frame = dressed_frame(FIG3)

@@ -217,14 +217,15 @@ class TestRateSet:
 
 class TestFairness:
     def test_uncoupled_is_exact(self):
-        rep = fairness_check(simple_params(coupling=0.0, temperature=0.5))
+        p = simple_params(coupling=0.0, temperature=0.5)
+        rep = fairness_check(p, dressed_frame(p))
         assert rep.spectral_dev_low == 0.0
         assert rep.spectral_dev_high == 0.0
         assert rep.occupancy_dev_low == 0.0
         assert not rep.unfair
 
     def test_wide_bath_preset_is_fair(self):
-        rep = fairness_check(FIG2)
+        rep = fairness_check(FIG2, dressed_frame(FIG2))
         assert rep.spectral_dev_low < 0.02
         assert rep.spectral_dev_high < 0.02
         assert not rep.unfair
@@ -232,11 +233,11 @@ class TestFairness:
     def test_narrow_bath_is_flagged(self):
         p = SystemParams(omega=1.0, coupling=1.0, gamma0=0.2, bath_width=0.01,
                          bath_center=2.0, temperature=0.0)
-        assert fairness_check(p).unfair
+        assert fairness_check(p, dressed_frame(p)).unfair
 
     def test_strong_damping_warning(self):
         p = SystemParams(omega=4e8, coupling=4e9, gamma0=5e8, bath_width=5e10,
                          bath_center=8e8, temperature=0.0)
-        rep = fairness_check(p)
+        rep = fairness_check(p, dressed_frame(p))
         assert rep.strong_damping
         assert any("WARNING" in line for line in rep.lines())

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dressedbath import phenomenological as ph
-from dressedbath.linalg import ENTRIES, validate_density
+from dressedbath.linalg import ENTRIES, validate_columns
 from dressedbath.model import (RateSet, SystemParams, dressed_frame, hamiltonian,
                                rate_set)
 
-from conftest import random_density
+from conftest import EVOLVED, random_density
 
 FIG2 = SystemParams(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
                     bath_center=8e9, temperature=5e-4)
@@ -120,8 +120,7 @@ class TestPropagation:
         traj = ph.propagate(ket(2), FIG3, rates, np.linspace(0.0, span, 200),
                             ENTRIES).reshape(-1, 4, 4)
         for snapshot in traj:
-            validate_density(snapshot, herm_tol=1e-10, trace_tol=1e-8,
-                             psd_tol=1e-7)
+            validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
 
 
 class TestSteadyState:

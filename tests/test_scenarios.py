@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import g17_texts, golden_general_configs, to_computational
+from conftest import g17_texts, golden_general_configs, set_key, to_computational
 from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, as_matrices)
@@ -123,7 +123,21 @@ class TestParseConfig:
         ("models", "micro, micro", "model 'micro' is listed twice")])
     def test_repeated_name_rejected(self, key, value, message):
         with pytest.raises(ConfigError) as err:
-            parse_config(f"{self.GOOD}\n{key} = {value}\n")
+            parse_config(set_key(self.GOOD, key, value))
+        assert str(err.value) == message
+
+    CUSTOM = "custom(" + ", ".join("0.5" if k in (0, 5) else "0" for k in range(16)) + ")"
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("omega = 1e9", "", "line 15: 'omega' is already set on line 3"),
+        ("initial_state = ket01", f"initial_state = {CUSTOM}",
+         "line 16: 'initial_state' is already set on line 15"),
+        (f"initial_state = {CUSTOM}", "initial_state = ket01",
+         "line 16: 'initial_state' is already set on line 15")],
+        ids=["float_key", "named_then_custom", "custom_then_named"])
+    def test_repeated_key_rejected(self, first, second, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{self.GOOD}\n{first}\n{second}\n")
         assert str(err.value) == message
 
     def test_base_provides_defaults(self):

@@ -9,16 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bits, golden_general_configs, random_density
+from conftest import EVOLVED, bits, golden_general_configs, random_density
 from dressedbath import linalg, metrics, scenarios
-from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                EVOLVED_TRACE_TOL, X_ENTRIES, NotPSD,
-                                TraceNotOne, as_matrices, validate_columns,
-                                validate_eigs)
+from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
+                                as_matrices, validate_columns, validate_eigs)
 from dressedbath.scenarios import ROUTES, figure_preset, run_scenario
-
-EVOLVED = dict(herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
-               psd_tol=EVOLVED_PSD_TOL)
 
 
 def seeded_draws():

@@ -11,21 +11,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (assert_run_matches_dense, bits, outcome,
+from conftest import (EVOLVED, assert_run_matches_dense, bits, outcome,
                       random_density, random_x_state, to_computational)
 from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
-from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                EVOLVED_TRACE_TOL, X_ENTRIES, NotPSD,
-                                TraceNotOne, as_matrices, validate_columns,
-                                validate_eigs)
+from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
+                                as_matrices, validate_columns, validate_eigs)
 from dressedbath.model import dressed_frame, rate_set
 from dressedbath.scenarios import (MODELS, figure_preset, initial_state_matrix,
                                    parse_config, run_scenario)
 
 X_ROWS, X_COLS = (list(c) for c in zip(*X_ENTRIES))
-EVOLVED = dict(herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
-               psd_tol=EVOLVED_PSD_TOL)
 
 
 def preset_configs():
