@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import pathlib
 import re
 import sys
@@ -45,15 +46,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
+def _add_common(sub, flags):
     sub.add_argument("--config", type=pathlib.Path, help="key = value file")
     sub.add_argument("--figure", type=int, help="start from a figure preset")
     sub.add_argument("--out", type=pathlib.Path, default=pathlib.Path("."),
                      help="output directory for CSV files")
-    sub.add_argument("--model", choices=("micro", "phenom", "both"))
-    sub.add_argument("--tmax", help="time span in seconds, or 'auto'")
-    sub.add_argument("--points", type=int, help="number of output samples")
+    if "--model" in flags:
+        sub.add_argument("--model", choices=(*scenarios.MODELS, "both"))
+    if "--tmax" in flags:
+        sub.add_argument("--tmax", help="time span in seconds, or 'auto'")
+    if "--points" in flags:
+        sub.add_argument("--points", type=int, help="number of output samples")
     sub.add_argument("--temp", type=float, help="bath temperature in K")
+    sub.set_defaults(model=None, tmax=None, points=None)
 
 
 def _number(flag, text, what) -> float:
@@ -137,13 +142,11 @@ def cmd_evolve(args):
 def cmd_steady(args):
     cfg = _configs_from_args(args)[0]
     frame = dressed_frame(cfg.params)
-    rates = rate_set(cfg.params, frame)
-    stationary = stationary_metrics(cfg.params, frame, rates)
-    pops = microscopic.steady_state(rates).diagonal().real
+    stationary, micro, ss_p = stationary_metrics(cfg.params, frame,
+                                                 rate_set(cfg.params, frame))
     print("micro stationary dressed populations "
           "(ground, antisym, sym, top): "
-          + " ".join(f"{v:.10g}" for v in pops))
-    ss_p = phenomenological.steady_state(cfg.params, rates)
+          + " ".join(f"{v:.10g}" for v in micro.diagonal().real))
     print("phenom stationary computational diagonal: "
           + " ".join(f"{ss_p[i, i].real:.10g}" for i in range(4)))
     print(f"phenom inner coherence: {ss_p[1, 2]:.10g}")
@@ -180,9 +183,12 @@ def cmd_sweep(args):
     return 0
 
 
-def _selftest_checks(params, frame, rates, span):
+def _selftest_checks(cfg):
     """The six cross-validation checks of one configuration, as
     ``(name, ok, detail)`` rows."""
+    params, frame = cfg.params, dressed_frame(cfg.params)
+    rates = rate_set(params, frame)
+    span = scenarios.resolve_t_max(cfg, rates)
     rows = []
     start = time.perf_counter()
     times = np.linspace(0.0, span, 400)
@@ -232,19 +238,16 @@ def _selftest_checks(params, frame, rates, span):
 
 def cmd_selftest(args):
     """Cross-validate the closed forms against the assembled generators on
-    figures 1-7.  Figures that share a configuration (parameters and time
-    span) share one run of the checks and each print its verdicts and
+    figures 1-7.  Figures that share a configuration (parameters, t_max and
+    models) share one run of the checks and each print its verdicts and
     details; a FAIL counts once per figure that prints it."""
     failures = 0
-    runs = {}   # (params, span) -> check rows, for this call only
+    runs = {}   # (params, t_max, models) -> check rows, for this call only
     for n in range(1, 8):
         cfg = figure_preset(n)
-        frame = dressed_frame(cfg.params)
-        rates = rate_set(cfg.params, frame)
-        span = scenarios.resolve_t_max(cfg, rates)
-        key = (cfg.params, span)
+        key = (cfg.params, cfg.t_max, cfg.models)
         if key not in runs:
-            runs[key] = _selftest_checks(cfg.params, frame, rates, span)
+            runs[key] = _selftest_checks(cfg)
         for name, ok, detail in runs[key]:
             print(f"{'PASS' if ok else 'FAIL'} figure {n} {name} ({detail})")
             failures += 0 if ok else 1
@@ -262,14 +265,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-            ("spectrum", cmd_spectrum, "print energies, rates and bath diagnostics"),
-            ("evolve", cmd_evolve, "run a scenario and write trajectory CSV files"),
-            ("steady", cmd_steady, "print both stationary states and their metrics"),
-            ("compare", cmd_compare, "stationary-value comparison of the two models"),
-            ("sweep", cmd_sweep, "comparison across a parameter axis")):
+    # the run flags a verb reads: compare and sweep always run both models
+    run = ("--model", "--tmax", "--points")
+    for name, fn, flags, doc in (
+            ("spectrum", cmd_spectrum, (), "print energies, rates and bath diagnostics"),
+            ("evolve", cmd_evolve, run, "run a scenario and write trajectory CSV files"),
+            ("steady", cmd_steady, (), "print both stationary states and their metrics"),
+            ("compare", cmd_compare, run[1:], "stationary-value comparison of the two models"),
+            ("sweep", cmd_sweep, run[1:], "comparison across a parameter axis")):
         sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
+        _add_common(sub, flags)
         sub.set_defaults(func=fn)
 
     fig = subs.add_parser("figure", help="reproduce a preset plot as CSV")
@@ -280,8 +285,7 @@ def build_parser():
                      model=None)
 
     sweep_sub = subs.choices["sweep"]
-    sweep_sub.add_argument("--axis", required=True,
-                           choices=("temperature", "lambda", "coupling", "gamma0"))
+    sweep_sub.add_argument("--axis", required=True, choices=tuple(scenarios.SWEEP_AXES))
     sweep_sub.add_argument("--values", required=True,
                            help="comma-separated axis values")
 
@@ -294,7 +298,13 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:   # the interpreter's last flush goes to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("configuration error: standard output was closed", file=sys.stderr)
+        return 1
     except NUMERIC_ERRORS as exc:
         # first: linalg.NotFinite is also a ValueError
         print(f"numerical invariant violated: {exc}", file=sys.stderr)

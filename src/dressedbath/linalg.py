@@ -34,6 +34,7 @@ PSD_TOL = 1e-9
 EVOLVED_HERM_TOL = 1e-10
 EVOLVED_TRACE_TOL = 1e-8
 EVOLVED_PSD_TOL = 1e-7
+THERMAL_TOL = 1e-10   # a stationary state this close to the Gibbs state is thermal
 
 
 class StateValidationError(Exception):
@@ -77,6 +78,8 @@ _OFF_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])
 # the entries of an (n, 16) stack (row-major) and of an (n, 8) X stack
 ENTRIES = tuple(divmod(k, 4) for k in range(16))
 X_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
+# the entries above the diagonal of a 4x4 matrix, row by row
+UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def trace_of(cols, entries) -> np.ndarray:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _OFF_X, ENTRIES, NotPSD, hermitian_eigs, partial_trace_q2
+from .linalg import (_OFF_X, ENTRIES, PSD_TOL, TRACE_TOL, NotPSD, hermitian_eigs,
+                     partial_trace_q2)
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
@@ -72,7 +73,7 @@ class XStateElements:
     outer: complex
     inner: complex
 
-    def valid(self, trace_tol=1e-10) -> np.ndarray:
+    def valid(self, trace_tol=TRACE_TOL) -> np.ndarray:
         """Per snapshot: populations sum to 1 and each coherence stays
         within its population bound (an overflow fails them, silently)."""
         total = self.p00 + self.p01 + self.p10 + self.p11
@@ -117,7 +118,7 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame):
     return x, ~(np.abs(r[..., 0, 3]) > X_TOL) & x.valid()
 
 
-def x_elements_from_columns(cols, entries, trace_tol: float = 1e-10):
+def x_elements_from_columns(cols, entries, trace_tol: float = TRACE_TOL):
     """Read the X elements off a ``(..., k)`` stack of the columns of
     computational-basis ``entries``; the mask marks the snapshots whose
     upper off-X entries among ``entries`` really vanish (an entry not among
@@ -134,7 +135,7 @@ def x_elements_from_columns(cols, entries, trace_tol: float = 1e-10):
     return x, ~(off > X_TOL) & x.valid(trace_tol=trace_tol)
 
 
-def x_elements_from_matrix(rho: np.ndarray, trace_tol: float = 1e-10):
+def x_elements_from_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL):
     """``x_elements_from_columns`` of a computational-basis matrix or of
     each matrix of a ``(..., 4, 4)`` stack."""
     r = np.asarray(rho)
@@ -165,9 +166,9 @@ def concurrence_from_eigs(evals, vecs) -> np.ndarray:
     With rho = W W^dagger, W = V sqrt(lambda), Wootters' lambda_i are the
     singular values of the complex-symmetric tau = W^T (sy x sy) W
     (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)).  The
-    first state with an eigenvalue below -1e-9 raises NotPSD.
+    first state with an eigenvalue below ``-PSD_TOL`` raises NotPSD.
     """
-    negative = np.flatnonzero(evals[:, 0] < -1e-9)
+    negative = np.flatnonzero(evals[:, 0] < -PSD_TOL)
     if negative.size:
         i = negative[0]
         raise NotPSD(f"state eigenvalue {evals[i, 0]:.3e} below tolerance",
@@ -185,7 +186,7 @@ def concurrence_from_eigs(evals, vecs) -> np.ndarray:
 def von_neumann_entropy(matrix: np.ndarray) -> float:
     """Base-2 entropy of a density matrix (any small dimension)."""
     evals, _ = hermitian_eigs(np.asarray(matrix, dtype=complex))
-    if evals[0] < -1e-9:
+    if evals[0] < -PSD_TOL:
         raise NotPSD(f"entropy of a non-positive matrix ({evals[0]:.3e})", -evals[0])
     return float(_plog2(np.clip(evals, 0.0, 1.0)).sum())
 

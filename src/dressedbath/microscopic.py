@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import integrate
+from .linalg import THERMAL_TOL, UPPER
 from .model import KB_OVER_HBAR, DressedFrame, RateSet, SystemParams
 
 
@@ -142,7 +143,7 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
         out[:, 0, 3] = _decaying_phase(splitting, half_total, t) * rho0[0, 3]
         out[:, 1, 2] = _decaying_phase(w_high - w_low, half_total, t) * rho0[1, 2]
 
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+    for i, j in UPPER:
         out[:, j, i] = np.conj(out[:, i, j])
     return out[0] if scalar else out
 
@@ -206,6 +207,6 @@ def thermal_stationarity(p: SystemParams, rates: RateSet, frame: DressedFrame,
     residual = np.abs(generator @ ss.reshape(-1)).max()
     # the dissipator scales with the channel sums, which a hot bath lifts
     # far above gamma0
-    thermal = (np.abs(ss - gibbs_state(frame, p.temperature)).max() <= 1e-10
+    thermal = (np.abs(ss - gibbs_state(frame, p.temperature)).max() <= THERMAL_TOL
                and residual <= 1e-9 * max(channel_sums(rates)))
     return thermal, residual

@@ -18,10 +18,8 @@ import math
 import numpy as np
 
 from . import integrate
+from .linalg import UPPER
 from .model import DressedFrame, RateSet, SystemParams, hamiltonian
-
-
-_UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _upper_rows(r: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
@@ -63,7 +61,7 @@ def phenom_rhs(rho: np.ndarray, p: SystemParams, rates: RateSet) -> np.ndarray:
     r = np.asarray(rho, dtype=complex)
     d = _upper_rows(r, p, rates)
     mirror = _upper_rows(np.conj(np.swapaxes(r, -1, -2)), p, rates)
-    for i, j in _UPPER:
+    for i, j in UPPER:
         d[..., j, i] = np.conj(mirror[..., i, j])
     return d
 

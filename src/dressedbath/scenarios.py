@@ -20,25 +20,25 @@ from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .csvtext import SLOTS, _fmt, g17_slots
 from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite, as_matrices,
-                     validate_eigs, validate_density)
+                     EVOLVED_TRACE_TOL, THERMAL_TOL, UPPER, X_ENTRIES, NotFinite,
+                     as_matrices, validate_eigs, validate_density)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
 MODELS = ("micro", "phenom")
 ROUTES = ("matrix_x", "general")   # metric routes, in trial order
 METRICS = ("concurrence", "discord", "linear_entropy", "populations")
-STATIONARY_METRICS = ("concurrence", "discord", "linear_entropy")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
 # metric -> its X-form function, looked up in ``metrics`` at each call so that
 # a wrapper on the module attribute (perfbench/spans.py) sees it
 _X_FORM = {"concurrence": "concurrence_x", "discord": "discord_approx_q2",
            "linear_entropy": "linear_entropy_q1"}
+STATIONARY_METRICS = tuple(_X_FORM)
+_POPULATIONS = ("pop_00", "pop_01", "pop_10", "pop_11")   # the "populations" columns
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-_UPPER = np.triu_indices(4, 1)   # the entries above a 4x4 diagonal
 # at the cap the process peaked at 260 MB for `figure 2` (an X start; X runs
 # stay under 320 MB) and at 887 MB for a non-X `evolve --config` run with
 # three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
@@ -103,7 +103,6 @@ class ScenarioConfig:
 
 @dataclass
 class Trajectory:
-    label: str
     times: np.ndarray
     stacks: dict            # model -> (n, len(entries)) snapshot columns
     entries: tuple          # linalg.ENTRIES, or linalg.X_ENTRIES for an X start
@@ -157,17 +156,19 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
-def _trajectory_metrics(stack, entries, wanted, x, x_ok, eigs):
-    """Metric columns of a validated trajectory (a ``Trajectory.stacks`` value
-    over ``entries``), and the route (index into ROUTES) of each snapshot.
-
-    ``x, x_ok`` is ``metrics.x_elements_from_columns`` of the stack: the X
-    elements and the mask of the snapshots that take the X route.  The
-    others take the general route, and ``eigs`` holds their eigenpairs from
-    ``validate_eigs``.  Each X-form metric is one call on the X elements of
-    the whole stack; the general route then overwrites its own rows.
+def _trajectory_metrics(stack, entries, wanted):
+    """``run_scenario``'s stages after propagation on one model's trajectory
+    (a ``Trajectory.stacks`` value over ``entries``): the worst margins of its
+    snapshots at the evolved tolerances, its metric columns and the route
+    (index into ROUTES) of each snapshot.  Snapshots off the X route take the
+    general one, with validation's eigenpairs.  Each X-form metric is one call
+    on the X elements of the whole stack; the general route then overwrites
+    its own rows.
     """
+    x, x_ok = metrics.x_elements_from_columns(stack, entries, trace_tol=EVOLVED_TRACE_TOL)
     general = ~x_ok
+    margins, eigs = validate_eigs(stack, entries, general, herm_tol=EVOLVED_HERM_TOL,
+                                  trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
     if general.any() and "discord" in wanted:
         if "concurrence" in wanted:   # a NotPSD of the first general row comes first
             metrics.concurrence_from_eigs(*(e[:1] for e in eigs))
@@ -181,16 +182,13 @@ def _trajectory_metrics(stack, entries, wanted, x, x_ok, eigs):
         cols["linear_entropy"][general] = metrics.linear_entropy_q1(
             as_matrices(stack[general], entries))
     if "populations" in wanted:
-        cols.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
-                        (x.p00, x.p01, x.p10, x.p11)))
-    return cols, general.astype(np.int8)
+        cols.update(zip(_POPULATIONS, (x.p00, x.p01, x.p10, x.p11)))
+    return margins, cols, general.astype(np.int8)
 
 
 def _columns_for(wanted):
-    cols = [m for m in wanted if m != "populations"]
-    if "populations" in wanted:
-        cols += ["pop_00", "pop_01", "pop_10", "pop_11"]
-    return cols
+    pops = list(_POPULATIONS) if "populations" in wanted else []
+    return [m for m in wanted if m != "populations"] + pops
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trajectory:
@@ -221,18 +219,12 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
                 frame.to_dressed(rho0_comp), rates, frame, times), entries)
         else:
             stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times, entries)
-        read = metrics.x_elements_from_columns(stack, entries, trace_tol=EVOLVED_TRACE_TOL)
-        margins[model], eigs = validate_eigs(
-            stack, entries, ~read[1], herm_tol=EVOLVED_HERM_TOL,
-            trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
         stacks[model] = stack
-        series[model], routes[model] = _trajectory_metrics(stack, entries, cfg.metrics,
-                                                           *read, eigs)
-        del read, eigs   # not held while the next model propagates
+        margins[model], series[model], routes[model] = _trajectory_metrics(
+            stack, entries, cfg.metrics)
 
-    return Trajectory(label=cfg.label, times=times, stacks=stacks,
-                      entries=entries, series=series, margins=margins,
-                      routes=routes, config=cfg,
+    return Trajectory(times=times, stacks=stacks, entries=entries, series=series,
+                      margins=margins, routes=routes, config=cfg,
                       fairness_lines=fairness_check(cfg.params, frame).lines())
 
 
@@ -395,7 +387,7 @@ def write_text(out_dir, name: str, text: str) -> pathlib.Path:
 
 
 def write_trajectory(traj: Trajectory, out_dir) -> list:
-    return [write_text(out_dir, f"{traj.label}_{model}.csv",
+    return [write_text(out_dir, f"{traj.config.label}_{model}.csv",
                        trajectory_csv(traj, model))
             for model in traj.config.models]
 
@@ -412,7 +404,6 @@ def sudden_death_time(times, series, threshold=DEATH_THRESHOLD, run=DEATH_RUN):
 
 @dataclass
 class CompareReport:
-    label: str
     config: ScenarioConfig
     stationary: dict         # model -> metric -> value
     relative_diff: dict      # metric -> (phenom - micro) / micro
@@ -422,7 +413,7 @@ class CompareReport:
     fairness_lines: list
 
     def text(self) -> str:
-        rows = [f"comparison: {self.label}"]
+        rows = [f"comparison: {self.config.label}"]
         rows += self.fairness_lines
         for metric in self.relative_diff:
             mv = self.stationary["micro"][metric]
@@ -460,39 +451,40 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
-def stationary_metrics(params: SystemParams, frame, rates,
-                       wanted=STATIONARY_METRICS) -> dict:
-    """model -> metric -> value on the closed-form stationary states.
+def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_METRICS):
+    """model -> metric -> value on the closed-form stationary states, and the
+    two states: the micro rate-ratio one (dressed basis) and the phenom
+    closed form of ``phenomenological.steady_state`` (computational basis).
 
-    The micro state is the rate-ratio one, the phenom state the closed form
-    of ``phenomenological.steady_state``.  Both take a run's X route, as one
-    ``(2, 8)`` stack of X columns (every other entry of both is an exact
-    zero) read at the default tolerances.  At coupling 0 the isolated qubit
-    never relaxes and the phenom stationary state is not unique: the closed
-    form is then its coupling -> 0+ limit.
+    Both take a run's X route, as one ``(2, 8)`` stack of X columns (every
+    other entry of both is an exact zero) read at the default tolerances.
+    At coupling 0 the isolated qubit never relaxes and the phenom stationary
+    state is not unique: the closed form is then its coupling -> 0+ limit.
     """
     if not all(math.isfinite(r) for r in vars(rates).values()):
         raise NotFinite("bath rates overflow the double range")
     s_low, s_high = microscopic.channel_sums(rates)
     if s_low == s_high == rates.emission_bare + rates.absorption_bare == 0:
         raise ConfigError("no stationary state: all rates vanish")
-    micro = frame.to_computational_columns(microscopic.steady_state(rates), X_ENTRIES)
-    phenom = phenomenological.steady_state(params, rates)[tuple(zip(*X_ENTRIES))]
-    x, ok = metrics.x_elements_from_columns(np.stack([micro, phenom]), X_ENTRIES)
+    micro = microscopic.steady_state(rates)
+    phenom = phenomenological.steady_state(params, rates)
+    x, ok = metrics.x_elements_from_columns(np.stack([
+        frame.to_computational_columns(micro, X_ENTRIES),
+        phenom[tuple(zip(*X_ENTRIES))]]), X_ENTRIES)
     for model, held in zip(MODELS, ok):
         if not held:
             raise AssumptionViolated(f"{model} stationary state is not X-shaped")
     values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM.items() if m in wanted}
-    return {model: {m: float(v[i]) for m, v in values.items()}
-            for i, model in enumerate(MODELS)}
+    return ({model: {m: float(v[i]) for m, v in values.items()}
+             for i, model in enumerate(MODELS)}, micro, phenom)
 
 
 def compare_report(cfg: ScenarioConfig) -> CompareReport:
     """Stationary metric values of both models and their relative gap.
 
-    The stationary values come from ``stationary_metrics``.  A trajectory
-    runs only when concurrence is requested, to find each model's sudden
-    death, over fifty lifetimes of the slowest mode
+    The stationary values and states come from ``stationary_metrics``.  A
+    trajectory runs only when concurrence is requested, to find each model's
+    sudden death, over fifty lifetimes of the slowest mode
     (``resolve_t_max(stationary=True)``).  Micro is thermal when its
     rate-ratio stationary state is the Gibbs state (detailed balance);
     phenom is not when dressed coherences survive in its stationary state.
@@ -501,7 +493,7 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     wanted = [m for m in cfg.metrics if m != "populations"]
-    stationary = stationary_metrics(cfg.params, frame, rates, wanted)
+    stationary, micro, phenom = stationary_metrics(cfg.params, frame, rates, wanted)
     relative = {}
     for m in wanted:
         mv, pv = stationary["micro"][m], stationary["phenom"][m]
@@ -517,36 +509,33 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
                                              traj.series[model]["concurrence"])
 
     gibbs = microscopic.gibbs_state(frame, cfg.params.temperature)
-    micro_thermal = np.abs(microscopic.steady_state(rates) - gibbs).max() <= 1e-10
-    ss_p = phenomenological.steady_state_dressed(cfg.params, rates, frame)
-    phenom_thermal = np.abs(ss_p[_UPPER]).max() <= 1e-10
+    micro_thermal = np.abs(micro - gibbs).max() <= THERMAL_TOL
+    upper = frame.to_dressed(phenom)[tuple(zip(*UPPER))]
+    phenom_thermal = np.abs(upper).max() <= THERMAL_TOL
 
-    return CompareReport(label=cfg.label, config=cfg,
+    return CompareReport(config=cfg,
                          stationary=stationary, relative_diff=relative,
                          death_time=death, micro_thermal=micro_thermal,
                          phenom_thermal=phenom_thermal,
                          fairness_lines=fairness_check(cfg.params, frame).lines())
 
 
-_SWEEP_AXES = {"temperature": "temperature", "lambda": "coupling",
-               "coupling": "coupling", "gamma0": "gamma0"}
+SWEEP_AXES = {"temperature": "temperature", "lambda": "coupling",
+              "coupling": "coupling", "gamma0": "gamma0"}
 
 
 def sweep(cfg: ScenarioConfig, axis: str, values) -> list:
     """One comparison report per axis value."""
-    if axis not in _SWEEP_AXES:
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; "
-                          f"choose from {sorted(_SWEEP_AXES)}")
+                          f"choose from {sorted(SWEEP_AXES)}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    field_name = _SWEEP_AXES[axis]
-    reports = []
-    for v in values:
-        params = replace(cfg.params, **{field_name: float(v)})
-        reports.append(compare_report(replace(
-            cfg, params=params, label=f"{cfg.label}_{axis}{v:g}")))
-    return reports
+    field_name = SWEEP_AXES[axis]
+    return [compare_report(replace(cfg, params=replace(cfg.params, **{field_name: float(v)}),
+                                   label=f"{cfg.label}_{axis}{v:g}"))
+            for v in values]
 
 
 def sweep_csv(cfg: ScenarioConfig, axis: str, values, reports) -> str:

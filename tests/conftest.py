@@ -58,19 +58,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def metric_stage(cols, entries, wanted):
-    """``run_scenario``'s stages after propagation on an ``(n, k)`` stack of
-    ``entries``: the X read, validation at the evolved tolerances with the
-    general rows marked, and the metrics; the margins, series and routes."""
-    from dressedbath import metrics, scenarios
-    from dressedbath.linalg import validate_eigs
-    read = metrics.x_elements_from_columns(cols, entries,
-                                           trace_tol=EVOLVED_TRACE_TOL)
-    margins, eigs = validate_eigs(cols, entries, ~read[1], **EVOLVED)
-    return (margins,) + scenarios._trajectory_metrics(cols, entries, wanted,
-                                                      *read, eigs)
-
-
 def dense_stages(cfg):
     """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, the route of a
     non-X start: per model the stack, its margins, series and routes.  The
@@ -91,8 +78,8 @@ def dense_stages(cfg):
             stack = phenomenological.propagate(rho0, cfg.params, rates, times,
                                                ENTRIES).reshape(-1, 4, 4)
         margins = validate_columns(stack.reshape(-1, 16), ENTRIES, **EVOLVED)
-        marked, series, routes = metric_stage(stack.reshape(-1, 16), ENTRIES,
-                                              cfg.metrics)
+        marked, series, routes = scenarios._trajectory_metrics(
+            stack.reshape(-1, 16), ENTRIES, cfg.metrics)
         assert marked == margins
         out[model] = stack, margins, series, routes
     return out

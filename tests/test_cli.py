@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
 from conftest import set_key
@@ -240,13 +245,14 @@ def test_selftest_passes(monkeypatch, capsys):
     # figure 1 a third
     generators = _count_calls(monkeypatch, cli.microscopic, "liouvillian")
     propagations = _count_calls(monkeypatch, cli.integrate, "propagate")
+    rate_sets = _count_calls(monkeypatch, cli, "rate_set")
     for _ in range(2):   # nothing is kept from one call to the next
-        generators.clear()
-        propagations.clear()
+        for calls in (generators, propagations, rate_sets):
+            calls.clear()
         assert main(["selftest"]) == 0
         rows = _selftest_lines(capsys.readouterr().out)
         assert len(rows) == 42 and {v for v, *_ in rows} == {"PASS"}
-        assert len(generators) == 3 and len(propagations) == 3
+        assert len(generators) == len(propagations) == len(rate_sets) == 3
 
 
 def test_selftest_runs_a_figure_of_its_own_configuration(monkeypatch, capsys):
@@ -266,6 +272,22 @@ def test_selftest_runs_a_figure_of_its_own_configuration(monkeypatch, capsys):
     details = [detail for _, _, name, detail in rows if name == SELFTEST_CHECKS[3]]
     assert details[1:6:2] == ["residual 5.00e-04", "residual 1.00e-03",   # 2, 4, 6
                               "residual 5.00e-04"]
+
+
+def test_selftest_runs_a_figure_of_its_own_time_span(monkeypatch, capsys):
+    # figure 4 keeps figure 2's parameters but not its span
+    real = cli.figure_preset
+
+    def preset(n):
+        return replace(real(n), t_max=1e-9) if n == 4 else real(n)
+    monkeypatch.setattr(cli, "figure_preset", preset)
+    generators = _count_calls(monkeypatch, cli.microscopic, "liouvillian")
+    propagations = _count_calls(monkeypatch, cli.integrate, "propagate")
+    assert main(["selftest"]) == 0
+    rows = _selftest_lines(capsys.readouterr().out)
+    assert len(rows) == 42 and {v for v, *_ in rows} == {"PASS"}
+    assert len(generators) == 4
+    assert propagations[3][2][-1] == 1e-9   # figure 4's grid ends at its own t_max
 
 
 def test_selftest_fail_is_printed_for_every_figure_sharing_it(monkeypatch, capsys):
@@ -315,6 +337,42 @@ def test_label_outside_out_is_config_error(tmp_path, capsys):
     assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 1
     assert "not a safe file name" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.cfg"]
+
+
+# spectrum and steady read no run flag; compare and sweep always run both models
+REFUSED_FLAGS = ([(verb, flag) for verb in ("spectrum", "steady")
+                  for flag in (["--model", "micro"], ["--tmax", "1"], ["--points", "5"])]
+                 + [(verb, ["--model", "micro"]) for verb in ("compare", "sweep")])
+
+
+@pytest.mark.parametrize("verb, flag", REFUSED_FLAGS,
+                         ids=[f"{verb}{flag[0]}" for verb, flag in REFUSED_FLAGS])
+def test_flag_a_verb_does_not_read_is_config_error(verb, flag, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    axis = ["--axis", "temperature", "--values", "1e-3"] if verb == "sweep" else []
+    assert main([verb, "--figure", "2", *flag, *axis, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr() == (
+        "", f"configuration error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not out_dir.exists()
+
+
+def test_closed_stdout_is_config_error(tmp_path):
+    # about 130 kB of reports, past what the pipe and the stream buffer hold,
+    # so the run is still writing when the reader closes
+    values = ",".join(f"{v:.6g}" for v in np.geomspace(5e6, 2e8, 250))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dressedbath.cli", "sweep", "--figure", "5",
+         "--axis", "gamma0", "--values", values, "--out", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"comparison: figure5_gamma05e+06\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"configuration error: standard output was closed\n"
 
 
 @pytest.mark.parametrize("argv, written", [

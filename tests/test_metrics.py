@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dressedbath import metrics
+from dressedbath import metrics, scenarios
 from dressedbath.linalg import (ENTRIES, NotHermitian, as_matrices,
                                 hermitian_eigs)
 from dressedbath.metrics import (XStateElements, concurrence_general,
@@ -14,8 +14,7 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
 from dressedbath.model import SystemParams, dressed_frame
 
 from conftest import (concurrence_mp, concurrence_spin_flip, discord_oracle_q2,
-                      metric_stage, random_density, random_unitary,
-                      random_x_state)
+                      random_density, random_unitary, random_x_state)
 
 
 def bell_matrix():
@@ -525,7 +524,7 @@ class TestTrajectoryRouteErrors:
     def test_first_failing_snapshot_decides(self, rng, kinds, wanted, expected):
         comp = self.stack(rng, kinds)
         with pytest.raises((metrics.NotPSD, metrics.AssumptionViolated)) as err:
-            metric_stage(comp.reshape(-1, 16), ENTRIES, wanted)
+            scenarios._trajectory_metrics(comp.reshape(-1, 16), ENTRIES, wanted)
         assert type(err.value) is expected
         if expected is metrics.NotPSD:
             with pytest.raises(metrics.NotPSD) as single:

@@ -191,7 +191,7 @@ def test_closed_form_stationary_states(p):
     # sudden-death times
     rep = compare_report(ScenarioConfig(params=p, metrics=STATIONARY_METRICS,
                                         n_points=2, t_max=1e-12))
-    stationary = hexed(stationary_metrics(p, frame, rates))
+    stationary = hexed(stationary_metrics(p, frame, rates)[0])
     assert hexed(rep.stationary) == stationary
     # one (2, 8) X-column read for both models gives the bits of the
     # per-model read of the full matrices
@@ -250,6 +250,7 @@ def test_micro_verdict_is_the_generator_oracle(p):
 # -- the command line on hostile input -------------------------------------
 
 VERBS = ("evolve", "compare", "sweep", "steady", "spectrum")
+RUN_VERBS = ("evolve", "compare", "sweep")   # the verbs that take --points and --tmax
 HOSTILE = ("0", "5e-324", "-1e9", "1e300", "inf", "nan", "abc")
 SPANS = ("auto", "0", "-1", "1e-300", "1e300")
 PREFIX = {1: "configuration error: ", 2: "numerical invariant violated: "}
@@ -258,17 +259,20 @@ PREFIX = {1: "configuration error: ", 2: "numerical invariant violated: "}
 @st.composite
 def command_lines(draw):
     """A verb on the strong-coupling preset with up to two of its parameters
-    replaced by hostile text, ``--points`` up to 30 and a ``--tmax``; a
-    sweep takes one value, hostile or not, on a drawn axis.  Returns the
-    config text and the arguments after ``--config``."""
+    replaced by hostile text, and ``--points`` up to 30 and a ``--tmax`` for
+    the verbs that take them; a sweep takes one value, hostile or not, on a
+    drawn axis.  Returns the config text and the arguments after
+    ``--config``."""
     values = {k: repr(v) for k, v in STRONG.items()}
     for key in draw(st.lists(st.sampled_from(sorted(STRONG)), max_size=2,
                              unique=True)):
         values[key] = draw(st.sampled_from(HOSTILE))
     text = "".join(f"{k} = {v}\n" for k, v in values.items())
     verb = draw(st.sampled_from(VERBS))
-    args = ["--points", str(draw(st.integers(-1, 30))),
-            "--tmax", draw(st.sampled_from(SPANS))]
+    args = []
+    if verb in RUN_VERBS:
+        args += ["--points", str(draw(st.integers(-1, 30))),
+                 "--tmax", draw(st.sampled_from(SPANS))]
     if verb == "sweep":
         args += ["--axis", draw(st.sampled_from(["temperature", "lambda", "gamma0"])),
                  "--values", draw(st.sampled_from(("1e-3",) + HOSTILE))]

@@ -1,6 +1,7 @@
 """One site per computation on the run path: each X-form metric is one call
 on the X elements of a model run's whole stack, which the general route then
-overwrites in its own rows, and each configuration builds one dressed frame."""
+overwrites in its own rows, each configuration builds one dressed frame, and
+each closed-form stationary state is evaluated once per configuration."""
 
 import sys
 from dataclasses import replace
@@ -8,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import golden_general_configs
-from dressedbath import metrics, model
+from dressedbath import metrics, microscopic, model, phenomenological
 from dressedbath.cli import main
 from dressedbath.metrics import AssumptionViolated, XStateElements
 from dressedbath.scenarios import figure_preset, run_scenario
@@ -79,7 +80,32 @@ def frames(monkeypatch):
     (["compare", "--figure", "2", "--points", "200"], 2),   # one run for sudden death
     (["figure", "9", "--points", "50"], 4),   # the preset's shared span, then three runs
     (["steady", "--figure", "2"], 1),
-    (["selftest"], 7)])
+    (["selftest"], 3)])   # figures 1-7 are three configurations
 def test_one_dressed_frame_per_configuration(argv, count, frames, tmp_path, capsys):
     assert main(argv + ([] if argv == ["selftest"] else ["--out", str(tmp_path)])) == 0
     assert len(frames) == count
+
+
+@pytest.fixture
+def steady_states(monkeypatch):
+    """The module of each closed-form stationary state evaluated, in order."""
+    seen = []
+    for mod in (microscopic, phenomenological):
+        def spy(*args, name=mod.__name__.rsplit(".", 1)[1], real=mod.steady_state):
+            seen.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(mod, "steady_state", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["compare", "--figure", "4"], 1),
+    (["compare", "--figure", "2", "--points", "200"], 1),   # and a sudden-death run
+    (["steady", "--figure", "2"], 1),
+    (["sweep", "--figure", "2", "--axis", "temperature",
+      "--values", "5e-4,5e-3,1.5e-2", "--points", "200"], 3)])
+def test_each_stationary_state_once_per_configuration(argv, count, steady_states,
+                                                      tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert steady_states == ["microscopic", "phenomenological"] * count
