@@ -21,7 +21,7 @@ import numpy as np
 from . import integrate, metrics, microscopic, phenomenological, scenarios
 from ._version import __version__
 from .integrate import TraceDrift
-from .linalg import ENTRIES, X_ENTRIES, StateValidationError
+from .linalg import ENTRIES, ROUNDING_TOL, X_ENTRIES, StateValidationError
 from .metrics import AssumptionViolated
 from .microscopic import DegenerateRates
 from .model import (dressed_frame, fairness_check, rate_set,
@@ -122,7 +122,7 @@ def cmd_spectrum(args):
     print(f"decay low/high: {rates.decay_low:.10g} / {rates.decay_high:.10g}")
     print(f"excitation low/high: {rates.excitation_low:.10g} / {rates.excitation_high:.10g}")
     print(f"bare emission/absorption: {rates.emission_bare:.10g} / {rates.absorption_bare:.10g}")
-    for line in fairness_check(p, frame).lines():
+    for line in fairness_check(p, frame):
         print(line)
     return 0
 
@@ -185,7 +185,9 @@ def cmd_sweep(args):
 
 def _selftest_checks(cfg):
     """The six cross-validation checks of one configuration, as
-    ``(name, ok, detail)`` rows."""
+    ``(name, ok, detail)`` rows.  Check 1 holds the closed form to the
+    integrated generator within an absolute 1e-7; checks 2-6 pass when both
+    sides agree to rounding (``linalg.ROUNDING_TOL``) at their own scale."""
     params, frame = cfg.params, dressed_frame(cfg.params)
     rates = rate_set(params, frame)
     span = scenarios.resolve_t_max(cfg, rates)
@@ -207,14 +209,16 @@ def _selftest_checks(cfg):
     dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
               for f in fields(metrics.XStateElements))
     rows.append(("micro X elements: dressed closed form vs basis change",
-                 held.all() and ok.all() and dev <= 1e-12, f"max dev {dev:.2e}"))
+                 held.all() and ok.all() and dev <= ROUNDING_TOL, f"max dev {dev:.2e}"))
 
     gen_rows = phenomenological.liouvillian(params, rates)
     gen_ops = phenomenological.liouvillian_from_ops(params, rates)
-    scale = max(np.abs(gen_ops).max(), 1.0)
-    dev = np.abs(gen_rows - gen_ops).max() / scale
-    rows.append(("phenom element equations vs operator form",
-                 dev <= 1e-12, f"rel dev {dev:.2e}"))
+    # the printed relative deviations keep their own divisors (GOLDEN.json
+    # pins the text); each verdict reads rounding at the residual's scale
+    rounding = ROUNDING_TOL * np.linalg.norm(gen_ops, 1)
+    dev = np.abs(gen_rows - gen_ops).max()
+    rows.append(("phenom element equations vs operator form", dev <= rounding,
+                 f"rel dev {dev / max(np.abs(gen_ops).max(), 1.0):.2e}"))
 
     thermal, resid = microscopic.thermal_stationarity(params, rates, frame, gen)
     rows.append(("micro stationarity (Gibbs state, annihilated)",
@@ -222,17 +226,17 @@ def _selftest_checks(cfg):
 
     ssp = phenomenological.steady_state(params, rates)
     dp = np.abs(phenomenological.phenom_rhs(ssp, params, rates)).max()
-    bound = 1e-12 * (rates.emission_bare + rates.absorption_bare)
-    rows.append(("phenom stationarity", dp <= bound, f"residual {dp:.2e}"))
+    rows.append(("phenom stationarity", dp <= rounding, f"residual {dp:.2e}"))
 
     # observed population-equation coefficients, read off the generator:
     # row 0 (the ground population) at the columns of |j><j|, vec index 5 j
     row = gen[0, ::5].real
     expected = np.array([-(rates.excitation_low + rates.excitation_high),
                          rates.decay_low, rates.decay_high, 0.0])
-    dev = np.abs(row - expected).max() / max(params.gamma0, 1.0)
+    dev = np.abs(row - expected).max()
     rows.append(("ground-population equation coefficients",
-                 dev <= 1e-12, f"rel dev {dev:.2e}"))
+                 dev <= ROUNDING_TOL * max(microscopic.channel_sums(rates)),
+                 f"rel dev {dev / max(params.gamma0, 1.0):.2e}"))
     return rows
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EVOLVED_TRACE_TOL, NotFinite, trace_of
+from .linalg import EVOLVED_TRACE_TOL, ROUNDING_TOL, NotFinite, trace_of
 
 _BLOCK_WORK = 32768   # rows x L^2 of a propagation block: 512 rows at L = 8
 
@@ -67,12 +67,13 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     is diagonalised once.  A trace-preserving generator has an exact zero
     eigenvalue, which rounding moves off 0 by about eps times its norm and
     which would then make the trace drift linearly in t; the eigenvalue
-    nearest 0 is therefore set to 0 when it lies within 16 eps ||L||_1 of
-    it.  Raises NotFinite for a generator with inf or nan entries, and
-    TraceDrift if the trace drifts by more than ``linalg.EVOLVED_TRACE_TOL``
-    anywhere on the grid, naming the first such grid point.  The result is
-    the ``(n, k)`` columns of ``entries`` (``linalg.ENTRIES`` or
-    ``linalg.X_ENTRIES``), which must hold every entry reached.
+    nearest 0 is therefore set to 0 when it is rounding at ||L||_1
+    (``linalg.ROUNDING_TOL``).  Raises NotFinite for a generator with inf or
+    nan entries, and TraceDrift if the trace drifts by more than
+    ``linalg.EVOLVED_TRACE_TOL`` anywhere on the grid, naming the first such
+    grid point.  The result is the ``(n, k)`` columns of ``entries``
+    (``linalg.ENTRIES`` or ``linalg.X_ENTRIES``), which must hold every entry
+    reached.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
@@ -92,7 +93,7 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
     k = np.argmin(np.abs(lam))
-    if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
+    if abs(lam[k]) <= ROUNDING_TOL * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
     out = np.zeros((len(times), len(entries)), dtype=complex)

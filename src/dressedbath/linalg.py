@@ -35,6 +35,9 @@ EVOLVED_HERM_TOL = 1e-10
 EVOLVED_TRACE_TOL = 1e-8
 EVOLVED_PSD_TOL = 1e-7
 THERMAL_TOL = 1e-10   # a stationary state this close to the Gibbs state is thermal
+# a residual computed from numbers of size s is rounding when it is at most
+# ROUNDING_TOL * s
+ROUNDING_TOL = 16 * np.finfo(float).eps
 
 
 class StateValidationError(Exception):

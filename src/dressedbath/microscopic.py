@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import integrate
-from .linalg import THERMAL_TOL, UPPER
+from .linalg import ROUNDING_TOL, THERMAL_TOL, UPPER
 from .model import KB_OVER_HBAR, DressedFrame, RateSet, SystemParams
 
 
@@ -208,5 +208,5 @@ def thermal_stationarity(p: SystemParams, rates: RateSet, frame: DressedFrame,
     # the dissipator scales with the channel sums, which a hot bath lifts
     # far above gamma0
     thermal = (np.abs(ss - gibbs_state(frame, p.temperature)).max() <= THERMAL_TOL
-               and residual <= 1e-9 * max(channel_sums(rates)))
+               and residual <= ROUNDING_TOL * max(channel_sums(rates)))
     return thermal, residual

@@ -255,38 +255,6 @@ def rate_set(p: SystemParams, frame: DressedFrame | None = None) -> RateSet:
                    emission_bare=em_bare, absorption_bare=ab_bare)
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    """How comparable the two models' bath inputs are.
-
-    The phenomenological model samples the bath at the bare qubit frequency;
-    the dressed model samples it at the two Bohr frequencies.  If those
-    samples differ appreciably the model comparison is confounded by the
-    bath profile itself, so we flag it.
-    """
-
-    spectral_dev_low: float
-    spectral_dev_high: float
-    occupancy_dev_low: float
-    occupancy_dev_high: float
-    unfair: bool
-    strong_damping: bool
-
-    def lines(self):
-        out = [
-            f"spectral density deviation at low/high Bohr frequency: "
-            f"{self.spectral_dev_low:.3e} / {self.spectral_dev_high:.3e}",
-            f"occupancy deviation at low/high Bohr frequency: "
-            f"{self.occupancy_dev_low:.3e} / {self.occupancy_dev_high:.3e}",
-        ]
-        if self.unfair:
-            out.append(f"WARNING: unfair comparison, deviation above {_FAIRNESS_THRESHOLD:g}")
-        if self.strong_damping:
-            out.append("WARNING: damping rate within 10x of a Bohr frequency; "
-                       "weak-coupling treatment is strained")
-        return out
-
-
 _FAIRNESS_THRESHOLD = 0.15   # a larger bath-sample deviation flags a comparison
 
 # occupancies below a milliphoton cannot move any rate perceptibly, so
@@ -294,8 +262,16 @@ _FAIRNESS_THRESHOLD = 0.15   # a larger bath-sample deviation flags a comparison
 OCCUPANCY_FLOOR = 1e-3
 
 
-def fairness_check(p: SystemParams, frame: DressedFrame) -> FairnessReport:
-    """The bath-sample deviations of ``p``, whose ``dressed_frame`` is ``frame``."""
+def fairness_check(p: SystemParams, frame: DressedFrame) -> list:
+    """How comparable the two models' bath inputs are, as report lines, for
+    ``p``, whose ``dressed_frame`` is ``frame``.
+
+    The phenomenological model samples the bath at the bare qubit frequency;
+    the dressed model samples it at the two Bohr frequencies.  If those
+    samples differ appreciably the model comparison is confounded by the
+    bath profile itself, so a warning line flags it; another flags damping
+    within 10x of a Bohr frequency.
+    """
     j_bare = spectral_density(p, p.omega)
     n_bare = thermal_occupancy(p.omega, p.temperature)
     eps = OCCUPANCY_FLOOR
@@ -310,5 +286,13 @@ def fairness_check(p: SystemParams, frame: DressedFrame) -> FairnessReport:
 
     devs = (dev_j(frame.bohr_low), dev_j(frame.bohr_high),
             dev_n(frame.bohr_low), dev_n(frame.bohr_high))
-    return FairnessReport(*devs, unfair=max(devs) > _FAIRNESS_THRESHOLD,
-                          strong_damping=p.gamma0 > 0.1 * min(frame.bohr_low, frame.bohr_high))
+    out = [f"spectral density deviation at low/high Bohr frequency: "
+           f"{devs[0]:.3e} / {devs[1]:.3e}",
+           f"occupancy deviation at low/high Bohr frequency: "
+           f"{devs[2]:.3e} / {devs[3]:.3e}"]
+    if max(devs) > _FAIRNESS_THRESHOLD:
+        out.append(f"WARNING: unfair comparison, deviation above {_FAIRNESS_THRESHOLD:g}")
+    if p.gamma0 > 0.1 * min(frame.bohr_low, frame.bohr_high):
+        out.append("WARNING: damping rate within 10x of a Bohr frequency; "
+                   "weak-coupling treatment is strained")
+    return out

@@ -225,7 +225,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
 
     return Trajectory(times=times, stacks=stacks, entries=entries, series=series,
                       margins=margins, routes=routes, config=cfg,
-                      fairness_lines=fairness_check(cfg.params, frame).lines())
+                      fairness_lines=fairness_check(cfg.params, frame))
 
 
 # -- presets ----------------------------------------------------------------
@@ -517,7 +517,7 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
                          stationary=stationary, relative_diff=relative,
                          death_time=death, micro_thermal=micro_thermal,
                          phenom_thermal=phenom_thermal,
-                         fairness_lines=fairness_check(cfg.params, frame).lines())
+                         fairness_lines=fairness_check(cfg.params, frame))
 
 
 SWEEP_AXES = {"temperature": "temperature", "lambda": "coupling",
