@@ -1,13 +1,12 @@
 """Dressed-basis master equation: closed-form solution and its cross-check.
 
-The dissipator couples dressed populations through two emission/absorption
-channels and lets each coherence evolve independently or in one of two
-2x2 blocks.  That structure admits closed-form solutions, implemented in
-``propagate_analytic``, the production route.  ``liouvillian`` assembles
-the same generator from first principles (jump operators built numerically
-from the eigenvectors, detailed-balance-weighted reverse channels included);
-integrated with ``integrate.propagate`` it is the independent oracle that
-``selftest`` and the tests hold the closed forms to.
+The bath exchanges quanta at the two Bohr frequencies, so the dressed ladder
+is two independent two-level channels; ``propagate_analytic``, the
+production route, is the product of their closed forms.  ``liouvillian``
+assembles the same generator from first principles (jump operators built
+numerically from the eigenvectors, detailed-balance-weighted reverse
+channels included); integrated with ``integrate.propagate`` it is the
+independent oracle that ``selftest`` and the tests hold the closed forms to.
 
 All states in this module are 4x4 complex matrices in the dressed basis.
 """
@@ -63,9 +62,13 @@ def liouvillian(rates: RateSet, frame: DressedFrame) -> np.ndarray:
     """Full generator (16x16, row-major vec) in the dressed basis.
 
     Trace-annihilating by construction: every Lindblad term maps any matrix
-    to a traceless one, and so does the commutator.
+    to a traceless one, and so does the commutator.  The Hamiltonian is the
+    dressed energies less omega, which leaves the commutator unchanged but
+    keeps the antisym-sym frequency the coupling itself.
     """
-    h = np.diag(np.asarray(frame.energies, dtype=complex))
+    half = 0.5 * (frame.bohr_low + frame.bohr_high)
+    h = np.diag(np.array([-half, -0.5 * frame.gap, 0.5 * frame.gap, half],
+                         dtype=complex))
     low, high = jump_operators(frame)
     return integrate.lindblad(h, [(rates.emission_low, low),
                                   (rates.emission_high, high),
@@ -77,11 +80,15 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
                        times) -> np.ndarray:
     """Closed-form dressed-basis evolution on an arbitrary time grid.
 
-    Populations relax through the two channels; the ground-antisym and
-    sym-top coherences mix pairwise, the remaining two just rotate and
-    decay.  With both channel rates zero the evolution is purely unitary
-    (frozen populations, rotating coherences); a single vanishing channel
-    has no closed form here and raises DegenerateRates.
+    State k = 2h + l holds l = k % 2 quanta of the low channel
+    (ground-antisym, sym-top) and h = k // 2 of the high one (ground-sym,
+    antisym-top); the channels relax independently.  One with down rate c
+    and up rate e, s = c + e, moves ``f (c p_up - e p_down)`` of population
+    down, ``f = (1 - exp(-s t)) / s`` (t for a frozen channel, s = 0).  A
+    coherence across one channel decays at half its sum and is carried by
+    the other's map (the low map with the signs of the low jump operator's
+    elements); one across both decays at half of both sums.  Every phase is
+    a product of ``exp(i bohr_low t)`` and ``exp(i gap t)``.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     scalar = np.isscalar(times) or getattr(times, "ndim", 1) == 0
@@ -89,80 +96,54 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
         raise ValueError("times must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
 
-    s1, s2 = channel_sums(rates)
-    if s1 == 0.0 and s2 == 0.0:
-        out = _unitary_branch(rho0, frame, t)
-        return out[0] if scalar else out
-    if s1 == 0.0 or s2 == 0.0:
-        raise DegenerateRates("one relaxation channel is frozen; "
-                              "no closed form for this case")
-
-    # overflowing rates make inf and nan here; validation reports the
-    # non-finite snapshots (NotFinite), so numpy need not warn first
+    cl, el = rates.decay_low, rates.excitation_low
+    ch, eh = rates.decay_high, rates.excitation_high
+    s_low, s_high = channel_sums(rates)
+    out = np.zeros((len(t), 4, 4), dtype=complex)
+    # overflowing rates, and phases past the double range, make inf and nan
+    # here; validation reports the non-finite snapshots (NotFinite), so numpy
+    # need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        cl, ch = rates.decay_low, rates.decay_high
-        el, eh = rates.excitation_low, rates.excitation_high
-        k = s1 * s2
-        e1 = np.exp(-s1 * t)
-        e2 = np.exp(-s2 * t)
-        e12 = e1 * e2
-        pa, pb, pc, pd = (rho0[i, i].real for i in range(4))
+        f_low, f_high = (np.divide(-np.expm1(-s * t), s, out=t.copy(), where=s != 0)
+                         for s in (s_low, s_high))
+        # low[h][l]: the population of state 2h + l after the low channel
+        p = rho0.diagonal().real
+        low = [_move(f_low, cl, el, p[k], p[k + 1]) for k in (0, 2)]
+        for l in (0, 1):
+            out[:, l, l], out[:, l + 2, l + 2] = _move(f_high, ch, eh, low[0][l], low[1][l])
 
-        out = np.zeros((len(t), 4, 4), dtype=complex)
-        out[:, 0, 0] = (cl * ch
-                        + e1 * (el * ch * (pa + pc) - cl * ch * (pb + pd))
-                        + e2 * (cl * eh * (pa + pb) - cl * ch * (pc + pd))
-                        + e12 * (el * eh * pa - cl * eh * pb - el * ch * pc + cl * ch * pd)) / k
-        out[:, 1, 1] = (el * ch
-                        + e1 * (-el * ch * (pa + pc) + cl * ch * (pb + pd))
-                        + e2 * (el * eh * (pa + pb) - el * ch * (pc + pd))
-                        + e12 * (-el * eh * pa + cl * eh * pb + el * ch * pc - cl * ch * pd)) / k
-        out[:, 2, 2] = (cl * eh
-                        + e1 * (el * eh * (pa + pc) - cl * eh * (pb + pd))
-                        + e2 * (-cl * eh * (pa + pb) + cl * ch * (pc + pd))
-                        + e12 * (-el * eh * pa + cl * eh * pb + el * ch * pc - cl * ch * pd)) / k
-        out[:, 3, 3] = (el * eh
-                        + e1 * (-el * eh * (pa + pc) + cl * eh * (pb + pd))
-                        + e2 * (-el * eh * (pa + pb) + el * ch * (pc + pd))
-                        + e12 * (el * eh * pa - cl * eh * pb - el * ch * pc + cl * ch * pd)) / k
-
-        w_low, w_high = frame.bohr_low, frame.bohr_high
-        splitting = w_low + w_high
-        half_total = 0.5 * (s1 + s2)
-
-        ab0, cd0 = rho0[0, 1], rho0[2, 3]
-        ac0, bd0 = rho0[0, 2], rho0[1, 3]
-        # an X-shaped start has none of these four coherences: they stay +0
-        if ab0 != 0 or cd0 != 0 or ac0 != 0 or bd0 != 0:
-            pre_low = _decaying_phase(w_low, 0.5 * s1, t) / s2
-            out[:, 0, 1] = pre_low * ((ch + e2 * eh) * ab0 + (1.0 - e2) * ch * cd0)
-            out[:, 2, 3] = pre_low * ((1.0 - e2) * eh * ab0 + (eh + e2 * ch) * cd0)
-            pre_high = _decaying_phase(w_high, 0.5 * s2, t) / s1
-            out[:, 0, 2] = pre_high * ((cl + e1 * el) * ac0 - (1.0 - e1) * cl * bd0)
-            out[:, 1, 3] = pre_high * (-(1.0 - e1) * el * ac0 + (el + e1 * cl) * bd0)
-        out[:, 0, 3] = _decaying_phase(splitting, half_total, t) * rho0[0, 3]
-        out[:, 1, 2] = _decaying_phase(w_high - w_low, half_total, t) * rho0[1, 2]
+        phase_low = np.exp(1j * frame.bohr_low * t)
+        phase_gap = np.exp(1j * frame.gap * t)
+        decay_low, decay_high = np.exp(-0.5 * s_low * t), np.exp(-0.5 * s_high * t)
+        both = decay_low * decay_high
+        out[:, 0, 3] = _fade(phase_low * phase_low * phase_gap, both) * rho0[0, 3]
+        out[:, 1, 2] = _fade(phase_gap, both) * rho0[1, 2]
+        # an X-shaped start has none of the four channel coherences: they stay +0
+        if rho0[0, 1] != 0 or rho0[2, 3] != 0 or rho0[0, 2] != 0 or rho0[1, 3] != 0:
+            pre = _fade(phase_low, decay_low)
+            ab, cd = _move(f_high, ch, eh, rho0[0, 1], rho0[2, 3])
+            out[:, 0, 1], out[:, 2, 3] = pre * ab, pre * cd
+            pre = _fade(phase_low * phase_gap, decay_high)
+            ac, bd = _move(f_low, cl, el, rho0[0, 2], -rho0[1, 3])
+            out[:, 0, 2], out[:, 1, 3] = pre * ac, -pre * bd
 
     for i, j in UPPER:
         out[:, j, i] = np.conj(out[:, i, j])
     return out[0] if scalar else out
 
 
-def _decaying_phase(freq, rate, t):
-    """``exp((1j freq - rate) t)``; 0, not nan, where ``freq t`` is past the
-    double range but the decay ``exp(-rate t)`` is already exactly 0."""
-    out = np.exp((1j * freq - rate) * t)
-    bad = np.flatnonzero(~np.isfinite(out))
-    out[bad[np.exp(-rate * t[bad]) == 0.0]] = 0.0
+def _move(f, c, e, down, up):
+    """A channel's map on ``(down, up)``: ``f (c up - e down)`` moves down."""
+    flow = f * (c * up - e * down)
+    return down + flow, up - flow
+
+
+def _fade(phase, decay):
+    """``phase * decay``; 0, not nan, where the phase is past the double
+    range but the decay is already exactly 0."""
+    out = phase * decay
+    out[decay == 0.0] = 0.0
     return out
-
-
-def _unitary_branch(rho0, frame, t):
-    e = np.asarray(frame.energies, dtype=float)
-    # a phase past the double range is nan, which validation reports (NotFinite)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * np.subtract.outer(e, e)[None, :, :] * t[:, None, None])
-    return phases * rho0[None, :, :]
 
 
 def steady_state(rates: RateSet) -> np.ndarray:

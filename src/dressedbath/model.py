@@ -76,7 +76,9 @@ class DressedFrame:
     the dressed states in computational coordinates, in that order.
     ``amp_low``/``amp_high`` are the qubit-2 x-operator matrix elements
     between dressed states split by ``bohr_low``/``bohr_high``; ``amp_low``
-    carries its natural negative sign.
+    carries its natural negative sign.  ``gap``, the antisym-sym splitting,
+    is the coupling: ``bohr_high - bohr_low`` in exact arithmetic, whose
+    double difference loses about eps 2 omega / coupling of it.
     """
 
     energies: tuple
@@ -86,6 +88,7 @@ class DressedFrame:
     amp_high: float
     bohr_low: float
     bohr_high: float
+    gap: float
     unitary: np.ndarray
 
     def __post_init__(self):
@@ -193,7 +196,7 @@ def dressed_frame(p: SystemParams) -> DressedFrame:
         raise ValueError(f"the low Bohr frequency, omega^2 over the high one, underflows "
                          f"to 0 at omega = {p.omega:g}, coupling = {p.coupling:g}")
     return DressedFrame(energies, mix_plus, mix_minus, amp_low, amp_high,
-                        bohr_low, bohr_high, unitary)
+                        bohr_low, bohr_high, p.coupling, unitary)
 
 
 def spectral_density(p: SystemParams, freq: float) -> float:

@@ -395,17 +395,23 @@ coupling = 4e9
 gamma0 = {gamma0}
 bath_width = 5e10
 bath_center = 8e9
-temperature = 5e-4
+temperature = {temperature}
 n_points = 20
 metrics = concurrence
 label = huge
 """
 
 
-@pytest.mark.parametrize("gamma0", ["1e300", "1e200"])
-def test_non_finite_evolved_state_is_numeric_error(gamma0, tmp_path, capsys):
+def huge_damping_config(tmp_path, gamma0, temperature="5e-4"):
     path = tmp_path / "huge.cfg"
-    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0=gamma0), encoding="utf-8")
+    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0=gamma0, temperature=temperature),
+                    encoding="utf-8")
+    return path
+
+
+def test_non_finite_evolved_state_is_numeric_error(tmp_path, capsys):
+    # a 1e4 K bath lifts the micro rates past the double range
+    path = huge_damping_config(tmp_path, "1e306", temperature="1e4")
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         # the overflow is reported once, by the exit-2 message alone
@@ -416,6 +422,18 @@ def test_non_finite_evolved_state_is_numeric_error(gamma0, tmp_path, capsys):
     assert err == ("numerical invariant violated: "
                    "matrix contains non-finite entries\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("gamma0", ["1e300", "1e200"])
+def test_huge_finite_micro_rates_complete(gamma0, tmp_path, capsys):
+    # every rate is finite, and so is each channel's map
+    path = huge_damping_config(tmp_path, gamma0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path), "--model", "micro",
+                     "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "huge_micro.csv").exists()
 
 
 def test_underflowing_time_span_is_config_error(tmp_path, capsys):
@@ -434,8 +452,7 @@ def test_underflowing_time_span_is_config_error(tmp_path, capsys):
 
 def test_overflowing_phenom_rates_are_numeric_error(tmp_path, capsys):
     # an explicit span passes the span check; the generator is not finite
-    path = tmp_path / "huge.cfg"
-    path.write_text(FIGURE2_HUGE_DAMPING.format(gamma0="1e300"), encoding="utf-8")
+    path = huge_damping_config(tmp_path, "1e300")
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -186,7 +186,9 @@ def generator_inputs(cfg):
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     low, high = mic.jump_operators(frame)
-    micro = (np.diag(np.asarray(frame.energies, dtype=complex)),
+    half = 0.5 * (frame.bohr_low + frame.bohr_high)
+    micro = (np.diag(np.array([-half, -0.5 * frame.gap, 0.5 * frame.gap, half],
+                              dtype=complex)),
              [(rates.emission_low, low), (rates.emission_high, high),
               (rates.absorption_low, low.conj().T),
               (rates.absorption_high, high.conj().T)])

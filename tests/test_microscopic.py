@@ -9,8 +9,9 @@ from dressedbath import microscopic as mic
 from dressedbath.linalg import ENTRIES, validate_columns
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
-from dressedbath.scenarios import (figure_preset, initial_state_matrix,
-                                   resolve_t_max)
+from dressedbath.scenarios import (ScenarioConfig, figure_preset,
+                                   initial_state_matrix, resolve_t_max,
+                                   run_scenario)
 
 from conftest import EVOLVED, bits, random_density, random_x_state
 
@@ -86,7 +87,7 @@ class TestAnalyticPropagation:
         ground = traj[:, 0, 0].real
         assert np.all(np.diff(ground) > -1e-12)
 
-    def test_unitary_branch_when_undamped(self):
+    def test_undamped_evolution_is_unitary(self):
         p = SystemParams(omega=1.0, coupling=1.0, gamma0=0.0, bath_width=5.0,
                          bath_center=2.0, temperature=0.0)
         frame = dressed_frame(p)
@@ -123,15 +124,38 @@ class TestAnalyticPropagation:
         out = mic.propagate_analytic(rho0, slow, frame, [0.0, 1e300])
         assert np.isnan(out[-1, 0, 1])
 
-    def test_degenerate_single_channel_raises(self):
+    def test_frozen_low_channel_matches_the_generator(self, rng):
+        # a frozen channel leaves its populations alone; the other relaxes
         frame = dressed_frame(FIG2)
-        broken = RateSet(emission_low=0.0, emission_high=1.0,
-                         absorption_low=0.0, absorption_high=0.1,
-                         decay_low=0.0, decay_high=0.5,
-                         excitation_low=0.0, excitation_high=0.05,
-                         emission_bare=1.0, absorption_bare=0.1)
+        rates = replace(rate_set(FIG2, frame), emission_low=0.0,
+                        absorption_low=0.0, decay_low=0.0, excitation_low=0.0)
+        rho0 = random_density(rng)
+        times = np.linspace(0.0, 10.0 / sum(mic.channel_sums(rates)), 300)
+        analytic = mic.propagate_analytic(rho0, rates, frame, times)
+        numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
+                                      times, ENTRIES).reshape(-1, 4, 4)
+        # measured 9.7e-15
+        assert np.abs(analytic - numeric).max() < 1e-9
+        low_quanta = analytic[:, 1, 1].real + analytic[:, 3, 3].real
+        assert np.abs(low_quanta - (rho0[1, 1] + rho0[3, 3]).real).max() < 1e-15
+        # no stationary state without both channels
         with pytest.raises(mic.DegenerateRates):
-            mic.propagate_analytic(level_state(1), broken, frame, 1.0)
+            mic.steady_state(rates)
+
+
+# ROADMAP item 2: phases that must add up each carried their own rounding
+# error of about eps omega t, and this non-X start stopped being positive
+LONG_SPAN = SystemParams(omega=4.16e9, coupling=503.0, gamma0=0.67,
+                         bath_width=6291.0, bath_center=2.2e5, temperature=0.005)
+
+
+@pytest.mark.parametrize("t_max", [1e5, "auto"])
+def test_long_span_non_x_start_stays_positive(t_max):
+    cfg = ScenarioConfig(params=LONG_SPAN, t_max=t_max, n_points=400,
+                         initial_state=random_density(np.random.default_rng(1)),
+                         metrics=("concurrence", "linear_entropy", "populations"),
+                         models=("micro",))
+    assert run_scenario(cfg).margins["micro"].positivity <= 0
 
 
 class TestSteadyState:
