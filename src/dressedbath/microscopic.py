@@ -7,8 +7,6 @@ assembles the same generator from first principles (jump operators built
 numerically from the eigenvectors, detailed-balance-weighted reverse
 channels included); integrated with ``integrate.propagate`` it is the
 independent oracle that ``selftest`` and the tests hold the closed forms to.
-
-All states in this module are 4x4 complex matrices in the dressed basis.
 """
 
 from __future__ import annotations
@@ -77,8 +75,9 @@ def liouvillian(rates: RateSet, frame: DressedFrame) -> np.ndarray:
 
 
 def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
-                       times) -> np.ndarray:
-    """Closed-form dressed-basis evolution on an arbitrary time grid.
+                       times, entries) -> np.ndarray:
+    """Closed-form dressed-basis evolution on a time grid, as the ``(n, k)``
+    columns at ``entries`` (``linalg.X_ENTRIES``, or ``ENTRIES``: rows of 4x4).
 
     State k = 2h + l holds l = k % 2 quanta of the low channel
     (ground-antisym, sym-top) and h = k // 2 of the high one (ground-sym,
@@ -91,15 +90,15 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
     a product of ``exp(i bohr_low t)`` and ``exp(i gap t)``.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    scalar = np.isscalar(times) or getattr(times, "ndim", 1) == 0
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
+    at = {e: n for n, e in enumerate(entries)}
 
     cl, el = rates.decay_low, rates.excitation_low
     ch, eh = rates.decay_high, rates.excitation_high
     s_low, s_high = channel_sums(rates)
-    out = np.zeros((len(t), 4, 4), dtype=complex)
+    out = np.zeros((len(t), len(entries)), dtype=complex)
     # overflowing rates, and phases past the double range, make inf and nan
     # here; validation reports the non-finite snapshots (NotFinite), so numpy
     # need not warn first
@@ -110,26 +109,27 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
         p = rho0.diagonal().real
         low = [_move(f_low, cl, el, p[k], p[k + 1]) for k in (0, 2)]
         for l in (0, 1):
-            out[:, l, l], out[:, l + 2, l + 2] = _move(f_high, ch, eh, low[0][l], low[1][l])
+            out[:, at[l, l]], out[:, at[l + 2, l + 2]] = _move(
+                f_high, ch, eh, low[0][l], low[1][l])
 
         phase_low = np.exp(1j * frame.bohr_low * t)
         phase_gap = np.exp(1j * frame.gap * t)
         decay_low, decay_high = np.exp(-0.5 * s_low * t), np.exp(-0.5 * s_high * t)
         both = decay_low * decay_high
-        out[:, 0, 3] = _fade(phase_low * phase_low * phase_gap, both) * rho0[0, 3]
-        out[:, 1, 2] = _fade(phase_gap, both) * rho0[1, 2]
-        # an X-shaped start has none of the four channel coherences: they stay +0
-        if rho0[0, 1] != 0 or rho0[2, 3] != 0 or rho0[0, 2] != 0 or rho0[1, 3] != 0:
+        out[:, at[0, 3]] = _fade(phase_low * phase_low * phase_gap, both) * rho0[0, 3]
+        out[:, at[1, 2]] = _fade(phase_gap, both) * rho0[1, 2]
+        # the four channel coherences: not X entries, and +0 from an X start
+        if (0, 1) in at and rho0[[0, 2, 0, 1], [1, 3, 2, 3]].any():
             pre = _fade(phase_low, decay_low)
             ab, cd = _move(f_high, ch, eh, rho0[0, 1], rho0[2, 3])
-            out[:, 0, 1], out[:, 2, 3] = pre * ab, pre * cd
+            out[:, at[0, 1]], out[:, at[2, 3]] = pre * ab, pre * cd
             pre = _fade(phase_low * phase_gap, decay_high)
             ac, bd = _move(f_low, cl, el, rho0[0, 2], -rho0[1, 3])
-            out[:, 0, 2], out[:, 1, 3] = pre * ac, -pre * bd
+            out[:, at[0, 2]], out[:, at[1, 3]] = pre * ac, -pre * bd
 
-    for i, j in UPPER:
-        out[:, j, i] = np.conj(out[:, i, j])
-    return out[0] if scalar else out
+    for i, j in filter(at.__contains__, UPPER):
+        out[:, at[j, i]] = np.conj(out[:, at[i, j]])
+    return out
 
 
 def _move(f, c, e, down, up):

@@ -103,23 +103,23 @@ class DressedFrame:
         return u.conj().T @ m @ u
 
     def to_computational_columns(self, d, entries) -> np.ndarray:
-        """The ``(..., k)`` columns at ``entries`` (such as
-        ``linalg.X_ENTRIES``) of ``U d U^dagger``: a dressed-basis matrix, or
-        each matrix of a ``(..., 4, 4)`` stack, in the computational basis.
+        """``U d U^dagger`` as ``(..., k)`` columns at ``entries``
+        (``linalg.ENTRIES`` or ``X_ENTRIES``), from the dressed ``d`` at them.
 
         Each entry sums the four terms of its blocks, ``(u[i,j] d[...,j,k])
         conj(u[l,k])``, in ascending j, then k, from 0.0: the order of
-        ``np.einsum('ij,...jk,lk->...il', u, d, u.conj())``, whose other twelve
-        terms are exact zeros for finite entries, so the two agree to the bit.
+        ``np.einsum('ij,...jk,lk->...il', u, d, u.conj())`` on the matrices,
+        whose other twelve terms are exact zeros for finite entries, so the
+        two agree to the bit.
         """
         u = self.unitary
         uc = u.conj()
-        out = np.empty(d.shape[:-2] + (len(entries),), dtype=complex)
+        out = np.empty(d.shape, dtype=complex)
         for n, (i, l) in enumerate(entries):
             acc = 0.0
             for j in _BLOCK_OF[i]:
                 for k in _BLOCK_OF[l]:
-                    acc = acc + (u[i, j] * d[..., j, k]) * uc[l, k]
+                    acc = acc + (u[i, j] * d[..., entries.index((j, k))]) * uc[l, k]
             out[..., n] = acc
         return out
 

@@ -39,9 +39,9 @@ _POPULATIONS = ("pop_00", "pop_01", "pop_10", "pop_11")   # the "populations" co
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-# at the cap the process peaked at 260 MB for `figure 2` (an X start; X runs
-# stay under 320 MB) and at 887 MB for a non-X `evolve --config` run with
-# three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
+# at the cap the process peaked at 186 MB for `figure 2` and 206 MB for `figure 9`
+# (X starts; X runs stay under 240 MB) and at 887 MB for a non-X `evolve --config`
+# run with three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
 _CSV_VALUES = 1 << 16   # CSV values formatted per block of rows
 
@@ -104,9 +104,7 @@ class ScenarioConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    stacks: dict            # model -> (n, len(entries)) snapshot columns
-    entries: tuple          # linalg.ENTRIES, or linalg.X_ENTRIES for an X start
-    series: dict            # model -> column name -> np.ndarray
+    series: dict            # model -> column name -> np.ndarray, in CSV order
     margins: dict           # model -> linalg.Margins of its snapshots
     routes: dict            # model -> per-snapshot index into ROUTES
     config: ScenarioConfig
@@ -158,12 +156,12 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
 
 def _trajectory_metrics(stack, entries, wanted):
     """``run_scenario``'s stages after propagation on one model's trajectory
-    (a ``Trajectory.stacks`` value over ``entries``): the worst margins of its
+    (a ``_propagation`` stack over ``entries``): the worst margins of its
     snapshots at the evolved tolerances, its metric columns and the route
     (index into ROUTES) of each snapshot.  Snapshots off the X route take the
     general one, with validation's eigenpairs.  Each X-form metric is one call
     on the X elements of the whole stack; the general route then overwrites
-    its own rows.
+    its own rows.  No column holds a view of ``stack``, which dies after.
     """
     x, x_ok = metrics.x_elements_from_columns(stack, entries, trace_tol=EVOLVED_TRACE_TOL)
     general = ~x_ok
@@ -181,23 +179,14 @@ def _trajectory_metrics(stack, entries, wanted):
     if general.any() and "linear_entropy" in wanted:
         cols["linear_entropy"][general] = metrics.linear_entropy_q1(
             as_matrices(stack[general], entries))
-    if "populations" in wanted:
-        cols.update(zip(_POPULATIONS, (x.p00, x.p01, x.p10, x.p11)))
+    if "populations" in wanted:   # copies of the stack's .real views
+        cols.update(zip(_POPULATIONS, (p.copy() for p in (x.p00, x.p01, x.p10, x.p11))))
     return margins, cols, general.astype(np.int8)
 
 
-def _columns_for(wanted):
-    pops = list(_POPULATIONS) if "populations" in wanted else []
-    return [m for m in wanted if m != "populations"] + pops
-
-
-def run_scenario(cfg: ScenarioConfig) -> Trajectory:
-    """Propagate every enabled model and evaluate the requested metrics.
-
-    Every emitted snapshot is validated (hermiticity, trace, positivity) at
-    the evolved-state tolerances, the whole trajectory of a model at once,
-    before any metric touches it; the worst margins go to ``margins``.
-    """
+def _propagation(cfg: ScenarioConfig):
+    """The frame, time grid and entries of ``cfg``'s run, and ``stack_of``, which
+    propagates a model to its ``(n, k)`` computational columns at the entries."""
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     t_max = resolve_t_max(cfg, rates)
@@ -208,24 +197,33 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
         raise ConfigError(
             f"time span {t_max:.6g} s is too short for n_points = "
             f"{cfg.n_points} strictly increasing times; set t_max")
-    rho0_comp = initial_state_matrix(cfg, frame)
+    rho0 = initial_state_matrix(cfg, frame)
     # both models and the basis change keep an X start X-shaped: carry its X columns
-    entries = ENTRIES if rho0_comp[_OFF_X].any() else X_ENTRIES
+    entries = ENTRIES if rho0[_OFF_X].any() else X_ENTRIES
 
-    stacks, series, margins, routes = {}, {}, {}, {}
+    def stack_of(model):
+        if model == "micro":   # the dressed columns die once rotated
+            return frame.to_computational_columns(microscopic.propagate_analytic(
+                frame.to_dressed(rho0), rates, frame, times, entries), entries)
+        return phenomenological.propagate(rho0, cfg.params, rates, times, entries)
+    return frame, times, entries, stack_of
+
+
+def run_scenario(cfg: ScenarioConfig) -> Trajectory:
+    """Propagate every enabled model and evaluate the requested metrics.
+
+    Every emitted snapshot is validated (hermiticity, trace, positivity) at
+    the evolved-state tolerances, the whole trajectory of a model at once,
+    before any metric touches it; the worst margins go to ``margins``.  A
+    model's stack lives only from its propagation to its metrics.
+    """
+    frame, times, entries, stack_of = _propagation(cfg)
+    series, margins, routes = {}, {}, {}
     for model in cfg.models:
-        if model == "micro":   # the (n, 4, 4) dressed stack is dropped once rotated
-            stack = frame.to_computational_columns(microscopic.propagate_analytic(
-                frame.to_dressed(rho0_comp), rates, frame, times), entries)
-        else:
-            stack = phenomenological.propagate(rho0_comp, cfg.params, rates, times, entries)
-        stacks[model] = stack
         margins[model], series[model], routes[model] = _trajectory_metrics(
-            stack, entries, cfg.metrics)
-
-    return Trajectory(times=times, stacks=stacks, entries=entries, series=series,
-                      margins=margins, routes=routes, config=cfg,
-                      fairness_lines=fairness_check(cfg.params, frame))
+            stack_of(model), entries, cfg.metrics)
+    return Trajectory(times=times, series=series, margins=margins, routes=routes,
+                      config=cfg, fairness_lines=fairness_check(cfg.params, frame))
 
 
 # -- presets ----------------------------------------------------------------
@@ -353,7 +351,7 @@ def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
 
 
 def trajectory_csv(traj: Trajectory, model: str) -> str:
-    cols = _columns_for(traj.config.metrics)
+    cols = list(traj.series[model])
     lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
     lines.append(",".join(["t"] + cols))
     k, step = len(cols), -(-_CSV_VALUES // (len(cols) + 1))
@@ -468,9 +466,9 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
         raise ConfigError("no stationary state: all rates vanish")
     micro = microscopic.steady_state(rates)
     phenom = phenomenological.steady_state(params, rates)
+    x_of = tuple(zip(*X_ENTRIES))
     x, ok = metrics.x_elements_from_columns(np.stack([
-        frame.to_computational_columns(micro, X_ENTRIES),
-        phenom[tuple(zip(*X_ENTRIES))]]), X_ENTRIES)
+        frame.to_computational_columns(micro[x_of], X_ENTRIES), phenom[x_of]]), X_ENTRIES)
     for model, held in zip(MODELS, ok):
         if not held:
             raise AssumptionViolated(f"{model} stationary state is not X-shaped")
@@ -504,9 +502,8 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
         traj = run_scenario(replace(
             cfg, models=MODELS, metrics=("concurrence",),
             t_max=resolve_t_max(cfg, rates, stationary=True)))
-        for model in MODELS:
-            death[model] = sudden_death_time(traj.times,
-                                             traj.series[model]["concurrence"])
+        death = {model: sudden_death_time(traj.times, series["concurrence"])
+                 for model, series in traj.series.items()}
 
     gibbs = microscopic.gibbs_state(frame, cfg.params.temperature)
     micro_thermal = np.abs(micro - gibbs).max() <= THERMAL_TOL

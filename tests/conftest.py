@@ -36,7 +36,24 @@ def to_computational(frame, d):
     of a ``(..., 4, 4)`` stack, in the computational basis, through the
     basis change of a run on all sixteen entries."""
     from dressedbath.linalg import ENTRIES
-    return frame.to_computational_columns(d, ENTRIES).reshape(d.shape)
+    return frame.to_computational_columns(d.reshape(d.shape[:-2] + (16,)),
+                                          ENTRIES).reshape(d.shape)
+
+
+def dressed_matrices(rho0, rates, frame, times):
+    """The ``(n, 4, 4)`` dressed matrices of the micro closed form on
+    ``times`` (one row for a scalar time): its ``ENTRIES`` columns."""
+    from dressedbath.linalg import ENTRIES
+    from dressedbath.microscopic import propagate_analytic
+    return propagate_analytic(rho0, rates, frame, times, ENTRIES).reshape(-1, 4, 4)
+
+
+def run_stacks(cfg):
+    """The entries of ``cfg``'s run and model -> its ``(n, k)`` stack, from
+    the propagation that ``run_scenario`` runs (``scenarios._propagation``)."""
+    from dressedbath.scenarios import _propagation
+    _, _, entries, stack_of = _propagation(cfg)
+    return entries, {model: stack_of(model) for model in cfg.models}
 
 
 def g17_texts(values):
@@ -62,7 +79,7 @@ def dense_stages(cfg):
     """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, the route of a
     non-X start: per model the stack, its margins, series and routes.  The
     margins are ``validate_columns``', which marks no general row."""
-    from dressedbath import microscopic, phenomenological, scenarios
+    from dressedbath import phenomenological, scenarios
     from dressedbath.linalg import ENTRIES, validate_columns
     from dressedbath.model import dressed_frame, rate_set
     frame = dressed_frame(cfg.params)
@@ -72,7 +89,7 @@ def dense_stages(cfg):
     out = {}
     for model in cfg.models:
         if model == "micro":
-            stack = to_computational(frame, microscopic.propagate_analytic(
+            stack = to_computational(frame, dressed_matrices(
                 frame.to_dressed(rho0), rates, frame, times))
         else:
             stack = phenomenological.propagate(rho0, cfg.params, rates, times,
@@ -137,9 +154,10 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_run_matches_dense(cfg):
-    """``run_scenario`` gives the series, routes, margins and snapshots of
-    ``dense_stages``, bit for bit, or raises the same error; returns its
-    trajectory, or None after an error."""
+    """``run_scenario`` gives the series, routes and margins of
+    ``dense_stages``, and its propagation (``run_stacks``) the snapshots,
+    bit for bit, or both raise the same error; returns the run's entries
+    and stacks, or None after an error."""
     from dressedbath.linalg import as_matrices
     from dressedbath.scenarios import run_scenario
     results = []
@@ -152,6 +170,7 @@ def assert_run_matches_dense(cfg):
     if isinstance(dense, Exception) or isinstance(traj, Exception):
         assert (type(traj), str(traj)) == (type(dense), str(dense))
         return None
+    entries, stacks = run_stacks(cfg)
     for model, (stack, margins, series, routes) in dense.items():
         assert traj.margins[model] == margins
         np.testing.assert_array_equal(traj.routes[model], routes)
@@ -160,8 +179,8 @@ def assert_run_matches_dense(cfg):
             np.testing.assert_array_equal(bits(traj.series[model][name]),
                                           bits(column))
         np.testing.assert_array_equal(
-            bits(as_matrices(traj.stacks[model], traj.entries)), bits(stack))
-    return traj
+            bits(as_matrices(stacks[model], entries)), bits(stack))
+    return entries, stacks
 
 
 # -- two-eigensolve spin-flip concurrence: an oracle of concurrence_general ---

@@ -18,7 +18,8 @@ from dressedbath.linalg import ENTRIES, as_matrices, validate_columns
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
-from conftest import EVOLVED, discord_oracle_q2, random_x_state
+from conftest import (EVOLVED, discord_oracle_q2, dressed_matrices, random_x_state,
+                      run_stacks)
 
 
 def ket10():
@@ -49,9 +50,9 @@ def test_criterion_1_solver_cross_validation():
         span = scenarios.resolve_t_max(cfg, rates)
         times = np.linspace(0.0, span, 2000)
         rho0 = frame.unitary.conj().T @ ket10() @ frame.unitary
-        analytic = mic.propagate_analytic(rho0, rates, frame, times)
+        analytic = mic.propagate_analytic(rho0, rates, frame, times, ENTRIES)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times, ENTRIES).reshape(-1, 4, 4)
+                                      times, ENTRIES)
         elapsed = time.perf_counter() - start
         worst_dev = max(worst_dev, np.abs(analytic - numeric).max())
         worst_time = max(worst_time, elapsed)
@@ -224,9 +225,9 @@ def test_criterion_7_metric_property_suites():
 
     snapshots = 0
     for cfg in (figure_preset(2), figure_preset(8)[1]):
-        traj = run_scenario(cfg)
-        for stack in traj.stacks.values():
-            for snapshot in as_matrices(stack, traj.entries):
+        entries, stacks = run_stacks(cfg)
+        for stack in stacks.values():
+            for snapshot in as_matrices(stack, entries):
                 validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
                 snapshots += 1
 
@@ -245,7 +246,7 @@ def test_criterion_8_zero_temperature_ground_state_relaxation():
     rates = rate_set(cfg.params, frame)
     slow = min(channel_sums(rates))
     rho0 = frame.unitary.conj().T @ ket10() @ frame.unitary
-    final = mic.propagate_analytic(rho0, rates, frame, 25.0 / slow)
+    final = dressed_matrices(rho0, rates, frame, 25.0 / slow)[0]
     fidelity = final[0, 0].real
     report(8, fidelity >= 1 - 1e-6,
            f"ground-state fidelity {fidelity:.10f} (>= 1 - 1e-6)")

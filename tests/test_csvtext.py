@@ -3,7 +3,7 @@ import pytest
 
 from conftest import g17_texts as texts
 from dressedbath import csvtext
-from dressedbath.scenarios import _columns_for, figure_preset, run_scenario
+from dressedbath.scenarios import figure_preset, run_scenario
 
 TIES = [1e15 + 0.25, 1e15 + 0.75, 2.0 ** 50 + 0.25]
 
@@ -54,8 +54,8 @@ def test_no_preset_value_takes_the_fallback(fallback):
         preset = figure_preset(n)
         for cfg in preset if isinstance(preset, list) else [preset]:
             traj = run_scenario(cfg)
-            columns = [traj.times] + [traj.series[model][c] for model in cfg.models
-                                      for c in _columns_for(cfg.metrics)]
+            columns = [traj.times] + [column for model in cfg.models
+                                      for column in traj.series[model].values()]
             assert texts(np.stack(columns)) == [
                 "%.17g" % v for v in np.stack(columns).ravel().tolist()]
     assert fallback == []

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bits, random_density
+from conftest import bits, random_density, run_stacks
 from dressedbath import integrate
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
@@ -15,8 +15,7 @@ from dressedbath.linalg import (ENTRIES, EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite
                                 as_matrices, trace_of)
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, hamiltonian, rate_set
-from dressedbath.scenarios import (figure_preset, initial_state_matrix,
-                                   resolve_t_max, run_scenario)
+from dressedbath.scenarios import figure_preset, initial_state_matrix, resolve_t_max
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +152,8 @@ def test_long_phenom_run_ends_at_steady_state(tmp_path):
     assert main(["evolve", "--figure", "2", "--tmax", "10", "--model", "phenom",
                  "--out", str(out_dir)]) == 0
     cfg = replace(figure_preset(2), t_max=10.0, models=("phenom",))
-    traj = run_scenario(cfg)
-    final = as_matrices(traj.stacks["phenom"], traj.entries)[-1]
+    entries, stacks = run_stacks(cfg)
+    final = as_matrices(stacks["phenom"], entries)[-1]
     steady = ph.steady_state(cfg.params, rate_set(cfg.params))
     assert np.abs(final - steady).max() <= 1e-12
 

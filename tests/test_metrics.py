@@ -14,7 +14,8 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
 from dressedbath.model import SystemParams, dressed_frame
 
 from conftest import (concurrence_mp, concurrence_spin_flip, discord_oracle_q2,
-                      random_density, random_unitary, random_x_state)
+                      dressed_matrices, random_density, random_unitary, random_x_state,
+                      run_stacks)
 
 
 def bell_matrix():
@@ -390,21 +391,21 @@ class TestArrayMetricsMatchScalar:
     @pytest.mark.parametrize("route", ["dressed", "matrix"])
     def test_trajectory_elements(self, route):
         # the phenom discord of figure 9 sits near zero, where rounding shows
-        from dressedbath import microscopic
         from dressedbath.model import rate_set
         from dressedbath.scenarios import figure_preset, run_scenario
         cfg = figure_preset(9)[0]
         traj = run_scenario(cfg)
         if route == "matrix":
-            extracted = [x_elements_from_matrix(as_matrices(stack, traj.entries),
+            entries, stacks = run_stacks(cfg)
+            extracted = [x_elements_from_matrix(as_matrices(stack, entries),
                                                 trace_tol=1e-8)
-                         for stack in traj.stacks.values()]
+                         for stack in stacks.values()]
         else:
             frame = dressed_frame(cfg.params)
             u = frame.unitary
             rho0 = u.conj().T @ np.diag([0, 0, 1, 0]).astype(complex) @ u
-            dressed = microscopic.propagate_analytic(
-                rho0, rate_set(cfg.params, frame), frame, traj.times)
+            dressed = dressed_matrices(rho0, rate_set(cfg.params, frame), frame,
+                                       traj.times)
             extracted = [x_elements_from_dressed(dressed, frame)]
         for x, ok in extracted:
             assert ok.all()

@@ -13,7 +13,7 @@ from dressedbath.scenarios import (ScenarioConfig, figure_preset,
                                    initial_state_matrix, resolve_t_max,
                                    run_scenario)
 
-from conftest import EVOLVED, bits, random_density, random_x_state
+from conftest import EVOLVED, bits, dressed_matrices, random_density, random_x_state
 
 FIG2 = SystemParams(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
                     bath_center=8e9, temperature=5e-4)
@@ -38,7 +38,7 @@ class TestAnalyticPropagation:
         frame = dressed_frame(FIG3)
         rates = rate_set(FIG3, frame)
         rho0 = random_density(rng)
-        out = mic.propagate_analytic(rho0, rates, frame, 0.0)
+        out = dressed_matrices(rho0, rates, frame, 0.0)[0]
         assert np.abs(out - rho0).max() < 1e-14
 
     def test_antisym_decay_at_zero_temperature(self):
@@ -49,7 +49,7 @@ class TestAnalyticPropagation:
         frame = dressed_frame(p)
         rates = rate_set(p, frame)
         for t in (0.0, 0.3, 1.0, 5.0):
-            out = mic.propagate_analytic(level_state(1), rates, frame, t)
+            out = dressed_matrices(level_state(1), rates, frame, t)[0]
             assert out[1, 1].real == pytest.approx(math.exp(-rates.decay_low * t),
                                                    abs=1e-12)
             assert out[0, 0].real == pytest.approx(1 - math.exp(-rates.decay_low * t),
@@ -62,7 +62,7 @@ class TestAnalyticPropagation:
         frame = dressed_frame(p)
         rates = rate_set(p, frame)
         slow = min(rates.decay_low, rates.decay_high)
-        out = mic.propagate_analytic(ket10_dressed(frame), rates, frame, 40.0 / slow)
+        out = dressed_matrices(ket10_dressed(frame), rates, frame, 40.0 / slow)[0]
         assert out[0, 0].real > 1 - 1e-9
 
     def test_populations_and_coherences_decouple(self, rng):
@@ -71,7 +71,7 @@ class TestAnalyticPropagation:
         pops = rng.dirichlet(np.ones(4))
         rho0 = np.diag(pops).astype(complex)
         span = 10.0 / (rates.decay_low + rates.excitation_low)
-        traj = mic.propagate_analytic(rho0, rates, frame,
+        traj = dressed_matrices(rho0, rates, frame,
                                       np.linspace(0, span, 50))
         off_diag = traj - np.einsum('tij,ij->tij', traj, np.eye(4))
         assert np.abs(off_diag).max() < 1e-12
@@ -82,7 +82,7 @@ class TestAnalyticPropagation:
         frame = dressed_frame(p)
         rates = rate_set(p, frame)
         pops = rng.dirichlet(np.ones(4))
-        traj = mic.propagate_analytic(np.diag(pops).astype(complex), rates,
+        traj = dressed_matrices(np.diag(pops).astype(complex), rates,
                                       frame, np.linspace(0, 100.0, 400))
         ground = traj[:, 0, 0].real
         assert np.all(np.diff(ground) > -1e-12)
@@ -94,7 +94,7 @@ class TestAnalyticPropagation:
         rates = rate_set(p, frame)
         rho0 = ket10_dressed(frame)
         t = 0.7
-        out = mic.propagate_analytic(rho0, rates, frame, t)
+        out = dressed_matrices(rho0, rates, frame, t)[0]
         assert np.abs(np.diag(out) - np.diag(rho0)).max() < 1e-14
         expected_bc = rho0[1, 2] * np.exp(1j * p.coupling * t)
         assert abs(out[1, 2] - expected_bc) < 1e-12
@@ -105,7 +105,7 @@ class TestAnalyticPropagation:
         rates = rate_set(FIG2, frame)
         rho0 = ket10_dressed(frame)
         t = 0.25 / FIG2.coupling
-        out = mic.propagate_analytic(rho0, rates, frame, t)
+        out = dressed_matrices(rho0, rates, frame, t)[0]
         total = (rates.decay_low + rates.decay_high
                  + rates.excitation_low + rates.excitation_high)
         expected = rho0[1, 2] * np.exp((1j * FIG2.coupling - total / 2) * t)
@@ -116,12 +116,12 @@ class TestAnalyticPropagation:
         frame = dressed_frame(FIG2)
         rates = rate_set(FIG2, frame)
         rho0 = frame.to_dressed(random_density(rng))
-        out = mic.propagate_analytic(rho0, rates, frame, [0.0, 1.0, 1e300])
+        out = dressed_matrices(rho0, rates, frame, [0.0, 1.0, 1e300])
         assert np.isfinite(out).all()
         assert np.abs(out[-1] - mic.steady_state(rates)).max() < 1e-12
         # unless the decay is not complete: then the phase stays unknown
         slow = replace(rates, decay_low=1e-320, excitation_low=0.0)
-        out = mic.propagate_analytic(rho0, slow, frame, [0.0, 1e300])
+        out = dressed_matrices(rho0, slow, frame, [0.0, 1e300])
         assert np.isnan(out[-1, 0, 1])
 
     def test_frozen_low_channel_matches_the_generator(self, rng):
@@ -131,7 +131,7 @@ class TestAnalyticPropagation:
                         absorption_low=0.0, decay_low=0.0, excitation_low=0.0)
         rho0 = random_density(rng)
         times = np.linspace(0.0, 10.0 / sum(mic.channel_sums(rates)), 300)
-        analytic = mic.propagate_analytic(rho0, rates, frame, times)
+        analytic = dressed_matrices(rho0, rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
                                       times, ENTRIES).reshape(-1, 4, 4)
         # measured 9.7e-15
@@ -203,8 +203,7 @@ class TestSteadyState:
         rates = rate_set(FIG3, frame)
         slow = min(rates.decay_low + rates.excitation_low,
                    rates.decay_high + rates.excitation_high)
-        out = mic.propagate_analytic(ket10_dressed(frame), rates, frame,
-                                     60.0 / slow)
+        out = dressed_matrices(ket10_dressed(frame), rates, frame, 60.0 / slow)[0]
         assert np.abs(out - mic.steady_state(rates)).max() < 1e-12
 
     def test_detailed_balance_ratios(self):
@@ -287,7 +286,7 @@ class TestNumericPropagation:
         rho0 = random_density(rng)
         span = 10.0 / (rates.decay_low + rates.excitation_low)
         times = np.linspace(0.0, span, 300)
-        analytic = mic.propagate_analytic(rho0, rates, frame, times)
+        analytic = dressed_matrices(rho0, rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
                                       times, ENTRIES).reshape(-1, 4, 4)
         assert np.abs(analytic - numeric).max() < 1e-8
@@ -296,7 +295,7 @@ class TestNumericPropagation:
         frame = dressed_frame(FIG2)
         rates = rate_set(FIG2, frame)
         span = 10.0 / (rates.decay_low + rates.excitation_low)
-        traj = mic.propagate_analytic(ket10_dressed(frame), rates, frame,
+        traj = dressed_matrices(ket10_dressed(frame), rates, frame,
                                       np.linspace(0.0, span, 200))
         for snapshot in traj:
             validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
@@ -306,7 +305,7 @@ class TestNumericPropagation:
         rates = rate_set(FIG3, frame)
         span = 5.0 / (rates.decay_low + rates.excitation_low)
         times = np.concatenate([[0.0], np.geomspace(span * 1e-3, span, 40)])
-        analytic = mic.propagate_analytic(ket10_dressed(frame), rates, frame, times)
+        analytic = dressed_matrices(ket10_dressed(frame), rates, frame, times)
         numeric = integrate.propagate(mic.liouvillian(rates, frame),
                                       ket10_dressed(frame), times,
                                       ENTRIES).reshape(-1, 4, 4)
@@ -323,7 +322,7 @@ class TestNumericPropagation:
             rates = rate_set(p, frame)
             span = 10.0 / (rates.decay_low + rates.excitation_low)
             times = np.linspace(0.0, span, 400)
-            analytic = mic.propagate_analytic(ket10_dressed(frame), rates,
+            analytic = dressed_matrices(ket10_dressed(frame), rates,
                                               frame, times)
             numeric = integrate.propagate(
                 mic.liouvillian(rates, frame), ket10_dressed(frame), times,
@@ -354,7 +353,7 @@ def test_x_entries_ignore_the_off_x_coherences(cfg):
     off_x = np.ones((4, 4), dtype=bool)
     off_x[X_ROWS, X_COLS] = False
     for rho0 in (x_start, frame.to_dressed(random_x_state(rng).matrix())):
-        out = mic.propagate_analytic(rho0, rates, frame, times)
+        out = dressed_matrices(rho0, rates, frame, times)
         assert (bits(out[:, off_x].real) == 0).all()   # +0 real parts
         assert not out[:, off_x].any()
         # each coherence alone, then all four
@@ -363,7 +362,7 @@ def test_x_entries_ignore_the_off_x_coherences(cfg):
             for i, j in pairs:
                 perturbed[i, j] = 1e-3 * complex(*rng.normal(size=2))
                 perturbed[j, i] = np.conj(perturbed[i, j])
-            full = mic.propagate_analytic(perturbed, rates, frame, times)
+            full = dressed_matrices(perturbed, rates, frame, times)
             np.testing.assert_array_equal(bits(out[:, X_ROWS, X_COLS]),
                                           bits(full[:, X_ROWS, X_COLS]))
             assert full[1, pairs[0][0], pairs[0][1]] != 0

@@ -25,14 +25,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_run_matches_dense, random_density,
+from conftest import (assert_run_matches_dense, random_density, run_stacks,
                       stationary_per_model)
 from dressedbath import cli, microscopic, phenomenological
 from dressedbath.cli import main
 from dressedbath.integrate import TraceDrift
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                EVOLVED_TRACE_TOL, ROUNDING_TOL, as_matrices,
-                                validate_density)
+                                EVOLVED_TRACE_TOL, ROUNDING_TOL, X_ENTRIES,
+                                as_matrices, validate_density)
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  x_elements_from_matrix)
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
@@ -141,9 +141,11 @@ def configs(draw, states, metrics=METRICS):
 @PROFILE
 @given(configs(st.one_of(st.sampled_from(INITIAL_STATES), x_states())))
 def test_x_columns_match_the_dense_stages(cfg):
-    traj = assert_run_matches_dense(cfg)
-    if traj is not None:   # every X-shaped start carries eight X columns
-        assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 8)}
+    run = assert_run_matches_dense(cfg)
+    if run is not None:   # every X-shaped start carries eight X columns
+        entries, stacks = run
+        assert entries == X_ENTRIES
+        assert {s.shape for s in stacks.values()} == {(cfg.n_points, 8)}
 
 
 @settings(PROFILE, max_examples=50)
@@ -153,9 +155,10 @@ def test_non_x_start_carries_all_sixteen_columns(cfg):
         traj = run_scenario(cfg)
     except TraceDrift:   # phenom only: ROADMAP item 1
         return
-    assert traj.entries == ENTRIES
-    assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 16)}
-    for model, stack in traj.stacks.items():
+    entries, stacks = run_stacks(cfg)
+    assert entries == ENTRIES
+    assert {s.shape for s in stacks.values()} == {(cfg.n_points, 16)}
+    for model, stack in stacks.items():
         margins = traj.margins[model]
         assert margins.hermiticity <= EVOLVED_HERM_TOL
         assert margins.trace <= EVOLVED_TRACE_TOL

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import g17_texts, golden_general_configs, set_key, to_computational
+from conftest import (dressed_matrices, g17_texts, golden_general_configs, run_stacks,
+                      set_key, to_computational)
 from dressedbath import microscopic, scenarios
 from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, as_matrices)
@@ -233,7 +234,7 @@ class TestRunScenario:
 
     def test_models_subset(self):
         traj = run_scenario(fast_config(models=("phenom",)))
-        assert set(traj.stacks) == {"phenom"}
+        assert set(traj.series) == set(traj.margins) == set(traj.routes) == {"phenom"}
 
     def test_undamped_run_needs_explicit_span(self):
         params = SystemParams(omega=1e3, coupling=1e3, gamma0=0.0,
@@ -250,7 +251,7 @@ class TestRunScenario:
 
 class TestSnapshotLayer:
     def test_every_micro_snapshot_takes_matrix_route(self):
-        from dressedbath import metrics, microscopic
+        from dressedbath import metrics
         from dressedbath.model import dressed_frame, rate_set
         frame = dressed_frame(FAST)
         rates = rate_set(FAST, frame)
@@ -266,8 +267,7 @@ class TestSnapshotLayer:
             for model in ("micro", "phenom"):
                 assert np.all(traj.routes[model] == ROUTES.index("matrix_x"))
             rho0 = initial_state_matrix(cfg, frame)
-            dressed = microscopic.propagate_analytic(
-                u.conj().T @ rho0 @ u, rates, frame, traj.times)
+            dressed = dressed_matrices(u.conj().T @ rho0 @ u, rates, frame, traj.times)
             oracle, held = metrics.x_elements_from_dressed(dressed, frame)
             if isinstance(initial_state, str):
                 assert held.all()
@@ -275,8 +275,8 @@ class TestSnapshotLayer:
                 assert 0 < held.sum() < len(held)
         # from |1,0>, as in the reference figures, the dressed closed form
         # is the oracle of every micro snapshot's X elements
-        x, ok = metrics.x_elements_from_matrix(
-            as_matrices(traj.stacks["micro"], traj.entries))
+        entries, stacks = run_stacks(cfg)
+        x, ok = metrics.x_elements_from_matrix(as_matrices(stacks["micro"], entries))
         assert ok.all()
         for name in ("p00", "p01", "p10", "p11", "outer", "inner"):
             dev = np.abs(getattr(x, name) - getattr(oracle, name)).max()
@@ -291,9 +291,11 @@ class TestSnapshotLayer:
             assert traj.routes[model][0] == ROUTES.index("general")
 
     def test_margins_are_worst_snapshot_values(self):
-        traj = run_scenario(fast_config(n_points=200))
-        for model, stack in traj.stacks.items():
-            states = as_matrices(stack, traj.entries)
+        cfg = fast_config(n_points=200)
+        traj = run_scenario(cfg)
+        entries, stacks = run_stacks(cfg)
+        for model, stack in stacks.items():
+            states = as_matrices(stack, entries)
             herm = [np.abs(m - m.conj().T).max() for m in states]
             trace = [abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
                      for m in states]
@@ -338,8 +340,7 @@ class TestBasisChange:
             times = np.linspace(0.0, scenarios.resolve_t_max(cfg, rates),
                                 cfg.n_points)
             rho0 = initial_state_matrix(cfg, frame)
-            dressed = microscopic.propagate_analytic(frame.to_dressed(rho0),
-                                                     rates, frame, times)
+            dressed = dressed_matrices(frame.to_dressed(rho0), rates, frame, times)
             np.testing.assert_array_equal(
                 _bits(to_computational(frame, dressed)),
                 _bits(_einsum_to_computational(frame.unitary, dressed)))
@@ -397,11 +398,11 @@ class TestBasisChange:
 
 def test_micro_span_past_the_phase_range_ends_stationary():
     cfg = replace(figure_preset(2), t_max=1e300, models=("micro",))
-    traj = run_scenario(cfg)
     frame = dressed_frame(cfg.params)
     stationary = to_computational(
         frame, microscopic.steady_state(rate_set(cfg.params, frame)))
-    final = as_matrices(traj.stacks["micro"], traj.entries)[-1]
+    entries, stacks = run_stacks(cfg)
+    final = as_matrices(stacks["micro"], entries)[-1]
     assert np.abs(final - stationary).max() < 1e-12
 
 
@@ -425,7 +426,7 @@ SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
 
 def parent_trajectory_csv(traj, model):
     """``trajectory_csv`` as it formatted and joined one row at a time."""
-    cols = scenarios._columns_for(traj.config.metrics)
+    cols = list(traj.series[model])
     lines = scenarios._meta_lines(traj.config, traj.fairness_lines,
                                   (f"model = {model}",))
     lines.append(",".join(["t"] + cols))
@@ -461,6 +462,14 @@ class TestCsv:
             lines = trajectory_csv(traj, model).splitlines()
             header = lines.index("t," + ",".join(cols))
             assert lines[header + 1:] == _per_row_csv_rows(traj, model, cols)
+
+    def test_columns_follow_the_metrics_with_populations_last(self):
+        traj = run_scenario(fast_config(n_points=3, metrics=(
+            "populations", "linear_entropy", "concurrence")))
+        cols = ["linear_entropy", "concurrence", "pop_00", "pop_01", "pop_10", "pop_11"]
+        for model in ("micro", "phenom"):
+            assert list(traj.series[model]) == cols
+            assert "t," + ",".join(cols) in trajectory_csv(traj, model).splitlines()
 
     def test_time_column_formatted_once_per_trajectory(self, monkeypatch):
         traj = run_scenario(fast_config(metrics=("concurrence",)))
@@ -541,7 +550,7 @@ class TestCsv:
             traj = run_scenario(fast_config(n_points=2, metrics=metrics))
             for model in MODELS:
                 assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
-            cols = scenarios._columns_for(metrics)
+            cols = list(traj.series["micro"])
             rng = np.random.default_rng(len(cols))
             series = {m: {c: rng.choice(SPECIAL_VALUES, size=2) for c in cols}
                       for m in MODELS}

@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (EVOLVED, assert_run_matches_dense, bits, outcome,
-                      random_density, random_x_state, to_computational)
+from conftest import (EVOLVED, assert_run_matches_dense, bits, dressed_matrices,
+                      outcome, random_density, random_x_state, run_stacks,
+                      to_computational)
 from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
 from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
@@ -64,10 +65,10 @@ def test_columns_are_the_dense_entries(cfg):
     rates = rate_set(cfg.params, frame)
     times = np.linspace(0.0, scenarios.resolve_t_max(cfg, rates), cfg.n_points)
     rho0 = initial_state_matrix(cfg, frame)
-    dressed = microscopic.propagate_analytic(frame.to_dressed(rho0), rates,
-                                             frame, times)
-    micro = frame.to_computational_columns(dressed, X_ENTRIES)
-    assert_x_columns_of(micro, to_computational(frame, dressed))
+    micro = frame.to_computational_columns(microscopic.propagate_analytic(
+        frame.to_dressed(rho0), rates, frame, times, X_ENTRIES), X_ENTRIES)
+    assert_x_columns_of(micro, to_computational(frame, dressed_matrices(
+        frame.to_dressed(rho0), rates, frame, times)))
     gen = phenomenological.liouvillian_from_ops(cfg.params, rates)
     phenom = integrate.propagate(gen, rho0, times, X_ENTRIES)
     assert_x_columns_of(phenom, integrate.propagate(gen, rho0, times, ENTRIES)
@@ -79,9 +80,9 @@ def test_columns_are_the_dense_entries(cfg):
 
 @pytest.mark.parametrize("cfg", CONFIGS[::3])
 def test_run_scenario_matches_dense_stages(cfg):
-    traj = assert_run_matches_dense(cfg)
-    assert {s.shape for s in traj.stacks.values()} == {(cfg.n_points, 8)}
-    assert traj.entries == X_ENTRIES
+    entries, stacks = assert_run_matches_dense(cfg)
+    assert entries == X_ENTRIES
+    assert {s.shape for s in stacks.values()} == {(cfg.n_points, 8)}
 
 
 def test_propagate_rejects_entries_missing_a_reached_one(rng):
@@ -161,9 +162,9 @@ STARTS = {"x": (replace(NON_X, initial_state="ket10"), X_ENTRIES),
 @pytest.mark.parametrize("start", list(STARTS))
 def test_each_start_carries_the_columns_of_its_entries(start):
     cfg, entries = STARTS[start]
-    traj = run_scenario(cfg)
-    assert traj.entries == entries
-    assert {m: s.shape for m, s in traj.stacks.items()} == {
+    run_entries, stacks = run_stacks(cfg)
+    assert run_entries == entries
+    assert {m: s.shape for m, s in stacks.items()} == {
         "micro": (50, len(entries)), "phenom": (50, len(entries))}
 
 
