@@ -13,9 +13,10 @@ check, for one matrix or a stack.  A trajectory is an ``(n, k)`` stack of
 the columns of its ``entries``: all sixteen (``ENTRIES``), or the eight X
 entries (``X_ENTRIES``) that an X-shaped run carries, with +0 at every
 other entry.  ``validate_eigs`` checks such a stack in one pass (a single
-matrix is a stack of one); it reads the smallest eigenvalue of an X-shaped
-snapshot in closed form and returns LAPACK's eigenpairs of the rows of the
-general metric route, for the general concurrence.
+matrix is a stack of one) and decides each snapshot's metric route: it
+reads the smallest eigenvalue of an exactly X-shaped snapshot in closed
+form and returns LAPACK's eigenpairs of the others, for the general
+concurrence.
 """
 
 from __future__ import annotations
@@ -109,18 +110,19 @@ def _half_sum(a, b):
     return h
 
 
-def validate_eigs(cols, entries, general, *, herm_tol=HERM_TOL,
-                  trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
+def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
+                  psd_tol=PSD_TOL):
     """Check Hermiticity, unit trace and positivity of every matrix of an
-    ``(n, k)`` stack of ``entries``; return the worst margins and
-    ``np.linalg.eigh`` of the Hermitian parts of the ``general`` rows (a
-    mask, or False), which one LAPACK call decomposes with every matrix that
-    positivity cannot read in closed form.
+    ``(n, k)`` stack of ``entries``; return the worst margins, the ``general``
+    mask of the matrices whose Hermitian part is not exactly X-shaped, and
+    ``np.linalg.eigh`` of those Hermitian parts, from one LAPACK call.
 
-    The first failing matrix decides: non-finite entries raise NotFinite,
-    otherwise the first failed check (NotHermitian, then TraceNotOne, then
-    NotPSD) is raised, with a message listing every violation of that
-    matrix so a broken state is diagnosed in one pass.
+    The mask is each snapshot's metric route: an X-shaped one is read in
+    closed form, a general one through its eigenpairs.  The first failing
+    matrix decides: non-finite entries raise NotFinite, otherwise the first
+    failed check (NotHermitian, then TraceNotOne, then NotPSD) is raised,
+    with a message listing every violation of that matrix so a broken state
+    is diagnosed in one pass.
     """
     cols = np.asarray(cols, dtype=complex)
     if cols.ndim != 2 or cols.shape[1] != len(entries) or len(cols) == 0:
@@ -129,7 +131,6 @@ def validate_eigs(cols, entries, general, *, herm_tol=HERM_TOL,
     first_nonfinite = (len(cols) if np.isfinite(cols).all()
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
-    general = np.broadcast_to(general, len(cols))[:first_nonfinite]
 
     above = [(i, j) for i, j in entries if i < j]
     a = checked[:, [entries.index(e) for e in above]]
@@ -147,11 +148,11 @@ def validate_eigs(cols, entries, general, *, herm_tol=HERM_TOL,
     # eigenvalue of a block [[p, z], [z*, q]] is (p+q)/2 - hypot((p-q)/2, |z|);
     # h is formed in full only for the matrices that go to LAPACK
     h = _half_sum(a, b)
-    x = ~functools.reduce(np.logical_or, [h[:, k] != 0 for k, e in enumerate(above)
-                                          if e not in X_ENTRIES], np.zeros(len(h), bool))
+    general = functools.reduce(np.logical_or, [h[:, k] != 0 for k, e in enumerate(above)
+                                               if e not in X_ENTRIES], np.zeros(len(h), bool))
     # a mask copies each column it picks: the slice of an all-X stack validates
     # 2,000 X rows in about 180 us against 215 us (x86-64, numpy 2.4.6)
-    rows = slice(None) if x.all() else x
+    rows = ~general if general.any() else slice(None)
     low = []
     for i, j in ((0, 3), (1, 2)):
         p, q = diag[i][rows].real, diag[j][rows].real   # Re h_ii = Re d_ii
@@ -160,13 +161,11 @@ def validate_eigs(cols, entries, general, *, herm_tol=HERM_TOL,
     neg = np.empty(len(h))
     neg[rows] = -np.minimum(*low)
     eigs = np.empty((0, 4)), np.empty((0, 4, 4), complex)
-    lapack = ~x | general
-    if lapack.any():
-        h = checked[lapack]
+    if general.any():
+        h = checked[general]
         h = _half_sum(h, np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
-        evals, vecs = np.linalg.eigh(as_matrices(h, entries))
-        neg[~x] = -evals[~x[lapack], 0]
-        eigs = evals[general[lapack]], vecs[general[lapack]]
+        eigs = np.linalg.eigh(as_matrices(h, entries))
+        neg[general] = -eigs[0][:, 0]
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -179,21 +178,16 @@ def validate_eigs(cols, entries, general, *, herm_tol=HERM_TOL,
         raise cls(f"invalid density matrix: {detail}", violation)
     if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
-    return Margins(float(herm.max()), float(tr.max()), float(neg.max())), eigs
-
-
-def validate_columns(cols, entries, **tolerances) -> Margins:
-    """The margins of ``validate_eigs``, with no general row."""
-    return validate_eigs(cols, entries, False, **tolerances)[0]
+    return Margins(float(herm.max()), float(tr.max()), float(neg.max())), general, eigs
 
 
 def validate_density(matrix) -> np.ndarray:
     """Validate one 4x4 matrix at the construction tolerances (see
-    ``validate_columns``); return it as a read-only complex array."""
+    ``validate_eigs``); return it as a read-only complex array."""
     m = np.array(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    validate_columns(m.reshape(1, 16), ENTRIES)
+    validate_eigs(m.reshape(1, 16), ENTRIES)
     m.setflags(write=False)
     return m
 

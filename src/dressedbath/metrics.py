@@ -16,9 +16,10 @@ a whole trajectory of snapshots is one call, and a single state is a call
 on scalars.  ``x_elements_from_columns`` reads them off the ``(n, k)``
 columns that every run carries (``scenarios._trajectory_metrics``) and off
 the X columns of the closed-form stationary states
-(``scenarios.stationary_metrics``); ``x_elements_from_matrix`` is its form
-for computational matrices.  ``x_elements_from_dressed`` reads the same
-elements off a dressed-basis micro state and serves as its cross-check.
+(``scenarios.stationary_metrics``), after ``linalg.validate_eigs`` has
+checked them and chosen each snapshot's route; ``x_elements_from_matrix`` is
+its form for computational matrices.  ``x_elements_from_dressed`` reads the
+same elements off a dressed-basis micro state and serves as its cross-check.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_OFF_X, ENTRIES, PSD_TOL, TRACE_TOL, NotPSD, hermitian_eigs,
-                     partial_trace_q2)
+from .linalg import ENTRIES, PSD_TOL, TRACE_TOL, NotPSD, hermitian_eigs, partial_trace_q2
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
 
-X_TOL = 1e-10      # an off-X entry at most this large counts as zero
-_BOUND_TOL = 1e-9  # slack of a coherence's population bound
+# the dressed oracle's X test: an off-X entry at most X_TOL counts as zero, and
+# a coherence may exceed its population bound by _BOUND_TOL
+X_TOL = 1e-10
+_BOUND_TOL = 1e-9
 
 
 class AssumptionViolated(Exception):
@@ -73,12 +75,12 @@ class XStateElements:
     outer: complex
     inner: complex
 
-    def valid(self, trace_tol=TRACE_TOL) -> np.ndarray:
+    def valid(self) -> np.ndarray:
         """Per snapshot: populations sum to 1 and each coherence stays
         within its population bound (an overflow fails them, silently)."""
         total = self.p00 + self.p01 + self.p10 + self.p11
         with np.errstate(over="ignore", invalid="ignore"):
-            return ~((np.abs(total - 1.0) > trace_tol)
+            return ~((np.abs(total - 1.0) > TRACE_TOL)
                      | (np.abs(self.outer) ** 2 > self.p00 * self.p11 + _BOUND_TOL)
                      | (np.abs(self.inner) ** 2 > self.p01 * self.p10 + _BOUND_TOL))
 
@@ -118,29 +120,24 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame):
     return x, ~(np.abs(r[..., 0, 3]) > X_TOL) & x.valid()
 
 
-def x_elements_from_columns(cols, entries, trace_tol: float = TRACE_TOL):
-    """Read the X elements off a ``(..., k)`` stack of the columns of
-    computational-basis ``entries``; the mask marks the snapshots whose
-    upper off-X entries among ``entries`` really vanish (an entry not among
-    them is zero) and whose elements pass ``XStateElements.valid``."""
+def x_elements_from_columns(cols, entries) -> XStateElements:
+    """The X elements of a ``(..., k)`` stack of the columns of
+    computational-basis ``entries``; whether a snapshot is X-shaped, and a
+    state at all, is ``linalg.validate_eigs``' to decide."""
     c = np.asarray(cols)
     at = entries.index
-    upper = [at(e) for e in zip(*_OFF_X) if e[0] < e[1] and e in entries]
-    off = np.abs(c[..., upper]).max(axis=-1, initial=0.0)
-    x = XStateElements(
+    return XStateElements(
         p00=c[..., at((0, 0))].real, p01=c[..., at((1, 1))].real,
         p10=c[..., at((2, 2))].real, p11=c[..., at((3, 3))].real,
         outer=c[..., at((0, 3))], inner=c[..., at((1, 2))],
     )
-    return x, ~(off > X_TOL) & x.valid(trace_tol=trace_tol)
 
 
-def x_elements_from_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL):
+def x_elements_from_matrix(rho: np.ndarray) -> XStateElements:
     """``x_elements_from_columns`` of a computational-basis matrix or of
     each matrix of a ``(..., 4, 4)`` stack."""
     r = np.asarray(rho)
-    return x_elements_from_columns(r.reshape(r.shape[:-2] + (16,)), ENTRIES,
-                                   trace_tol)
+    return x_elements_from_columns(r.reshape(r.shape[:-2] + (16,)), ENTRIES)
 
 
 def concurrence_x(x: XStateElements) -> np.ndarray:
@@ -166,7 +163,9 @@ def concurrence_from_eigs(evals, vecs) -> np.ndarray:
     With rho = W W^dagger, W = V sqrt(lambda), Wootters' lambda_i are the
     singular values of the complex-symmetric tau = W^T (sy x sy) W
     (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)).  The
-    first state with an eigenvalue below ``-PSD_TOL`` raises NotPSD.
+    first state with an eigenvalue below ``-PSD_TOL`` raises NotPSD, for the
+    callers of ``concurrence_general``; in a run it cannot, as validation has
+    held the same eigenvalues to the same bound.
     """
     negative = np.flatnonzero(evals[:, 0] < -PSD_TOL)
     if negative.size:

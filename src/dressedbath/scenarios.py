@@ -20,8 +20,8 @@ from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .csvtext import SLOTS, _fmt, g17_slots
 from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, THERMAL_TOL, UPPER, X_ENTRIES, NotFinite,
-                     as_matrices, validate_eigs, validate_density)
+                     EVOLVED_TRACE_TOL, PSD_TOL, THERMAL_TOL, UPPER, X_ENTRIES,
+                     NotFinite, as_matrices, validate_eigs, validate_density)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -40,8 +40,8 @@ _POPULATIONS = ("pop_00", "pop_01", "pop_10", "pop_11")   # the "populations" co
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
 # at the cap the process peaked at 186 MB for `figure 2` and 206 MB for `figure 9`
-# (X starts; X runs stay under 240 MB) and at 887 MB for a non-X `evolve --config`
-# run with three metrics (non-X runs stay under 1,200 MB), x86-64, numpy 2.4.6
+# (X starts; X runs stay under 240 MB) and at 744 MB for a non-X `evolve --config`
+# run with three metrics (non-X runs stay under 1,000 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
 _CSV_VALUES = 1 << 16   # CSV values formatted per block of rows
 
@@ -157,22 +157,22 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
 def _trajectory_metrics(stack, entries, wanted):
     """``run_scenario``'s stages after propagation on one model's trajectory
     (a ``_propagation`` stack over ``entries``): the worst margins of its
-    snapshots at the evolved tolerances, its metric columns and the route
-    (index into ROUTES) of each snapshot.  Snapshots off the X route take the
-    general one, with validation's eigenpairs.  Each X-form metric is one call
-    on the X elements of the whole stack; the general route then overwrites
-    its own rows.  No column holds a view of ``stack``, which dies after.
+    snapshots, its metric columns and the route (index into ROUTES) of each
+    snapshot.  Validation checks every snapshot at the evolved tolerances,
+    positivity at ``PSD_TOL`` when an entanglement measure is wanted, and
+    routes the snapshots that are not exactly X-shaped to the general route,
+    with its eigenpairs.  Each X-form metric is one call on the X elements of
+    the whole stack; the general route then overwrites its own rows.  No
+    column holds a view of ``stack``, which dies after.
     """
-    x, x_ok = metrics.x_elements_from_columns(stack, entries, trace_tol=EVOLVED_TRACE_TOL)
-    general = ~x_ok
-    margins, eigs = validate_eigs(stack, entries, general, herm_tol=EVOLVED_HERM_TOL,
-                                  trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
+    psd_tol = PSD_TOL if {"concurrence", "discord"} & set(wanted) else EVOLVED_PSD_TOL
+    margins, general, eigs = validate_eigs(stack, entries, herm_tol=EVOLVED_HERM_TOL,
+                                           trace_tol=EVOLVED_TRACE_TOL, psd_tol=psd_tol)
     if general.any() and "discord" in wanted:
-        if "concurrence" in wanted:   # a NotPSD of the first general row comes first
-            metrics.concurrence_from_eigs(*(e[:1] for e in eigs))
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
+    x = metrics.x_elements_from_columns(stack, entries)
     cols = {m: getattr(metrics, _X_FORM[m])(x) for m in wanted if m in _X_FORM}
     if general.any() and "concurrence" in wanted:
         cols["concurrence"][general] = metrics.concurrence_from_eigs(*eigs)
@@ -455,7 +455,8 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
     closed form of ``phenomenological.steady_state`` (computational basis).
 
     Both take a run's X route, as one ``(2, 8)`` stack of X columns (every
-    other entry of both is an exact zero) read at the default tolerances.
+    other entry of both is an exact zero) validated at the construction
+    tolerances.
     At coupling 0 the isolated qubit never relaxes and the phenom stationary
     state is not unique: the closed form is then its coupling -> 0+ limit.
     """
@@ -467,11 +468,9 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
     micro = microscopic.steady_state(rates)
     phenom = phenomenological.steady_state(params, rates)
     x_of = tuple(zip(*X_ENTRIES))
-    x, ok = metrics.x_elements_from_columns(np.stack([
-        frame.to_computational_columns(micro[x_of], X_ENTRIES), phenom[x_of]]), X_ENTRIES)
-    for model, held in zip(MODELS, ok):
-        if not held:
-            raise AssumptionViolated(f"{model} stationary state is not X-shaped")
+    cols = np.stack([frame.to_computational_columns(micro[x_of], X_ENTRIES), phenom[x_of]])
+    validate_eigs(cols, X_ENTRIES)
+    x = metrics.x_elements_from_columns(cols, X_ENTRIES)
     values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM.items() if m in wanted}
     return ({model: {m: float(v[i]) for m, v in values.items()}
              for i, model in enumerate(MODELS)}, micro, phenom)

@@ -75,12 +75,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def margins_of(cols, entries, **tolerances):
+    """The margins of ``linalg.validate_eigs``."""
+    from dressedbath.linalg import validate_eigs
+    return validate_eigs(cols, entries, **tolerances)[0]
+
+
 def dense_stages(cfg):
     """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, the route of a
     non-X start: per model the stack, its margins, series and routes.  The
-    margins are ``validate_columns``', which marks no general row."""
+    margins are ``validate_eigs``' at the evolved tolerances."""
     from dressedbath import phenomenological, scenarios
-    from dressedbath.linalg import ENTRIES, validate_columns
+    from dressedbath.linalg import ENTRIES
     from dressedbath.model import dressed_frame, rate_set
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -94,30 +100,78 @@ def dense_stages(cfg):
         else:
             stack = phenomenological.propagate(rho0, cfg.params, rates, times,
                                                ENTRIES).reshape(-1, 4, 4)
-        margins = validate_columns(stack.reshape(-1, 16), ENTRIES, **EVOLVED)
         marked, series, routes = scenarios._trajectory_metrics(
             stack.reshape(-1, 16), ENTRIES, cfg.metrics)
+        margins = margins_of(stack.reshape(-1, 16), ENTRIES, **EVOLVED)
         assert marked == margins
         out[model] = stack, margins, series, routes
     return out
 
 
+def trajectory_metrics_per_snapshot(stack, entries, wanted):
+    """``scenarios._trajectory_metrics`` one snapshot at a time, in order:
+    each snapshot validated at the evolved tolerances, positivity at
+    ``PSD_TOL`` when concurrence or discord is wanted; then discord refused
+    on a snapshot whose Hermitian part is not exactly X-shaped; then each
+    snapshot's values by its route, the X forms of its X elements or the
+    general concurrence and the partial-trace linear entropy of its matrix.
+    Returns the margins, series and routes.  Every metric runs on a stack of
+    one snapshot."""
+    from dressedbath import metrics
+    from dressedbath.linalg import _OFF_X, PSD_TOL, Margins, as_matrices, validate_eigs
+    tolerances = dict(EVOLVED)
+    if {"concurrence", "discord"} & set(wanted):
+        tolerances["psd_tol"] = PSD_TOL
+    margins = [validate_eigs(row[None], entries, **tolerances)[0] for row in stack]
+    states = as_matrices(stack, entries)
+    herm = 0.5 * (states + states.conj().swapaxes(-1, -2))
+    general = herm[:, _OFF_X[0], _OFF_X[1]].any(axis=1)
+    if "discord" in wanted and general.any():
+        raise metrics.AssumptionViolated(
+            "the discord approximation needs an X-shaped state; "
+            "this trajectory left the X family")
+    x_form = {"concurrence": metrics.concurrence_x,
+              "discord": metrics.discord_approx_q2,
+              "linear_entropy": metrics.linear_entropy_q1}
+    on_matrix = {"concurrence": metrics.concurrence_general,
+                 "linear_entropy": metrics.linear_entropy_q1}
+    rows = []
+    for i, is_general in enumerate(general):
+        x = metrics.x_elements_from_columns(stack[i:i + 1], entries)
+        row = {m: (on_matrix[m](states[i:i + 1]) if is_general else x_form[m](x))
+               for m in wanted if m in x_form}
+        if "populations" in wanted:
+            row.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
+                           (x.p00, x.p01, x.p10, x.p11)))
+        rows.append(row)
+    series = {name: np.concatenate([row[name] for row in rows]) for name in rows[0]}
+    return (Margins(*np.max(margins, axis=0)), series, general.astype(np.int8))
+
+
 def stationary_per_model(params, frame, rates):
     """Stationary values by the per-model route: each closed form as a full
-    computational matrix (the micro one through ``to_computational``), read by
-    ``x_elements_from_matrix`` and the X-form metrics one model at a time;
-    the bitwise oracle of ``scenarios.stationary_metrics``."""
+    computational matrix (the micro one through ``to_computational``),
+    validated, read by ``x_elements_from_matrix`` and the X-form metrics one
+    model at a time; the bitwise oracle of ``scenarios.stationary_metrics``."""
     from dressedbath import metrics, microscopic, phenomenological
+    from dressedbath.linalg import ENTRIES, validate_eigs
     states = {"micro": to_computational(frame, microscopic.steady_state(rates)),
               "phenom": phenomenological.steady_state(params, rates)}
     out = {}
     for model, state in states.items():
-        x, ok = metrics.x_elements_from_matrix(state)
-        assert ok, f"{model} stationary state is not X-shaped"
+        general = validate_eigs(state.reshape(1, 16), ENTRIES)[1]
+        assert not general.any(), f"{model} stationary state is not X-shaped"
+        x = metrics.x_elements_from_matrix(state)
         out[model] = {"concurrence": float(metrics.concurrence_x(x)),
                       "discord": float(metrics.discord_approx_q2(x)),
                       "linear_entropy": float(metrics.linear_entropy_q1(x))}
     return out
+
+
+def out_of(verb, out_dir):
+    """``--out out_dir`` for a verb that writes files; ``spectrum``, ``steady``
+    and ``selftest`` write none and take no ``--out``."""
+    return ["--out", str(out_dir)] if verb in ("figure", "evolve", "compare", "sweep") else []
 
 
 def set_key(text, key, value):

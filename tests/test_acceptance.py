@@ -14,7 +14,7 @@ from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath import scenarios
-from dressedbath.linalg import ENTRIES, as_matrices, validate_columns
+from dressedbath.linalg import ENTRIES, as_matrices, validate_eigs
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
@@ -228,7 +228,7 @@ def test_criterion_7_metric_property_suites():
         entries, stacks = run_stacks(cfg)
         for stack in stacks.values():
             for snapshot in as_matrices(stack, entries):
-                validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
+                validate_eigs(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
                 snapshots += 1
 
     # conc_dev measured 8.3e-15

@@ -10,11 +10,12 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from conftest import set_key
+from conftest import out_of, set_key
 from dressedbath import cli, phenomenological
 from dressedbath.cli import build_parser, main
+from dressedbath.linalg import PSD_TOL
 from dressedbath.model import dressed_frame, rate_set, spectral_density
-from dressedbath.scenarios import parse_config
+from dressedbath.scenarios import ROUTES, parse_config, run_scenario
 
 FAST_CONFIG = """
 omega = 1e3
@@ -339,9 +340,11 @@ def test_label_outside_out_is_config_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.cfg"]
 
 
-# spectrum and steady read no run flag; compare and sweep always run both models
+# spectrum and steady read no run flag and write no file; compare and sweep
+# always run both models
 REFUSED_FLAGS = ([(verb, flag) for verb in ("spectrum", "steady")
-                  for flag in (["--model", "micro"], ["--tmax", "1"], ["--points", "5"])]
+                  for flag in (["--model", "micro"], ["--tmax", "1"], ["--points", "5"],
+                               ["--out", "."])]
                  + [(verb, ["--model", "micro"]) for verb in ("compare", "sweep")])
 
 
@@ -350,7 +353,7 @@ REFUSED_FLAGS = ([(verb, flag) for verb in ("spectrum", "steady")
 def test_flag_a_verb_does_not_read_is_config_error(verb, flag, tmp_path, capsys):
     out_dir = tmp_path / "out"
     axis = ["--axis", "temperature", "--values", "1e-3"] if verb == "sweep" else []
-    assert main([verb, "--figure", "2", *flag, *axis, "--out", str(out_dir)]) == 1
+    assert main([verb, "--figure", "2", *flag, *axis, *out_of(verb, out_dir)]) == 1
     assert capsys.readouterr() == (
         "", f"configuration error: unrecognized arguments: {' '.join(flag)}\n")
     assert not out_dir.exists()
@@ -578,7 +581,7 @@ def test_out_of_range_input_is_config_error(argv, message, tmp_path, capsys):
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--out", str(out_dir)]) == 1
+        assert main(argv + out_of(argv[0], out_dir)) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out_dir.exists()
 
@@ -646,7 +649,7 @@ def test_vanishing_damping_reads_the_same_in_every_stationary_verb(tmp_path,
     out_dir = tmp_path / "out"
     for verb in (["steady"], ["compare"],
                  ["sweep", "--axis", "temperature", "--values", "1e-3"]):
-        assert main(verb + ["--config", str(path), "--out", str(out_dir)]) == 1
+        assert main(verb + ["--config", str(path), *out_of(verb[0], out_dir)]) == 1
         assert capsys.readouterr().err == (
             "configuration error: no stationary state: all rates vanish\n")
     assert not out_dir.exists()
@@ -678,7 +681,7 @@ def test_underflowing_stationary_denominator_is_config_error(verb, tmp_path, cap
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert main([verb, "--config", str(path), *out_of(verb, out_dir)]) == 1
     assert capsys.readouterr() == (
         "", "configuration error: stationary state needs 2 (g+gbar)^2 ((g+gbar)^2 "
         "+ 2 coupling^2 + 8 omega^2), which underflows to 0 at the damping rate "
@@ -715,7 +718,7 @@ def test_extreme_frequency_is_config_error(field, value, message, verb,
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert main([verb, "--config", str(path), *out_of(verb, out_dir)]) == 1
     assert capsys.readouterr() == ("", f"configuration error: {message}\n")
     assert not out_dir.exists()
 
@@ -728,7 +731,7 @@ def test_underflowing_low_bohr_frequency_is_config_error(verb, tmp_path, capsys)
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([verb, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert main([verb, "--config", str(path), *out_of(verb, out_dir)]) == 1
     assert capsys.readouterr() == (
         "", "configuration error: the low Bohr frequency, omega^2 over the high "
         "one, underflows to 0 at omega = 1e-150, coupling = 1e+140\n")
@@ -741,7 +744,8 @@ def test_phenom_stationary_state_off_the_x_family_is_numeric_error(
     closed_form = phenomenological.steady_state
 
     def broken(p, rates):
-        # the inner coherence far past its population bound sqrt(p01 p10)
+        # the inner coherence far past its population bound sqrt(p01 p10):
+        # still X-shaped, but no state
         state = closed_form(p, rates)
         state[1, 2] = state[2, 1] = 1.0
         return state
@@ -749,9 +753,27 @@ def test_phenom_stationary_state_off_the_x_family_is_numeric_error(
     monkeypatch.setattr(phenomenological, "steady_state", broken)
     out_dir = tmp_path / "out"
     assert main([verb, "--config", str(figure2_config(tmp_path)),
-                 "--out", str(out_dir)]) == 2
+                 *out_of(verb, out_dir)]) == 2
     assert capsys.readouterr() == (
-        "", "numerical invariant violated: phenom stationary state is not X-shaped\n")
+        "", "numerical invariant violated: invalid density matrix: "
+        "positivity off by 9.500e-01\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["steady", "compare"])
+def test_stationary_state_names_its_failed_invariant(verb, tmp_path, capsys):
+    # (g + gbar)^2 is subnormal (bare emission 8.9e-161 /s), and the phenom
+    # closed form's trace is off by more than the construction tolerance
+    path = tmp_path / "subnormal.cfg"
+    path.write_text("omega = 5000000.115129256\ncoupling = 40000.00092103405\n"
+                    "gamma0 = 500.0000115129256\nbath_width = 1.3068668837663398e-77\n"
+                    "bath_center = 10000000.230258511\n"
+                    "temperature = 1.0000000230258512\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main([verb, "--config", str(path), *out_of(verb, out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical invariant violated: invalid density matrix: "
+        "trace off by 1.954e-10\n")
     assert not out_dir.exists()
 
 
@@ -765,7 +787,7 @@ def test_overflowing_rates_in_stationary_verbs_are_numeric_error(argv, tmp_path,
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--config", str(path), "--out", str(out_dir)]) == 2
+        assert main(argv + ["--config", str(path), *out_of(argv[0], out_dir)]) == 2
     assert capsys.readouterr() == (
         "", "numerical invariant violated: bath rates overflow the double range\n")
     assert not out_dir.exists()
@@ -806,7 +828,7 @@ def test_subnormal_temperature_is_silent(verb, tmp_path, capsys):
     path = figure2_config(tmp_path, temperature="5e-324")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([verb, "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main([verb, "--config", str(path), *out_of(verb, tmp_path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert "nan" not in out
@@ -829,3 +851,39 @@ def test_custom_state_near_the_double_range_is_numeric_error(big, tmp_path,
     assert capsys.readouterr() == ("", "numerical invariant violated: invalid "
                                    f"density matrix: positivity off by {float(big):.3e}\n")
     assert not out_dir.exists()
+
+
+# phenom's stiff block leaves trace margin 1.74e-9 and positivity margin
+# 4.25e-9, within the evolved tolerances; an X start, so every snapshot is
+# exactly X-shaped
+STIFF_KET01 = ("omega = 246945699.415938\ncoupling = 1388.7459458352855\n"
+               "gamma0 = 12.877982839450818\nbath_width = 82740.98550637264\n"
+               "bath_center = 90545461.7739884\ntemperature = 0\n"
+               "initial_state = ket01\nmodels = phenom\nn_points = 400\n")
+
+
+@pytest.mark.parametrize("metric", ["concurrence", "discord"])
+def test_entanglement_of_a_slightly_negative_x_run_is_a_positivity_error(
+        metric, tmp_path, capsys):
+    """Concurrence and discord hold every snapshot to PSD_TOL, whatever its
+    route; no snapshot of this run leaves the X family."""
+    path = tmp_path / "stiff.cfg"
+    path.write_text(STIFF_KET01 + f"metrics = {metric}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated: invalid density matrix: "
+                          "positivity off by ")
+    assert "left the X family" not in err
+    assert not out_dir.exists()
+
+
+def test_linear_entropy_of_a_slightly_negative_x_run_takes_the_x_route(tmp_path,
+                                                                      capsys):
+    path = tmp_path / "stiff.cfg"
+    path.write_text(STIFF_KET01 + "metrics = linear_entropy\n", encoding="utf-8")
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    traj = run_scenario(parse_config(path.read_text(encoding="utf-8")))
+    assert (traj.routes["phenom"] == ROUTES.index("matrix_x")).all()
+    assert traj.margins["phenom"].positivity > PSD_TOL

@@ -158,8 +158,7 @@ def test_long_phenom_run_ends_at_steady_state(tmp_path):
     assert np.abs(final - steady).max() <= 1e-12
 
     last_row = (out_dir / "figure2_phenom.csv").read_text().splitlines()[-1]
-    x, ok = x_elements_from_matrix(steady)
-    assert ok
+    x = x_elements_from_matrix(steady)
     assert abs(float(last_row.split(",")[1]) - concurrence_x(x)) <= 1e-12
 
 

@@ -4,11 +4,11 @@ import pytest
 from dressedbath import linalg
 from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotFinite, NotHermitian,
                                 NotPSD, StateValidationError, hermitian_eigs,
-                                partial_trace_q2, validate_columns,
-                                validate_density)
+                                partial_trace_q2, validate_density, validate_eigs)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
-from conftest import outcome, random_density, random_x_state, to_computational
+from conftest import (margins_of, outcome, random_density, random_x_state,
+                      to_computational)
 from test_x_columns import BAD, EVOLVED, x_stack
 
 
@@ -207,7 +207,7 @@ class TestValidateBatch:
         with pytest.raises(StateValidationError) as single:
             validate_density(self.bad(kind))
         with pytest.raises(StateValidationError) as stacked:
-            validate_columns(self.stack({index: kind}).reshape(-1, 16), ENTRIES)
+            validate_eigs(self.stack({index: kind}).reshape(-1, 16), ENTRIES)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.violation == single.value.violation
@@ -222,16 +222,16 @@ class TestValidateBatch:
         with pytest.raises(expected) as single:
             validate_density(first)
         with pytest.raises(expected) as stacked:
-            validate_columns(self.stack(bad_at).reshape(-1, 16), ENTRIES)
+            validate_eigs(self.stack(bad_at).reshape(-1, 16), ENTRIES)
         assert str(stacked.value) == str(single.value)
 
     def test_evolved_tolerances_apply(self):
         loose = dict(herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-7)
         m = self.GOOD.copy()
         m[0, 0] += 5e-9                     # within 1e-8, beyond 1e-10
-        validate_columns(m.reshape(-1, 16), ENTRIES, **loose)
+        validate_eigs(m.reshape(-1, 16), ENTRIES, **loose)
         with pytest.raises(linalg.TraceNotOne):
-            validate_columns(m.reshape(-1, 16), ENTRIES)
+            validate_eigs(m.reshape(-1, 16), ENTRIES)
 
     def test_non_finite_is_a_value_error(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -240,20 +240,20 @@ class TestValidateBatch:
     def test_rejects_bad_shapes(self):
         for shape in ((4, 4), (0, 4, 4), (3, 3, 3)):
             with pytest.raises(ValueError, match="stack"):
-                validate_columns(np.zeros(shape), ENTRIES)
+                validate_eigs(np.zeros(shape), ENTRIES)
 
 
 def test_validate_columns_checks_its_shape():
     good = np.eye(4, dtype=complex).reshape(1, 16) / 4
     x_good = good[:, [4 * i + j for i, j in X_ENTRIES]]
-    assert validate_columns(good, ENTRIES) == validate_columns(x_good, X_ENTRIES)
+    assert margins_of(good, ENTRIES) == margins_of(x_good, X_ENTRIES)
     for cols, entries in ((x_good, ENTRIES), (good, X_ENTRIES),        # column count
                           (good[:, :15], ENTRIES),
                           (good[:0], ENTRIES), (x_good[:0], X_ENTRIES),  # empty
                           (good.reshape(1, 4, 4), ENTRIES),           # 3-D
                           (x_good.reshape(1, 1, 8), X_ENTRIES)):
         with pytest.raises(ValueError, match=rf"non-empty \(n, {len(entries)}\) stack"):
-            validate_columns(cols, entries)
+            validate_eigs(cols, entries)
 
 
 def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
@@ -272,7 +272,7 @@ def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
 
 
 class TestClosedFormPositivity:
-    """validate_columns reads an X-shaped snapshot's smallest eigenvalue off its
+    """validate_eigs reads an X-shaped snapshot's smallest eigenvalue off its
     two 2x2 blocks; LAPACK gets only the other snapshots."""
 
     NO_BOUNDS = dict(trace_tol=np.inf, psd_tol=np.inf)
@@ -314,31 +314,32 @@ class TestClosedFormPositivity:
         assert (off_x == 0).all()
         assert np.signbit(off_x.real).any() and not np.signbit(off_x.real).all()
         eps = np.finfo(float).eps
-        singles = [validate_columns(m.reshape(-1, 16), ENTRIES,
-                                    **self.NO_BOUNDS).positivity
+        singles = [margins_of(m.reshape(-1, 16), ENTRIES, **self.NO_BOUNDS).positivity
                    for m in stack]
         assert lapack_calls == []
         for m, neg in zip(stack, singles):
             expected = -np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
             assert abs(neg - expected) <= 4 * eps * np.abs(m).max()
-        assert validate_columns(stack.reshape(-1, 16), ENTRIES,
-                                **self.NO_BOUNDS).positivity == max(singles)
+        assert margins_of(stack.reshape(-1, 16), ENTRIES,
+                          **self.NO_BOUNDS).positivity == max(singles)
 
     def test_evolved_tolerance_edges(self, rng):
         tol = linalg.EVOLVED_PSD_TOL
         loose = dict(herm_tol=linalg.EVOLVED_HERM_TOL, trace_tol=np.inf,
                      psd_tol=tol)
-        validate_columns(x_shaped((-0.5 * tol, 0.6), (0.1, 0.3), rng).reshape(-1, 16),
-                         ENTRIES, **loose)
+        validate_eigs(x_shaped((-0.5 * tol, 0.6), (0.1, 0.3), rng).reshape(-1, 16),
+                      ENTRIES, **loose)
         with pytest.raises(NotPSD):
-            validate_columns(x_shaped((-2.0 * tol, 0.6), (0.1, 0.3), rng).reshape(-1, 16),
-                             ENTRIES, **loose)
+            validate_eigs(x_shaped((-2.0 * tol, 0.6), (0.1, 0.3), rng).reshape(-1, 16),
+                          ENTRIES, **loose)
 
     def test_tiny_off_x_entry_goes_to_lapack(self, rng, lapack_calls):
         stack = np.array([x_shaped((0.1, 0.4), (0.2, 0.3), rng) for _ in range(5)])
         stack[2, 0, 1] = stack[2, 1, 0] = 1e-300
-        validate_columns(stack.reshape(-1, 16), ENTRIES)
+        _, general, (evals, _) = validate_eigs(stack.reshape(-1, 16), ENTRIES)
         assert lapack_calls == [1]
+        assert general.tolist() == [False, False, True, False, False]
+        assert len(evals) == 1
 
     @pytest.mark.parametrize("first, second", [(1, 3), (3, 1)])
     def test_first_failing_snapshot_decides_across_routes(self, rng, first,
@@ -351,7 +352,7 @@ class TestClosedFormPositivity:
         with pytest.raises(NotPSD) as single:
             validate_density(stack[min(first, second)])
         with pytest.raises(NotPSD) as stacked:
-            validate_columns(stack.reshape(-1, 16), ENTRIES)
+            validate_eigs(stack.reshape(-1, 16), ENTRIES)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.violation == single.value.violation
 
@@ -412,11 +413,11 @@ def parent_smallest_eigenvalues(h, entries):
 
 
 def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
-    """``linalg.validate_columns`` as it scanned every row for non-finite
-    entries, took the Hermiticity deviation over all entries and formed the
-    whole Hermitian part ``(M + M^H) / 2`` of the stack: the reference for
-    its finite fast path, its upper-triangle deviation and its Hermitian
-    part formed only where it is read."""
+    """``linalg.validate_eigs``' margins and route mask as it scanned every
+    row for non-finite entries, took the Hermiticity deviation over all
+    entries and formed the whole Hermitian part ``(M + M^H) / 2`` of the
+    stack: the reference for its finite fast path, its upper-triangle
+    deviation and its Hermitian part formed only where it is read."""
     finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
     first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
     checked = cols[:first_nonfinite]
@@ -424,7 +425,8 @@ def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
     herm = np.abs(checked - mh).max(axis=1)
     tr = linalg.trace_of(checked, entries)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    neg = -parent_smallest_eigenvalues(0.5 * (checked + mh), entries)
+    h = 0.5 * (checked + mh)
+    neg = -parent_smallest_eigenvalues(h, entries)
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -437,7 +439,15 @@ def validate_full_mh(cols, entries, herm_tol, trace_tol, psd_tol):
         raise cls(f"invalid density matrix: {detail}", violation)
     if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
-    return linalg.Margins(float(herm.max()), float(tr.max()), float(neg.max()))
+    general = h[:, [k for k, e in enumerate(entries) if e not in X_ENTRIES]].any(axis=1)
+    return (linalg.Margins(float(herm.max()), float(tr.max()), float(neg.max())),
+            general.tolist())
+
+
+def margins_and_route(cols, entries, **tolerances):
+    """``validate_eigs``' margins and route mask, as ``validate_full_mh``'s."""
+    margins, general, _ = validate_eigs(cols, entries, **tolerances)
+    return margins, general.tolist()
 
 
 def mixed_stacks(rng):
@@ -519,10 +529,11 @@ def near_double_range(cols):
 
 
 def test_validate_equals_the_full_mh_computation():
-    """Margins, classes, messages and violations are those of the parent
-    computation, to the bit (``repr`` tells -0.0 from 0.0), except one: on
-    the stack with entries near the double range, whose summed Hermitian
-    part overflowed there, the positivity margin is 1e308, not nan."""
+    """Margins, route masks, classes, messages and violations are those of
+    the parent computation, to the bit (``repr`` tells -0.0 from 0.0),
+    except one: on the stack with entries near the double range, whose
+    summed Hermitian part overflowed there, the positivity margin is 1e308,
+    not nan."""
     tolerances = [(linalg.HERM_TOL, linalg.TRACE_TOL, linalg.PSD_TOL),
                   (linalg.EVOLVED_HERM_TOL, linalg.EVOLVED_TRACE_TOL,
                    linalg.EVOLVED_PSD_TOL), (np.inf, np.inf, np.inf)]
@@ -530,14 +541,14 @@ def test_validate_equals_the_full_mh_computation():
     with np.errstate(over="ignore", invalid="ignore"):
         for cols, entries in validation_stacks():
             for tols in tolerances:
-                result = outcome(validate_columns, cols, entries, herm_tol=tols[0],
+                result = outcome(margins_and_route, cols, entries, herm_tol=tols[0],
                                  trace_tol=tols[1], psd_tol=tols[2])
                 expected = outcome(validate_full_mh, cols, entries, *tols)
                 if near_double_range(cols) and tols[0] == np.inf:
-                    assert repr(expected) == repr(linalg.Margins(np.inf, np.inf, np.nan))
-                    expected = linalg.Margins(np.inf, np.inf, 1e308)
+                    assert repr(expected[0]) == repr(linalg.Margins(np.inf, np.inf, np.nan))
+                    expected = linalg.Margins(np.inf, np.inf, 1e308), expected[1]
                 assert repr(result) == repr(expected)
-                results.add(type(result) if isinstance(result, linalg.Margins)
+                results.add(type(result[0]) if isinstance(result[0], linalg.Margins)
                             else result[0])
     assert results == {linalg.Margins, NotHermitian, linalg.TraceNotOne,
                        NotPSD, NotFinite}
@@ -560,7 +571,7 @@ def test_entries_near_the_double_range_fail_positivity(matrix):
     for entries in (ENTRIES, X_ENTRIES) if not matrix[0, 1] else (ENTRIES,):
         stack = cols[:, [4 * i + j for i, j in entries]]
         with pytest.raises(NotPSD) as err:
-            validate_columns(stack, entries)
+            validate_eigs(stack, entries)
         assert str(err.value) == "invalid density matrix: positivity off by 1.000e+308"
         assert 0.99e308 < err.value.violation < 1.01e308
 
@@ -568,7 +579,7 @@ def test_entries_near_the_double_range_fail_positivity(matrix):
 def test_mixed_stacks_fail_in_each_class():
     """Each failure class is reached on a stack that mixes X and non-X rows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        classes = [outcome(validate_columns, stack, ENTRIES, **EVOLVED)
+        classes = [outcome(margins_of, stack, ENTRIES, **EVOLVED)
                    for stack in mixed_stacks(np.random.default_rng(22))]
     kinds = [c if isinstance(c, linalg.Margins) else c[0] for c in classes]
     assert isinstance(kinds[0], linalg.Margins)

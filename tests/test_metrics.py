@@ -5,7 +5,7 @@ import pytest
 
 from dressedbath import metrics, scenarios
 from dressedbath.linalg import (ENTRIES, NotHermitian, as_matrices,
-                                hermitian_eigs)
+                                hermitian_eigs, validate_density, validate_eigs)
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  concurrence_x, discord_approx_q2,
                                  linear_entropy_q1,
@@ -13,9 +13,9 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
                                  x_elements_from_matrix)
 from dressedbath.model import SystemParams, dressed_frame
 
-from conftest import (concurrence_mp, concurrence_spin_flip, discord_oracle_q2,
-                      dressed_matrices, random_density, random_unitary, random_x_state,
-                      run_stacks)
+from conftest import (EVOLVED, concurrence_mp, concurrence_spin_flip,
+                      discord_oracle_q2, dressed_matrices, random_density,
+                      random_unitary, random_x_state, run_stacks)
 
 
 def bell_matrix():
@@ -89,10 +89,13 @@ class TestXElements:
         assert not ok
 
     def test_matrix_reader_rejects_non_x(self):
+        # the reader takes every matrix; validation routes a non-X one to
+        # the general route
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = m[1, 0] = 0.05
-        _, ok = x_elements_from_matrix(m)
-        assert not ok
+        assert x_elements_from_matrix(m).p00 == 0.25
+        _, general, _ = validate_eigs(m.reshape(1, 16), ENTRIES)
+        assert general.all()
 
 
 def pure_states(rng, n):
@@ -397,8 +400,8 @@ class TestArrayMetricsMatchScalar:
         traj = run_scenario(cfg)
         if route == "matrix":
             entries, stacks = run_stacks(cfg)
-            extracted = [x_elements_from_matrix(as_matrices(stack, entries),
-                                                trace_tol=1e-8)
+            extracted = [(x_elements_from_matrix(as_matrices(stack, entries)),
+                          ~validate_eigs(stack, entries, **EVOLVED)[1])
                          for stack in stacks.values()]
         else:
             frame = dressed_frame(cfg.params)
@@ -501,9 +504,10 @@ class TestStackedGeneralRoute:
 
 
 class TestTrajectoryRouteErrors:
-    """The general route runs once per trajectory, but the first snapshot
+    """Validation checks the whole trajectory at once, but the first snapshot
     that fails still decides the error, as in a one-snapshot-at-a-time
-    loop: concurrence first, then the discord refusal."""
+    loop: positivity at ``PSD_TOL`` when concurrence or discord is wanted,
+    then the discord refusal of a snapshot that is not X-shaped."""
 
     @staticmethod
     def stack(rng, kinds):
@@ -515,12 +519,14 @@ class TestTrajectoryRouteErrors:
 
     @pytest.mark.parametrize("kinds, wanted, expected", [
         (("x", "non_psd", "general"), ("concurrence", "discord"), metrics.NotPSD),
-        (("x", "general", "non_psd"), ("concurrence", "discord"),
-         metrics.AssumptionViolated),
-        (("x", "non_psd"), ("discord", "linear_entropy"),
-         metrics.AssumptionViolated),
+        (("x", "general", "non_psd"), ("concurrence", "discord"), metrics.NotPSD),
+        (("x", "non_psd"), ("discord", "linear_entropy"), metrics.NotPSD),
         (("general", "x", "non_psd"), ("concurrence", "linear_entropy"),
          metrics.NotPSD),
+        (("x", "general", "non_psd"), ("discord", "linear_entropy"),
+         metrics.NotPSD),
+        (("x", "general", "x"), ("concurrence", "discord"),
+         metrics.AssumptionViolated),
     ])
     def test_first_failing_snapshot_decides(self, rng, kinds, wanted, expected):
         comp = self.stack(rng, kinds)
@@ -529,5 +535,5 @@ class TestTrajectoryRouteErrors:
         assert type(err.value) is expected
         if expected is metrics.NotPSD:
             with pytest.raises(metrics.NotPSD) as single:
-                concurrence_general(comp[kinds.index("non_psd")])
+                validate_density(comp[kinds.index("non_psd")])
             assert str(err.value) == str(single.value)

@@ -6,7 +6,7 @@ import pytest
 
 from dressedbath import integrate
 from dressedbath import microscopic as mic
-from dressedbath.linalg import ENTRIES, validate_columns
+from dressedbath.linalg import ENTRIES, validate_eigs
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
 from dressedbath.scenarios import (ScenarioConfig, figure_preset,
@@ -298,7 +298,7 @@ class TestNumericPropagation:
         traj = dressed_matrices(ket10_dressed(frame), rates, frame,
                                       np.linspace(0.0, span, 200))
         for snapshot in traj:
-            validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
+            validate_eigs(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
 
     def test_log_grid_supported(self):
         frame = dressed_frame(FIG3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dressedbath import phenomenological as ph
-from dressedbath.linalg import ENTRIES, validate_columns
+from dressedbath.linalg import ENTRIES, validate_eigs
 from dressedbath.model import (RateSet, SystemParams, dressed_frame, hamiltonian,
                                rate_set)
 
@@ -120,7 +120,7 @@ class TestPropagation:
         traj = ph.propagate(ket(2), FIG3, rates, np.linspace(0.0, span, 200),
                             ENTRIES).reshape(-1, 4, 4)
         for snapshot in traj:
-            validate_columns(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
+            validate_eigs(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
 
 
 class TestSteadyState:

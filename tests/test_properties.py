@@ -6,7 +6,8 @@ three decades either side of the strong- and the weak-coupling presets; the
 temperature is that draw, 0, or a hot bath of k_B T / hbar up to 1e6 times
 the qubit frequency.  The micro thermal verdict is also drawn over 150
 decades either side.  Starts are X-shaped (eight X columns per snapshot) or
-not (all sixteen).  One property runs ``selftest``'s own check list over the
+not (all sixteen).  One property holds the metric stage to a loop over the
+snapshots of random stacks; one runs ``selftest``'s own check list over the
 draws; another runs micro alone from non-X starts at small damping over
 long spans.  The last property drives the command line with hostile
 configuration values.
@@ -25,19 +26,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_run_matches_dense, random_density, run_stacks,
-                      stationary_per_model)
+from conftest import (assert_run_matches_dense, bits, out_of, random_density,
+                      run_stacks, stationary_per_model, trajectory_metrics_per_snapshot)
 from dressedbath import cli, microscopic, phenomenological
 from dressedbath.cli import main
 from dressedbath.integrate import TraceDrift
 from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
                                 EVOLVED_TRACE_TOL, ROUNDING_TOL, X_ENTRIES,
-                                as_matrices, validate_density)
-from dressedbath.metrics import (XStateElements, concurrence_general,
-                                 x_elements_from_matrix)
+                                as_matrices, validate_eigs)
+from dressedbath.metrics import XStateElements, concurrence_general
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import (INITIAL_STATES, METRICS, STATIONARY_METRICS,
-                                   ScenarioConfig, compare_report,
+                                   ScenarioConfig, _trajectory_metrics, compare_report,
                                    resolve_t_max, run_scenario,
                                    stationary_metrics)
 
@@ -164,10 +164,59 @@ def test_non_x_start_carries_all_sixteen_columns(cfg):
         assert margins.trace <= EVOLVED_TRACE_TOL
         assert margins.positivity <= EVOLVED_PSD_TOL
         if "concurrence" in cfg.metrics:
-            # snapshots whose off-X entries decayed below 1e-10 take the X route
+            # every snapshot with an off-X entry takes the general route,
+            # however small the entry has decayed
             general = concurrence_general(as_matrices(stack, ENTRIES))
             # measured 1.4e-16 over 400 draws of this strategy
             assert np.abs(traj.series[model]["concurrence"] - general).max() <= 1e-12
+
+
+EDGE = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+EDGE[0, 3] = EDGE[3, 0] = 0.25 + 1e-8         # X-shaped, eigenvalue -1e-8
+NON_PSD = np.diag([0.5 + 5e-9, 0.3, 0.2, -5e-9]).astype(complex)
+NON_PSD[0, 1] = NON_PSD[1, 0] = 1e-3           # not X-shaped, eigenvalue -5e-9
+
+
+@st.composite
+def snapshot_stacks(draw):
+    """One to eight snapshots, each an X state (``x``), an X state with an
+    off-X pair of 1e-12 (``tiny``), ``EDGE``, ``NON_PSD`` or a non-X state
+    (``general``), as the columns of all sixteen entries or of the eight X
+    entries (which drop every off-X entry)."""
+    rows = []
+    # a failing kind fails most stacks it is in, so it is drawn less often
+    kinds = st.sampled_from(["x", "tiny", "general"] * 3 + ["edge", "non_psd"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind in ("x", "tiny"):
+            m = draw(x_states())
+            if kind == "tiny":
+                m[0, 1] = m[1, 0] = 1e-12
+        else:
+            m = {"edge": EDGE, "non_psd": NON_PSD}.get(kind)
+            m = draw(non_x_states()) if m is None else m
+        rows.append(m.reshape(16))
+    entries = draw(st.sampled_from([ENTRIES, X_ENTRIES]))
+    return np.array(rows)[:, [4 * i + j for i, j in entries]], entries
+
+
+@PROFILE
+@given(snapshot_stacks(), st.sets(st.sampled_from(METRICS), min_size=1))
+def test_trajectory_metrics_is_the_per_snapshot_loop(drawn, wanted):
+    """The whole-stack metric stage raises what a loop over the snapshots
+    raises, or gives its margins, routes and every value, bit for bit."""
+    stack, entries = drawn
+    wanted = tuple(m for m in METRICS if m in wanted)
+    got = verdict_or_error(_trajectory_metrics, stack, entries, wanted)
+    expected = verdict_or_error(trajectory_metrics_per_snapshot, stack, entries, wanted)
+    if isinstance(expected[0], type) or isinstance(got[0], type):
+        assert got == expected
+        return
+    (margins, series, routes), (ref_margins, ref_series, ref_routes) = got, expected
+    assert margins == ref_margins
+    np.testing.assert_array_equal(routes, ref_routes)
+    assert list(series) == list(ref_series)
+    for name, column in series.items():
+        np.testing.assert_array_equal(bits(column), bits(ref_series[name]))
 
 
 def hexed(stationary):
@@ -205,8 +254,8 @@ def test_closed_form_stationary_states(p):
 
     ss = phenomenological.steady_state(p, rates)
     assert abs(np.trace(ss) - 1.0) <= 1e-14
-    validate_density(ss)                  # Hermitian, unit trace, PSD
-    assert x_elements_from_matrix(ss)[1]
+    # Hermitian, unit trace, PSD, and the X route
+    assert not validate_eigs(ss.reshape(1, 16), ENTRIES)[1].any()
     # a closed-form state is exact to rounding: the generator residual is
     # rounding at the generator's largest column sum
     gen = phenomenological.liouvillian_from_ops(p, rates)
@@ -364,7 +413,7 @@ def test_command_line_fails_in_one_line(drawn):
         os.chdir(root)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main([verb, "--config", "run.cfg", "--out", "out", *args])
+                rc = main([verb, "--config", "run.cfg", *out_of(verb, "out"), *args])
         finally:
             os.chdir(here)
         written = {p.relative_to(root).parts[0] for p in root.rglob("*")}

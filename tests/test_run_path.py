@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bits, golden_general_configs, random_x_state
+from conftest import bits, golden_general_configs, out_of, random_x_state
 from dressedbath import metrics, microscopic, model, phenomenological, scenarios
 from dressedbath.cli import main
 from dressedbath.linalg import ENTRIES, X_ENTRIES
@@ -56,11 +56,11 @@ def test_one_x_form_call_per_metric_on_every_snapshot(cfg, calls):
 @pytest.mark.parametrize("wanted", [("discord",), ("concurrence", "discord"),
                                     ("concurrence", "discord", "linear_entropy")])
 def test_discord_on_a_general_row_fails_before_any_x_form_metric(wanted, calls):
-    """Only the first general snapshot's concurrence runs, when wanted: it
-    decides before discord fails."""
+    """Validation has passed every snapshot, so the first general one refuses
+    discord before any metric runs, the general concurrence included."""
     with pytest.raises(AssumptionViolated):
         run_scenario(replace(golden_general_configs()[0], metrics=wanted))
-    assert calls == ([("concurrence_from_eigs", 1)] if "concurrence" in wanted else [])
+    assert calls == []
 
 
 @pytest.fixture
@@ -89,7 +89,7 @@ def frames(monkeypatch):
     (["steady", "--figure", "2"], 1),
     (["selftest"], 3)])   # figures 1-7 are three configurations
 def test_one_dressed_frame_per_configuration(argv, count, frames, tmp_path, capsys):
-    assert main(argv + ([] if argv == ["selftest"] else ["--out", str(tmp_path)])) == 0
+    assert main(argv + out_of(argv[0], tmp_path)) == 0
     assert len(frames) == count
 
 
@@ -114,7 +114,7 @@ def steady_states(monkeypatch):
       "--values", "5e-4,5e-3,1.5e-2", "--points", "200"], 3)])
 def test_each_stationary_state_once_per_configuration(argv, count, steady_states,
                                                       tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert main(argv + out_of(argv[0], tmp_path)) == 0
     assert steady_states == ["microscopic", "phenomenological"] * count
 
 

@@ -1,7 +1,7 @@
 """A snapshot's Hermitian part reaches LAPACK at most once per model run, and
-only from ``linalg.validate_eigs``: validation decomposes every snapshot it
-cannot read in closed form and every snapshot of the general metric route,
-and its eigenpairs of the latter feed the general concurrence."""
+only from ``linalg.validate_eigs``: validation decomposes every snapshot
+that is not exactly X-shaped, those snapshots are the general metric route,
+and their eigenpairs feed the general concurrence."""
 
 import sys
 from dataclasses import replace
@@ -12,14 +12,14 @@ import pytest
 from conftest import EVOLVED, bits, golden_general_configs, random_density, run_stacks
 from dressedbath import linalg, metrics, scenarios
 from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
-                                as_matrices, validate_columns, validate_eigs)
+                                as_matrices, validate_density, validate_eigs)
 from dressedbath.scenarios import ROUTES, figure_preset, run_scenario
 
 
 def seeded_draws():
     """Random full-rank and pure starts at both golden presets; the strong one
-    also on a 1e-5 s span, where late snapshots, decomposed by validation,
-    take the X route."""
+    also on a 1e-5 s span, where the off-X entries of late snapshots decay
+    below 1e-10 without reaching 0."""
     rng = np.random.default_rng(17)
     for cfg in golden_general_configs()[::2]:   # full-rank strong, full-rank weak
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -58,9 +58,14 @@ def hermitian_parts(traj, model):
     return states, 0.5 * (states + states.conj().swapaxes(-1, -2))
 
 
-def off_x_rows(herm):
+def off_x(herm):
+    """The off-X entries of each matrix of a stack."""
     return herm.reshape(-1, 16)[:, [4 * i + j for i, j in ENTRIES
-                                    if (i, j) not in X_ENTRIES]].any(axis=1)
+                                    if (i, j) not in X_ENTRIES]]
+
+
+def off_x_rows(herm):
+    return off_x(herm).any(axis=1)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS,
@@ -72,15 +77,14 @@ def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_calls):
         traj = run_scenario(one_model)
         states, herm = hermitian_parts(traj, model)
         general = traj.routes[model] == ROUTES.index("general")
-        off_x = off_x_rows(herm)
-        non_x = off_x | general
+        np.testing.assert_array_equal(general, off_x_rows(herm))
         if cfg.t_max == "auto":
-            assert non_x.all()
-        else:   # validation decomposed snapshots that take the X route
-            assert general.any() and (off_x & ~general).any()
-        assert len(handed(lapack_calls)) == non_x.sum()
+            assert general.all()
+        else:   # near-X snapshots, off-X entries at most 1e-10, route general
+            assert (general & (np.abs(off_x(herm)).max(axis=1) <= 1e-10)).any()
+        assert len(handed(lapack_calls)) == general.sum()
         assert (sorted(m.tobytes() for m in handed(lapack_calls))
-                == sorted(m.tobytes() for m in herm[non_x]))
+                == sorted(m.tobytes() for m in herm[general]))
         np.testing.assert_array_equal(
             bits(traj.series[model]["concurrence"][general]),
             bits(metrics.concurrence_general(states[general])))
@@ -107,10 +111,10 @@ def test_matrices_are_built_only_for_linear_entropy(cfg, monkeypatch):
 
 
 # X-shaped, with an outer coherence 1e-8 beyond its population bound: the
-# smallest eigenvalue, -1e-8, passes validation at the evolved tolerances,
-# which read it in closed form, but XStateElements.valid fails, so the
-# snapshot takes the general route, and validation decomposes it for the
-# general concurrence
+# smallest eigenvalue, -1e-8, which validation reads in closed form, passes
+# the evolved tolerance, so the snapshot takes the X route when only linear
+# entropy or populations are wanted, and fails PSD_TOL when concurrence or
+# discord is
 EDGE = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
 EDGE[0, 3] = EDGE[3, 0] = 0.25 + 1e-8
 PHENOM = replace(golden_general_configs()[0], models=("phenom",))
@@ -134,10 +138,10 @@ def run_on(stack, monkeypatch, wanted=("concurrence", "linear_entropy"),
 
 
 def stack_of(*kinds):
-    """Snapshots by kind: ``x`` and ``tiny`` take the X route, ``general`` and
-    ``non_psd`` the general one; validation decomposes ``tiny`` (an off-X
-    pair of 1e-12), ``general`` and ``non_psd`` (smallest eigenvalue -5e-9,
-    within the evolved tolerance), not ``x`` or ``edge``."""
+    """Snapshots by kind: ``x`` and ``edge`` take the X route, ``tiny`` (an
+    off-X pair of 1e-12), ``general`` and ``non_psd`` (smallest eigenvalue
+    -5e-9, within the evolved tolerance, beyond ``PSD_TOL``) the general one,
+    which validation decomposes."""
     rng = np.random.default_rng(3)
     good_x = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
     tiny = good_x.copy()
@@ -154,7 +158,7 @@ def test_x_route_rows_among_the_decomposed_ones(kinds, monkeypatch,
                                                 lapack_calls):
     stack = stack_of(*kinds)
     traj = run_on(stack, monkeypatch, calls=lapack_calls)
-    general = np.array([k == "general" for k in kinds])
+    general = np.array([k != "x" for k in kinds])   # tiny is near-X, not X
     assert (traj.routes["phenom"] == ROUTES.index("general")).tolist() == general.tolist()
     assert len(handed(lapack_calls)) == 4 - kinds.count("x")
     np.testing.assert_array_equal(
@@ -167,11 +171,12 @@ def test_x_route_rows_among_the_decomposed_ones(kinds, monkeypatch,
     ("non_psd", "edge"), ("edge", "non_psd"),
     ("general", "edge", "x", "non_psd"), ("x", "non_psd", "general", "edge")])
 def test_first_non_psd_general_snapshot_decides(kinds, monkeypatch):
+    """With concurrence, validation holds every snapshot to ``PSD_TOL``,
+    whatever its route: the first one beyond it decides, as it does alone."""
     first = next(k for k in kinds if k in ("edge", "non_psd"))
     with pytest.raises(NotPSD) as single:
-        metrics.concurrence_general(stack_of(first))
-    assert "state eigenvalue" in str(single.value)
-    assert "below tolerance" in str(single.value)
+        validate_density(stack_of(first)[0])
+    assert "positivity off by" in str(single.value)
     with pytest.raises(NotPSD) as err:
         run_on(stack_of(*kinds), monkeypatch)
     assert str(err.value) == str(single.value)
@@ -179,44 +184,52 @@ def test_first_non_psd_general_snapshot_decides(kinds, monkeypatch):
 
 
 def test_edge_state_passes_validation_unseen_by_lapack(lapack_calls):
-    """Validation alone reads the edge state in closed form; marked as a
-    general row, it is decomposed too, and the margins do not move."""
+    """Validation reads the edge state in closed form at the evolved
+    tolerances and routes it to the X route; the eigenpairs are the general
+    row's alone, and its margins are those of the rows one at a time."""
     cols = stack_of("general", "edge").reshape(-1, 16)
-    margins = validate_columns(cols, ENTRIES, **EVOLVED)
+    margins, general, (evals, vecs) = validate_eigs(cols, ENTRIES, **EVOLVED)
     assert margins.positivity == pytest.approx(1e-8, rel=1e-6)
-    assert len(handed(lapack_calls)) == 1
-    lapack_calls.clear()
-    marked, (evals, vecs) = validate_eigs(cols, ENTRIES, [True, True], **EVOLVED)
-    assert marked == margins
-    assert len(handed(lapack_calls)) == len(evals) == len(vecs) == 2
-    assert evals[1, 0] == pytest.approx(-1e-8, rel=1e-6)
+    assert general.tolist() == [True, False]
+    assert len(handed(lapack_calls)) == len(evals) == len(vecs) == 1
+    singles = [validate_eigs(row[None], ENTRIES, **EVOLVED) for row in cols]
+    assert margins == linalg.Margins(*np.max([m for m, _, _ in singles], axis=0))
+    np.testing.assert_array_equal(bits(evals), bits(singles[0][2][0]))
+    np.testing.assert_array_equal(bits(vecs), bits(singles[0][2][1]))
 
 
 def test_later_validation_failure_wins_over_the_edge(monkeypatch):
+    """Without concurrence or discord the edge state meets the evolved
+    positivity bound, so a later snapshot's trace decides."""
     stack = stack_of("general", "edge", "general", "general")
     stack[3] *= 1.0 + 1e-6   # trace off by 1e-6
     with pytest.raises(TraceNotOne):
-        run_on(stack, monkeypatch)
+        run_on(stack, monkeypatch, ("linear_entropy",))
 
 
 @pytest.mark.parametrize("kinds, expected", [
     (("x", "edge", "general"), NotPSD),
     (("edge", "general"), NotPSD),
-    (("x", "general", "edge"), metrics.AssumptionViolated),
+    (("x", "general", "edge"), NotPSD),
+    (("x", "general", "tiny"), metrics.AssumptionViolated),
 ])
 def test_with_discord_the_first_general_snapshot_decides(kinds, expected,
                                                          monkeypatch):
+    """A failed invariant on any snapshot outranks the discord refusal; once
+    every snapshot is a state, the first general one refuses discord."""
     with pytest.raises((NotPSD, metrics.AssumptionViolated)) as err:
         run_on(stack_of(*kinds), monkeypatch, ("concurrence", "discord"))
     assert type(err.value) is expected
 
 
 def assert_lapack_only_in_validation(traj, model, calls):
-    """Each snapshot that validation cannot read in closed form and each
-    general-route one was handed to LAPACK once, in one call from
-    ``linalg.validate_eigs``; no other snapshot was."""
+    """Each snapshot that is not exactly X-shaped takes the general route and
+    was handed to LAPACK once, in one call from ``linalg.validate_eigs``; no
+    other snapshot was."""
     _, herm = hermitian_parts(traj, model)
-    decomposed = off_x_rows(herm) | (traj.routes[model] == ROUTES.index("general"))
+    decomposed = off_x_rows(herm)
+    np.testing.assert_array_equal(traj.routes[model] == ROUTES.index("general"),
+                                  decomposed)
     assert [code for code, _ in calls] == (
         [linalg.validate_eigs.__code__] if decomposed.any() else [])
     assert (sorted(m.tobytes() for m in handed(calls))
@@ -256,32 +269,31 @@ def test_mixed_stacks_are_decomposed_only_in_validation(kinds, start, monkeypatc
                   lapack_calls, start)
     assert_lapack_only_in_validation(traj, "phenom", lapack_calls)
     general = traj.routes["phenom"] == ROUTES.index("general")
-    assert general.tolist() == [k in ("edge", "general") for k in kinds]
+    # an X start carries no off-X column, so its tiny pair is dropped
+    assert general.tolist() == [k == "general" or k == "tiny" and not isinstance(start, str)
+                                for k in kinds]
 
 
-def test_x_start_edge_state_raises_from_validations_eigenpairs(monkeypatch,
-                                                              lapack_calls):
-    """An X start carries eight columns, so validation builds the edge
-    state's matrix from them; its eigenvalue -1e-8 fails the general
-    concurrence as it does for the matrix itself."""
+def test_x_start_edge_state_fails_validation_in_closed_form(monkeypatch,
+                                                           lapack_calls):
+    """An X start carries eight columns; validation reads the edge state's
+    eigenvalue -1e-8 off them in closed form, and with concurrence it fails
+    ``PSD_TOL`` as the matrix itself does, with no LAPACK call."""
     with pytest.raises(NotPSD) as single:
-        metrics.concurrence_general(EDGE)
+        validate_density(EDGE)
     with pytest.raises(NotPSD) as err:
         run_on(stack_of("x", "edge", "x"), monkeypatch, ("concurrence",),
                lapack_calls, "ket10")
     assert (str(err.value), err.value.violation) == (str(single.value),
                                                      single.value.violation)
-    assert [code for code, _ in lapack_calls] == [linalg.validate_eigs.__code__]
-    np.testing.assert_array_equal(
-        bits(handed(lapack_calls)),
-        bits(0.5 * (EDGE + EDGE.conj().T))[None])
+    assert lapack_calls == []
 
 
 @pytest.mark.parametrize("start", [PHENOM.initial_state, "ket10"])
 def test_overflowing_snapshot_fails_validation_not_the_x_read(start, monkeypatch):
-    """The X read runs before validation, so it meets unvalidated snapshots:
-    one whose population products overflow fails the read without a warning
-    (a warning raises here), and validation reports it."""
+    """Validation runs before the X read and the X-form metrics: a snapshot
+    whose population products would overflow stops there, without a
+    warning (a warning raises here)."""
     stack = stack_of("x", "x")
     stack[1] *= 1e200
     with pytest.raises(TraceNotOne):

@@ -2,8 +2,9 @@
 start on all sixteen.
 
 Each X column equals its entry of the dense ``(n, 4, 4)`` stages to the bit,
-every other dense entry is exactly +0, and ``validate_columns`` gives the
-same margins or error on the X columns as on all sixteen.
+every other dense entry is exactly +0, and ``validate_eigs`` gives the
+same margins or error on the X columns as on all sixteen, and routes every
+snapshot of an X start to the X route.
 """
 
 from dataclasses import replace
@@ -12,12 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import (EVOLVED, assert_run_matches_dense, bits, dressed_matrices,
-                      outcome, random_density, random_x_state, run_stacks,
-                      to_computational)
+                      margins_of, outcome, random_density, random_x_state,
+                      run_stacks, to_computational)
 from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
 from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
-                                as_matrices, validate_columns, validate_eigs)
+                                as_matrices, validate_eigs)
 from dressedbath.model import dressed_frame, rate_set
 from dressedbath.scenarios import (MODELS, figure_preset, initial_state_matrix,
                                    parse_config, run_scenario)
@@ -46,9 +47,9 @@ CONFIGS = list(x_start_configs())
 
 
 def validate_dense(cols, **tolerances):
-    """``validate_columns`` on all sixteen columns of an X stack."""
-    return validate_columns(as_matrices(cols, X_ENTRIES).reshape(-1, 16),
-                            ENTRIES, **tolerances)
+    """``validate_eigs``' margins on all sixteen columns of an X stack."""
+    return margins_of(as_matrices(cols, X_ENTRIES).reshape(-1, 16), ENTRIES,
+                      **tolerances)
 
 
 def assert_x_columns_of(cols, dense):
@@ -74,8 +75,9 @@ def test_columns_are_the_dense_entries(cfg):
     assert_x_columns_of(phenom, integrate.propagate(gen, rho0, times, ENTRIES)
                         .reshape(-1, 4, 4))
     for cols in (micro, phenom):
-        margins = validate_columns(cols, X_ENTRIES, **EVOLVED)
+        margins, general, _ = validate_eigs(cols, X_ENTRIES, **EVOLVED)
         assert margins == validate_dense(cols, **EVOLVED)
+        assert not general.any()
 
 
 @pytest.mark.parametrize("cfg", CONFIGS[::3])
@@ -120,7 +122,7 @@ def test_validate_x_raises_like_validate_batch(kind, index):
     """The X columns fail like all sixteen: same class, message, violation."""
     cols = x_stack({index: kind})
     for tolerances in ({}, EVOLVED):
-        result = outcome(validate_columns, cols, X_ENTRIES, **tolerances)
+        result = outcome(margins_of, cols, X_ENTRIES, **tolerances)
         assert isinstance(result, tuple)
         assert result == outcome(validate_dense, cols, **tolerances)
 
@@ -132,7 +134,7 @@ def test_validate_x_raises_like_validate_batch(kind, index):
 ])
 def test_first_failing_snapshot_decides(bad_at, expected):
     cols = x_stack(bad_at)
-    result = outcome(validate_columns, cols, X_ENTRIES)
+    result = outcome(margins_of, cols, X_ENTRIES)
     assert result[0] is expected
     assert result == outcome(validate_dense, cols)
 
@@ -143,7 +145,7 @@ def test_validate_x_margins_equal_validate_batch(rng):
                       x.inner, np.conj(x.inner)]
                      for x in (random_x_state(rng) for _ in range(200))])
     cols[::7, 4] += 1e-12                  # within the evolved tolerance
-    margins = validate_columns(cols, X_ENTRIES, **EVOLVED)
+    margins = margins_of(cols, X_ENTRIES, **EVOLVED)
     assert margins.hermiticity > 0
     assert margins == validate_dense(cols, **EVOLVED)
 
@@ -173,22 +175,22 @@ def test_each_model_validates_its_columns_once(start, monkeypatch):
     cfg, entries = STARTS[start]
     calls, read = [], scenarios.metrics.x_elements_from_columns
 
-    def spy(cols, entries, general, **tolerances):
+    def spy(cols, entries, **tolerances):
         calls.append(("validate", cols.shape, entries))
-        return validate_eigs(cols, entries, general, **tolerances)
+        return validate_eigs(cols, entries, **tolerances)
 
-    def read_spy(cols, entries, **tolerances):
+    def read_spy(cols, entries):
         calls.append(("read", cols.shape, entries))
-        return read(cols, entries, **tolerances)
+        return read(cols, entries)
 
     monkeypatch.setattr(scenarios, "validate_eigs", spy)
     monkeypatch.setattr(scenarios.metrics, "x_elements_from_columns", read_spy)
     for models in (("micro",), ("phenom",), MODELS):
         calls.clear()
         run_scenario(replace(cfg, models=models))
-        # one X read per model run, before its one validation
+        # one validation per model run, before its one X read
         assert calls == [(stage, (50, len(entries)), entries)
-                         for stage in ("read", "validate")] * len(models)
+                         for stage in ("validate", "read")] * len(models)
 
 
 def _refuse(*args, **kwargs):

@@ -108,13 +108,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(cli, argv: list, out_flag: bool = True) -> tuple:
+# the verbs that write files, and so take --out
+WRITERS = ("figure", "evolve", "compare", "sweep")
+
+
+def run(cli, argv: list) -> tuple:
     """Exit code, stdout and the bytes of every file the run writes
-    (under ``--out``, which is appended unless ``out_flag`` is false)."""
+    (under ``--out``, which is appended for the verbs that write)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(argv + (["--out", tmp] if out_flag else []))
+            code = cli.main(argv + (["--out", tmp] if argv[0] in WRITERS else []))
         stdout = out.getvalue().replace(tmp, "OUT")
         files = {p.name: p.read_bytes() for p in sorted(pathlib.Path(tmp).iterdir())}
     return code, stdout, files
@@ -130,7 +134,7 @@ def all_runs(cli):
             path.write_text(text, encoding="utf-8")
             yield (f"evolve --config {name}",
                    *run(cli, ["evolve", "--config", str(path)]))
-    code, stdout, files = run(cli, ["selftest"], out_flag=False)
+    code, stdout, files = run(cli, ["selftest"])
     yield "selftest", code, _ELAPSED.sub("s)", stdout), files
 
 
