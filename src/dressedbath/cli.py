@@ -21,7 +21,7 @@ import numpy as np
 from . import integrate, metrics, microscopic, phenomenological, scenarios
 from ._version import __version__
 from .integrate import TraceDrift
-from .linalg import ENTRIES, ROUNDING_TOL, X_ENTRIES, StateValidationError
+from .linalg import ROUNDING_TOL, StateValidationError, as_matrices
 from .metrics import AssumptionViolated
 from .microscopic import DegenerateRates
 from .model import (dressed_frame, fairness_check, rate_set,
@@ -197,18 +197,17 @@ def _selftest_checks(cfg):
     start = time.perf_counter()
     times = np.linspace(0.0, span, 400)
     rho0 = frame.to_dressed(np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex))
-    analytic = microscopic.propagate_analytic(rho0, rates, frame, times, ENTRIES)
+    analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
     gen = microscopic.liouvillian(rates, frame)
-    numeric = integrate.propagate(gen, rho0, times, ENTRIES)
+    numeric = integrate.propagate(gen, rho0, times)
     err = np.abs(analytic - numeric).max()
     elapsed = time.perf_counter() - start
     rows.append(("closed form vs integrated generator",
                  err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s"))
 
-    x_dressed, held = metrics.x_elements_from_dressed(analytic.reshape(-1, 4, 4), frame)
-    x_cols = frame.to_computational_columns(   # a run's route from an X start
-        analytic[:, [ENTRIES.index(e) for e in X_ENTRIES]], X_ENTRIES)
-    x_comp = metrics.x_elements_from_columns(x_cols, X_ENTRIES)
+    x_dressed, held = metrics.x_elements_from_dressed(as_matrices(analytic), frame)
+    # the basis change of a run from an X start
+    x_comp = metrics.x_elements_from_columns(frame.to_computational_columns(analytic))
     dev = max(np.abs(getattr(x_dressed, f.name) - getattr(x_comp, f.name)).max()
               for f in fields(metrics.XStateElements))
     rows.append(("micro X elements: dressed closed form vs basis change",

@@ -3,16 +3,17 @@
 Both master equations here are linear and time independent, so
 ``vec(rho(t)) = exp(t L) vec(rho(0))``.  ``propagate`` evaluates that
 exponential through one eigendecomposition of the generator, with no time
-step, into the ``(n, k)`` columns of the requested entries, one block of
-rows at a time, so its working set beyond that result does not grow with
-the grid.
+step, into the ``(n, k)`` columns of ``linalg.ENTRIES`` at the width of
+the entries it reaches, one block of rows at a time, so its working set
+beyond that result does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EVOLVED_TRACE_TOL, ROUNDING_TOL, NotFinite, trace_of
+from .linalg import (COLUMN, EVOLVED_TRACE_TOL, MIRROR, ROUNDING_TOL, VEC, NotFinite,
+                     trace_of, width)
 
 _BLOCK_WORK = 32768   # rows x L^2 of a propagation block: 512 rows at L = 8
 
@@ -56,8 +57,7 @@ def lindblad(h: np.ndarray, channels) -> np.ndarray:
     return gen
 
 
-def propagate(generator: np.ndarray, rho0: np.ndarray, times,
-              entries) -> np.ndarray:
+def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
     """Trajectory ``exp((t - times[0]) L) vec(rho0)`` on a strictly increasing
     output grid, uniform or not; the first snapshot is ``rho0`` itself.
 
@@ -71,9 +71,8 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     (``linalg.ROUNDING_TOL``).  Raises NotFinite for a generator with inf or
     nan entries, and TraceDrift if the trace drifts by more than
     ``linalg.EVOLVED_TRACE_TOL`` anywhere on the grid, naming the first such
-    grid point.  The result is the ``(n, k)`` columns of ``entries``
-    (``linalg.ENTRIES`` or ``linalg.X_ENTRIES``), which must hold every entry
-    reached.
+    grid point.  The result is the ``(n, k)`` columns of ``linalg.ENTRIES``,
+    ``k = linalg.width`` of the entries reached.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
@@ -87,22 +86,20 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
     live = v != 0   # grown to its fixed point: what the generator reaches
     while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
         live = grown
-    vec_index = [4 * i + j for i, j in entries]
-    # list.index raises ValueError for a reached entry missing from ``entries``
-    live_cols = [vec_index.index(k) for k in np.flatnonzero(live).tolist()]
+    vec_index = VEC[:width(live.reshape(4, 4))]   # each column's row-major index
+    live_cols = [COLUMN[divmod(i, 4)] for i in np.flatnonzero(live).tolist()]
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
     k = np.argmin(np.abs(lam))
     if abs(lam[k]) <= ROUNDING_TOL * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
-    out = np.zeros((len(times), len(entries)), dtype=complex)
+    out = np.zeros((len(times), len(vec_index)), dtype=complex)
     out[0] = v[vec_index]
     # blocks of rows x L^2 under OpenBLAS's threading threshold, so no temporary
     # grows with the grid and the matmul runs on one thread; a one-row last
     # block would take numpy's matrix-vector product, which rounds differently
     rows, last = _BLOCK_WORK // len(lam) ** 2, max(len(times) - 1, 1)
-    mirror = [entries.index((j, i)) for i, j in entries]
     for start in range(0, last, rows):
         stop = start + rows if start + rows < last else len(times)
         lo = max(start, 1)   # the first snapshot is rho0 itself
@@ -111,13 +108,13 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times,
             e = np.exp(np.multiply.outer(times[lo:stop] - times[0], lam))
             e *= coef
             out[lo:stop, live_cols] = e @ vecs.T
-        drift = np.abs(trace_of(out[lo:stop], entries).real - 1.0)
+        drift = np.abs(trace_of(out[lo:stop]).real - 1.0)
         over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
         if len(over):
             raise TraceDrift(f"trace drifted by {drift[over[0]]:.3e} "
                              f"at t={times[lo + over[0]]:.6e}")
         # evolved states stay Hermitian to fp accuracy; fold the rounding noise
         block = out[start:stop]
-        block += np.conj(block[:, mirror])
+        block += np.conj(block[:, MIRROR[:len(vec_index)]])
         block *= 0.5
     return out

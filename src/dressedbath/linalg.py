@@ -10,13 +10,13 @@ orders are frozen once and for all:
 ``model.DressedFrame`` rotates states between the two.  Hermitian spectra
 come from LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity
 check, for one matrix or a stack.  A trajectory is an ``(n, k)`` stack of
-the columns of its ``entries``: all sixteen (``ENTRIES``), or the eight X
-entries (``X_ENTRIES``) that an X-shaped run carries, with +0 at every
-other entry.  ``validate_eigs`` checks such a stack in one pass (a single
-matrix is a stack of one) and decides each snapshot's metric route: it
-reads the smallest eigenvalue of an exactly X-shaped snapshot in closed
-form and returns LAPACK's eigenpairs of the others, for the general
-concurrence.
+columns in the one order ``ENTRIES``: the eight X entries first, then the
+eight others, so a stack's width is its layout.  ``width`` picks it: 8
+columns carry matrices whose off-X entries are all exactly zero, 16 any
+other.  ``validate_eigs`` checks such a stack in one pass (a single matrix
+is a stack of one) and decides each snapshot's metric route: it reads the
+smallest eigenvalue of an exactly X-shaped snapshot in closed form and
+returns LAPACK's eigenpairs of the others, for the general concurrence.
 """
 
 from __future__ import annotations
@@ -76,44 +76,45 @@ class Margins(NamedTuple):
     positivity: float
 
 
-# the entries outside the diagonal and the antidiagonal of a 4x4 matrix
-_OFF_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])
-
-# the entries of an (n, 16) stack (row-major) and of an (n, 8) X stack
-ENTRIES = tuple(divmod(k, 4) for k in range(16))
-X_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
+# the entries of a stack's columns: the diagonal, the antidiagonal, then the
+# off-X entries row by row; an (n, 8) stack holds the first eight
+ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1),
+           (0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+VEC = [4 * i + j for i, j in ENTRIES]   # each column's row-major index
+COLUMN = {e: n for n, e in enumerate(ENTRIES)}
+MIRROR = [COLUMN[j, i] for i, j in ENTRIES]   # the column of each transpose
 # the entries above the diagonal of a 4x4 matrix, row by row
 UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def trace_of(cols, entries) -> np.ndarray:
-    """Trace of each matrix of an ``(n, k)`` stack of ``entries``."""
-    d = [cols[:, entries.index((i, i))] for i in range(4)]
-    return d[0] + d[1] + d[2] + d[3]
+def columns(m) -> np.ndarray:
+    """The ``(..., 16)`` columns of ``(..., 4, 4)`` matrices."""
+    m = np.asarray(m)
+    return m.reshape(m.shape[:-2] + (16,))[..., VEC]
 
 
-def as_matrices(cols, entries) -> np.ndarray:
-    """The ``(n, 4, 4)`` matrices of an ``(n, k)`` stack of ``entries``,
-    with +0 at every other entry."""
+def width(m) -> int:
+    """The columns that carry the ``(..., 4, 4)`` matrices (or masks) ``m``:
+    8 when every off-X entry of each is exactly zero, else 16."""
+    return 16 if columns(m)[..., 8:].any() else 8
+
+
+def trace_of(cols) -> np.ndarray:
+    """Trace of each matrix of an ``(n, k)`` stack."""
+    return cols[:, 0] + cols[:, 1] + cols[:, 2] + cols[:, 3]
+
+
+def as_matrices(cols) -> np.ndarray:
+    """The ``(n, 4, 4)`` matrices of an ``(n, k)`` stack, with +0 at every
+    entry it does not carry."""
     out = np.zeros((len(cols), 4, 4), dtype=complex)
-    out.reshape(-1, 16)[:, [4 * i + j for i, j in entries]] = cols
+    out.reshape(-1, 16)[:, VEC[:cols.shape[1]]] = cols
     return out
 
 
-def _half_sum(a, b):
-    """``(a + b) / 2``, or ``a / 2 + b / 2`` where ``a + b`` overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = 0.5 * (a + b)
-    bad = ~np.isfinite(h)
-    if bad.any():
-        h[bad] = 0.5 * a[bad] + 0.5 * b[bad]
-    return h
-
-
-def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
-                  psd_tol=PSD_TOL):
+def validate_eigs(cols, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check Hermiticity, unit trace and positivity of every matrix of an
-    ``(n, k)`` stack of ``entries``; return the worst margins, the ``general``
+    ``(n, 8)`` or ``(n, 16)`` stack; return the worst margins, the ``general``
     mask of the matrices whose Hermitian part is not exactly X-shaped, and
     ``np.linalg.eigh`` of those Hermitian parts, from one LAPACK call.
 
@@ -125,46 +126,49 @@ def validate_eigs(cols, entries, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
     is diagnosed in one pass.
     """
     cols = np.asarray(cols, dtype=complex)
-    if cols.ndim != 2 or cols.shape[1] != len(entries) or len(cols) == 0:
-        raise ValueError(f"expected a non-empty (n, {len(entries)}) stack, "
+    if cols.ndim != 2 or cols.shape[1] not in (8, 16) or len(cols) == 0:
+        raise ValueError("expected a non-empty (n, 8) or (n, 16) stack, "
                          f"got shape {cols.shape}")
     first_nonfinite = (len(cols) if np.isfinite(cols).all()
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
 
-    above = [(i, j) for i, j in entries if i < j]
-    a = checked[:, [entries.index(e) for e in above]]
-    b = np.conj(checked[:, [entries.index((j, i)) for i, j in above]])
+    # the columns above the diagonal: (0, 3) and (1, 2), then the off-X ones
+    above = [n for n, (i, j) in enumerate(ENTRIES[:cols.shape[1]]) if i < j]
+    a = checked[:, above]
+    b = np.conj(checked[:, [MIRROR[n] for n in above]])
     # |a - conj(b)| = |b - conj(a)| to the bit, so the entries above the
     # diagonal suffice, and |d - conj(d)| is |Im d + Im d|; column by column,
     # as numpy reduces a short row axis slowly
-    diag = [checked[:, entries.index((i, i))] for i in range(4)]
+    diag = [checked[:, i] for i in range(4)]
     herm = functools.reduce(np.maximum, [*np.abs(a - b).T,
                                          *(np.abs(d.imag + d.imag) for d in diag)])
-    tr = trace_of(checked, entries)
+    tr = trace_of(checked)
     tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     # where the off-X entries of h = (M + M^H)/2 are all exactly zero, h is the
     # direct sum of its {00,11} and {01,10} blocks, and the smallest
     # eigenvalue of a block [[p, z], [z*, q]] is (p+q)/2 - hypot((p-q)/2, |z|);
-    # h is formed in full only for the matrices that go to LAPACK
-    h = _half_sum(a, b)
-    general = functools.reduce(np.logical_or, [h[:, k] != 0 for k, e in enumerate(above)
-                                               if e not in X_ENTRIES], np.zeros(len(h), bool))
+    # h is formed in full only for the matrices that go to LAPACK.  Each term
+    # is halved in place before the sum, which then cannot overflow
+    h = np.multiply(a, 0.5, out=a)
+    h += np.multiply(b, 0.5, out=b)
+    general = functools.reduce(np.logical_or, [h[:, k] != 0 for k in range(2, len(above))],
+                               np.zeros(len(h), bool))
     # a mask copies each column it picks: the slice of an all-X stack validates
     # 2,000 X rows in about 180 us against 215 us (x86-64, numpy 2.4.6)
     rows = ~general if general.any() else slice(None)
     low = []
-    for i, j in ((0, 3), (1, 2)):
+    for k, (i, j) in enumerate(((0, 3), (1, 2))):
         p, q = diag[i][rows].real, diag[j][rows].real   # Re h_ii = Re d_ii
-        z = np.abs(h[rows, above.index((i, j))])
+        z = np.abs(h[rows, k])
         low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
     neg = np.empty(len(h))
     neg[rows] = -np.minimum(*low)
     eigs = np.empty((0, 4)), np.empty((0, 4, 4), complex)
-    if general.any():
-        h = checked[general]
-        h = _half_sum(h, np.conj(h[:, [entries.index((j, i)) for i, j in entries]]))
-        eigs = np.linalg.eigh(as_matrices(h, entries))
+    if general.any():   # only a 16-wide stack has general rows
+        h = 0.5 * checked[general]
+        h += np.conj(h[:, MIRROR])
+        eigs = np.linalg.eigh(as_matrices(h))
         neg[general] = -eigs[0][:, 0]
     failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
@@ -187,7 +191,7 @@ def validate_density(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    validate_eigs(m.reshape(1, 16), ENTRIES)
+    validate_eigs(columns(m[None]))
     m.setflags(write=False)
     return m
 

@@ -13,13 +13,13 @@ minimisation over projective measurements.
 
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
-on scalars.  ``x_elements_from_columns`` reads them off the ``(n, k)``
-columns that every run carries (``scenarios._trajectory_metrics``) and off
-the X columns of the closed-form stationary states
-(``scenarios.stationary_metrics``), after ``linalg.validate_eigs`` has
-checked them and chosen each snapshot's route; ``x_elements_from_matrix`` is
-its form for computational matrices.  ``x_elements_from_dressed`` reads the
-same elements off a dressed-basis micro state and serves as its cross-check.
+on scalars.  ``x_elements_from_columns`` reads them off the first eight
+columns of a run (``scenarios._trajectory_metrics``) and of the closed-form
+stationary states (``scenarios.stationary_metrics``), after
+``linalg.validate_eigs`` has checked them and chosen each snapshot's route;
+``x_elements_from_matrix`` is its form for computational matrices.
+``x_elements_from_dressed`` reads the same elements off a dressed-basis
+micro state and serves as its cross-check.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ENTRIES, PSD_TOL, TRACE_TOL, NotPSD, hermitian_eigs, partial_trace_q2
+from .linalg import PSD_TOL, TRACE_TOL, NotPSD, columns, hermitian_eigs, partial_trace_q2
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
@@ -120,24 +120,20 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame):
     return x, ~(np.abs(r[..., 0, 3]) > X_TOL) & x.valid()
 
 
-def x_elements_from_columns(cols, entries) -> XStateElements:
-    """The X elements of a ``(..., k)`` stack of the columns of
-    computational-basis ``entries``; whether a snapshot is X-shaped, and a
-    state at all, is ``linalg.validate_eigs``' to decide."""
+def x_elements_from_columns(cols) -> XStateElements:
+    """The X elements of a ``(..., k)`` stack of computational-basis
+    ``linalg.ENTRIES`` columns; whether a snapshot is X-shaped, and a state
+    at all, is ``linalg.validate_eigs``' to decide."""
     c = np.asarray(cols)
-    at = entries.index
-    return XStateElements(
-        p00=c[..., at((0, 0))].real, p01=c[..., at((1, 1))].real,
-        p10=c[..., at((2, 2))].real, p11=c[..., at((3, 3))].real,
-        outer=c[..., at((0, 3))], inner=c[..., at((1, 2))],
-    )
+    return XStateElements(p00=c[..., 0].real, p01=c[..., 1].real,
+                          p10=c[..., 2].real, p11=c[..., 3].real,
+                          outer=c[..., 4], inner=c[..., 6])
 
 
 def x_elements_from_matrix(rho: np.ndarray) -> XStateElements:
     """``x_elements_from_columns`` of a computational-basis matrix or of
     each matrix of a ``(..., 4, 4)`` stack."""
-    r = np.asarray(rho)
-    return x_elements_from_columns(r.reshape(r.shape[:-2] + (16,)), ENTRIES)
+    return x_elements_from_columns(columns(rho))
 
 
 def concurrence_x(x: XStateElements) -> np.ndarray:
@@ -237,14 +233,14 @@ def discord_approx_q2(x: XStateElements) -> np.ndarray:
 def linear_entropy_q1(state):
     """Mixedness of qubit 1: 1 - Tr(rho_q1^2), in [0, 1/2].
 
-    For X elements (one state or an array of snapshots) this reduces to
-    2 P0 (1 - P0) with P0 the qubit-1 ground probability; for full states
-    (one computational-basis matrix or a ``(..., 4, 4)`` stack of them) the
-    partial trace decides.
+    Both routes evaluate it as 2 det rho_q1, which equals it at unit trace
+    and gives one value for a snapshot whose trace is off by rounding.  For
+    X elements (one state or an array of snapshots) that is 2 P0 P1, with
+    P0 and P1 the qubit-1 populations; for full states (one
+    computational-basis matrix or a ``(..., 4, 4)`` stack of them) it is
+    2 (Re r00 Re r11 - |r01|^2) of the partial trace r.
     """
     if isinstance(state, XStateElements):
-        p0 = state.p00 + state.p01
-        return 2.0 * p0 * (1.0 - p0)
-    reduced = partial_trace_q2(state)
-    purity = np.trace(reduced @ reduced, axis1=-2, axis2=-1).real
-    return (1.0 - purity)[()]
+        return 2.0 * (state.p00 + state.p01) * (state.p10 + state.p11)
+    r = partial_trace_q2(state)
+    return (2.0 * (r[..., 0, 0].real * r[..., 1, 1].real - np.abs(r[..., 0, 1]) ** 2))[()]

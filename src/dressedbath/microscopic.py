@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import integrate
-from .linalg import ROUNDING_TOL, THERMAL_TOL, UPPER
+from .linalg import COLUMN, ROUNDING_TOL, THERMAL_TOL, UPPER, width
 from .model import KB_OVER_HBAR, DressedFrame, RateSet, SystemParams
 
 
@@ -75,9 +75,9 @@ def liouvillian(rates: RateSet, frame: DressedFrame) -> np.ndarray:
 
 
 def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
-                       times, entries) -> np.ndarray:
+                       times) -> np.ndarray:
     """Closed-form dressed-basis evolution on a time grid, as the ``(n, k)``
-    columns at ``entries`` (``linalg.X_ENTRIES``, or ``ENTRIES``: rows of 4x4).
+    columns of ``linalg.ENTRIES``, ``k = linalg.width(rho0)``.
 
     State k = 2h + l holds l = k % 2 quanta of the low channel
     (ground-antisym, sym-top) and h = k // 2 of the high one (ground-sym,
@@ -93,12 +93,12 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
-    at = {e: n for n, e in enumerate(entries)}
+    n_cols = width(rho0)
 
     cl, el = rates.decay_low, rates.excitation_low
     ch, eh = rates.decay_high, rates.excitation_high
     s_low, s_high = channel_sums(rates)
-    out = np.zeros((len(t), len(entries)), dtype=complex)
+    out = np.zeros((len(t), n_cols), dtype=complex)
     # overflowing rates, and phases past the double range, make inf and nan
     # here; validation reports the non-finite snapshots (NotFinite), so numpy
     # need not warn first
@@ -109,26 +109,26 @@ def propagate_analytic(rho0: np.ndarray, rates: RateSet, frame: DressedFrame,
         p = rho0.diagonal().real
         low = [_move(f_low, cl, el, p[k], p[k + 1]) for k in (0, 2)]
         for l in (0, 1):
-            out[:, at[l, l]], out[:, at[l + 2, l + 2]] = _move(
+            out[:, COLUMN[l, l]], out[:, COLUMN[l + 2, l + 2]] = _move(
                 f_high, ch, eh, low[0][l], low[1][l])
 
         phase_low = np.exp(1j * frame.bohr_low * t)
         phase_gap = np.exp(1j * frame.gap * t)
         decay_low, decay_high = np.exp(-0.5 * s_low * t), np.exp(-0.5 * s_high * t)
         both = decay_low * decay_high
-        out[:, at[0, 3]] = _fade(phase_low * phase_low * phase_gap, both) * rho0[0, 3]
-        out[:, at[1, 2]] = _fade(phase_gap, both) * rho0[1, 2]
-        # the four channel coherences: not X entries, and +0 from an X start
-        if (0, 1) in at and rho0[[0, 2, 0, 1], [1, 3, 2, 3]].any():
+        out[:, COLUMN[0, 3]] = _fade(phase_low * phase_low * phase_gap, both) * rho0[0, 3]
+        out[:, COLUMN[1, 2]] = _fade(phase_gap, both) * rho0[1, 2]
+        # the four channel coherences: off-X entries, not carried from an X start
+        if n_cols == 16:
             pre = _fade(phase_low, decay_low)
             ab, cd = _move(f_high, ch, eh, rho0[0, 1], rho0[2, 3])
-            out[:, at[0, 1]], out[:, at[2, 3]] = pre * ab, pre * cd
+            out[:, COLUMN[0, 1]], out[:, COLUMN[2, 3]] = pre * ab, pre * cd
             pre = _fade(phase_low * phase_gap, decay_high)
             ac, bd = _move(f_low, cl, el, rho0[0, 2], -rho0[1, 3])
-            out[:, at[0, 2]], out[:, at[1, 3]] = pre * ac, -pre * bd
+            out[:, COLUMN[0, 2]], out[:, COLUMN[1, 3]] = pre * ac, -pre * bd
 
-    for i, j in filter(at.__contains__, UPPER):
-        out[:, at[j, i]] = np.conj(out[:, at[i, j]])
+    for i, j in (e for e in UPPER if COLUMN[e] < n_cols):   # no wider temporary
+        out[:, COLUMN[j, i]] = np.conj(out[:, COLUMN[i, j]])
     return out
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .linalg import COLUMN, ENTRIES
+
 # Boltzmann constant over hbar; converts Kelvin to 1/s.
 KB_OVER_HBAR = 1.309193e11
 # hottest bath whose kB T / hbar is a finite double (about 1.37e297 K)
@@ -102,9 +104,10 @@ class DressedFrame:
         u = self.unitary
         return u.conj().T @ m @ u
 
-    def to_computational_columns(self, d, entries) -> np.ndarray:
-        """``U d U^dagger`` as ``(..., k)`` columns at ``entries``
-        (``linalg.ENTRIES`` or ``X_ENTRIES``), from the dressed ``d`` at them.
+    def to_computational_columns(self, d) -> np.ndarray:
+        """``U d U^dagger`` as ``(..., k)`` columns of ``linalg.ENTRIES``,
+        from the dressed ``d`` at them; the basis change keeps a matrix
+        X-shaped, so the columns of ``d`` are all it needs.
 
         Each entry sums the four terms of its blocks, ``(u[i,j] d[...,j,k])
         conj(u[l,k])``, in ascending j, then k, from 0.0: the order of
@@ -115,11 +118,11 @@ class DressedFrame:
         u = self.unitary
         uc = u.conj()
         out = np.empty(d.shape, dtype=complex)
-        for n, (i, l) in enumerate(entries):
+        for n, (i, l) in enumerate(ENTRIES[:d.shape[-1]]):
             acc = 0.0
             for j in _BLOCK_OF[i]:
                 for k in _BLOCK_OF[l]:
-                    acc = acc + (u[i, j] * d[..., entries.index((j, k))]) * uc[l, k]
+                    acc = acc + (u[i, j] * d[..., COLUMN[j, k]]) * uc[l, k]
             out[..., n] = acc
         return out
 

@@ -85,12 +85,10 @@ def liouvillian_from_ops(p: SystemParams, rates: RateSet) -> np.ndarray:
                                                (rates.absorption_bare, lower.conj().T)))
 
 
-def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times,
-              entries) -> np.ndarray:
+def propagate(rho0: np.ndarray, p: SystemParams, rates: RateSet, times) -> np.ndarray:
     """Exact trajectory in the computational basis: the ``(n, k)`` columns
-    of ``entries`` (``integrate.propagate`` of the operator-form generator)."""
-    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times,
-                               entries)
+    of ``integrate.propagate`` of the operator-form generator."""
+    return integrate.propagate(liouvillian_from_ops(p, rates), rho0, times)
 
 
 def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:

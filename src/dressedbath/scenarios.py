@@ -19,9 +19,9 @@ import numpy as np
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .csvtext import SLOTS, _fmt, g17_slots
-from .linalg import (_OFF_X, ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                     EVOLVED_TRACE_TOL, PSD_TOL, THERMAL_TOL, UPPER, X_ENTRIES,
-                     NotFinite, as_matrices, validate_eigs, validate_density)
+from .linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL, PSD_TOL,
+                     THERMAL_TOL, UPPER, NotFinite, as_matrices, columns, validate_eigs,
+                     validate_density, width)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -39,7 +39,7 @@ _POPULATIONS = ("pop_00", "pop_01", "pop_10", "pop_11")   # the "populations" co
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-# at the cap the process peaked at 186 MB for `figure 2` and 206 MB for `figure 9`
+# at the cap the process peaked at 173 MB for `figure 2` and 200 MB for `figure 9`
 # (X starts; X runs stay under 240 MB) and at 744 MB for a non-X `evolve --config`
 # run with three metrics (non-X runs stay under 1,000 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
@@ -154,39 +154,40 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
-def _trajectory_metrics(stack, entries, wanted):
+def _trajectory_metrics(stack, wanted):
     """``run_scenario``'s stages after propagation on one model's trajectory
-    (a ``_propagation`` stack over ``entries``): the worst margins of its
-    snapshots, its metric columns and the route (index into ROUTES) of each
-    snapshot.  Validation checks every snapshot at the evolved tolerances,
-    positivity at ``PSD_TOL`` when an entanglement measure is wanted, and
-    routes the snapshots that are not exactly X-shaped to the general route,
-    with its eigenpairs.  Each X-form metric is one call on the X elements of
+    (a ``_propagation`` stack): the worst margins of its snapshots, its
+    metric columns and the route (index into ROUTES) of each snapshot.
+    Validation checks every snapshot at the evolved tolerances, positivity
+    at ``PSD_TOL`` when an entanglement measure is wanted, and routes the
+    snapshots that are not exactly X-shaped to the general route, with its
+    eigenpairs.  Each X-form metric is one call on the X elements of
     the whole stack; the general route then overwrites its own rows.  No
     column holds a view of ``stack``, which dies after.
     """
     psd_tol = PSD_TOL if {"concurrence", "discord"} & set(wanted) else EVOLVED_PSD_TOL
-    margins, general, eigs = validate_eigs(stack, entries, herm_tol=EVOLVED_HERM_TOL,
+    margins, general, eigs = validate_eigs(stack, herm_tol=EVOLVED_HERM_TOL,
                                            trace_tol=EVOLVED_TRACE_TOL, psd_tol=psd_tol)
     if general.any() and "discord" in wanted:
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
-    x = metrics.x_elements_from_columns(stack, entries)
+    x = metrics.x_elements_from_columns(stack)
     cols = {m: getattr(metrics, _X_FORM[m])(x) for m in wanted if m in _X_FORM}
     if general.any() and "concurrence" in wanted:
         cols["concurrence"][general] = metrics.concurrence_from_eigs(*eigs)
     if general.any() and "linear_entropy" in wanted:
         cols["linear_entropy"][general] = metrics.linear_entropy_q1(
-            as_matrices(stack[general], entries))
+            as_matrices(stack[general]))
     if "populations" in wanted:   # copies of the stack's .real views
         cols.update(zip(_POPULATIONS, (p.copy() for p in (x.p00, x.p01, x.p10, x.p11))))
     return margins, cols, general.astype(np.int8)
 
 
 def _propagation(cfg: ScenarioConfig):
-    """The frame, time grid and entries of ``cfg``'s run, and ``stack_of``, which
-    propagates a model to its ``(n, k)`` computational columns at the entries."""
+    """The frame and time grid of ``cfg``'s run, and ``stack_of``, which
+    propagates a model to its ``(n, k)`` computational columns (8 for an
+    X-shaped trajectory, which both models keep from an X start)."""
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     t_max = resolve_t_max(cfg, rates)
@@ -198,15 +199,13 @@ def _propagation(cfg: ScenarioConfig):
             f"time span {t_max:.6g} s is too short for n_points = "
             f"{cfg.n_points} strictly increasing times; set t_max")
     rho0 = initial_state_matrix(cfg, frame)
-    # both models and the basis change keep an X start X-shaped: carry its X columns
-    entries = ENTRIES if rho0[_OFF_X].any() else X_ENTRIES
 
     def stack_of(model):
         if model == "micro":   # the dressed columns die once rotated
             return frame.to_computational_columns(microscopic.propagate_analytic(
-                frame.to_dressed(rho0), rates, frame, times, entries), entries)
-        return phenomenological.propagate(rho0, cfg.params, rates, times, entries)
-    return frame, times, entries, stack_of
+                frame.to_dressed(rho0), rates, frame, times))
+        return phenomenological.propagate(rho0, cfg.params, rates, times)
+    return frame, times, stack_of
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trajectory:
@@ -217,11 +216,11 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     before any metric touches it; the worst margins go to ``margins``.  A
     model's stack lives only from its propagation to its metrics.
     """
-    frame, times, entries, stack_of = _propagation(cfg)
+    frame, times, stack_of = _propagation(cfg)
     series, margins, routes = {}, {}, {}
     for model in cfg.models:
         margins[model], series[model], routes[model] = _trajectory_metrics(
-            stack_of(model), entries, cfg.metrics)
+            stack_of(model), cfg.metrics)
     return Trajectory(times=times, series=series, margins=margins, routes=routes,
                       config=cfg, fairness_lines=fairness_check(cfg.params, frame))
 
@@ -454,9 +453,9 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
     two states: the micro rate-ratio one (dressed basis) and the phenom
     closed form of ``phenomenological.steady_state`` (computational basis).
 
-    Both take a run's X route, as one ``(2, 8)`` stack of X columns (every
-    other entry of both is an exact zero) validated at the construction
-    tolerances.
+    Both take a run's route, as one stack of the width ``linalg.width`` gives
+    them (8: every off-X entry of both is an exact zero), validated at the
+    construction tolerances.
     At coupling 0 the isolated qubit never relaxes and the phenom stationary
     state is not unique: the closed form is then its coupling -> 0+ limit.
     """
@@ -467,10 +466,11 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
         raise ConfigError("no stationary state: all rates vanish")
     micro = microscopic.steady_state(rates)
     phenom = phenomenological.steady_state(params, rates)
-    x_of = tuple(zip(*X_ENTRIES))
-    cols = np.stack([frame.to_computational_columns(micro[x_of], X_ENTRIES), phenom[x_of]])
-    validate_eigs(cols, X_ENTRIES)
-    x = metrics.x_elements_from_columns(cols, X_ENTRIES)
+    states = np.stack([micro, phenom])
+    cols = columns(states)[:, :width(states)]
+    cols[0] = frame.to_computational_columns(cols[0])
+    validate_eigs(cols)
+    x = metrics.x_elements_from_columns(cols)
     values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM.items() if m in wanted}
     return ({model: {m: float(v[i]) for m, v in values.items()}
              for i, model in enumerate(MODELS)}, micro, phenom)

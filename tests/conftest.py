@@ -34,26 +34,36 @@ def random_x_state(rng) -> XStateElements:
 def to_computational(frame, d):
     """``U d U^dagger`` of ``frame``: a dressed-basis matrix, or each matrix
     of a ``(..., 4, 4)`` stack, in the computational basis, through the
-    basis change of a run on all sixteen entries."""
-    from dressedbath.linalg import ENTRIES
-    return frame.to_computational_columns(d.reshape(d.shape[:-2] + (16,)),
-                                          ENTRIES).reshape(d.shape)
+    basis change of a run on all sixteen columns."""
+    from dressedbath.linalg import as_matrices, columns
+    cols = frame.to_computational_columns(columns(d))
+    return as_matrices(cols.reshape(-1, 16)).reshape(d.shape)
 
 
 def dressed_matrices(rho0, rates, frame, times):
     """The ``(n, 4, 4)`` dressed matrices of the micro closed form on
-    ``times`` (one row for a scalar time): its ``ENTRIES`` columns."""
-    from dressedbath.linalg import ENTRIES
+    ``times`` (one row for a scalar time)."""
+    from dressedbath.linalg import as_matrices
     from dressedbath.microscopic import propagate_analytic
-    return propagate_analytic(rho0, rates, frame, times, ENTRIES).reshape(-1, 4, 4)
+    return as_matrices(propagate_analytic(rho0, rates, frame, times))
+
+
+def sixteen_wide(monkeypatch, fn, *args):
+    """``fn(*args)`` with both propagators held to all sixteen columns
+    (``linalg.width`` replaced by 16): the dense form of an X run."""
+    from dressedbath import integrate, microscopic
+    with monkeypatch.context() as patch:
+        for module in (integrate, microscopic):
+            patch.setattr(module, "width", lambda _: 16)
+        return fn(*args)
 
 
 def run_stacks(cfg):
-    """The entries of ``cfg``'s run and model -> its ``(n, k)`` stack, from
-    the propagation that ``run_scenario`` runs (``scenarios._propagation``)."""
+    """model -> the ``(n, k)`` stack of ``cfg``'s run, from the propagation
+    that ``run_scenario`` runs (``scenarios._propagation``)."""
     from dressedbath.scenarios import _propagation
-    _, _, entries, stack_of = _propagation(cfg)
-    return entries, {model: stack_of(model) for model in cfg.models}
+    _, _, stack_of = _propagation(cfg)
+    return {model: stack_of(model) for model in cfg.models}
 
 
 def g17_texts(values):
@@ -75,18 +85,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def margins_of(cols, entries, **tolerances):
+def margins_of(cols, **tolerances):
     """The margins of ``linalg.validate_eigs``."""
     from dressedbath.linalg import validate_eigs
-    return validate_eigs(cols, entries, **tolerances)[0]
+    return validate_eigs(cols, **tolerances)[0]
 
 
 def dense_stages(cfg):
-    """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, the route of a
+    """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, all sixteen
+    columns through the basis change, validation and the metrics, as for a
     non-X start: per model the stack, its margins, series and routes.  The
     margins are ``validate_eigs``' at the evolved tolerances."""
     from dressedbath import phenomenological, scenarios
-    from dressedbath.linalg import ENTRIES
+    from dressedbath.linalg import as_matrices, columns
     from dressedbath.model import dressed_frame, rate_set
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -98,17 +109,15 @@ def dense_stages(cfg):
             stack = to_computational(frame, dressed_matrices(
                 frame.to_dressed(rho0), rates, frame, times))
         else:
-            stack = phenomenological.propagate(rho0, cfg.params, rates, times,
-                                               ENTRIES).reshape(-1, 4, 4)
-        marked, series, routes = scenarios._trajectory_metrics(
-            stack.reshape(-1, 16), ENTRIES, cfg.metrics)
-        margins = margins_of(stack.reshape(-1, 16), ENTRIES, **EVOLVED)
+            stack = as_matrices(phenomenological.propagate(rho0, cfg.params, rates, times))
+        marked, series, routes = scenarios._trajectory_metrics(columns(stack), cfg.metrics)
+        margins = margins_of(columns(stack), **EVOLVED)
         assert marked == margins
         out[model] = stack, margins, series, routes
     return out
 
 
-def trajectory_metrics_per_snapshot(stack, entries, wanted):
+def trajectory_metrics_per_snapshot(stack, wanted):
     """``scenarios._trajectory_metrics`` one snapshot at a time, in order:
     each snapshot validated at the evolved tolerances, positivity at
     ``PSD_TOL`` when concurrence or discord is wanted; then discord refused
@@ -118,14 +127,14 @@ def trajectory_metrics_per_snapshot(stack, entries, wanted):
     Returns the margins, series and routes.  Every metric runs on a stack of
     one snapshot."""
     from dressedbath import metrics
-    from dressedbath.linalg import _OFF_X, PSD_TOL, Margins, as_matrices, validate_eigs
+    from dressedbath.linalg import PSD_TOL, Margins, as_matrices, columns, validate_eigs
     tolerances = dict(EVOLVED)
     if {"concurrence", "discord"} & set(wanted):
         tolerances["psd_tol"] = PSD_TOL
-    margins = [validate_eigs(row[None], entries, **tolerances)[0] for row in stack]
-    states = as_matrices(stack, entries)
+    margins = [validate_eigs(row[None], **tolerances)[0] for row in stack]
+    states = as_matrices(stack)
     herm = 0.5 * (states + states.conj().swapaxes(-1, -2))
-    general = herm[:, _OFF_X[0], _OFF_X[1]].any(axis=1)
+    general = columns(herm)[:, 8:].any(axis=1)   # its off-X entries
     if "discord" in wanted and general.any():
         raise metrics.AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
@@ -137,7 +146,7 @@ def trajectory_metrics_per_snapshot(stack, entries, wanted):
                  "linear_entropy": metrics.linear_entropy_q1}
     rows = []
     for i, is_general in enumerate(general):
-        x = metrics.x_elements_from_columns(stack[i:i + 1], entries)
+        x = metrics.x_elements_from_columns(stack[i:i + 1])
         row = {m: (on_matrix[m](states[i:i + 1]) if is_general else x_form[m](x))
                for m in wanted if m in x_form}
         if "populations" in wanted:
@@ -154,12 +163,12 @@ def stationary_per_model(params, frame, rates):
     validated, read by ``x_elements_from_matrix`` and the X-form metrics one
     model at a time; the bitwise oracle of ``scenarios.stationary_metrics``."""
     from dressedbath import metrics, microscopic, phenomenological
-    from dressedbath.linalg import ENTRIES, validate_eigs
+    from dressedbath.linalg import columns, validate_eigs
     states = {"micro": to_computational(frame, microscopic.steady_state(rates)),
               "phenom": phenomenological.steady_state(params, rates)}
     out = {}
     for model, state in states.items():
-        general = validate_eigs(state.reshape(1, 16), ENTRIES)[1]
+        general = validate_eigs(columns(state[None]))[1]
         assert not general.any(), f"{model} stationary state is not X-shaped"
         x = metrics.x_elements_from_matrix(state)
         out[model] = {"concurrence": float(metrics.concurrence_x(x)),
@@ -210,8 +219,8 @@ def outcome(fn, *args, **kwargs):
 def assert_run_matches_dense(cfg):
     """``run_scenario`` gives the series, routes and margins of
     ``dense_stages``, and its propagation (``run_stacks``) the snapshots,
-    bit for bit, or both raise the same error; returns the run's entries
-    and stacks, or None after an error."""
+    bit for bit, or both raise the same error; returns the run's stacks, or
+    None after an error."""
     from dressedbath.linalg import as_matrices
     from dressedbath.scenarios import run_scenario
     results = []
@@ -224,7 +233,7 @@ def assert_run_matches_dense(cfg):
     if isinstance(dense, Exception) or isinstance(traj, Exception):
         assert (type(traj), str(traj)) == (type(dense), str(dense))
         return None
-    entries, stacks = run_stacks(cfg)
+    stacks = run_stacks(cfg)
     for model, (stack, margins, series, routes) in dense.items():
         assert traj.margins[model] == margins
         np.testing.assert_array_equal(traj.routes[model], routes)
@@ -233,8 +242,8 @@ def assert_run_matches_dense(cfg):
             np.testing.assert_array_equal(bits(traj.series[model][name]),
                                           bits(column))
         np.testing.assert_array_equal(
-            bits(as_matrices(stacks[model], entries)), bits(stack))
-    return entries, stacks
+            bits(as_matrices(stacks[model])), bits(stack))
+    return stacks
 
 
 # -- two-eigensolve spin-flip concurrence: an oracle of concurrence_general ---

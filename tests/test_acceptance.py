@@ -14,7 +14,7 @@ from dressedbath import metrics as mx
 from dressedbath import microscopic as mic
 from dressedbath import phenomenological as ph
 from dressedbath import scenarios
-from dressedbath.linalg import ENTRIES, as_matrices, validate_eigs
+from dressedbath.linalg import as_matrices, columns, validate_eigs
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import compare_report, figure_preset, run_scenario
 
@@ -50,9 +50,8 @@ def test_criterion_1_solver_cross_validation():
         span = scenarios.resolve_t_max(cfg, rates)
         times = np.linspace(0.0, span, 2000)
         rho0 = frame.unitary.conj().T @ ket10() @ frame.unitary
-        analytic = mic.propagate_analytic(rho0, rates, frame, times, ENTRIES)
-        numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times, ENTRIES)
+        analytic = mic.propagate_analytic(rho0, rates, frame, times)
+        numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0, times)
         elapsed = time.perf_counter() - start
         worst_dev = max(worst_dev, np.abs(analytic - numeric).max())
         worst_time = max(worst_time, elapsed)
@@ -86,8 +85,7 @@ def test_criterion_3_phenom_steady_state_not_thermal():
     frame = dressed_frame(p)
     rates = rate_set(p, frame)
     span = 50.0 / (rates.emission_bare + rates.absorption_bare)
-    traj = ph.propagate(ket10(), p, rates, np.linspace(0.0, span, 500),
-                        ENTRIES).reshape(-1, 4, 4)
+    traj = as_matrices(ph.propagate(ket10(), p, rates, np.linspace(0.0, span, 500)))
     closed = ph.steady_state(p, rates)
     integ_dev = np.abs(traj[-1] - closed).max()
 
@@ -225,10 +223,9 @@ def test_criterion_7_metric_property_suites():
 
     snapshots = 0
     for cfg in (figure_preset(2), figure_preset(8)[1]):
-        entries, stacks = run_stacks(cfg)
-        for stack in stacks.values():
-            for snapshot in as_matrices(stack, entries):
-                validate_eigs(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
+        for stack in run_stacks(cfg).values():
+            for snapshot in as_matrices(stack):
+                validate_eigs(columns(snapshot[None]), **EVOLVED)
                 snapshots += 1
 
     # conc_dev measured 8.3e-15

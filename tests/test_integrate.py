@@ -11,8 +11,8 @@ from dressedbath import phenomenological as ph
 from dressedbath.cli import main
 from dressedbath.integrate import (TraceDrift, lindblad, propagate,
                                    superoperator_from_rhs)
-from dressedbath.linalg import (ENTRIES, EVOLVED_TRACE_TOL, X_ENTRIES, NotFinite,
-                                as_matrices, trace_of)
+from dressedbath.linalg import (COLUMN, EVOLVED_TRACE_TOL, MIRROR, VEC, NotFinite,
+                                as_matrices, columns, trace_of, width)
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, hamiltonian, rate_set
 from dressedbath.scenarios import figure_preset, initial_state_matrix, resolve_t_max
@@ -47,7 +47,7 @@ def test_superoperator_matches_direct_map():
 
 def test_rejects_non_increasing_grid():
     with pytest.raises(ValueError):
-        propagate(np.zeros((16, 16)), np.eye(4) / 4, [0.0, 1.0, 1.0], ENTRIES)
+        propagate(np.zeros((16, 16)), np.eye(4) / 4, [0.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -55,7 +55,7 @@ def test_non_finite_generator_is_not_finite(bad):
     gen = np.zeros((16, 16), dtype=complex)
     gen[3, 7] = bad
     with pytest.raises(NotFinite):
-        propagate(gen, np.eye(4, dtype=complex) / 4, [0.0, 1.0], ENTRIES)
+        propagate(gen, np.eye(4, dtype=complex) / 4, [0.0, 1.0])
 
 
 def test_trace_leak_raises_trace_drift():
@@ -63,16 +63,14 @@ def test_trace_leak_raises_trace_drift():
     # eigenvalues are all 0.1, far from the pinned-zero window
     leak = 0.1 * np.eye(16, dtype=complex)
     with pytest.raises(TraceDrift):
-        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 50.0, 20),
-                  ENTRIES)
+        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 50.0, 20))
 
 
 def test_trace_drift_reports_first_offending_point():
     # the trace grows as exp(2.2e-8 t): 8.8e-9 off at t = 0.4, 1.1e-8 at 0.5
     leak = 2.2e-8 * np.eye(16, dtype=complex)
     with pytest.raises(TraceDrift) as err:
-        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 1.0, 11),
-                  ENTRIES)
+        propagate(leak, np.eye(4, dtype=complex) / 4, np.linspace(0.0, 1.0, 11))
     assert str(err.value) == "trace drifted by 1.100e-08 at t=5.000000e-01"
 
 
@@ -83,23 +81,21 @@ def test_unitary_generator_preserves_trace_and_hermiticity():
     eye = np.eye(4)
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    traj = propagate(gen, rho0, np.linspace(0.0, 3.0, 40), ENTRIES).reshape(-1, 4, 4)
+    traj = as_matrices(propagate(gen, rho0, np.linspace(0.0, 3.0, 40)))
     traces = np.einsum('tii->t', traj)
     assert np.abs(traces - 1.0).max() < 1e-10
     assert np.abs(traj - np.conj(np.swapaxes(traj, 1, 2))).max() < 1e-12
 
 
 def test_unreachable_entries_stay_exactly_zero():
-    # the phenom generator never feeds the off-X entries of an X-shaped start
+    # the phenom generator never feeds the off-X entries of an X-shaped start:
+    # its trajectory is the eight X columns, +0 at every other entry
     cfg = figure_preset(2)
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     times = np.linspace(0.0, resolve_t_max(cfg, rates), 50)
-    traj = ph.propagate(initial_state_matrix(cfg, frame), cfg.params, rates, times,
-                        ENTRIES).reshape(-1, 4, 4)
-    off_x = np.ones((4, 4), dtype=bool)
-    off_x[[0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]] = False
-    assert not traj[:, off_x].any()
+    traj = ph.propagate(initial_state_matrix(cfg, frame), cfg.params, rates, times)
+    assert traj.shape == (50, 8)
 
 
 def test_grid_may_start_late_and_be_non_uniform():
@@ -109,11 +105,9 @@ def test_grid_may_start_late_and_be_non_uniform():
     rates = rate_set(cfg.params, frame)
     span = resolve_t_max(cfg, rates)
     rho0 = initial_state_matrix(cfg, frame)
-    whole = ph.propagate(rho0, cfg.params, rates, np.linspace(0.0, span, 5),
-                         ENTRIES).reshape(-1, 4, 4)
+    whole = ph.propagate(rho0, cfg.params, rates, np.linspace(0.0, span, 5))
     late = ph.propagate(rho0, cfg.params, rates,
-                        span * np.array([1.0, 1.01, 1.5, 1.75, 2.0]),
-                        ENTRIES).reshape(-1, 4, 4)
+                        span * np.array([1.0, 1.01, 1.5, 1.75, 2.0]))
     assert np.abs(late[[0, 2, 3, 4]] - whole[[0, 2, 3, 4]]).max() < 1e-11
 
 
@@ -125,7 +119,7 @@ def test_phenom_presets_match_expm(cfg, expm):
     rho0 = initial_state_matrix(cfg, frame)
     gen = ph.liouvillian_from_ops(cfg.params, rates)
     exact = expm_trajectory(expm, gen, rho0, times)
-    traj = propagate(gen, rho0, times, ENTRIES).reshape(-1, 4, 4)
+    traj = as_matrices(propagate(gen, rho0, times))
     assert np.abs(traj - exact).max() <= 1e-11
 
 
@@ -142,7 +136,7 @@ def test_exceptional_point_matches_expm(expm):
     rho0[2, 2] = 1.0
     times = np.linspace(0.0, 10.0 / (rates.emission_bare + rates.absorption_bare), 9)
     exact = expm_trajectory(expm, gen, rho0, times)
-    traj = propagate(gen, rho0, times, ENTRIES).reshape(-1, 4, 4)
+    traj = as_matrices(propagate(gen, rho0, times))
     assert np.abs(traj - exact).max() <= 1e-10
 
 
@@ -152,8 +146,7 @@ def test_long_phenom_run_ends_at_steady_state(tmp_path):
     assert main(["evolve", "--figure", "2", "--tmax", "10", "--model", "phenom",
                  "--out", str(out_dir)]) == 0
     cfg = replace(figure_preset(2), t_max=10.0, models=("phenom",))
-    entries, stacks = run_stacks(cfg)
-    final = as_matrices(stacks["phenom"], entries)[-1]
+    final = as_matrices(run_stacks(cfg)["phenom"])[-1]
     steady = ph.steady_state(cfg.params, rate_set(cfg.params))
     assert np.abs(final - steady).max() <= 1e-12
 
@@ -278,17 +271,17 @@ class _Reached(Exception):
 
 
 def assert_propagate_reaches(generator, rho0, expected, monkeypatch):
-    """``propagate`` restricts itself to exactly the entries ``expected``:
-    every one of them must be in ``entries``, and no other one need be."""
-    def stop(_):
+    """``propagate`` restricts its generator to exactly the vec entries
+    ``expected``."""
+    reached = []
+
+    def stop(rows, _):
+        reached.append(rows.copy())
         raise _Reached
-    monkeypatch.setattr(np.linalg, "eig", stop)
-    entries = [divmod(k, 4) for k in np.flatnonzero(expected)]
+    monkeypatch.setattr(np, "ix_", stop)
     with pytest.raises(_Reached):
-        propagate(generator, rho0, [0.0, 1.0], entries)
-    for k in range(len(entries)):
-        with pytest.raises(ValueError):
-            propagate(generator, rho0, [0.0, 1.0], entries[:k] + entries[k + 1:])
+        propagate(generator, rho0, [0.0, 1.0])
+    np.testing.assert_array_equal(reached[0], expected)
 
 
 def test_reachability_stops_at_the_16_pass_closure(monkeypatch):
@@ -329,22 +322,20 @@ def test_in_place_fold_is_the_out_of_place_fold_to_the_bit(start, monkeypatch):
     rates = rate_set(cfg.params, frame)
     times = np.linspace(0.0, resolve_t_max(cfg, rates), 400)
     gen = ph.liouvillian_from_ops(cfg.params, rates)
-    rho0, entries = initial_state_matrix(cfg, frame), X_ENTRIES
+    rho0, k = initial_state_matrix(cfg, frame), 8
     if start == "entries":
-        rho0, entries = random_density(np.random.default_rng(8)), ENTRIES
+        rho0, k = random_density(np.random.default_rng(8)), 16
     unfolded = []   # the trace check reads each block just before its fold
     monkeypatch.setattr(integrate, "trace_of",
-                        lambda cols, e: unfolded.append(cols.copy()) or trace_of(cols, e))
-    folded = propagate(gen, rho0, times, entries)
-    out = np.concatenate([[rho0.reshape(-1)[[4 * i + j for i, j in entries]]],
-                          *unfolded])
-    mirror = [entries.index((j, i)) for i, j in entries]
-    assert folded.shape == (len(times), len(entries))
+                        lambda cols: unfolded.append(cols.copy()) or trace_of(cols))
+    folded = propagate(gen, rho0, times)
+    out = np.concatenate([[columns(rho0)[:k]], *unfolded])
+    assert folded.shape == (len(times), k)
     assert not np.array_equal(out, folded)      # the fold changes some bits
-    assert bits(folded).tobytes() == bits(0.5 * (out + np.conj(out[:, mirror]))).tobytes()
+    assert bits(folded).tobytes() == bits(0.5 * (out + np.conj(out[:, MIRROR[:k]]))).tobytes()
 
 
-def parent_propagate(generator, rho0, times, entries):
+def parent_propagate(generator, rho0, times):
     """``integrate.propagate`` as it evolved, checked and folded the whole
     grid in one array pass: the reference for its row blocks."""
     times = np.asarray(times, dtype=float)
@@ -358,26 +349,26 @@ def parent_propagate(generator, rho0, times, entries):
     live = v != 0
     while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
         live = grown
-    vec_index = [4 * i + j for i, j in entries]
-    live_cols = [vec_index.index(k) for k in np.flatnonzero(live).tolist()]
+    vec = VEC[:width(live.reshape(4, 4))]
+    live_cols = [COLUMN[divmod(i, 4)] for i in np.flatnonzero(live).tolist()]
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
     k = np.argmin(np.abs(lam))
     if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
-    out = np.zeros((len(times), len(entries)), dtype=complex)
-    out[0] = v[vec_index]
+    out = np.zeros((len(times), len(vec)), dtype=complex)
+    out[0] = v[vec]
     with np.errstate(over="ignore", invalid="ignore"):
         out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
                               * coef) @ vecs.T
-    drift = np.abs(trace_of(out[1:], entries).real - 1.0)
+    drift = np.abs(trace_of(out[1:]).real - 1.0)
     over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
     if len(over):
         i = over[0] + 1
         raise TraceDrift(
             f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
-    out += np.conj(out[:, [entries.index((j, i)) for i, j in entries]])
+    out += np.conj(out[:, MIRROR[:len(vec)]])
     out *= 0.5
     return out
 
@@ -390,10 +381,9 @@ def propagation_outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_blocked_is_parent(generator, rho0, times, entries):
-    result = propagation_outcome(propagate, generator, rho0, times, entries)
-    assert result == propagation_outcome(parent_propagate, generator, rho0,
-                                         times, entries)
+def assert_blocked_is_parent(generator, rho0, times):
+    result = propagation_outcome(propagate, generator, rho0, times)
+    assert result == propagation_outcome(parent_propagate, generator, rho0, times)
     return result
 
 
@@ -417,8 +407,7 @@ class TestBlockedPropagation:
         assert len(configs) == 16
         for cfg in configs:
             gen, rho0, times = phenom_inputs(cfg)
-            assert isinstance(assert_blocked_is_parent(gen, rho0, times, X_ENTRIES),
-                              bytes)
+            assert isinstance(assert_blocked_is_parent(gen, rho0, times), bytes)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_selftest_micro_generator(self, n):
@@ -429,37 +418,34 @@ class TestBlockedPropagation:
         rho10 = np.zeros((4, 4), dtype=complex)
         rho10[2, 2] = 1.0
         assert isinstance(assert_blocked_is_parent(
-            mic.liouvillian(rates, frame), frame.to_dressed(rho10), times,
-            ENTRIES), bytes)
+            mic.liouvillian(rates, frame), frame.to_dressed(rho10), times), bytes)
 
     def test_random_non_x_starts(self):
         rng = np.random.default_rng(15)
         configs = list(preset_configs())
         for i in range(32):
             gen, _, times = phenom_inputs(configs[i % len(configs)])
-            assert_blocked_is_parent(gen, random_density(rng), times, ENTRIES)
+            assert_blocked_is_parent(gen, random_density(rng), times)
 
     @pytest.mark.parametrize("start", ["x", "entries"])
     def test_grid_lengths_around_the_block_size(self, start):
         gen, rho0, times = phenom_inputs(figure_preset(2))
-        rows, entries = block_rows(8), X_ENTRIES
+        rows = block_rows(8)
         if start == "entries":
-            rho0, rows, entries = (random_density(np.random.default_rng(3)),
-                                   block_rows(16), ENTRIES)
+            rho0, rows = random_density(np.random.default_rng(3)), block_rows(16)
         span = times[-1]
         rng = np.random.default_rng(rows)
         for n in (1, 2, 3, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 2000):
-            assert_blocked_is_parent(gen, rho0, np.linspace(0.0, span, n), entries)
+            assert_blocked_is_parent(gen, rho0, np.linspace(0.0, span, n))
             uneven = np.sort(rng.uniform(0.0, span, n))   # non-uniform grids
-            assert_blocked_is_parent(gen, rho0, uneven, entries)
-            assert_blocked_is_parent(gen, rho0, np.geomspace(1e-3, span, n), entries)
+            assert_blocked_is_parent(gen, rho0, uneven)
+            assert_blocked_is_parent(gen, rho0, np.geomspace(1e-3, span, n))
 
     def test_trace_drift_names_the_first_point_in_a_later_block(self):
         # the trace grows as exp(2.2e-8 t); four live entries
         leak = 2.2e-8 * np.eye(16, dtype=complex)
         times = np.linspace(0.0, 1.0, 5001)
-        result = assert_blocked_is_parent(leak, np.eye(4, dtype=complex) / 4,
-                                          times, ENTRIES)
+        result = assert_blocked_is_parent(leak, np.eye(4, dtype=complex) / 4, times)
         assert result[0] is TraceDrift
         first = np.flatnonzero(np.expm1(2.2e-8 * times) > EVOLVED_TRACE_TOL)[0]
         assert first > block_rows(4)
@@ -471,7 +457,7 @@ class TestBlockedPropagation:
         gen = gen.copy()
         gen[0, 0] = bad
         with pytest.raises(NotFinite):
-            propagate(gen, rho0, times, X_ENTRIES)
+            propagate(gen, rho0, times)
 
     def test_working_set_does_not_grow_with_the_grid(self):
         """Beyond its result, one X call holds a working set that does not
@@ -483,7 +469,7 @@ class TestBlockedPropagation:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                out = propagate(gen, rho0, grid, X_ENTRIES)
+                out = propagate(gen, rho0, grid)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()

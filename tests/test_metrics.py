@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dressedbath import metrics, scenarios
-from dressedbath.linalg import (ENTRIES, NotHermitian, as_matrices,
-                                hermitian_eigs, validate_density, validate_eigs)
+from dressedbath.linalg import (NotHermitian, as_matrices, columns, hermitian_eigs,
+                                validate_density, validate_eigs)
 from dressedbath.metrics import (XStateElements, concurrence_general,
                                  concurrence_x, discord_approx_q2,
                                  linear_entropy_q1,
@@ -94,7 +94,7 @@ class TestXElements:
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = m[1, 0] = 0.05
         assert x_elements_from_matrix(m).p00 == 0.25
-        _, general, _ = validate_eigs(m.reshape(1, 16), ENTRIES)
+        _, general, _ = validate_eigs(columns(m[None]))
         assert general.all()
 
 
@@ -235,6 +235,14 @@ class TestEntropies:
             traced = linear_entropy_q1(x.matrix())
             assert abs(direct - traced) <= 1e-12
 
+    def test_linear_entropy_routes_agree_off_unit_trace(self, rng):
+        # an evolved snapshot may be off unit trace by up to EVOLVED_TRACE_TOL;
+        # its X elements and its matrix give it one value
+        for _ in range(100):
+            m = random_x_state(rng).matrix() * (1.0 + 1e-9)
+            direct = linear_entropy_q1(x_elements_from_matrix(m))
+            assert abs(direct - linear_entropy_q1(m)) <= 1e-15
+
     def test_linear_entropy_range(self, rng):
         for _ in range(100):
             value = linear_entropy_q1(random_density(rng))
@@ -329,8 +337,7 @@ def scalar_discord(*row):
 
 
 def scalar_linear_entropy(p00, p01, p10, p11, outer, inner):
-    p0 = p00 + p01
-    return 2.0 * p0 * (1.0 - p0)
+    return 2.0 * (p00 + p01) * (p10 + p11)
 
 
 SCALAR = {concurrence_x: scalar_concurrence_x, discord_approx_q2: scalar_discord,
@@ -399,10 +406,9 @@ class TestArrayMetricsMatchScalar:
         cfg = figure_preset(9)[0]
         traj = run_scenario(cfg)
         if route == "matrix":
-            entries, stacks = run_stacks(cfg)
-            extracted = [(x_elements_from_matrix(as_matrices(stack, entries)),
-                          ~validate_eigs(stack, entries, **EVOLVED)[1])
-                         for stack in stacks.values()]
+            extracted = [(x_elements_from_matrix(as_matrices(stack)),
+                          ~validate_eigs(stack, **EVOLVED)[1])
+                         for stack in run_stacks(cfg).values()]
         else:
             frame = dressed_frame(cfg.params)
             u = frame.unitary
@@ -458,9 +464,9 @@ def scalar_concurrence_general(m):
 
 
 def scalar_linear_entropy_full(m):
-    reduced = np.array([[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-                        [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]])
-    return 1.0 - np.trace(reduced @ reduced).real
+    """2 det of the reduced state of qubit 1, from its three entries."""
+    r00, r01, r11 = m[0, 0] + m[1, 1], m[0, 2] + m[1, 3], m[2, 2] + m[3, 3]
+    return 2.0 * (r00.real * r11.real - np.abs(r01) ** 2)
 
 
 def general_stack(rng, n=30):
@@ -531,7 +537,7 @@ class TestTrajectoryRouteErrors:
     def test_first_failing_snapshot_decides(self, rng, kinds, wanted, expected):
         comp = self.stack(rng, kinds)
         with pytest.raises((metrics.NotPSD, metrics.AssumptionViolated)) as err:
-            scenarios._trajectory_metrics(comp.reshape(-1, 16), ENTRIES, wanted)
+            scenarios._trajectory_metrics(columns(comp), wanted)
         assert type(err.value) is expected
         if expected is metrics.NotPSD:
             with pytest.raises(metrics.NotPSD) as single:

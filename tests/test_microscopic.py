@@ -6,7 +6,7 @@ import pytest
 
 from dressedbath import integrate
 from dressedbath import microscopic as mic
-from dressedbath.linalg import ENTRIES, validate_eigs
+from dressedbath.linalg import as_matrices, columns, validate_eigs
 from dressedbath.model import (KB_OVER_HBAR, RateSet, SystemParams,
                                dressed_frame, rate_set)
 from dressedbath.scenarios import (ScenarioConfig, figure_preset,
@@ -132,8 +132,8 @@ class TestAnalyticPropagation:
         rho0 = random_density(rng)
         times = np.linspace(0.0, 10.0 / sum(mic.channel_sums(rates)), 300)
         analytic = dressed_matrices(rho0, rates, frame, times)
-        numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times, ENTRIES).reshape(-1, 4, 4)
+        numeric = as_matrices(integrate.propagate(mic.liouvillian(rates, frame), rho0,
+                                                  times))
         # measured 9.7e-15
         assert np.abs(analytic - numeric).max() < 1e-9
         low_quanta = analytic[:, 1, 1].real + analytic[:, 3, 3].real
@@ -276,8 +276,8 @@ class TestNumericPropagation:
     def test_zero_generator_constant(self):
         times = np.linspace(0.0, 1.0, 11)
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        traj = integrate.propagate(np.zeros((16, 16), dtype=complex), rho0,
-                                   times, ENTRIES).reshape(-1, 4, 4)
+        traj = as_matrices(integrate.propagate(np.zeros((16, 16), dtype=complex), rho0,
+                                               times))
         assert np.abs(traj - rho0).max() == 0.0
 
     def test_matches_analytic_from_arbitrary_state(self, rng):
@@ -287,8 +287,8 @@ class TestNumericPropagation:
         span = 10.0 / (rates.decay_low + rates.excitation_low)
         times = np.linspace(0.0, span, 300)
         analytic = dressed_matrices(rho0, rates, frame, times)
-        numeric = integrate.propagate(mic.liouvillian(rates, frame), rho0,
-                                      times, ENTRIES).reshape(-1, 4, 4)
+        numeric = as_matrices(integrate.propagate(mic.liouvillian(rates, frame), rho0,
+                                                  times))
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_every_snapshot_valid(self):
@@ -298,7 +298,7 @@ class TestNumericPropagation:
         traj = dressed_matrices(ket10_dressed(frame), rates, frame,
                                       np.linspace(0.0, span, 200))
         for snapshot in traj:
-            validate_eigs(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
+            validate_eigs(columns(snapshot[None]), **EVOLVED)
 
     def test_log_grid_supported(self):
         frame = dressed_frame(FIG3)
@@ -306,9 +306,8 @@ class TestNumericPropagation:
         span = 5.0 / (rates.decay_low + rates.excitation_low)
         times = np.concatenate([[0.0], np.geomspace(span * 1e-3, span, 40)])
         analytic = dressed_matrices(ket10_dressed(frame), rates, frame, times)
-        numeric = integrate.propagate(mic.liouvillian(rates, frame),
-                                      ket10_dressed(frame), times,
-                                      ENTRIES).reshape(-1, 4, 4)
+        numeric = as_matrices(integrate.propagate(mic.liouvillian(rates, frame),
+                                                  ket10_dressed(frame), times))
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_matches_analytic_weak_coupling(self):
@@ -324,9 +323,8 @@ class TestNumericPropagation:
             times = np.linspace(0.0, span, 400)
             analytic = dressed_matrices(ket10_dressed(frame), rates,
                                               frame, times)
-            numeric = integrate.propagate(
-                mic.liouvillian(rates, frame), ket10_dressed(frame), times,
-                ENTRIES).reshape(-1, 4, 4)
+            numeric = as_matrices(integrate.propagate(
+                mic.liouvillian(rates, frame), ket10_dressed(frame), times))
             assert np.abs(analytic - numeric).max() < 1e-7
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dressedbath import phenomenological as ph
-from dressedbath.linalg import ENTRIES, validate_eigs
+from dressedbath.linalg import as_matrices, columns, validate_eigs
 from dressedbath.model import (RateSet, SystemParams, dressed_frame, hamiltonian,
                                rate_set)
 
@@ -84,8 +84,7 @@ class TestRhs:
 class TestPropagation:
     def test_time_zero(self):
         rates = rate_set(FIG2)
-        traj = ph.propagate(ket(2), FIG2, rates, np.array([0.0, 1e-12]),
-                            ENTRIES).reshape(-1, 4, 4)
+        traj = as_matrices(ph.propagate(ket(2), FIG2, rates, np.array([0.0, 1e-12])))
         assert np.abs(traj[0] - ket(2)).max() == 0.0
 
     def test_decoupled_qubit2_decay(self):
@@ -96,31 +95,29 @@ class TestPropagation:
         rates = rate_set(p)
         g = rates.emission_bare
         times = np.linspace(0.0, 5.0 / g, 80)
-        traj = ph.propagate(ket(1), p, rates, times, ENTRIES).reshape(-1, 4, 4)
+        traj = as_matrices(ph.propagate(ket(1), p, rates, times))
         assert np.abs(traj[:, 1, 1].real - np.exp(-g * times)).max() < 1e-9
 
     def test_long_time_matches_closed_form(self):
         rates = rate_set(FIG2)
         span = 50.0 / (rates.emission_bare + rates.absorption_bare)
         times = np.linspace(0.0, span, 400)
-        traj = ph.propagate(ket(2), FIG2, rates, times, ENTRIES).reshape(-1, 4, 4)
+        traj = as_matrices(ph.propagate(ket(2), FIG2, rates, times))
         assert np.abs(traj[-1] - ph.steady_state(FIG2, rates)).max() < 1e-6
 
     def test_x_structure_preserved(self):
         rates = rate_set(FIG3)
         span = 10.0 / (rates.emission_bare + rates.absorption_bare)
-        traj = ph.propagate(ket(2), FIG3, rates, np.linspace(0.0, span, 300),
-                            ENTRIES).reshape(-1, 4, 4)
+        traj = as_matrices(ph.propagate(ket(2), FIG3, rates, np.linspace(0.0, span, 300)))
         stray = np.abs(traj[:, [0, 0, 1, 2], [1, 2, 3, 3]]).max()
         assert stray < 1e-10
 
     def test_snapshots_valid(self):
         rates = rate_set(FIG3)
         span = 10.0 / (rates.emission_bare + rates.absorption_bare)
-        traj = ph.propagate(ket(2), FIG3, rates, np.linspace(0.0, span, 200),
-                            ENTRIES).reshape(-1, 4, 4)
+        traj = as_matrices(ph.propagate(ket(2), FIG3, rates, np.linspace(0.0, span, 200)))
         for snapshot in traj:
-            validate_eigs(snapshot.reshape(1, 16), ENTRIES, **EVOLVED)
+            validate_eigs(columns(snapshot[None]), **EVOLVED)
 
 
 class TestSteadyState:

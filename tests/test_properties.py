@@ -26,15 +26,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_run_matches_dense, bits, out_of, random_density,
-                      run_stacks, stationary_per_model, trajectory_metrics_per_snapshot)
+from conftest import (EVOLVED, assert_run_matches_dense, bits, out_of, outcome,
+                      random_density, run_stacks, stationary_per_model,
+                      trajectory_metrics_per_snapshot)
 from dressedbath import cli, microscopic, phenomenological
 from dressedbath.cli import main
 from dressedbath.integrate import TraceDrift
-from dressedbath.linalg import (ENTRIES, EVOLVED_HERM_TOL, EVOLVED_PSD_TOL,
-                                EVOLVED_TRACE_TOL, ROUNDING_TOL, X_ENTRIES,
-                                as_matrices, validate_eigs)
-from dressedbath.metrics import XStateElements, concurrence_general
+from dressedbath.linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL,
+                                ROUNDING_TOL, as_matrices, columns, trace_of,
+                                validate_eigs)
+from dressedbath.metrics import XStateElements, concurrence_general, x_elements_from_columns
 from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
 from dressedbath.scenarios import (INITIAL_STATES, METRICS, STATIONARY_METRICS,
                                    ScenarioConfig, _trajectory_metrics, compare_report,
@@ -141,10 +142,8 @@ def configs(draw, states, metrics=METRICS):
 @PROFILE
 @given(configs(st.one_of(st.sampled_from(INITIAL_STATES), x_states())))
 def test_x_columns_match_the_dense_stages(cfg):
-    run = assert_run_matches_dense(cfg)
-    if run is not None:   # every X-shaped start carries eight X columns
-        entries, stacks = run
-        assert entries == X_ENTRIES
+    stacks = assert_run_matches_dense(cfg)
+    if stacks is not None:   # every X-shaped start carries eight X columns
         assert {s.shape for s in stacks.values()} == {(cfg.n_points, 8)}
 
 
@@ -155,8 +154,7 @@ def test_non_x_start_carries_all_sixteen_columns(cfg):
         traj = run_scenario(cfg)
     except TraceDrift:   # phenom only: ROADMAP item 1
         return
-    entries, stacks = run_stacks(cfg)
-    assert entries == ENTRIES
+    stacks = run_stacks(cfg)
     assert {s.shape for s in stacks.values()} == {(cfg.n_points, 16)}
     for model, stack in stacks.items():
         margins = traj.margins[model]
@@ -166,7 +164,7 @@ def test_non_x_start_carries_all_sixteen_columns(cfg):
         if "concurrence" in cfg.metrics:
             # every snapshot with an off-X entry takes the general route,
             # however small the entry has decayed
-            general = concurrence_general(as_matrices(stack, ENTRIES))
+            general = concurrence_general(as_matrices(stack))
             # measured 1.4e-16 over 400 draws of this strategy
             assert np.abs(traj.series[model]["concurrence"] - general).max() <= 1e-12
 
@@ -181,8 +179,8 @@ NON_PSD[0, 1] = NON_PSD[1, 0] = 1e-3           # not X-shaped, eigenvalue -5e-9
 def snapshot_stacks(draw):
     """One to eight snapshots, each an X state (``x``), an X state with an
     off-X pair of 1e-12 (``tiny``), ``EDGE``, ``NON_PSD`` or a non-X state
-    (``general``), as the columns of all sixteen entries or of the eight X
-    entries (which drop every off-X entry)."""
+    (``general``), as all sixteen columns or the eight X columns (which drop
+    every off-X entry)."""
     rows = []
     # a failing kind fails most stacks it is in, so it is drawn less often
     kinds = st.sampled_from(["x", "tiny", "general"] * 3 + ["edge", "non_psd"])
@@ -194,20 +192,18 @@ def snapshot_stacks(draw):
         else:
             m = {"edge": EDGE, "non_psd": NON_PSD}.get(kind)
             m = draw(non_x_states()) if m is None else m
-        rows.append(m.reshape(16))
-    entries = draw(st.sampled_from([ENTRIES, X_ENTRIES]))
-    return np.array(rows)[:, [4 * i + j for i, j in entries]], entries
+        rows.append(m)
+    return columns(np.array(rows))[:, :draw(st.sampled_from([16, 8]))]
 
 
 @PROFILE
 @given(snapshot_stacks(), st.sets(st.sampled_from(METRICS), min_size=1))
-def test_trajectory_metrics_is_the_per_snapshot_loop(drawn, wanted):
+def test_trajectory_metrics_is_the_per_snapshot_loop(stack, wanted):
     """The whole-stack metric stage raises what a loop over the snapshots
     raises, or gives its margins, routes and every value, bit for bit."""
-    stack, entries = drawn
     wanted = tuple(m for m in METRICS if m in wanted)
-    got = verdict_or_error(_trajectory_metrics, stack, entries, wanted)
-    expected = verdict_or_error(trajectory_metrics_per_snapshot, stack, entries, wanted)
+    got = verdict_or_error(_trajectory_metrics, stack, wanted)
+    expected = verdict_or_error(trajectory_metrics_per_snapshot, stack, wanted)
     if isinstance(expected[0], type) or isinstance(got[0], type):
         assert got == expected
         return
@@ -217,6 +213,57 @@ def test_trajectory_metrics_is_the_per_snapshot_loop(drawn, wanted):
     assert list(series) == list(ref_series)
     for name, column in series.items():
         np.testing.assert_array_equal(bits(column), bits(ref_series[name]))
+
+
+@st.composite
+def x_column_stacks(draw):
+    """One to twelve X states as eight X columns, each exact, off unit trace
+    by up to 1e-7, off Hermitian by up to 1e-9, with a coherence past its
+    population bound by up to 1e-6 (a negative eigenvalue), or with a
+    non-finite entry."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = columns(draw(x_states()))[:8]
+        kind = draw(st.sampled_from(["exact"] * 4 + ["trace", "hermiticity",
+                                                     "negative", "non_finite"]))
+        col = draw(st.integers(0, 7))
+        if kind == "trace":
+            row = row * (1.0 + draw(st.floats(-1e-7, 1e-7)))
+        elif kind == "hermiticity":
+            row[col] += complex(draw(st.floats(-1e-9, 1e-9)), draw(st.floats(-1e-9, 1e-9)))
+        elif kind == "negative":   # column 4 is (0, 3), 6 is (1, 2)
+            k, (i, j) = draw(st.sampled_from([(4, (0, 3)), (6, (1, 2))]))
+            bound = math.sqrt(row[i].real * row[j].real)
+            row[k] = (bound + draw(st.floats(0.0, 1e-6))) * np.exp(1j * col)
+            row[k + 1] = np.conj(row[k])
+        elif kind == "non_finite":
+            row[col] = draw(st.sampled_from([np.nan, np.inf, complex(0.0, -np.inf)]))
+        rows.append(row)
+    return np.array(rows)
+
+
+@PROFILE
+@given(x_column_stacks())
+def test_an_x_stack_validates_and_reads_as_its_zero_padded_form(cols):
+    """Validation (margins, route mask, eigenpairs, or the error), the X
+    elements and the trace of an X stack are those of its sixteen-column
+    form, +0 at every off-X entry, bit for bit."""
+    padded = columns(as_matrices(cols))
+    assert padded.shape == (len(cols), 16) and not padded[:, 8:].any()
+    for tolerances in ({}, EVOLVED):
+        narrow, wide = (outcome(validate_eigs, c, **tolerances) for c in (cols, padded))
+        if isinstance(narrow[0], type) or isinstance(wide[0], type):
+            assert repr(narrow) == repr(wide)
+            continue
+        assert repr(narrow[0]) == repr(wide[0])
+        np.testing.assert_array_equal(narrow[1], wide[1])
+        assert not narrow[1].any()
+        for a, b in zip(narrow[2], wide[2]):
+            assert a.shape == b.shape and bits(a).tobytes() == bits(b).tobytes()
+    for name in XStateElements.__dataclass_fields__:
+        np.testing.assert_array_equal(bits(getattr(x_elements_from_columns(cols), name)),
+                                      bits(getattr(x_elements_from_columns(padded), name)))
+    np.testing.assert_array_equal(bits(trace_of(cols)), bits(trace_of(padded)))
 
 
 def hexed(stationary):
@@ -255,7 +302,7 @@ def test_closed_form_stationary_states(p):
     ss = phenomenological.steady_state(p, rates)
     assert abs(np.trace(ss) - 1.0) <= 1e-14
     # Hermitian, unit trace, PSD, and the X route
-    assert not validate_eigs(ss.reshape(1, 16), ENTRIES)[1].any()
+    assert not validate_eigs(columns(ss[None]))[1].any()
     # a closed-form state is exact to rounding: the generator residual is
     # rounding at the generator's largest column sum
     gen = phenomenological.liouvillian_from_ops(p, rates)

@@ -2,7 +2,7 @@
 on the X elements of a model run's whole stack, which the general route then
 overwrites in its own rows, each configuration builds one dressed frame, and
 each closed-form stationary state is evaluated once per configuration.  The
-micro closed form writes the columns of the run's entries, and a model's
+micro closed form writes the columns of its start's width, and a model's
 stack lives only until its metrics: no series keeps it, and a ``figure`` op
 stays within 1 MiB of traced memory."""
 
@@ -13,10 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bits, golden_general_configs, out_of, random_x_state
+from conftest import bits, golden_general_configs, out_of, random_x_state, sixteen_wide
 from dressedbath import metrics, microscopic, model, phenomenological, scenarios
 from dressedbath.cli import main
-from dressedbath.linalg import ENTRIES, X_ENTRIES
 from dressedbath.metrics import AssumptionViolated, XStateElements
 from dressedbath.scenarios import (figure_preset, initial_state_matrix, resolve_t_max,
                                    run_scenario)
@@ -125,20 +124,23 @@ def preset_configs():
 
 
 @pytest.mark.parametrize("cfg", list(preset_configs()), ids=lambda c: c.label)
-def test_x_columns_of_the_closed_form_are_its_x_entries(cfg):
-    """An X start's eight columns are the X columns of its sixteen, bit for
-    bit, from the preset's start and from an X start with coherence phases."""
+def test_x_columns_of_the_closed_form_are_its_x_entries(cfg, monkeypatch):
+    """An X start's eight columns are the first eight of its sixteen (the
+    closed form held to all sixteen), bit for bit, and the other eight are
+    zeros, from the preset's start and from an X start with coherence
+    phases."""
     frame = model.dressed_frame(cfg.params)
     rates = model.rate_set(cfg.params, frame)
     times = np.linspace(0.0, resolve_t_max(cfg, rates), 300)
-    x_of = [ENTRIES.index(e) for e in X_ENTRIES]
     rng = np.random.default_rng(5)
     for start in (initial_state_matrix(cfg, frame), random_x_state(rng).matrix()):
         rho0 = frame.to_dressed(start)
-        full = microscopic.propagate_analytic(rho0, rates, frame, times, ENTRIES)
-        np.testing.assert_array_equal(
-            bits(microscopic.propagate_analytic(rho0, rates, frame, times, X_ENTRIES)),
-            bits(full[:, x_of]))
+        full = sixteen_wide(monkeypatch, microscopic.propagate_analytic,
+                            rho0, rates, frame, times)
+        x_cols = microscopic.propagate_analytic(rho0, rates, frame, times)
+        assert x_cols.shape == (300, 8)
+        np.testing.assert_array_equal(bits(x_cols), bits(full[:, :8]))
+        assert not full[:, 8:].any()
 
 
 @pytest.mark.parametrize("cfg", [replace(figure_preset(2), n_points=200),

@@ -275,8 +275,7 @@ class TestSnapshotLayer:
                 assert 0 < held.sum() < len(held)
         # from |1,0>, as in the reference figures, the dressed closed form
         # is the oracle of every micro snapshot's X elements
-        entries, stacks = run_stacks(cfg)
-        x = metrics.x_elements_from_matrix(as_matrices(stacks["micro"], entries))
+        x = metrics.x_elements_from_matrix(as_matrices(run_stacks(cfg)["micro"]))
         for name in ("p00", "p01", "p10", "p11", "outer", "inner"):
             dev = np.abs(getattr(x, name) - getattr(oracle, name)).max()
             assert dev <= 1e-12, name
@@ -292,9 +291,8 @@ class TestSnapshotLayer:
     def test_margins_are_worst_snapshot_values(self):
         cfg = fast_config(n_points=200)
         traj = run_scenario(cfg)
-        entries, stacks = run_stacks(cfg)
-        for model, stack in stacks.items():
-            states = as_matrices(stack, entries)
+        for model, stack in run_stacks(cfg).items():
+            states = as_matrices(stack)
             herm = [np.abs(m - m.conj().T).max() for m in states]
             trace = [abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
                      for m in states]
@@ -400,8 +398,7 @@ def test_micro_span_past_the_phase_range_ends_stationary():
     frame = dressed_frame(cfg.params)
     stationary = to_computational(
         frame, microscopic.steady_state(rate_set(cfg.params, frame)))
-    entries, stacks = run_stacks(cfg)
-    final = as_matrices(stacks["micro"], entries)[-1]
+    final = as_matrices(run_stacks(cfg)["micro"])[-1]
     assert np.abs(final - stationary).max() < 1e-12
 
 

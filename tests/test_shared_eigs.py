@@ -11,8 +11,8 @@ import pytest
 
 from conftest import EVOLVED, bits, golden_general_configs, random_density, run_stacks
 from dressedbath import linalg, metrics, scenarios
-from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
-                                as_matrices, validate_density, validate_eigs)
+from dressedbath.linalg import (NotPSD, TraceNotOne, as_matrices, columns,
+                                validate_density, validate_eigs, width)
 from dressedbath.scenarios import ROUTES, figure_preset, run_scenario
 
 
@@ -53,15 +53,13 @@ def handed(calls):
 
 
 def hermitian_parts(traj, model):
-    entries, stacks = run_stacks(traj.config)   # propagation calls no eigh
-    states = as_matrices(stacks[model], entries)
+    states = as_matrices(run_stacks(traj.config)[model])   # propagation calls no eigh
     return states, 0.5 * (states + states.conj().swapaxes(-1, -2))
 
 
 def off_x(herm):
     """The off-X entries of each matrix of a stack."""
-    return herm.reshape(-1, 16)[:, [4 * i + j for i, j in ENTRIES
-                                    if (i, j) not in X_ENTRIES]]
+    return columns(herm)[:, 8:]
 
 
 def off_x_rows(herm):
@@ -97,9 +95,9 @@ def test_matrices_are_built_only_for_linear_entropy(cfg, monkeypatch):
     so no ``(n, 4, 4)`` stack is built; linear entropy builds one per model."""
     built = []
 
-    def spy(cols, entries):
+    def spy(cols):
         built.append(len(cols))
-        return as_matrices(cols, entries)
+        return as_matrices(cols)
 
     monkeypatch.setattr(scenarios, "as_matrices", spy)
     traj = run_scenario(replace(cfg, metrics=("concurrence",)))
@@ -123,13 +121,13 @@ PHENOM = replace(golden_general_configs()[0], models=("phenom",))
 def run_on(stack, monkeypatch, wanted=("concurrence", "linear_entropy"),
            calls=None, start=PHENOM.initial_state):
     """run_scenario of a phenom-only config whose trajectory is ``stack``,
-    carried as the columns of the start's entries (an X start's eight drop
-    the rest); ``calls``, a spy's record, is cleared once the config (and
-    its start state) is validated."""
+    carried at the width of the start (an X start's eight columns drop the
+    rest); ``calls``, a spy's record, is cleared once the config (and its
+    start state) is validated."""
     cfg = replace(PHENOM, metrics=wanted, n_points=len(stack), initial_state=start)
 
-    def propagate(rho0, params, rates, times, entries):
-        return stack.reshape(-1, 16)[:, [4 * i + j for i, j in entries]]
+    def propagate(rho0, params, rates, times):
+        return columns(stack)[:, :width(rho0)]
 
     monkeypatch.setattr(scenarios.phenomenological, "propagate", propagate)
     if calls is not None:
@@ -187,12 +185,12 @@ def test_edge_state_passes_validation_unseen_by_lapack(lapack_calls):
     """Validation reads the edge state in closed form at the evolved
     tolerances and routes it to the X route; the eigenpairs are the general
     row's alone, and its margins are those of the rows one at a time."""
-    cols = stack_of("general", "edge").reshape(-1, 16)
-    margins, general, (evals, vecs) = validate_eigs(cols, ENTRIES, **EVOLVED)
+    cols = columns(stack_of("general", "edge"))
+    margins, general, (evals, vecs) = validate_eigs(cols, **EVOLVED)
     assert margins.positivity == pytest.approx(1e-8, rel=1e-6)
     assert general.tolist() == [True, False]
     assert len(handed(lapack_calls)) == len(evals) == len(vecs) == 1
-    singles = [validate_eigs(row[None], ENTRIES, **EVOLVED) for row in cols]
+    singles = [validate_eigs(row[None], **EVOLVED) for row in cols]
     assert margins == linalg.Margins(*np.max([m for m, _, _ in singles], axis=0))
     np.testing.assert_array_equal(bits(evals), bits(singles[0][2][0]))
     np.testing.assert_array_equal(bits(vecs), bits(singles[0][2][1]))
@@ -253,7 +251,7 @@ def test_lapack_is_called_only_from_validation(cfg, lapack_calls):
         lapack_calls.clear()
         traj = run_scenario(one_model)
         assert_lapack_only_in_validation(traj, model, lapack_calls)
-        if run_stacks(one_model)[0] == X_ENTRIES:
+        if run_stacks(one_model)[model].shape[1] == 8:
             assert lapack_calls == []
 
 

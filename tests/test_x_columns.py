@@ -1,10 +1,11 @@
 """An X-shaped start runs on the eight X columns of its snapshots, any other
-start on all sixteen.
+start on all sixteen; the X columns come first in both.
 
-Each X column equals its entry of the dense ``(n, 4, 4)`` stages to the bit,
-every other dense entry is exactly +0, and ``validate_eigs`` gives the
-same margins or error on the X columns as on all sixteen, and routes every
-snapshot of an X start to the X route.
+Each X column equals its entry of the dense stages (both propagators held to
+all sixteen columns, ``linalg.width`` forced to 16) to the bit, every other
+dense entry is exactly +0, and ``validate_eigs`` gives the same margins or
+error on the X columns as on all sixteen, and routes every snapshot of an X
+start to the X route.
 """
 
 from dataclasses import replace
@@ -12,18 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (EVOLVED, assert_run_matches_dense, bits, dressed_matrices,
-                      margins_of, outcome, random_density, random_x_state,
-                      run_stacks, to_computational)
+from conftest import (EVOLVED, assert_run_matches_dense, bits, margins_of, outcome,
+                      random_x_state, run_stacks, sixteen_wide)
 from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
-from dressedbath.linalg import (ENTRIES, X_ENTRIES, NotPSD, TraceNotOne,
-                                as_matrices, validate_eigs)
+from dressedbath.linalg import NotPSD, TraceNotOne, as_matrices, columns, validate_eigs
 from dressedbath.model import dressed_frame, rate_set
 from dressedbath.scenarios import (MODELS, figure_preset, initial_state_matrix,
                                    parse_config, run_scenario)
-
-X_ROWS, X_COLS = (list(c) for c in zip(*X_ENTRIES))
 
 
 def preset_configs():
@@ -48,51 +45,69 @@ CONFIGS = list(x_start_configs())
 
 def validate_dense(cols, **tolerances):
     """``validate_eigs``' margins on all sixteen columns of an X stack."""
-    return margins_of(as_matrices(cols, X_ENTRIES).reshape(-1, 16), ENTRIES,
-                      **tolerances)
+    return margins_of(columns(as_matrices(cols)), **tolerances)
 
 
 def assert_x_columns_of(cols, dense):
-    np.testing.assert_array_equal(bits(cols), bits(dense[:, X_ROWS, X_COLS]))
-    off_x = dense[:, linalg._OFF_X[0], linalg._OFF_X[1]]
+    np.testing.assert_array_equal(bits(cols), bits(columns(dense)[:, :8]))
+    off_x = columns(dense)[:, 8:]
     assert (bits(off_x) == 0).all()           # +0+0j, no signed zero
-    np.testing.assert_array_equal(bits(as_matrices(cols, X_ENTRIES)), bits(dense))
+    np.testing.assert_array_equal(bits(as_matrices(cols)), bits(dense))
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
-def test_columns_are_the_dense_entries(cfg):
+def test_columns_are_the_dense_entries(cfg, monkeypatch):
     assert len(CONFIGS) == 48
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
     times = np.linspace(0.0, scenarios.resolve_t_max(cfg, rates), cfg.n_points)
     rho0 = initial_state_matrix(cfg, frame)
-    micro = frame.to_computational_columns(microscopic.propagate_analytic(
-        frame.to_dressed(rho0), rates, frame, times, X_ENTRIES), X_ENTRIES)
-    assert_x_columns_of(micro, to_computational(frame, dressed_matrices(
-        frame.to_dressed(rho0), rates, frame, times)))
+
+    def micro_of():
+        return frame.to_computational_columns(microscopic.propagate_analytic(
+            frame.to_dressed(rho0), rates, frame, times))
+    micro = micro_of()
+    assert_x_columns_of(micro, as_matrices(sixteen_wide(monkeypatch, micro_of)))
     gen = phenomenological.liouvillian_from_ops(cfg.params, rates)
-    phenom = integrate.propagate(gen, rho0, times, X_ENTRIES)
-    assert_x_columns_of(phenom, integrate.propagate(gen, rho0, times, ENTRIES)
-                        .reshape(-1, 4, 4))
+    phenom = integrate.propagate(gen, rho0, times)
+    assert_x_columns_of(phenom, as_matrices(
+        sixteen_wide(monkeypatch, integrate.propagate, gen, rho0, times)))
     for cols in (micro, phenom):
-        margins, general, _ = validate_eigs(cols, X_ENTRIES, **EVOLVED)
+        assert cols.shape == (cfg.n_points, 8)
+        margins, general, _ = validate_eigs(cols, **EVOLVED)
         assert margins == validate_dense(cols, **EVOLVED)
         assert not general.any()
 
 
 @pytest.mark.parametrize("cfg", CONFIGS[::3])
 def test_run_scenario_matches_dense_stages(cfg):
-    entries, stacks = assert_run_matches_dense(cfg)
-    assert entries == X_ENTRIES
+    stacks = assert_run_matches_dense(cfg)
     assert {s.shape for s in stacks.values()} == {(cfg.n_points, 8)}
 
 
-def test_propagate_rejects_entries_missing_a_reached_one(rng):
-    cfg = figure_preset(2)
-    rates = rate_set(cfg.params)
-    gen = phenomenological.liouvillian_from_ops(cfg.params, rates)
-    with pytest.raises(ValueError):
-        integrate.propagate(gen, random_density(rng), [0.0, 1e-9], X_ENTRIES)
+def test_an_x_start_that_leaves_the_x_family_carries_sixteen_columns(rng):
+    """A generator that feeds off-X entries from an X start widens the
+    trajectory to all sixteen columns, and they are exp(t L) vec(rho0)."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    jump = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    gen = integrate.lindblad(a + a.conj().T, [(0.3, jump)])
+    rho0 = random_x_state(rng).matrix()
+    times = np.linspace(0.0, 2.0, 9)
+    cols = integrate.propagate(gen, rho0, times)
+    assert cols.shape == (9, 16)
+    exact = np.array([expm(t * gen) @ rho0.reshape(-1) for t in times])
+    assert np.abs(as_matrices(cols) - exact.reshape(-1, 4, 4)).max() <= 1e-10
+
+
+def test_a_start_with_one_tiny_off_x_pair_runs_sixteen_wide():
+    """An off-X pair of 1e-300 is not zero: both models carry all sixteen
+    columns, and the pair's snapshots take the general route."""
+    start = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    start[1, 3] = start[3, 1] = 1e-300
+    cfg = replace(NON_X, initial_state=start)
+    assert {s.shape for s in run_stacks(cfg).values()} == {(50, 16)}
+    assert run_scenario(cfg).routes["micro"][0] == scenarios.ROUTES.index("general")
 
 
 # X columns of a valid state: the diagonal, (0,3), (3,0), (1,2), (2,1)
@@ -122,7 +137,7 @@ def test_validate_x_raises_like_validate_batch(kind, index):
     """The X columns fail like all sixteen: same class, message, violation."""
     cols = x_stack({index: kind})
     for tolerances in ({}, EVOLVED):
-        result = outcome(margins_of, cols, X_ENTRIES, **tolerances)
+        result = outcome(margins_of, cols, **tolerances)
         assert isinstance(result, tuple)
         assert result == outcome(validate_dense, cols, **tolerances)
 
@@ -134,7 +149,7 @@ def test_validate_x_raises_like_validate_batch(kind, index):
 ])
 def test_first_failing_snapshot_decides(bad_at, expected):
     cols = x_stack(bad_at)
-    result = outcome(margins_of, cols, X_ENTRIES)
+    result = outcome(margins_of, cols)
     assert result[0] is expected
     assert result == outcome(validate_dense, cols)
 
@@ -145,7 +160,7 @@ def test_validate_x_margins_equal_validate_batch(rng):
                       x.inner, np.conj(x.inner)]
                      for x in (random_x_state(rng) for _ in range(200))])
     cols[::7, 4] += 1e-12                  # within the evolved tolerance
-    margins = margins_of(cols, X_ENTRIES, **EVOLVED)
+    margins = margins_of(cols, **EVOLVED)
     assert margins.hermiticity > 0
     assert margins == validate_dense(cols, **EVOLVED)
 
@@ -156,32 +171,30 @@ NON_X = parse_config(
     "n_points = 50\nmetrics = concurrence\n"
     "initial_state = custom(0.25, 0.1, 0, 0, 0.1, 0.25, 0, 0, "
     "0, 0, 0.25, 0, 0, 0, 0, 0.25)\n")
-# each start shape, and the entries its run carries
-STARTS = {"x": (replace(NON_X, initial_state="ket10"), X_ENTRIES),
-          "non_x": (NON_X, ENTRIES)}
+# each start shape, and the width of its run's stacks
+STARTS = {"x": (replace(NON_X, initial_state="ket10"), 8), "non_x": (NON_X, 16)}
 
 
 @pytest.mark.parametrize("start", list(STARTS))
 def test_each_start_carries_the_columns_of_its_entries(start):
-    cfg, entries = STARTS[start]
-    run_entries, stacks = run_stacks(cfg)
-    assert run_entries == entries
+    cfg, width = STARTS[start]
+    stacks = run_stacks(cfg)
     assert {m: s.shape for m, s in stacks.items()} == {
-        "micro": (50, len(entries)), "phenom": (50, len(entries))}
+        "micro": (50, width), "phenom": (50, width)}
 
 
 @pytest.mark.parametrize("start", list(STARTS))
 def test_each_model_validates_its_columns_once(start, monkeypatch):
-    cfg, entries = STARTS[start]
+    cfg, width = STARTS[start]
     calls, read = [], scenarios.metrics.x_elements_from_columns
 
-    def spy(cols, entries, **tolerances):
-        calls.append(("validate", cols.shape, entries))
-        return validate_eigs(cols, entries, **tolerances)
+    def spy(cols, **tolerances):
+        calls.append(("validate", cols.shape))
+        return validate_eigs(cols, **tolerances)
 
-    def read_spy(cols, entries):
-        calls.append(("read", cols.shape, entries))
-        return read(cols, entries)
+    def read_spy(cols):
+        calls.append(("read", cols.shape))
+        return read(cols)
 
     monkeypatch.setattr(scenarios, "validate_eigs", spy)
     monkeypatch.setattr(scenarios.metrics, "x_elements_from_columns", read_spy)
@@ -189,7 +202,7 @@ def test_each_model_validates_its_columns_once(start, monkeypatch):
         calls.clear()
         run_scenario(replace(cfg, models=models))
         # one validation per model run, before its one X read
-        assert calls == [(stage, (50, len(entries)), entries)
+        assert calls == [(stage, (50, width))
                          for stage in ("validate", "read")] * len(models)
 
 
