@@ -200,7 +200,7 @@ def _selftest_checks(cfg):
     analytic = microscopic.propagate_analytic(rho0, rates, frame, times)
     gen = microscopic.liouvillian(rates, frame)
     numeric = integrate.propagate(gen, rho0, times)
-    err = np.abs(analytic - numeric).max()
+    err = np.abs(as_matrices(analytic) - as_matrices(numeric)).max()
     elapsed = time.perf_counter() - start
     rows.append(("closed form vs integrated generator",
                  err <= 1e-7, f"max dev {err:.2e}, {elapsed:.2f}s"))

@@ -3,8 +3,8 @@
 Both master equations here are linear and time independent, so
 ``vec(rho(t)) = exp(t L) vec(rho(0))``.  ``propagate`` evaluates that
 exponential through one eigendecomposition of the generator, with no time
-step, into the ``(n, k)`` columns of ``linalg.ENTRIES`` at the width of
-the entries it reaches, one block of rows at a time, so its working set
+step, into the ``(n, k)`` real coordinates of ``linalg.MAP`` at the width
+of the entries it reaches, one block of rows at a time, so its working set
 beyond that result does not grow with the grid.
 """
 
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (COLUMN, EVOLVED_TRACE_TOL, MIRROR, ROUNDING_TOL, VEC, NotFinite,
-                     trace_of, width)
+from .linalg import EVOLVED_TRACE_TOL, MAP, ROUNDING_TOL, NotFinite, trace_of, width
 
 _BLOCK_WORK = 32768   # rows x L^2 of a propagation block: 512 rows at L = 8
 
@@ -71,8 +70,9 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
     (``linalg.ROUNDING_TOL``).  Raises NotFinite for a generator with inf or
     nan entries, and TraceDrift if the trace drifts by more than
     ``linalg.EVOLVED_TRACE_TOL`` anywhere on the grid, naming the first such
-    grid point.  The result is the ``(n, k)`` columns of ``linalg.ENTRIES``,
-    ``k = linalg.width`` of the entries reached.
+    grid point.  The result is the ``(n, k)`` coordinates of the propagated
+    vec's Hermitian part, ``(MAP @ vec).real``, ``k = linalg.width`` of the
+    coordinates reached.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
@@ -86,16 +86,23 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
     live = v != 0   # grown to its fixed point: what the generator reaches
     while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
         live = grown
-    vec_index = VEC[:width(live.reshape(4, 4))]   # each column's row-major index
-    live_cols = [COLUMN[divmod(i, 4)] for i in np.flatnonzero(live).tolist()]
+    reached = MAP[:, live]   # each coordinate on the reached entries
+    fed = reached.any(axis=1)
+    n_cols = width(fed)
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
     k = np.argmin(np.abs(lam))
     if abs(lam[k]) <= ROUNDING_TOL * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
-    out = np.zeros((len(times), len(vec_index)), dtype=complex)
-    out[0] = v[vec_index]
+    # each eigenvector's coordinates, only those the reached entries feed, so
+    # the product's shape (and its rounding on any BLAS kernel) does not
+    # depend on the width; a prefix of them is written through a faster slice
+    coords = np.flatnonzero(fed)
+    coords = slice(len(coords)) if coords[-1] < len(coords) else coords
+    w = vecs.T @ reached[coords].T
+    out = np.zeros((len(times), n_cols))
+    out[0] = (MAP[:n_cols] @ v).real
     # blocks of rows x L^2 under OpenBLAS's threading threshold, so no temporary
     # grows with the grid and the matmul runs on one thread; a one-row last
     # block would take numpy's matrix-vector product, which rounds differently
@@ -107,14 +114,10 @@ def propagate(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.exp(np.multiply.outer(times[lo:stop] - times[0], lam))
             e *= coef
-            out[lo:stop, live_cols] = e @ vecs.T
-        drift = np.abs(trace_of(out[lo:stop]).real - 1.0)
+            out[lo:stop, coords] = (e @ w).real
+        drift = np.abs(trace_of(out[lo:stop]) - 1.0)
         over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
         if len(over):
             raise TraceDrift(f"trace drifted by {drift[over[0]]:.3e} "
                              f"at t={times[lo + over[0]]:.6e}")
-        # evolved states stay Hermitian to fp accuracy; fold the rounding noise
-        block = out[start:stop]
-        block += np.conj(block[:, MIRROR[:len(vec_index)]])
-        block *= 0.5
     return out

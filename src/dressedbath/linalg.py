@@ -7,16 +7,16 @@ orders are frozen once and for all:
   dressed:       the four coupled-qubit eigenstates ordered by energy
                  (ground, antisymmetric, symmetric, top)
 
-``model.DressedFrame`` rotates states between the two.  Hermitian spectra
-come from LAPACK (``numpy.linalg.eigh``) behind a per-matrix Hermiticity
-check, for one matrix or a stack.  A trajectory is an ``(n, k)`` stack of
-columns in the one order ``ENTRIES``: the eight X entries first, then the
-eight others, so a stack's width is its layout.  ``width`` picks it: 8
-columns carry matrices whose off-X entries are all exactly zero, 16 any
-other.  ``validate_eigs`` checks such a stack in one pass (a single matrix
-is a stack of one) and decides each snapshot's metric route: it reads the
+``model.DressedFrame`` rotates states between the two.  A trajectory is an
+``(n, k)`` stack of the real coordinates ``MAP`` defines, X sector first, so
+a stack is Hermitian by construction and its width is its layout: ``width``
+gives 8 when every off-X coordinate is exactly zero, 16 otherwise.
+``validate_eigs`` checks such a stack in one pass (a single matrix is a
+stack of one) and decides each snapshot's metric route: it reads the
 smallest eigenvalue of an exactly X-shaped snapshot in closed form and
 returns LAPACK's eigenpairs of the others, for the general concurrence.
+Hermiticity is checked where a matrix enters from outside the program
+(``validate_density``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 # looser tolerances applied to numerically evolved snapshots
-EVOLVED_HERM_TOL = 1e-10
+EVOLVED_HERM_TOL = 1e-10   # hermitian_eigs' bound
 EVOLVED_TRACE_TOL = 1e-8
 EVOLVED_PSD_TOL = 1e-7
 THERMAL_TOL = 1e-10   # a stationary state this close to the Gibbs state is thermal
@@ -67,36 +67,52 @@ class NotFinite(StateValidationError, ValueError):
 
 
 class Margins(NamedTuple):
-    """Worst value of each invariant over a validated stack: the largest
-    Hermiticity and trace deviations and the largest negativity (minus the
-    smallest eigenvalue).  Each is at most its tolerance."""
+    """Worst value of each invariant over a validated stack, each at most its
+    tolerance: the largest trace deviation and negativity (-eigenvalue)."""
 
-    hermiticity: float
     trace: float
     positivity: float
 
 
-# the entries of a stack's columns: the diagonal, the antidiagonal, then the
-# off-X entries row by row; an (n, 8) stack holds the first eight
-ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1),
-           (0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
-VEC = [4 * i + j for i, j in ENTRIES]   # each column's row-major index
-COLUMN = {e: n for n, e in enumerate(ENTRIES)}
-MIRROR = [COLUMN[j, i] for i, j in ENTRIES]   # the column of each transpose
-# the entries above the diagonal of a 4x4 matrix, row by row
-UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the entries above the diagonal of a 4x4 matrix: the X pair first, then the
+# off-X entries row by row
+UPPER = ((0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3))
+_DIAG = [5 * i for i in range(4)]           # row-major index of each population
+_ABOVE = [4 * i + j for i, j in UPPER]      # ... of each entry above the diagonal
+_BELOW = [4 * j + i for i, j in UPPER]      # ... and of its mirror
+
+# the layout of a stack: the coordinates of a Hermitian 4x4 matrix are
+# ``MAP @ vec``, all real: the populations, then Re z = (z + z*) / 2 and
+# Im z = (z - z*) / 2i of each entry z of UPPER, so (n, 8) is the X sector
+MAP = np.zeros((16, 16), dtype=complex)
+MAP[range(4), _DIAG] = 1.0
+MAP[range(4, 16, 2), _ABOVE] = MAP[range(4, 16, 2), _BELOW] = 0.5
+MAP[range(5, 16, 2), _ABOVE], MAP[range(5, 16, 2), _BELOW] = -0.5j, 0.5j
+MAP.setflags(write=False)
 
 
 def columns(m) -> np.ndarray:
-    """The ``(..., 16)`` columns of ``(..., 4, 4)`` matrices."""
-    m = np.asarray(m)
-    return m.reshape(m.shape[:-2] + (16,))[..., VEC]
+    """The ``(..., 16)`` coordinates of Hermitian ``(..., 4, 4)`` matrices:
+    ``(MAP @ vec).real``, read off the diagonal and the entries above it."""
+    v = np.asarray(m, dtype=complex).reshape(np.shape(m)[:-2] + (16,))
+    return np.concatenate([v[..., _DIAG].real, v.take(_ABOVE, axis=-1).view(float)], axis=-1)
 
 
-def width(m) -> int:
-    """The columns that carry the ``(..., 4, 4)`` matrices (or masks) ``m``:
-    8 when every off-X entry of each is exactly zero, else 16."""
-    return 16 if columns(m)[..., 8:].any() else 8
+def as_matrices(cols) -> np.ndarray:
+    """The ``(n, 4, 4)`` Hermitian matrices of an ``(n, k)`` stack, the
+    inverse of ``columns``: +0 at every entry it does not carry, and
+    ``0.0 - Im`` below the diagonal (+0, not -0, where Im is 0)."""
+    out = np.zeros((len(cols), 16), dtype=complex)
+    n = (cols.shape[1] - 4) // 2
+    out.real[:, _DIAG] = cols[:, :4]
+    out[:, _ABOVE[:n]] = np.ascontiguousarray(cols[:, 4:]).view(complex)
+    out.real[:, _BELOW[:n]], out.imag[:, _BELOW[:n]] = cols[:, 4::2], 0.0 - cols[:, 5::2]
+    return out.reshape(-1, 4, 4)
+
+
+def width(cols) -> int:
+    """8 when every off-X coordinate of ``cols`` (or a mask) is exactly 0, else 16."""
+    return 16 if np.any(cols[..., 8:]) else 8
 
 
 def trace_of(cols) -> np.ndarray:
@@ -104,94 +120,78 @@ def trace_of(cols) -> np.ndarray:
     return cols[:, 0] + cols[:, 1] + cols[:, 2] + cols[:, 3]
 
 
-def as_matrices(cols) -> np.ndarray:
-    """The ``(n, 4, 4)`` matrices of an ``(n, k)`` stack, with +0 at every
-    entry it does not carry."""
-    out = np.zeros((len(cols), 4, 4), dtype=complex)
-    out.reshape(-1, 16)[:, VEC[:cols.shape[1]]] = cols
-    return out
+def _raise_first_failure(checks):
+    """Raise the first failed ``(class, name, value, tolerance)`` check, listing every one."""
+    failures = [(cls, name, v) for cls, name, v, tol in checks if v > tol]
+    if failures:
+        detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
+        cls, _, violation = failures[0]
+        raise cls(f"invalid density matrix: {detail}", violation)
 
 
-def validate_eigs(cols, *, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
-    """Check Hermiticity, unit trace and positivity of every matrix of an
-    ``(n, 8)`` or ``(n, 16)`` stack; return the worst margins, the ``general``
-    mask of the matrices whose Hermitian part is not exactly X-shaped, and
-    ``np.linalg.eigh`` of those Hermitian parts, from one LAPACK call.
-
-    The mask is each snapshot's metric route: an X-shaped one is read in
-    closed form, a general one through its eigenpairs.  The first failing
-    matrix decides: non-finite entries raise NotFinite, otherwise the first
-    failed check (NotHermitian, then TraceNotOne, then NotPSD) is raised,
-    with a message listing every violation of that matrix so a broken state
-    is diagnosed in one pass.
+def validate_eigs(cols, *, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
+    """Check unit trace and positivity of every matrix of an ``(n, 8)`` or
+    ``(n, 16)`` stack; return the worst margins, the ``general`` mask of the
+    matrices that are not exactly X-shaped (each snapshot's metric route) and
+    ``np.linalg.eigh`` of those, from one LAPACK call.  The first failing
+    matrix decides: non-finite entries raise NotFinite, otherwise its first
+    failed check (TraceNotOne, then NotPSD), with a message listing every
+    violation of that matrix, so a broken state is diagnosed in one pass.
     """
-    cols = np.asarray(cols, dtype=complex)
+    cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or cols.shape[1] not in (8, 16) or len(cols) == 0:
         raise ValueError("expected a non-empty (n, 8) or (n, 16) stack, "
                          f"got shape {cols.shape}")
     first_nonfinite = (len(cols) if np.isfinite(cols).all()
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
-
-    # the columns above the diagonal: (0, 3) and (1, 2), then the off-X ones
-    above = [n for n, (i, j) in enumerate(ENTRIES[:cols.shape[1]]) if i < j]
-    a = checked[:, above]
-    b = np.conj(checked[:, [MIRROR[n] for n in above]])
-    # |a - conj(b)| = |b - conj(a)| to the bit, so the entries above the
-    # diagonal suffice, and |d - conj(d)| is |Im d + Im d|; column by column,
-    # as numpy reduces a short row axis slowly
-    diag = [checked[:, i] for i in range(4)]
-    herm = functools.reduce(np.maximum, [*np.abs(a - b).T,
-                                         *(np.abs(d.imag + d.imag) for d in diag)])
-    tr = trace_of(checked)
-    tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    # where the off-X entries of h = (M + M^H)/2 are all exactly zero, h is the
-    # direct sum of its {00,11} and {01,10} blocks, and the smallest
-    # eigenvalue of a block [[p, z], [z*, q]] is (p+q)/2 - hypot((p-q)/2, |z|);
-    # h is formed in full only for the matrices that go to LAPACK.  Each term
-    # is halved in place before the sum, which then cannot overflow
-    h = np.multiply(a, 0.5, out=a)
-    h += np.multiply(b, 0.5, out=b)
-    general = functools.reduce(np.logical_or, [h[:, k] != 0 for k in range(2, len(above))],
-                               np.zeros(len(h), bool))
-    # a mask copies each column it picks: the slice of an all-X stack validates
-    # 2,000 X rows in about 180 us against 215 us (x86-64, numpy 2.4.6)
+    tr = np.abs(trace_of(checked) - 1.0)
+    # column by column, as numpy reduces a short row axis slowly
+    general = functools.reduce(np.logical_or, [c != 0 for c in checked[:, 8:].T],
+                               np.zeros(len(checked), bool))
+    # an X-shaped matrix is the direct sum of its {00,11} and {01,10} blocks,
+    # and the smallest eigenvalue of a block [[p, z], [z*, q]] is
+    # (p+q)/2 - hypot((p-q)/2, |z|).  A mask copies each column it picks: the
+    # slice of an all-X stack validates 2,000 X rows in about 100 us against
+    # 180 us (x86-64, numpy 2.4.6)
     rows = ~general if general.any() else slice(None)
     low = []
-    for k, (i, j) in enumerate(((0, 3), (1, 2))):
-        p, q = diag[i][rows].real, diag[j][rows].real   # Re h_ii = Re d_ii
-        z = np.abs(h[rows, k])
+    for k, (i, j) in enumerate(UPPER[:2]):
+        p, q = checked[rows, i], checked[rows, j]
+        z = np.hypot(checked[rows, 4 + 2 * k], checked[rows, 5 + 2 * k])
         low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
-    neg = np.empty(len(h))
+    neg = np.empty(len(checked))
     neg[rows] = -np.minimum(*low)
     eigs = np.empty((0, 4)), np.empty((0, 4, 4), complex)
     if general.any():   # only a 16-wide stack has general rows
-        h = 0.5 * checked[general]
-        h += np.conj(h[:, MIRROR])
-        eigs = np.linalg.eigh(as_matrices(h))
+        eigs = np.linalg.eigh(as_matrices(checked[general]))
         neg[general] = -eigs[0][:, 0]
-    failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
+    failing = (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
-        failures = [(cls, name, v[i]) for cls, name, v, tol in (
-            (NotHermitian, "hermiticity", herm, herm_tol),
-            (TraceNotOne, "trace", tr, trace_tol),
-            (NotPSD, "positivity", neg, psd_tol)) if v[i] > tol]
-        detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
-        cls, _, violation = failures[0]
-        raise cls(f"invalid density matrix: {detail}", violation)
+        _raise_first_failure([(TraceNotOne, "trace", tr[i], trace_tol),
+                              (NotPSD, "positivity", neg[i], psd_tol)])
     if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
-    return Margins(float(herm.max()), float(tr.max()), float(neg.max())), general, eigs
+    return Margins(float(tr.max()), float(neg.max())), general, eigs
 
 
 def validate_density(matrix) -> np.ndarray:
-    """Validate one 4x4 matrix at the construction tolerances (see
-    ``validate_eigs``); return it as a read-only complex array."""
+    """Validate one 4x4 matrix from outside the program at the construction
+    tolerances: its Hermiticity and trace, and the positivity of its
+    Hermitian part; return it as a read-only complex array."""
     m = np.array(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    validate_eigs(columns(m[None]))
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix contains non-finite entries")
+    h = 0.5 * m + (0.5 * m).conj().T   # exactly Hermitian
+    tr = np.trace(m)
+    _raise_first_failure([
+        (NotHermitian, "hermiticity", np.abs(m - m.conj().T).max(), HERM_TOL),
+        (TraceNotOne, "trace", abs(tr.real - 1.0) + abs(tr.imag), TRACE_TOL),
+        (NotPSD, "positivity", validate_eigs(columns(h[None]), trace_tol=np.inf,
+                                             psd_tol=np.inf)[0].positivity, PSD_TOL)])
     m.setflags(write=False)
     return m
 

@@ -14,7 +14,7 @@ minimisation over projective measurements.
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
 on scalars.  ``x_elements_from_columns`` reads them off the first eight
-columns of a run (``scenarios._trajectory_metrics``) and of the closed-form
+coordinates of a run (``scenarios._trajectory_metrics``) and of the closed-form
 stationary states (``scenarios.stationary_metrics``), after
 ``linalg.validate_eigs`` has checked them and chosen each snapshot's route;
 ``x_elements_from_matrix`` is its form for computational matrices.
@@ -122,12 +122,12 @@ def x_elements_from_dressed(rho_dressed: np.ndarray, frame: DressedFrame):
 
 def x_elements_from_columns(cols) -> XStateElements:
     """The X elements of a ``(..., k)`` stack of computational-basis
-    ``linalg.ENTRIES`` columns; whether a snapshot is X-shaped, and a state
-    at all, is ``linalg.validate_eigs``' to decide."""
-    c = np.asarray(cols)
-    return XStateElements(p00=c[..., 0].real, p01=c[..., 1].real,
-                          p10=c[..., 2].real, p11=c[..., 3].real,
-                          outer=c[..., 4], inner=c[..., 6])
+    coordinates, each coherence a complex view of its two; whether a snapshot
+    is X-shaped, and a state at all, is ``linalg.validate_eigs``' to decide."""
+    c = np.asarray(cols, dtype=float)
+    return XStateElements(p00=c[..., 0], p01=c[..., 1], p10=c[..., 2], p11=c[..., 3],
+                          outer=c[..., 4:6].view(complex)[..., 0],
+                          inner=c[..., 6:8].view(complex)[..., 0])
 
 
 def x_elements_from_matrix(rho: np.ndarray) -> XStateElements:

@@ -16,13 +16,14 @@ them by detailed balance, gamma_up = exp(-w / (kB/hbar T)) * gamma_down.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import COLUMN, ENTRIES
+from .linalg import UPPER
 
 # Boltzmann constant over hbar; converts Kelvin to 1/s.
 KB_OVER_HBAR = 1.309193e11
@@ -105,31 +106,29 @@ class DressedFrame:
         return u.conj().T @ m @ u
 
     def to_computational_columns(self, d) -> np.ndarray:
-        """``U d U^dagger`` as ``(..., k)`` columns of ``linalg.ENTRIES``,
-        from the dressed ``d`` at them; the basis change keeps a matrix
-        X-shaped, so the columns of ``d`` are all it needs.
-
-        Each entry sums the four terms of its blocks, ``(u[i,j] d[...,j,k])
-        conj(u[l,k])``, in ascending j, then k, from 0.0: the order of
-        ``np.einsum('ij,...jk,lk->...il', u, d, u.conj())`` on the matrices,
-        whose other twelve terms are exact zeros for finite entries, so the
-        two agree to the bit.
-        """
-        u = self.unitary
-        uc = u.conj()
-        out = np.empty(d.shape, dtype=complex)
-        for n, (i, l) in enumerate(ENTRIES[:d.shape[-1]]):
-            acc = 0.0
-            for j in _BLOCK_OF[i]:
-                for k in _BLOCK_OF[l]:
-                    acc = acc + (u[i, j] * d[..., COLUMN[j, k]]) * uc[l, k]
-            out[..., n] = acc
+        """``U d U^T`` (U is real) as ``(..., k)`` coordinates, from the
+        dressed ``d`` at them (the basis change keeps a matrix X-shaped): the
+        real map of ``U . U^T`` as fixed-order elementwise sums over its
+        nonzero coefficients, so the result does not depend on BLAS."""
+        out = np.zeros(d.shape)
+        for n, terms in enumerate(self._real_map[:d.shape[-1]]):
+            for m, c in terms:
+                out[..., n] += c * d[..., m]
         return out
 
+    @functools.cached_property
+    def _real_map(self):
+        """Per output coordinate, its ``(input coordinate, nonzero coefficient)``
+        pairs; ``u . u^T`` maps Re (symmetric) and Im (antisymmetric) apart."""
+        u = self.unitary.real.tolist()
+        return [[(m, c) for m, (j, k, t) in enumerate(_COORDS) if t == s and (
+                    c := u[i][j] * u[l][k] + (t * u[i][k] * u[l][j] if j != k else 0.0))]
+                for i, l, s in _COORDS]
 
-# the dressed states mix only |0,0> with |1,1> and |0,1> with |1,0>: each
-# row and column of the frame unitary is nonzero only in its block
-_BLOCK_OF = ((0, 3), (1, 2), (1, 2), (0, 3))
+
+# each coordinate as (i, j, sign): a population or Re of entry (i, j), whose
+# mirror has the same value (+1), or its Im, whose mirror's is the negative (-1)
+_COORDS = [(i, i, 1.0) for i in range(4)] + [(i, j, s) for i, j in UPPER for s in (1.0, -1.0)]
 
 
 @dataclass(frozen=True)

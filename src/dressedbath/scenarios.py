@@ -19,9 +19,9 @@ import numpy as np
 from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .csvtext import SLOTS, _fmt, g17_slots
-from .linalg import (EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL, PSD_TOL,
-                     THERMAL_TOL, UPPER, NotFinite, as_matrices, columns, validate_eigs,
-                     validate_density, width)
+from .linalg import (EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL, PSD_TOL, THERMAL_TOL, UPPER,
+                     NotFinite, as_matrices, columns, validate_eigs, validate_density,
+                     width)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -39,9 +39,9 @@ _POPULATIONS = ("pop_00", "pop_01", "pop_10", "pop_11")   # the "populations" co
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-# at the cap the process peaked at 173 MB for `figure 2` and 200 MB for `figure 9`
-# (X starts; X runs stay under 240 MB) and at 744 MB for a non-X `evolve --config`
-# run with three metrics (non-X runs stay under 1,000 MB), x86-64, numpy 2.4.6
+# at the cap the process peaked at 134 MB for `figure 2` and 162 MB for `figure 9`
+# (X starts; X runs stay under 200 MB) and at 681 MB for a non-X `evolve --config`
+# run with three metrics (non-X runs stay under 930 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
 _CSV_VALUES = 1 << 16   # CSV values formatted per block of rows
 
@@ -166,8 +166,8 @@ def _trajectory_metrics(stack, wanted):
     column holds a view of ``stack``, which dies after.
     """
     psd_tol = PSD_TOL if {"concurrence", "discord"} & set(wanted) else EVOLVED_PSD_TOL
-    margins, general, eigs = validate_eigs(stack, herm_tol=EVOLVED_HERM_TOL,
-                                           trace_tol=EVOLVED_TRACE_TOL, psd_tol=psd_tol)
+    margins, general, eigs = validate_eigs(stack, trace_tol=EVOLVED_TRACE_TOL,
+                                           psd_tol=psd_tol)
     if general.any() and "discord" in wanted:
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
@@ -179,14 +179,14 @@ def _trajectory_metrics(stack, wanted):
     if general.any() and "linear_entropy" in wanted:
         cols["linear_entropy"][general] = metrics.linear_entropy_q1(
             as_matrices(stack[general]))
-    if "populations" in wanted:   # copies of the stack's .real views
+    if "populations" in wanted:   # copies of the stack's column views
         cols.update(zip(_POPULATIONS, (p.copy() for p in (x.p00, x.p01, x.p10, x.p11))))
     return margins, cols, general.astype(np.int8)
 
 
 def _propagation(cfg: ScenarioConfig):
     """The frame and time grid of ``cfg``'s run, and ``stack_of``, which
-    propagates a model to its ``(n, k)`` computational columns (8 for an
+    propagates a model to its ``(n, k)`` computational coordinates (8 for an
     X-shaped trajectory, which both models keep from an X start)."""
     frame = dressed_frame(cfg.params)
     rates = rate_set(cfg.params, frame)
@@ -201,7 +201,7 @@ def _propagation(cfg: ScenarioConfig):
     rho0 = initial_state_matrix(cfg, frame)
 
     def stack_of(model):
-        if model == "micro":   # the dressed columns die once rotated
+        if model == "micro":   # the dressed coordinates die once rotated
             return frame.to_computational_columns(microscopic.propagate_analytic(
                 frame.to_dressed(rho0), rates, frame, times))
         return phenomenological.propagate(rho0, cfg.params, rates, times)
@@ -211,8 +211,8 @@ def _propagation(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     """Propagate every enabled model and evaluate the requested metrics.
 
-    Every emitted snapshot is validated (hermiticity, trace, positivity) at
-    the evolved-state tolerances, the whole trajectory of a model at once,
+    Every emitted snapshot is validated (trace, positivity) at the
+    evolved-state tolerances, the whole trajectory of a model at once,
     before any metric touches it; the worst margins go to ``margins``.  A
     model's stack lives only from its propagation to its metrics.
     """
@@ -467,7 +467,8 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
     micro = microscopic.steady_state(rates)
     phenom = phenomenological.steady_state(params, rates)
     states = np.stack([micro, phenom])
-    cols = columns(states)[:, :width(states)]
+    cols = columns(states)
+    cols = cols[:, :width(cols)]
     cols[0] = frame.to_computational_columns(cols[0])
     validate_eigs(cols)
     x = metrics.x_elements_from_columns(cols)

@@ -6,12 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from dressedbath.linalg import EVOLVED_HERM_TOL, EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL
+from dressedbath.linalg import EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL
 from dressedbath.metrics import XStateElements, _plog2, von_neumann_entropy
 
 # validation keywords of a run's evolved snapshots
-EVOLVED = dict(herm_tol=EVOLVED_HERM_TOL, trace_tol=EVOLVED_TRACE_TOL,
-               psd_tol=EVOLVED_PSD_TOL)
+EVOLVED = dict(trace_tol=EVOLVED_TRACE_TOL, psd_tol=EVOLVED_PSD_TOL)
 
 
 def random_density(rng, dim=4):
@@ -121,7 +120,7 @@ def trajectory_metrics_per_snapshot(stack, wanted):
     """``scenarios._trajectory_metrics`` one snapshot at a time, in order:
     each snapshot validated at the evolved tolerances, positivity at
     ``PSD_TOL`` when concurrence or discord is wanted; then discord refused
-    on a snapshot whose Hermitian part is not exactly X-shaped; then each
+    on a snapshot that is not exactly X-shaped; then each
     snapshot's values by its route, the X forms of its X elements or the
     general concurrence and the partial-trace linear entropy of its matrix.
     Returns the margins, series and routes.  Every metric runs on a stack of
@@ -133,8 +132,7 @@ def trajectory_metrics_per_snapshot(stack, wanted):
         tolerances["psd_tol"] = PSD_TOL
     margins = [validate_eigs(row[None], **tolerances)[0] for row in stack]
     states = as_matrices(stack)
-    herm = 0.5 * (states + states.conj().swapaxes(-1, -2))
-    general = columns(herm)[:, 8:].any(axis=1)   # its off-X entries
+    general = columns(states)[:, 8:].any(axis=1)   # its off-X entries
     if "discord" in wanted and general.any():
         raise metrics.AssumptionViolated(
             "the discord approximation needs an X-shaped state; "

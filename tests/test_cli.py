@@ -853,6 +853,20 @@ def test_custom_state_near_the_double_range_is_numeric_error(big, tmp_path,
     assert not out_dir.exists()
 
 
+def test_custom_state_off_hermiticity_is_numeric_error(tmp_path, capsys):
+    """A custom start comes from outside the program, so its Hermiticity is
+    checked where it enters: (0,1) is 0.3 and (1,0) is 0, and nothing is
+    written."""
+    entries = ["0.25" if k % 5 == 0 else "0" for k in range(16)]
+    entries[1] = "0.3"
+    path = figure2_config(tmp_path, initial_state=f"custom({', '.join(entries)})")
+    out_dir = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", "numerical invariant violated: invalid "
+                                   "density matrix: hermiticity off by 3.000e-01\n")
+    assert not out_dir.exists()
+
+
 # phenom's stiff block leaves trace margin 1.74e-9 and positivity margin
 # 4.25e-9, within the evolved tolerances; an X start, so every snapshot is
 # exactly X-shaped

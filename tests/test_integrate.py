@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bits, random_density, run_stacks
 from dressedbath import integrate
@@ -11,7 +13,7 @@ from dressedbath import phenomenological as ph
 from dressedbath.cli import main
 from dressedbath.integrate import (TraceDrift, lindblad, propagate,
                                    superoperator_from_rhs)
-from dressedbath.linalg import (COLUMN, EVOLVED_TRACE_TOL, MIRROR, VEC, NotFinite,
+from dressedbath.linalg import (EVOLVED_TRACE_TOL, MAP, ROUNDING_TOL, NotFinite,
                                 as_matrices, columns, trace_of, width)
 from dressedbath.metrics import concurrence_x, x_elements_from_matrix
 from dressedbath.model import dressed_frame, hamiltonian, rate_set
@@ -313,31 +315,21 @@ def test_reachability_follows_a_15_step_chain(monkeypatch):
 
 
 
-@pytest.mark.parametrize("start", ["x", "entries"])
-def test_in_place_fold_is_the_out_of_place_fold_to_the_bit(start, monkeypatch):
-    """The result is 0.5 * (out + conj(out[:, mirror])) of the unfolded
-    trajectory, to the bit, on an X start and on an all-entries start."""
-    cfg = figure_preset(2)
-    frame = dressed_frame(cfg.params)
-    rates = rate_set(cfg.params, frame)
-    times = np.linspace(0.0, resolve_t_max(cfg, rates), 400)
-    gen = ph.liouvillian_from_ops(cfg.params, rates)
-    rho0, k = initial_state_matrix(cfg, frame), 8
-    if start == "entries":
-        rho0, k = random_density(np.random.default_rng(8)), 16
-    unfolded = []   # the trace check reads each block just before its fold
-    monkeypatch.setattr(integrate, "trace_of",
-                        lambda cols: unfolded.append(cols.copy()) or trace_of(cols))
-    folded = propagate(gen, rho0, times)
-    out = np.concatenate([[columns(rho0)[:k]], *unfolded])
-    assert folded.shape == (len(times), k)
-    assert not np.array_equal(out, folded)      # the fold changes some bits
-    assert bits(folded).tobytes() == bits(0.5 * (out + np.conj(out[:, MIRROR[:k]]))).tobytes()
+# the complex column layout that stacks had before Hermitian coordinates: the
+# X entries, then the off-X entries row by row
+ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1),
+           (0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+VEC = [4 * i + j for i, j in ENTRIES]
+COLUMN = {e: n for n, e in enumerate(ENTRIES)}
+MIRROR = [COLUMN[j, i] for i, j in ENTRIES]
 
 
-def parent_propagate(generator, rho0, times):
-    """``integrate.propagate`` as it evolved, checked and folded the whole
-    grid in one array pass: the reference for its row blocks."""
+def complex_propagate(generator, rho0, times):
+    """``integrate.propagate`` as it carried complex entries, each
+    off-diagonal one twice, and folded every block of rows into its
+    Hermitian part, ``0.5 (a + conj(b))`` of each entry ``a`` and its mirror
+    ``b``; returns the folded trajectory's coordinates.  The reference that
+    the real coordinates keep its outcome to."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
         raise ValueError("need a 1-d, non-empty time grid")
@@ -349,7 +341,7 @@ def parent_propagate(generator, rho0, times):
     live = v != 0
     while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
         live = grown
-    vec = VEC[:width(live.reshape(4, 4))]
+    vec_index = VEC[:16 if live[VEC[8:]].any() else 8]
     live_cols = [COLUMN[divmod(i, 4)] for i in np.flatnonzero(live).tolist()]
     sub = generator[np.ix_(live, live)]
     lam, vecs = np.linalg.eig(sub)
@@ -357,19 +349,155 @@ def parent_propagate(generator, rho0, times):
     if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
         lam[k] = 0.0
     coef = np.linalg.solve(vecs, v[live])
-    out = np.zeros((len(times), len(vec)), dtype=complex)
-    out[0] = v[vec]
+    out = np.zeros((len(times), len(vec_index)), dtype=complex)
+    out[0] = v[vec_index]
+    rows, last = integrate._BLOCK_WORK // len(lam) ** 2, max(len(times) - 1, 1)
+    for start in range(0, last, rows):
+        stop = start + rows if start + rows < last else len(times)
+        lo = max(start, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(np.multiply.outer(times[lo:stop] - times[0], lam))
+            e *= coef
+            out[lo:stop, live_cols] = e @ vecs.T
+        drift = np.abs(trace_of(out[lo:stop]).real - 1.0)
+        over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
+        if len(over):
+            raise TraceDrift(f"trace drifted by {drift[over[0]]:.3e} "
+                             f"at t={times[lo + over[0]]:.6e}")
+        block = out[start:stop]
+        block += np.conj(block[:, MIRROR[:len(vec_index)]])
+        block *= 0.5
+    dense = np.zeros((len(times), 16), dtype=complex)
+    dense[:, vec_index] = out
+    return columns(dense.reshape(-1, 4, 4))[:, :len(vec_index)]
+
+
+@pytest.mark.parametrize("start", ["x", "entries"])
+def test_coordinates_are_the_folded_complex_trajectory(start):
+    """The real coordinates are those of the complex trajectory folded into
+    its Hermitian part, within 1e-15, on an X start and on an all-entries
+    start."""
+    cfg = figure_preset(2)
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
+    times = np.linspace(0.0, resolve_t_max(cfg, rates), 400)
+    gen = ph.liouvillian_from_ops(cfg.params, rates)
+    rho0, k = initial_state_matrix(cfg, frame), 8
+    if start == "entries":
+        rho0, k = random_density(np.random.default_rng(8)), 16
+    cols = propagate(gen, rho0, times)
+    assert cols.shape == (len(times), k) and cols.dtype == float
+    assert np.abs(cols - complex_propagate(gen, rho0, times)).max() <= 1e-15
+
+
+@st.composite
+def stiff_search_draws(draw):
+    """The search of ROADMAP item 1: a preset of figures 2-7 with omega,
+    coupling, gamma0, bath_width and bath_center each scaled by 10^U(-3, 3),
+    the temperature 0, the preset's or up to 1000 times hotter; the phenom
+    and the micro generator on the fifty-lifetime span of ``compare``, from
+    the preset's X start or a random non-X one."""
+    cfg = figure_preset(draw(st.integers(2, 7)))
+    p = cfg.params
+    scaled = {k: getattr(p, k) * 10.0 ** draw(st.floats(-3.0, 3.0))
+              for k in ("omega", "coupling", "gamma0", "bath_width", "bath_center")}
+    bath = draw(st.sampled_from(["zero", "preset", "hot"]))
+    scaled["temperature"] = {"zero": 0.0, "preset": p.temperature,
+                             "hot": p.temperature * 10.0 ** draw(st.floats(0.0, 3.0))}[bath]
+    cfg = replace(cfg, params=replace(p, **scaled), n_points=400)
+    frame = dressed_frame(cfg.params)
+    rates = rate_set(cfg.params, frame)
+    times = np.linspace(0.0, resolve_t_max(cfg, rates, stationary=True), cfg.n_points)
+    rho0 = initial_state_matrix(cfg, frame)
+    if draw(st.booleans()):
+        rho0 = random_density(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.booleans()):
+        return ph.liouvillian_from_ops(cfg.params, rates), rho0, times
+    return mic.liouvillian(rates, frame), frame.to_dressed(rho0), times
+
+
+def term_scale(generator, rho0, times, n_cols):
+    """The size of the terms that each coordinate of each snapshot sums in
+    the eigen-expansion: ``|exp(t lam) coef| @ |V|^T @ |MAP|^T`` on the
+    reached entries, the scale of its rounding."""
+    v = rho0.reshape(-1)
+    live = v != 0
+    while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
+        live = grown
+    lam, vecs = np.linalg.eig(generator[np.ix_(live, live)])
+    terms = np.abs(np.exp(np.multiply.outer(times - times[0], lam))
+                   * np.linalg.solve(vecs, v[live]))
+    return terms @ (np.abs(vecs).T @ np.abs(MAP[:n_cols, live]).T)
+
+
+# a failing example makes Hypothesis import libcst, which warns on a deprecated
+# mypy_extensions name; the suite would end on that warning
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(stiff_search_draws())
+def test_coordinates_keep_the_complex_outcome(draw):
+    """On stiff, hot and cold draws, X and non-X starts, the real coordinates
+    stop on the same TraceDrift as the folded complex trajectory, or are its
+    coordinates to rounding, with the same non-finite snapshots (which
+    validation stops on): within ``ROUNDING_TOL`` times the size of the
+    terms each one sums (an ill-conditioned eigenbasis sums terms far larger
+    than the coordinate, in another order than the fold), or of the smallest
+    normal double, below which rounding is absolute."""
+    generator, rho0, times = draw
+    results = []
+    for fn in (propagate, complex_propagate):
+        try:
+            results.append(fn(generator, rho0, times))
+        except (TraceDrift, ValueError) as exc:
+            results.append((type(exc), str(exc)))
+    cols, reference = results
+    if isinstance(reference, tuple) or isinstance(cols, tuple):
+        assert isinstance(cols, tuple) and cols == reference
+        return
+    assert cols.shape == reference.shape
+    finite = np.isfinite(cols).all(axis=1)
+    np.testing.assert_array_equal(finite, np.isfinite(reference).all(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        out[1:, live_cols] = (np.exp(np.outer(times[1:] - times[0], lam))
-                              * coef) @ vecs.T
-    drift = np.abs(trace_of(out[1:]).real - 1.0)
+        scale = term_scale(generator, rho0, times, cols.shape[1])[finite]
+    bound = ROUNDING_TOL * np.maximum(scale, np.finfo(float).tiny)
+    assert (np.abs(cols[finite] - reference[finite]) <= bound).all()
+
+
+def parent_propagate(generator, rho0, times):
+    """``integrate.propagate`` as it evolved and checked the whole grid in
+    one array pass: the reference for its row blocks."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 1:
+        raise ValueError("need a 1-d, non-empty time grid")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    if not np.isfinite(generator).all():
+        raise NotFinite("matrix contains non-finite entries")
+    v = np.asarray(rho0, dtype=complex).reshape(-1)
+    live = v != 0
+    while (grown := live | (generator[:, live] != 0).any(axis=1)).sum() > live.sum():
+        live = grown
+    reached = MAP[:, live]
+    fed = reached.any(axis=1)
+    sub = generator[np.ix_(live, live)]
+    lam, vecs = np.linalg.eig(sub)
+    k = np.argmin(np.abs(lam))
+    if abs(lam[k]) <= 16 * np.finfo(float).eps * np.linalg.norm(sub, 1):
+        lam[k] = 0.0
+    coef = np.linalg.solve(vecs, v[live])
+    w = vecs.T @ reached[fed].T
+    out = np.zeros((len(times), width(fed)))
+    out[0] = (MAP[:out.shape[1]] @ v).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:, fed[:out.shape[1]]] = (
+            (np.exp(np.outer(times[1:] - times[0], lam)) * coef) @ w).real
+    drift = np.abs(trace_of(out[1:]) - 1.0)
     over = np.flatnonzero(drift > EVOLVED_TRACE_TOL)
     if len(over):
         i = over[0] + 1
         raise TraceDrift(
             f"trace drifted by {drift[i - 1]:.3e} at t={times[i]:.6e}")
-    out += np.conj(out[:, MIRROR[:len(vec)]])
-    out *= 0.5
     return out
 
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from dressedbath import linalg
-from dressedbath.linalg import (MIRROR, NotFinite, NotHermitian, NotPSD,
+from dressedbath.linalg import (MAP, NotFinite, NotHermitian, NotPSD,
                                 StateValidationError, as_matrices, columns,
                                 hermitian_eigs, partial_trace_q2, validate_density,
                                 validate_eigs, width)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
-from conftest import (margins_of, outcome, random_density, random_x_state,
+from conftest import (bits, margins_of, outcome, random_density, random_x_state,
                       to_computational)
 from test_x_columns import BAD, EVOLVED, x_stack
 
@@ -48,6 +48,15 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian) as err:
             validate_density(bad)
         assert err.value.violation == pytest.approx(0.3, abs=1e-12)
+
+    def test_every_violation_is_listed(self):
+        bad = np.diag([0.25] * 4).astype(complex)
+        bad[0, 1] = 0.3
+        bad[3, 3] = 0.5
+        with pytest.raises(NotHermitian) as err:
+            validate_density(bad)
+        assert str(err.value) == ("invalid density matrix: hermiticity off by "
+                                  "3.000e-01, trace off by 2.500e-01")
 
     def test_matrix_is_readonly(self):
         given = np.eye(4, dtype=complex) / 4
@@ -205,29 +214,36 @@ class TestValidateBatch:
                                       "several", "non-finite"])
     @pytest.mark.parametrize("index", [0, 3, 6])
     def test_raises_like_single_call(self, kind, index):
-        with pytest.raises(StateValidationError) as single:
-            validate_density(self.bad(kind))
-        with pytest.raises(StateValidationError) as stacked:
-            validate_eigs(columns(self.stack({index: kind})))
-        assert type(stacked.value) is type(single.value)
-        assert str(stacked.value) == str(single.value)
-        assert stacked.value.violation == single.value.violation
+        """A stack holds Hermitian parts: it fails like its failing matrix's
+        Hermitian part alone, and passes where that part is a state; only the
+        single call sees, and refuses, the matrix that is not Hermitian."""
+        if kind in ("hermiticity", "several"):
+            with pytest.raises(NotHermitian):
+                validate_density(self.bad(kind))
+        single = outcome(validate_density, hermitian_part(self.bad(kind)))
+        stacked = outcome(validate_eigs, columns(hermitian_part(self.stack({index: kind}))))
+        if kind == "hermiticity":   # its Hermitian part is a state
+            assert isinstance(single, np.ndarray)
+            assert isinstance(stacked[0], linalg.Margins)
+        else:
+            assert issubclass(single[0], StateValidationError)
+            assert stacked == single
 
     @pytest.mark.parametrize("bad_at, expected", [
         ({2: "positivity", 4: "non-finite"}, NotPSD),
         ({1: "non-finite", 3: "hermiticity"}, NotFinite),
-        ({5: "hermiticity", 1: "trace"}, linalg.TraceNotOne),
+        ({5: "several", 1: "trace"}, linalg.TraceNotOne),
     ])
     def test_first_failing_snapshot_decides(self, bad_at, expected):
         first = self.bad(bad_at[min(bad_at)])
         with pytest.raises(expected) as single:
             validate_density(first)
         with pytest.raises(expected) as stacked:
-            validate_eigs(columns(self.stack(bad_at)))
+            validate_eigs(columns(hermitian_part(self.stack(bad_at))))
         assert str(stacked.value) == str(single.value)
 
     def test_evolved_tolerances_apply(self):
-        loose = dict(herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-7)
+        loose = dict(trace_tol=1e-8, psd_tol=1e-7)
         m = self.GOOD.copy()
         m[0, 0] += 5e-9                     # within 1e-8, beyond 1e-10
         validate_eigs(columns(m[None]), **loose)
@@ -255,19 +271,63 @@ def test_validate_columns_checks_its_shape():
             validate_eigs(cols)
 
 
+def hermitian_part(m):
+    """``(M + M^H) / 2`` of a matrix or a stack, as ``validate_density``
+    forms it: what a stack holds of a matrix."""
+    h = 0.5 * np.asarray(m, dtype=complex)
+    return h + np.conj(h).swapaxes(-1, -2)
+
+
 def test_one_off_x_entry_makes_a_stack_sixteen_wide(rng):
-    """The width rule: 8 columns only while every off-X entry of every matrix
-    is exactly zero, of either sign."""
-    stack = np.array([random_x_state(rng).matrix() for _ in range(3)])
-    assert width(stack) == width(stack[0]) == 8
-    assert linalg.ENTRIES[8:] == tuple((i, j) for i in range(4) for j in range(4)
-                                       if i + j != 3 and i != j)
-    for i, j in linalg.ENTRIES[8:]:
-        for value, wide in ((-0.0, 8), (1e-300, 16), (5e-324j, 16), (np.nan, 16)):
-            one = stack.copy()
-            one[1, i, j] = value
+    """The width rule on coordinates: 8 only while every off-X coordinate of
+    every matrix is exactly zero, of either sign."""
+    cols = columns(np.array([random_x_state(rng).matrix() for _ in range(3)]))
+    assert width(cols) == width(cols[0]) == 8
+    assert linalg.UPPER[2:] == tuple((i, j) for i in range(4) for j in range(i + 1, 4)
+                                     if i + j != 3)
+    for n in range(8, 16):
+        for value, wide in ((-0.0, 8), (1e-300, 16), (5e-324, 16), (np.nan, 16)):
+            one = cols.copy()
+            one[1, n] = value
             assert width(one) == wide
             assert width(one[1]) == wide
+
+
+def hermitian_stack(rng):
+    """Exactly Hermitian matrices: dense ones, ``(A + A^H) / 2``, whose
+    entries below the diagonal are the conjugates of those above to the bit,
+    and X states with +0 at every off-X entry."""
+    dense = [hermitian_part(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+             for _ in range(30)]
+    return np.array(dense + [random_x_state(rng).matrix() for _ in range(30)])
+
+
+def test_coordinates_round_trip(rng):
+    """``as_matrices`` inverts ``columns`` bit for bit on Hermitian matrices,
+    and ``columns`` is ``(MAP @ vec).real``."""
+    stack = hermitian_stack(rng)
+    cols = columns(stack)
+    assert cols.dtype == float and cols.shape == (60, 16)
+    np.testing.assert_array_equal(bits(as_matrices(cols)), bits(stack))
+    np.testing.assert_array_equal(cols, (stack.reshape(-1, 16) @ MAP.T).real)
+    np.testing.assert_array_equal(columns(stack[0]), cols[0])
+    # an X stack is the first eight coordinates; the rest are +0
+    x = cols[30:]
+    assert not x[:, 8:].any()
+    np.testing.assert_array_equal(bits(as_matrices(x[:, :8])), bits(stack[30:]))
+
+
+def test_map_is_the_hermitian_part():
+    """The real part of ``MAP @ vec`` is the coordinates of a matrix's
+    Hermitian part, its imaginary part 0 on a Hermitian matrix; and ``MAP`` is
+    invertible: sixteen real coordinates for sixteen complex entries that
+    Hermiticity pairs."""
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    coords = MAP @ m.reshape(-1)
+    assert np.abs(coords.real - columns(hermitian_part(m))).max() <= 1e-15
+    assert not (MAP @ hermitian_part(m).reshape(-1)).imag.any()
+    assert np.linalg.matrix_rank(MAP) == 16
 
 
 def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
@@ -338,8 +398,7 @@ class TestClosedFormPositivity:
 
     def test_evolved_tolerance_edges(self, rng):
         tol = linalg.EVOLVED_PSD_TOL
-        loose = dict(herm_tol=linalg.EVOLVED_HERM_TOL, trace_tol=np.inf,
-                     psd_tol=tol)
+        loose = dict(trace_tol=np.inf, psd_tol=tol)
         validate_eigs(columns(x_shaped((-0.5 * tol, 0.6), (0.1, 0.3), rng)[None]),
                       **loose)
         with pytest.raises(NotPSD):
@@ -407,44 +466,32 @@ class TestStackedHermitianEigs:
             assert np.abs(r - expected).max() < 1e-15
 
 
-def parent_smallest_eigenvalues(h):
-    """``linalg._smallest_eigenvalues`` as it took the whole Hermitian part
-    of the stack: every off-X entry gathered, an ``h[x]`` copy of the X rows,
-    each 2x2 block read from a gathered ``(n, 8)`` X stack; LAPACK's smallest
-    eigenvalue from ``eigh``, the call validation makes (``eigvalsh`` differs
-    from it in the last bits)."""
-    x = ~h[:, 8:].any(axis=1)
-    low = np.empty(len(h))
-    blocks = h[x][:, :8]
-    a = blocks[:, [0, 1]].real
-    b = blocks[:, [3, 2]].real
-    z = np.abs(blocks[:, [4, 6]])
-    low[x] = (0.5 * (a + b) - np.hypot(0.5 * (a - b), z)).min(axis=1)
-    if not x.all():
-        low[~x] = np.linalg.eigh(as_matrices(h[~x]))[0][:, 0]
-    return low
-
-
-def validate_full_mh(cols, herm_tol, trace_tol, psd_tol):
-    """``linalg.validate_eigs``' margins and route mask as it scanned every
-    row for non-finite entries, took the Hermiticity deviation over all
-    entries and formed the whole Hermitian part ``(M + M^H) / 2`` of the
-    stack: the reference for its finite fast path, its upper-triangle
-    deviation and its Hermitian part formed only where it is read."""
-    finite = np.isfinite(cols.real).all(axis=1) & np.isfinite(cols.imag).all(axis=1)
+def validate_dense(cols, trace_tol, psd_tol):
+    """``linalg.validate_eigs``' margins and route mask through the dense
+    matrices: every row scanned for non-finite entries, every row's matrix
+    formed, the trace summed off its diagonal, the smallest eigenvalue of an
+    X-shaped one read off its two 2x2 blocks and LAPACK's (from ``eigh``,
+    the call validation makes) for the others.  The reference for the
+    coordinate slices, the column-by-column reductions and the X-row slice
+    of the production pass."""
+    finite = np.isfinite(cols).all(axis=1)
     first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
-    checked = cols[:first_nonfinite]
-    mh = np.conj(checked[:, MIRROR[:cols.shape[1]]])
-    herm = np.abs(checked - mh).max(axis=1)
-    tr = linalg.trace_of(checked)
-    tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    h = 0.5 * (checked + mh)
-    neg = -parent_smallest_eigenvalues(h)
-    failing = (herm > herm_tol) | (tr > trace_tol) | (neg > psd_tol)
+    m = as_matrices(cols[:first_nonfinite])
+    tr = np.abs(np.einsum("nii->n", m).real - 1.0)
+    general = columns(m)[:, 8:].any(axis=1)
+    low = np.empty(len(m))
+    x = ~general
+    blocks = [(m[x, i, i].real, m[x, j, j].real, np.abs(m[x, i, j]))
+              for i, j in ((0, 3), (1, 2))]
+    low[x] = np.minimum(*(0.5 * (p + q) - np.hypot(0.5 * (p - q), z)
+                          for p, q, z in blocks))
+    if general.any():
+        low[general] = np.linalg.eigh(m[general])[0][:, 0]
+    neg = -low
+    failing = (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
         failures = [(cls, name, v[i]) for cls, name, v, tol in (
-            (NotHermitian, "hermiticity", herm, herm_tol),
             (linalg.TraceNotOne, "trace", tr, trace_tol),
             (NotPSD, "positivity", neg, psd_tol)) if v[i] > tol]
         detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
@@ -452,66 +499,61 @@ def validate_full_mh(cols, herm_tol, trace_tol, psd_tol):
         raise cls(f"invalid density matrix: {detail}", violation)
     if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
-    general = h[:, 8:].any(axis=1)
-    return (linalg.Margins(float(herm.max()), float(tr.max()), float(neg.max())),
-            general.tolist())
+    return linalg.Margins(float(tr.max()), float(neg.max())), general.tolist()
 
 
 def margins_and_route(cols, **tolerances):
-    """``validate_eigs``' margins and route mask, as ``validate_full_mh``'s."""
+    """``validate_eigs``' margins and route mask, as ``validate_dense``'s."""
     margins, general, _ = validate_eigs(cols, **tolerances)
     return margins, general.tolist()
 
 
 def mixed_stacks(rng):
-    """``(n, 16)`` stacks that mix X-shaped and non-X rows, with edge values:
-    signed zeros, subnormals, entries near the double range, an off-X pair
-    whose Hermitian part is exactly zero, and a non-finite row."""
+    """``(n, 16)`` stacks that mix X-shaped and non-X rows, each the
+    coordinates of Hermitian parts, with edge values: signed zeros,
+    subnormals, entries near the double range, an off-X pair whose Hermitian
+    part is exactly zero, and a non-finite row."""
     lows = rng.uniform(-1e-8, 0.2, size=40)
     x_rows = np.array([x_shaped((low, 0.5 - low), (0.2, 0.3), rng,
                                 sign_zero=rng.choice([1.0, -1.0])) for low in lows])
     dense = np.array([random_density(rng) for _ in range(40)])
     order = rng.permutation(80)
     rows = np.concatenate([x_rows, dense])[order].reshape(-1, 16)   # row-major
-    yield columns(rows.reshape(-1, 4, 4))
+    yield columns(hermitian_part(rows.reshape(-1, 4, 4)))
     x = np.flatnonzero(order < 40)              # the X-shaped rows
     edge = rows.copy()
     edge[x[0], 1] = complex(1e-300, 2e-300)     # off-X, anti-Hermitian pair:
     edge[x[0], 4] = complex(-1e-300, 2e-300)    # its Hermitian part is 0
-    edge[x[1], 2] = edge[x[1], 8] = 5e-324      # subnormal off-X pair
+    edge[x[1], 2] = edge[x[1], 8] = 5e-324      # subnormal off-X pair, halved to 0
     edge[x[2], 0] = edge[x[2], 15] = -0.0       # signed zero diagonal
-    # near the double range, where the Hermitian part overflows (on X rows:
-    # LAPACK does not converge on an infinite entry)
-    edge[x[3], 0] = 1e308
+    edge[x[3], 0] = 1e308                       # near the double range
     edge[x[4], 5] = complex(-1e308, 1e308)
     edge[x[5], 3] = edge[x[5], 12] = 1e308
-    yield columns(edge.reshape(-1, 4, 4))
+    edge[x[6], 1] = edge[x[6], 4] = 1e-300      # a tiny off-X pair: general
+    yield columns(hermitian_part(edge.reshape(-1, 4, 4)))
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         stack = rows.copy()
         stack[17, 6] = bad
-        yield columns(stack.reshape(-1, 4, 4))
-    for row, cols, value in ((2, [1], 0.3), (6, [5], 0.7), (8, [3, 12], 0.9)):
-        stack = rows.copy()                     # Hermiticity, trace, positivity
+        yield columns(hermitian_part(stack.reshape(-1, 4, 4)))
+    for row, cols, value in ((6, [5], 0.7), (8, [3, 12], 0.9)):
+        stack = rows.copy()                     # trace, positivity
         stack[row, cols] = value
-        yield columns(stack.reshape(-1, 4, 4))
+        yield columns(hermitian_part(stack.reshape(-1, 4, 4)))
 
 
 def validation_stacks():
     """The X stacks of ``test_x_columns`` (one per bad kind and place, and
-    random X states off Hermitian by up to 1e-9), each also as its dense
-    ``(n, 16)`` stack; random dense stacks with the same noise; and stacks
-    that mix X-shaped and non-X rows."""
+    random X states with 1e-9 noise), each also as its dense ``(n, 16)``
+    stack; random dense stacks with noise; and stacks that mix X-shaped and
+    non-X rows."""
     rng = np.random.default_rng(22)
     x_stacks = [x_stack({index: kind}) for kind in BAD for index in (0, 3, 6)]
     x_stacks += [x_stack(bad_at) for bad_at in (
         {2: "negative block eigenvalue", 4: "nan"}, {1: "inf", 3: "hermiticity"},
-        {5: "hermiticity", 1: "trace"})]
+        {5: "hermiticity and trace", 1: "trace"})]
     for _ in range(5):
-        cols = np.array([[x.p00, x.p01, x.p10, x.p11, x.outer, np.conj(x.outer),
-                          x.inner, np.conj(x.inner)]
-                         for x in (random_x_state(rng) for _ in range(200))])
-        cols += 1e-9 * (rng.normal(size=cols.shape) + 1j * rng.normal(size=cols.shape))
-        x_stacks.append(cols)
+        cols = columns(np.array([random_x_state(rng).matrix() for _ in range(200)]))[:, :8]
+        x_stacks.append(cols + 1e-9 * rng.normal(size=cols.shape))
     for cols in x_stacks:
         yield cols
         yield columns(as_matrices(cols))
@@ -529,53 +571,24 @@ def validation_stacks():
         ket[0][tuple(zip(*zeros))] = -0.0
         yield columns(ket)
         yield columns(ket)[:, :8]
-    for _ in range(20):   # one row: X-shaped Hermitian part, off-X entries not 0
-        row = x_shaped((rng.uniform(-1e-8, 1e-8), 0.5), (0.2, 0.3), rng)
-        row[[0, 1], [1, 0]] = complex(0.0, rng.uniform(1e-9, 1e-8))   # anti-Hermitian pair
-        yield columns(row[None])
 
 
-def near_double_range(cols):
-    """Every entry finite, some part at least 1e308 in magnitude."""
-    return bool(np.isfinite(cols).all()) and max(np.abs(cols.real).max(),
-                                                 np.abs(cols.imag).max()) >= 1e308
-
-
-def subnormal_off_x(cols):
-    """The rows whose nonzero off-X entries are all subnormal (and not 0)."""
-    off = np.abs(cols[:, 8:])
-    return (off > 0).any(axis=1) & ~(off >= np.finfo(float).tiny).any(axis=1)
-
-
-def test_validate_equals_the_full_mh_computation():
+def test_validate_equals_the_dense_computation():
     """Margins, route masks, classes, messages and violations are those of
-    the parent computation, to the bit (``repr`` tells -0.0 from 0.0),
-    except two, on the stack with entries near the double range: its summed
-    Hermitian part overflowed there, so the positivity margin is 1e308, not
-    nan; and its row whose only off-X entries are a 5e-324 pair takes the X
-    route, as validation halves each term before it adds them (which cannot
-    overflow), and half of 5e-324 rounds to 0."""
-    tolerances = [(linalg.HERM_TOL, linalg.TRACE_TOL, linalg.PSD_TOL),
-                  (linalg.EVOLVED_HERM_TOL, linalg.EVOLVED_TRACE_TOL,
-                   linalg.EVOLVED_PSD_TOL), (np.inf, np.inf, np.inf)]
+    the computation on the dense matrices, to the bit (``repr`` tells -0.0
+    from 0.0)."""
+    tolerances = [(linalg.TRACE_TOL, linalg.PSD_TOL),
+                  (linalg.EVOLVED_TRACE_TOL, linalg.EVOLVED_PSD_TOL), (np.inf, np.inf)]
     results = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for cols in validation_stacks():
-            for tols in tolerances:
-                result = outcome(margins_and_route, cols, herm_tol=tols[0],
-                                 trace_tol=tols[1], psd_tol=tols[2])
-                expected = outcome(validate_full_mh, cols, *tols)
-                if near_double_range(cols) and tols[0] == np.inf:
-                    assert repr(expected[0]) == repr(linalg.Margins(np.inf, np.inf, np.nan))
-                    assert subnormal_off_x(cols).sum() == 1
-                    expected = linalg.Margins(np.inf, np.inf, 1e308), [
-                        general and not tiny
-                        for general, tiny in zip(expected[1], subnormal_off_x(cols))]
-                assert repr(result) == repr(expected)
+            for trace_tol, psd_tol in tolerances:
+                result = outcome(margins_and_route, cols, trace_tol=trace_tol,
+                                 psd_tol=psd_tol)
+                assert repr(result) == repr(outcome(validate_dense, cols, trace_tol, psd_tol))
                 results.add(type(result[0]) if isinstance(result[0], linalg.Margins)
                             else result[0])
-    assert results == {linalg.Margins, NotHermitian, linalg.TraceNotOne,
-                       NotPSD, NotFinite}
+    assert results == {linalg.Margins, linalg.TraceNotOne, NotPSD, NotFinite}
 
 
 def near_range_states():
@@ -589,8 +602,9 @@ def near_range_states():
 
 @pytest.mark.parametrize("matrix", near_range_states(), ids=["pair", "x", "diag"])
 def test_entries_near_the_double_range_fail_positivity(matrix):
-    # (M + M^H)/2 summed first overflowed to inf: LAPACK did not converge on
-    # it, or the closed form read nan and let a negative population pass
+    # an entry near the double range must not overflow on the way to LAPACK
+    # (which does not converge on inf) or to the closed form (which would read
+    # nan and let a negative population pass)
     cols = columns(matrix[None])
     for width in (16, 8) if not matrix[0, 1] else (16,):
         with pytest.raises(NotPSD) as err:
@@ -606,4 +620,4 @@ def test_mixed_stacks_fail_in_each_class():
                    for stack in mixed_stacks(np.random.default_rng(22))]
     kinds = [c if isinstance(c, linalg.Margins) else c[0] for c in classes]
     assert isinstance(kinds[0], linalg.Margins)
-    assert kinds[2:] == [NotFinite] * 3 + [NotHermitian, linalg.TraceNotOne, NotPSD]
+    assert kinds[2:] == [NotFinite] * 3 + [linalg.TraceNotOne, NotPSD]

@@ -127,7 +127,7 @@ def run_on(stack, monkeypatch, wanted=("concurrence", "linear_entropy"),
     cfg = replace(PHENOM, metrics=wanted, n_points=len(stack), initial_state=start)
 
     def propagate(rho0, params, rates, times):
-        return columns(stack)[:, :width(rho0)]
+        return columns(stack)[:, :width(columns(rho0))]
 
     monkeypatch.setattr(scenarios.phenomenological, "propagate", propagate)
     if calls is not None:

@@ -1,11 +1,11 @@
-"""An X-shaped start runs on the eight X columns of its snapshots, any other
-start on all sixteen; the X columns come first in both.
+"""An X-shaped start runs on the eight X coordinates of its snapshots, any
+other start on all sixteen; the X coordinates come first in both.
 
-Each X column equals its entry of the dense stages (both propagators held to
-all sixteen columns, ``linalg.width`` forced to 16) to the bit, every other
-dense entry is exactly +0, and ``validate_eigs`` gives the same margins or
-error on the X columns as on all sixteen, and routes every snapshot of an X
-start to the X route.
+Each X coordinate equals its coordinate of the dense stages (both
+propagators held to all sixteen, ``linalg.width`` forced to 16) to the bit,
+every other dense coordinate is exactly +0, and ``validate_eigs`` gives the
+same margins or error on the X coordinates as on all sixteen, and routes
+every snapshot of an X start to the X route.
 """
 
 from dataclasses import replace
@@ -51,7 +51,7 @@ def validate_dense(cols, **tolerances):
 def assert_x_columns_of(cols, dense):
     np.testing.assert_array_equal(bits(cols), bits(columns(dense)[:, :8]))
     off_x = columns(dense)[:, 8:]
-    assert (bits(off_x) == 0).all()           # +0+0j, no signed zero
+    assert (bits(off_x) == 0).all()           # +0, no signed zero
     np.testing.assert_array_equal(bits(as_matrices(cols)), bits(dense))
 
 
@@ -110,16 +110,20 @@ def test_a_start_with_one_tiny_off_x_pair_runs_sixteen_wide():
     assert run_scenario(cfg).routes["micro"][0] == scenarios.ROUTES.index("general")
 
 
-# X columns of a valid state: the diagonal, (0,3), (3,0), (1,2), (2,1)
-GOOD = np.array([0.4, 0.3, 0.2, 0.1, 0.05 + 0.02j, 0.05 - 0.02j, 0.1j, -0.1j])
+# X coordinates of a valid state: the populations, Re and Im of (0,3) and of
+# (1,2)
+GOOD = np.array([0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.0, 0.1])
+# a stack holds Hermitian coordinates; the two Hermiticity kinds are what it
+# holds of GOOD with its (3,0) entry 0.3 (alone, and with p11 0.5): the
+# Hermitian part, (0,3) = (0.05 + 0.02j + 0.3) / 2
 BAD = {
     "nan": {4: np.nan},
     "inf": {0: np.inf},
-    "imaginary inf": {6: complex(0.0, np.inf)},
+    "imaginary inf": {7: np.inf},
     "trace": {0: 0.8, 1: 0.6},
     "negative block eigenvalue": {4: 0.3, 5: 0.3},
-    "hermiticity": {5: 0.3},
-    "hermiticity and trace": {5: 0.3, 3: 0.5},
+    "hermiticity": {4: 0.175, 5: 0.01},
+    "hermiticity and trace": {4: 0.175, 5: 0.01, 3: 0.5},
 }
 
 
@@ -134,7 +138,8 @@ def x_stack(bad_at, n=7):
 @pytest.mark.parametrize("kind", list(BAD))
 @pytest.mark.parametrize("index", [0, 3, 6])
 def test_validate_x_raises_like_validate_batch(kind, index):
-    """The X columns fail like all sixteen: same class, message, violation."""
+    """The X coordinates fail like all sixteen: same class, message,
+    violation; or pass with the same margins."""
     cols = x_stack({index: kind})
     for tolerances in ({}, EVOLVED):
         result = outcome(margins_of, cols, **tolerances)
@@ -145,7 +150,7 @@ def test_validate_x_raises_like_validate_batch(kind, index):
 @pytest.mark.parametrize("bad_at, expected", [
     ({2: "negative block eigenvalue", 4: "nan"}, NotPSD),
     ({1: "inf", 3: "hermiticity"}, linalg.NotFinite),
-    ({5: "hermiticity", 1: "trace"}, TraceNotOne),
+    ({5: "hermiticity and trace", 1: "trace"}, TraceNotOne),
 ])
 def test_first_failing_snapshot_decides(bad_at, expected):
     cols = x_stack(bad_at)
@@ -155,13 +160,11 @@ def test_first_failing_snapshot_decides(bad_at, expected):
 
 
 def test_validate_x_margins_equal_validate_batch(rng):
-    """The X columns give the margins of all sixteen."""
-    cols = np.array([[x.p00, x.p01, x.p10, x.p11, x.outer, np.conj(x.outer),
-                      x.inner, np.conj(x.inner)]
-                     for x in (random_x_state(rng) for _ in range(200))])
+    """The X coordinates give the margins of all sixteen."""
+    cols = columns(np.array([random_x_state(rng).matrix() for _ in range(200)]))[:, :8]
     cols[::7, 4] += 1e-12                  # within the evolved tolerance
     margins = margins_of(cols, **EVOLVED)
-    assert margins.hermiticity > 0
+    assert margins.trace > 0
     assert margins == validate_dense(cols, **EVOLVED)
 
 
