@@ -12,16 +12,16 @@ orders are frozen once and for all:
 a stack is Hermitian by construction and its width is its layout: ``width``
 gives 8 when every off-X coordinate is exactly zero, 16 otherwise.
 ``validate_eigs`` checks such a stack in one pass (a single matrix is a
-stack of one) and decides each snapshot's metric route: it reads the
-smallest eigenvalue of an exactly X-shaped snapshot in closed form and
-returns LAPACK's eigenpairs of the others, for the general concurrence.
+stack of one), and its width is its metric route: it reads the smallest
+eigenvalue of each snapshot of a stack that ``width`` gives 8 in closed form
+and returns LAPACK's eigenpairs of every snapshot of any other stack, for the
+general concurrence.
 Hermiticity is checked where a matrix enters from outside the program
 (``validate_density``).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -131,12 +131,14 @@ def _raise_first_failure(checks):
 
 def validate_eigs(cols, *, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check unit trace and positivity of every matrix of an ``(n, 8)`` or
-    ``(n, 16)`` stack; return the worst margins, the ``general`` mask of the
-    matrices that are not exactly X-shaped (each snapshot's metric route) and
-    ``np.linalg.eigh`` of those, from one LAPACK call.  The first failing
-    matrix decides: non-finite entries raise NotFinite, otherwise its first
-    failed check (TraceNotOne, then NotPSD), with a message listing every
-    violation of that matrix, so a broken state is diagnosed in one pass.
+    ``(n, 16)`` stack; return the worst margins and the stack's eigenpairs.
+    The stack's width is its metric route: where ``width`` gives 8, each
+    smallest eigenvalue is read in closed form and the eigenpairs are None;
+    otherwise they are ``np.linalg.eigh`` of every matrix, from one LAPACK
+    call.  The first failing matrix decides: non-finite entries raise
+    NotFinite, otherwise its first failed check (TraceNotOne, then NotPSD),
+    with a message listing every violation of that matrix, so a broken state
+    is diagnosed in one pass.
     """
     cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or cols.shape[1] not in (8, 16) or len(cols) == 0:
@@ -146,26 +148,20 @@ def validate_eigs(cols, *, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
                        else int(np.argmin(np.isfinite(cols).all(axis=1))))
     checked = cols[:first_nonfinite]
     tr = np.abs(trace_of(checked) - 1.0)
-    # column by column, as numpy reduces a short row axis slowly
-    general = functools.reduce(np.logical_or, [c != 0 for c in checked[:, 8:].T],
-                               np.zeros(len(checked), bool))
-    # an X-shaped matrix is the direct sum of its {00,11} and {01,10} blocks,
-    # and the smallest eigenvalue of a block [[p, z], [z*, q]] is
-    # (p+q)/2 - hypot((p-q)/2, |z|).  A mask copies each column it picks: the
-    # slice of an all-X stack validates 2,000 X rows in about 100 us against
-    # 180 us (x86-64, numpy 2.4.6)
-    rows = ~general if general.any() else slice(None)
-    low = []
-    for k, (i, j) in enumerate(UPPER[:2]):
-        p, q = checked[rows, i], checked[rows, j]
-        z = np.hypot(checked[rows, 4 + 2 * k], checked[rows, 5 + 2 * k])
-        low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
-    neg = np.empty(len(checked))
-    neg[rows] = -np.minimum(*low)
-    eigs = np.empty((0, 4)), np.empty((0, 4, 4), complex)
-    if general.any():   # only a 16-wide stack has general rows
-        eigs = np.linalg.eigh(as_matrices(checked[general]))
-        neg[general] = -eigs[0][:, 0]
+    eigs = None
+    if width(checked) == 8:
+        # an X-shaped matrix is the direct sum of its {00,11} and {01,10}
+        # blocks, and the smallest eigenvalue of a block [[p, z], [z*, q]] is
+        # (p+q)/2 - hypot((p-q)/2, |z|)
+        low = []
+        for k, (i, j) in enumerate(UPPER[:2]):
+            p, q = checked[:, i], checked[:, j]
+            z = np.hypot(checked[:, 4 + 2 * k], checked[:, 5 + 2 * k])
+            low.append(0.5 * (p + q) - np.hypot(0.5 * (p - q), z))
+        neg = -np.minimum(*low)
+    else:
+        eigs = np.linalg.eigh(as_matrices(checked))
+        neg = -eigs[0][:, 0]
     failing = (tr > trace_tol) | (neg > psd_tol)
     if failing.any():
         i = int(np.argmax(failing))
@@ -173,7 +169,7 @@ def validate_eigs(cols, *, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
                               (NotPSD, "positivity", neg[i], psd_tol)])
     if first_nonfinite < len(cols):
         raise NotFinite("matrix contains non-finite entries")
-    return Margins(float(tr.max()), float(neg.max())), general, eigs
+    return Margins(float(tr.max()), float(neg.max())), eigs
 
 
 def validate_density(matrix) -> np.ndarray:

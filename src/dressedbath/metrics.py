@@ -14,9 +14,9 @@ minimisation over projective measurements.
 The X-state extraction and the X-form metrics work element-wise on arrays:
 a whole trajectory of snapshots is one call, and a single state is a call
 on scalars.  ``x_elements_from_columns`` reads them off the first eight
-coordinates of a run (``scenarios._trajectory_metrics``) and of the closed-form
-stationary states (``scenarios.stationary_metrics``), after
-``linalg.validate_eigs`` has checked them and chosen each snapshot's route;
+coordinates of an X-shaped run (``scenarios._trajectory_metrics``) and of the
+closed-form stationary states (``scenarios.stationary_metrics``), after
+``linalg.validate_eigs`` has checked them and found the stack X-shaped;
 ``x_elements_from_matrix`` is its form for computational matrices.
 ``x_elements_from_dressed`` reads the same elements off a dressed-basis
 micro state and serves as its cross-check.

@@ -26,7 +26,7 @@ from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
 MODELS = ("micro", "phenom")
-ROUTES = ("matrix_x", "general")   # metric routes, in trial order
+ROUTES = ("matrix_x", "general")   # metric routes
 METRICS = ("concurrence", "discord", "linear_entropy", "populations")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
@@ -106,7 +106,7 @@ class Trajectory:
     times: np.ndarray
     series: dict            # model -> column name -> np.ndarray, in CSV order
     margins: dict           # model -> linalg.Margins of its snapshots
-    routes: dict            # model -> per-snapshot index into ROUTES
+    routes: dict            # model -> its metric route, a name in ROUTES
     config: ScenarioConfig
     fairness_lines: list
 
@@ -157,31 +157,30 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
 def _trajectory_metrics(stack, wanted):
     """``run_scenario``'s stages after propagation on one model's trajectory
     (a ``_propagation`` stack): the worst margins of its snapshots, its
-    metric columns and the route (index into ROUTES) of each snapshot.
-    Validation checks every snapshot at the evolved tolerances, positivity
-    at ``PSD_TOL`` when an entanglement measure is wanted, and routes the
-    snapshots that are not exactly X-shaped to the general route, with its
-    eigenpairs.  Each X-form metric is one call on the X elements of
-    the whole stack; the general route then overwrites its own rows.  No
-    column holds a view of ``stack``, which dies after.
+    metric columns and its route, a name in ROUTES.  Validation checks every
+    snapshot at the evolved tolerances, positivity at ``PSD_TOL`` when an
+    entanglement measure is wanted, and routes the whole stack by its width:
+    an 8-wide one to the X forms, each one call on the X elements of the
+    whole stack, any other to the general forms, concurrence from the
+    eigenpairs validation returns.  No column holds a view of ``stack``,
+    which dies after.
     """
     psd_tol = PSD_TOL if {"concurrence", "discord"} & set(wanted) else EVOLVED_PSD_TOL
-    margins, general, eigs = validate_eigs(stack, trace_tol=EVOLVED_TRACE_TOL,
-                                           psd_tol=psd_tol)
-    if general.any() and "discord" in wanted:
+    margins, eigs = validate_eigs(stack, trace_tol=EVOLVED_TRACE_TOL, psd_tol=psd_tol)
+    if eigs is None:
+        x = metrics.x_elements_from_columns(stack)
+        cols = {m: getattr(metrics, _X_FORM[m])(x) for m in wanted if m in _X_FORM}
+    elif "discord" in wanted:
         raise AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
-    x = metrics.x_elements_from_columns(stack)
-    cols = {m: getattr(metrics, _X_FORM[m])(x) for m in wanted if m in _X_FORM}
-    if general.any() and "concurrence" in wanted:
-        cols["concurrence"][general] = metrics.concurrence_from_eigs(*eigs)
-    if general.any() and "linear_entropy" in wanted:
-        cols["linear_entropy"][general] = metrics.linear_entropy_q1(
-            as_matrices(stack[general]))
-    if "populations" in wanted:   # copies of the stack's column views
-        cols.update(zip(_POPULATIONS, (p.copy() for p in (x.p00, x.p01, x.p10, x.p11))))
-    return margins, cols, general.astype(np.int8)
+    else:   # concurrence, linear entropy
+        cols = {m: (metrics.concurrence_from_eigs(*eigs) if m == "concurrence"
+                    else metrics.linear_entropy_q1(as_matrices(stack)))
+                for m in wanted if m in _X_FORM}
+    if "populations" in wanted:   # copies of the stack's columns
+        cols.update(zip(_POPULATIONS, (stack[:, i].copy() for i in range(4))))
+    return margins, cols, "matrix_x" if eigs is None else "general"
 
 
 def _propagation(cfg: ScenarioConfig):

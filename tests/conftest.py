@@ -93,7 +93,7 @@ def margins_of(cols, **tolerances):
 def dense_stages(cfg):
     """``run_scenario``'s stages on full ``(n, 4, 4)`` stacks, all sixteen
     columns through the basis change, validation and the metrics, as for a
-    non-X start: per model the stack, its margins, series and routes.  The
+    non-X start: per model the stack, its margins, series and route.  The
     margins are ``validate_eigs``' at the evolved tolerances."""
     from dressedbath import phenomenological, scenarios
     from dressedbath.linalg import as_matrices, columns
@@ -116,24 +116,60 @@ def dense_stages(cfg):
     return out
 
 
+def validate_on_route(cols, general, trace_tol, psd_tol):
+    """``linalg.validate_eigs``' margins on the route ``general`` names, through
+    the dense matrices: every row scanned for non-finite entries, every row's
+    matrix formed, the trace summed off its diagonal, and the smallest
+    eigenvalue of each matrix read off its two 2x2 blocks on the X route or
+    taken from LAPACK's ``eigh`` (the call validation makes) on the general
+    one.  Raises what validation raises."""
+    from dressedbath import linalg
+    from dressedbath.linalg import as_matrices
+    finite = np.isfinite(cols).all(axis=1)
+    first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
+    m = as_matrices(cols[:first_nonfinite])
+    tr = np.abs(np.einsum("nii->n", m).real - 1.0)
+    if general:
+        low = np.linalg.eigh(m)[0][:, 0]
+    else:
+        # |z| as hypot(Re, Im): numpy's complex abs can differ in the last bit
+        blocks = [(m[:, i, i].real, m[:, j, j].real,
+                   np.hypot(m[:, i, j].real, m[:, i, j].imag)) for i, j in ((0, 3), (1, 2))]
+        low = np.minimum(*(0.5 * (p + q) - np.hypot(0.5 * (p - q), z)
+                           for p, q, z in blocks))
+    neg = -low
+    failing = (tr > trace_tol) | (neg > psd_tol)
+    if failing.any():
+        i = int(np.argmax(failing))
+        failures = [(cls, name, v[i]) for cls, name, v, tol in (
+            (linalg.TraceNotOne, "trace", tr, trace_tol),
+            (linalg.NotPSD, "positivity", neg, psd_tol)) if v[i] > tol]
+        detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
+        cls, _, violation = failures[0]
+        raise cls(f"invalid density matrix: {detail}", violation)
+    if first_nonfinite < len(cols):
+        raise linalg.NotFinite("matrix contains non-finite entries")
+    return linalg.Margins(float(tr.max()), float(neg.max()))
+
+
 def trajectory_metrics_per_snapshot(stack, wanted):
-    """``scenarios._trajectory_metrics`` one snapshot at a time, in order:
-    each snapshot validated at the evolved tolerances, positivity at
-    ``PSD_TOL`` when concurrence or discord is wanted; then discord refused
-    on a snapshot that is not exactly X-shaped; then each
-    snapshot's values by its route, the X forms of its X elements or the
-    general concurrence and the partial-trace linear entropy of its matrix.
-    Returns the margins, series and routes.  Every metric runs on a stack of
-    one snapshot."""
+    """``scenarios._trajectory_metrics`` one snapshot at a time, in order, each
+    on its stack's route, general when any snapshot has an off-X entry: each
+    snapshot validated on that route (``validate_on_route``) at the evolved
+    tolerances, positivity at ``PSD_TOL`` when concurrence or discord is
+    wanted; then discord refused on a general stack; then each snapshot's
+    values, the X forms of its X elements or the general concurrence and the
+    partial-trace linear entropy of its matrix.  Returns the margins, series
+    and route.  Every metric runs on a stack of one snapshot."""
     from dressedbath import metrics
-    from dressedbath.linalg import PSD_TOL, Margins, as_matrices, columns, validate_eigs
+    from dressedbath.linalg import PSD_TOL, Margins, as_matrices, columns
     tolerances = dict(EVOLVED)
     if {"concurrence", "discord"} & set(wanted):
         tolerances["psd_tol"] = PSD_TOL
-    margins = [validate_eigs(row[None], **tolerances)[0] for row in stack]
     states = as_matrices(stack)
-    general = columns(states)[:, 8:].any(axis=1)   # its off-X entries
-    if "discord" in wanted and general.any():
+    general = bool(columns(states)[:, 8:].any())   # an off-X entry anywhere
+    margins = [validate_on_route(row[None], general, **tolerances) for row in stack]
+    if "discord" in wanted and general:
         raise metrics.AssumptionViolated(
             "the discord approximation needs an X-shaped state; "
             "this trajectory left the X family")
@@ -143,16 +179,17 @@ def trajectory_metrics_per_snapshot(stack, wanted):
     on_matrix = {"concurrence": metrics.concurrence_general,
                  "linear_entropy": metrics.linear_entropy_q1}
     rows = []
-    for i, is_general in enumerate(general):
+    for i in range(len(stack)):
         x = metrics.x_elements_from_columns(stack[i:i + 1])
-        row = {m: (on_matrix[m](states[i:i + 1]) if is_general else x_form[m](x))
+        row = {m: (on_matrix[m](states[i:i + 1]) if general else x_form[m](x))
                for m in wanted if m in x_form}
         if "populations" in wanted:
             row.update(zip(("pop_00", "pop_01", "pop_10", "pop_11"),
                            (x.p00, x.p01, x.p10, x.p11)))
         rows.append(row)
     series = {name: np.concatenate([row[name] for row in rows]) for name in rows[0]}
-    return (Margins(*np.max(margins, axis=0)), series, general.astype(np.int8))
+    return (Margins(*np.max(margins, axis=0)), series,
+            "general" if general else "matrix_x")
 
 
 def stationary_per_model(params, frame, rates):
@@ -166,8 +203,8 @@ def stationary_per_model(params, frame, rates):
               "phenom": phenomenological.steady_state(params, rates)}
     out = {}
     for model, state in states.items():
-        general = validate_eigs(columns(state[None]))[1]
-        assert not general.any(), f"{model} stationary state is not X-shaped"
+        eigs = validate_eigs(columns(state[None]))[1]
+        assert eigs is None, f"{model} stationary state is not X-shaped"
         x = metrics.x_elements_from_matrix(state)
         out[model] = {"concurrence": float(metrics.concurrence_x(x)),
                       "discord": float(metrics.discord_approx_q2(x)),
@@ -234,7 +271,7 @@ def assert_run_matches_dense(cfg):
     stacks = run_stacks(cfg)
     for model, (stack, margins, series, routes) in dense.items():
         assert traj.margins[model] == margins
-        np.testing.assert_array_equal(traj.routes[model], routes)
+        assert traj.routes[model] == routes
         assert list(traj.series[model]) == list(series)
         for name, column in series.items():
             np.testing.assert_array_equal(bits(traj.series[model][name]),

@@ -9,7 +9,7 @@ from dressedbath.linalg import (MAP, NotFinite, NotHermitian, NotPSD,
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
 from conftest import (bits, margins_of, outcome, random_density, random_x_state,
-                      to_computational)
+                      to_computational, validate_on_route)
 from test_x_columns import BAD, EVOLVED, x_stack
 
 
@@ -346,8 +346,9 @@ def x_shaped(outer_eigs, inner_eigs, rng, sign_zero=1.0):
 
 
 class TestClosedFormPositivity:
-    """validate_eigs reads an X-shaped snapshot's smallest eigenvalue off its
-    two 2x2 blocks; LAPACK gets only the other snapshots."""
+    """validate_eigs reads the smallest eigenvalue of each snapshot of an
+    X-shaped stack off its two 2x2 blocks; LAPACK gets only the other
+    stacks."""
 
     NO_BOUNDS = dict(trace_tol=np.inf, psd_tol=np.inf)
 
@@ -406,27 +407,38 @@ class TestClosedFormPositivity:
                           **loose)
 
     def test_tiny_off_x_entry_goes_to_lapack(self, rng, lapack_calls):
+        """One off-X pair of 1e-300 sends the whole stack to LAPACK, in one
+        call; without it, no matrix goes."""
         stack = np.array([x_shaped((0.1, 0.4), (0.2, 0.3), rng) for _ in range(5)])
+        assert validate_eigs(columns(stack))[1] is None
+        assert lapack_calls == []
         stack[2, 0, 1] = stack[2, 1, 0] = 1e-300
-        _, general, (evals, _) = validate_eigs(columns(stack))
-        assert lapack_calls == [1]
-        assert general.tolist() == [False, False, True, False, False]
-        assert len(evals) == 1
+        _, (evals, vecs) = validate_eigs(columns(stack))
+        assert lapack_calls == [5]
+        assert len(evals) == len(vecs) == 5
 
     @pytest.mark.parametrize("first, second", [(1, 3), (3, 1)])
     def test_first_failing_snapshot_decides_across_routes(self, rng, first,
                                                           second):
-        # snapshot `first` fails on the LAPACK route, `second` in closed form
+        # both snapshots fail, `first` with an off-X pair of 1e-300: the stack
+        # goes to LAPACK with it and is read in closed form without it
         stack = np.array([x_shaped((0.1, 0.4), (0.2, 0.3), rng) for _ in range(5)])
         stack[first] = x_shaped((-0.01, 0.5), (0.2, 0.31), rng)
-        stack[first, 0, 1] = stack[first, 1, 0] = 1e-300
         stack[second] = x_shaped((-0.02, 0.5), (0.2, 0.32), rng)
+        decides = min(first, second)
         with pytest.raises(NotPSD) as single:
-            validate_density(stack[min(first, second)])
+            validate_density(stack[decides])
         with pytest.raises(NotPSD) as stacked:
             validate_eigs(columns(stack))
         assert str(stacked.value) == str(single.value)
         assert stacked.value.violation == single.value.violation
+        stack[first, 0, 1] = stack[first, 1, 0] = 1e-300
+        with pytest.raises(NotPSD) as stacked:
+            validate_eigs(columns(stack))
+        low = np.linalg.eigh(as_matrices(columns(stack[decides][None])))[0][0, 0]
+        assert stacked.value.violation == -low
+        assert str(stacked.value) == ("invalid density matrix: positivity off by "
+                                      f"{stacked.value.violation:.3e}")
 
 
 class TestStackedHermitianEigs:
@@ -467,45 +479,21 @@ class TestStackedHermitianEigs:
 
 
 def validate_dense(cols, trace_tol, psd_tol):
-    """``linalg.validate_eigs``' margins and route mask through the dense
-    matrices: every row scanned for non-finite entries, every row's matrix
-    formed, the trace summed off its diagonal, the smallest eigenvalue of an
-    X-shaped one read off its two 2x2 blocks and LAPACK's (from ``eigh``,
-    the call validation makes) for the others.  The reference for the
-    coordinate slices, the column-by-column reductions and the X-row slice
+    """``linalg.validate_eigs``' margins and route through the dense matrices:
+    the route is general when a row before the first non-finite one has an
+    off-X entry, and ``validate_on_route`` validates every row on it.  The
+    reference for the coordinate slices and the column-by-column reductions
     of the production pass."""
     finite = np.isfinite(cols).all(axis=1)
-    first_nonfinite = len(cols) if finite.all() else int(np.argmin(finite))
-    m = as_matrices(cols[:first_nonfinite])
-    tr = np.abs(np.einsum("nii->n", m).real - 1.0)
-    general = columns(m)[:, 8:].any(axis=1)
-    low = np.empty(len(m))
-    x = ~general
-    blocks = [(m[x, i, i].real, m[x, j, j].real, np.abs(m[x, i, j]))
-              for i, j in ((0, 3), (1, 2))]
-    low[x] = np.minimum(*(0.5 * (p + q) - np.hypot(0.5 * (p - q), z)
-                          for p, q, z in blocks))
-    if general.any():
-        low[general] = np.linalg.eigh(m[general])[0][:, 0]
-    neg = -low
-    failing = (tr > trace_tol) | (neg > psd_tol)
-    if failing.any():
-        i = int(np.argmax(failing))
-        failures = [(cls, name, v[i]) for cls, name, v, tol in (
-            (linalg.TraceNotOne, "trace", tr, trace_tol),
-            (NotPSD, "positivity", neg, psd_tol)) if v[i] > tol]
-        detail = ", ".join(f"{name} off by {v:.3e}" for _, name, v in failures)
-        cls, _, violation = failures[0]
-        raise cls(f"invalid density matrix: {detail}", violation)
-    if first_nonfinite < len(cols):
-        raise NotFinite("matrix contains non-finite entries")
-    return linalg.Margins(float(tr.max()), float(neg.max())), general.tolist()
+    checked = cols[:len(cols) if finite.all() else int(np.argmin(finite))]
+    general = bool(columns(as_matrices(checked))[:, 8:].any())
+    return validate_on_route(cols, general, trace_tol, psd_tol), general
 
 
 def margins_and_route(cols, **tolerances):
-    """``validate_eigs``' margins and route mask, as ``validate_dense``'s."""
-    margins, general, _ = validate_eigs(cols, **tolerances)
-    return margins, general.tolist()
+    """``validate_eigs``' margins and route, as ``validate_dense``'s."""
+    margins, eigs = validate_eigs(cols, **tolerances)
+    return margins, eigs is not None
 
 
 def mixed_stacks(rng):
@@ -545,7 +533,7 @@ def validation_stacks():
     """The X stacks of ``test_x_columns`` (one per bad kind and place, and
     random X states with 1e-9 noise), each also as its dense ``(n, 16)``
     stack; random dense stacks with noise; and stacks that mix X-shaped and
-    non-X rows."""
+    non-X rows, each also as its X-shaped rows alone."""
     rng = np.random.default_rng(22)
     x_stacks = [x_stack({index: kind}) for kind in BAD for index in (0, 3, 6)]
     x_stacks += [x_stack(bad_at) for bad_at in (
@@ -560,7 +548,9 @@ def validation_stacks():
     for _ in range(5):
         dense = columns(np.array([random_density(rng) for _ in range(50)]))
         yield dense + 1e-11 * rng.normal(size=dense.shape)
-    yield from mixed_stacks(rng)
+    for cols in mixed_stacks(rng):   # and their X-shaped rows alone
+        yield cols
+        yield cols[~cols[:, 8:].any(axis=1)]
     for n in (1, 2):                            # stacks of one and two rows
         yield x_stack({}, n=n)
         yield x_stack({0: "negative block eigenvalue"}, n=n)
@@ -574,8 +564,8 @@ def validation_stacks():
 
 
 def test_validate_equals_the_dense_computation():
-    """Margins, route masks, classes, messages and violations are those of
-    the computation on the dense matrices, to the bit (``repr`` tells -0.0
+    """Margins, routes, classes, messages and violations are those of the
+    computation on the dense matrices, to the bit (``repr`` tells -0.0
     from 0.0)."""
     tolerances = [(linalg.TRACE_TOL, linalg.PSD_TOL),
                   (linalg.EVOLVED_TRACE_TOL, linalg.EVOLVED_PSD_TOL), (np.inf, np.inf)]

@@ -161,8 +161,8 @@ def test_non_x_start_carries_all_sixteen_columns(cfg):
         assert margins.trace <= EVOLVED_TRACE_TOL
         assert margins.positivity <= EVOLVED_PSD_TOL
         if "concurrence" in cfg.metrics:
-            # every snapshot with an off-X entry takes the general route,
-            # however small the entry has decayed
+            # a stack with an off-X entry takes the general route on every
+            # snapshot, however small the entry has decayed
             general = concurrence_general(as_matrices(stack))
             # measured 1.4e-16 over 400 draws of this strategy
             assert np.abs(traj.series[model]["concurrence"] - general).max() <= 1e-12
@@ -199,16 +199,16 @@ def snapshot_stacks(draw):
 @given(snapshot_stacks(), st.sets(st.sampled_from(METRICS), min_size=1))
 def test_trajectory_metrics_is_the_per_snapshot_loop(stack, wanted):
     """The whole-stack metric stage raises what a loop over the snapshots
-    raises, or gives its margins, routes and every value, bit for bit."""
+    raises, or gives its margins, route and every value, bit for bit."""
     wanted = tuple(m for m in METRICS if m in wanted)
     got = verdict_or_error(_trajectory_metrics, stack, wanted)
     expected = verdict_or_error(trajectory_metrics_per_snapshot, stack, wanted)
     if isinstance(expected[0], type) or isinstance(got[0], type):
         assert got == expected
         return
-    (margins, series, routes), (ref_margins, ref_series, ref_routes) = got, expected
+    (margins, series, route), (ref_margins, ref_series, ref_route) = got, expected
     assert margins == ref_margins
-    np.testing.assert_array_equal(routes, ref_routes)
+    assert route == ref_route
     assert list(series) == list(ref_series)
     for name, column in series.items():
         np.testing.assert_array_equal(bits(column), bits(ref_series[name]))
@@ -243,9 +243,9 @@ def x_column_stacks(draw):
 @PROFILE
 @given(x_column_stacks())
 def test_an_x_stack_validates_and_reads_as_its_zero_padded_form(cols):
-    """Validation (margins, route mask, eigenpairs, or the error), the X
-    elements and the trace of an X stack are those of its sixteen-column
-    form, +0 at every off-X coordinate, bit for bit."""
+    """Validation (margins and the X route, or the error), the X elements and
+    the trace of an X stack are those of its sixteen-column form, +0 at
+    every off-X coordinate, bit for bit."""
     padded = columns(as_matrices(cols))
     assert padded.shape == (len(cols), 16) and not padded[:, 8:].any()
     for tolerances in ({}, EVOLVED):
@@ -254,10 +254,7 @@ def test_an_x_stack_validates_and_reads_as_its_zero_padded_form(cols):
             assert repr(narrow) == repr(wide)
             continue
         assert repr(narrow[0]) == repr(wide[0])
-        np.testing.assert_array_equal(narrow[1], wide[1])
-        assert not narrow[1].any()
-        for a, b in zip(narrow[2], wide[2]):
-            assert a.shape == b.shape and bits(a).tobytes() == bits(b).tobytes()
+        assert narrow[1] is wide[1] is None
     for name in XStateElements.__dataclass_fields__:
         np.testing.assert_array_equal(bits(getattr(x_elements_from_columns(cols), name)),
                                       bits(getattr(x_elements_from_columns(padded), name)))
@@ -300,7 +297,7 @@ def test_closed_form_stationary_states(p):
     ss = phenomenological.steady_state(p, rates)
     assert abs(np.trace(ss) - 1.0) <= 1e-14
     # Hermitian, unit trace, PSD, and the X route
-    assert not validate_eigs(columns(ss[None]))[1].any()
+    assert validate_eigs(columns(ss[None]))[1] is None
     # a closed-form state is exact to rounding: the generator residual is
     # rounding at the generator's largest column sum
     gen = phenomenological.liouvillian_from_ops(p, rates)

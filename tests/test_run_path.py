@@ -1,6 +1,6 @@
-"""One site per computation on the run path: each X-form metric is one call
-on the X elements of a model run's whole stack, which the general route then
-overwrites in its own rows, each configuration builds one dressed frame, and
+"""One site per computation on the run path: each metric is one call on a
+model run's whole stack, an X form on its X elements or a general form on
+the general route, each configuration builds one dressed frame, and
 each closed-form stationary state is evaluated once per configuration.  The
 micro closed form writes the columns of its start's width, and a model's
 stack lives only until its metrics: no series keeps it, and a ``figure`` op
@@ -27,8 +27,9 @@ RUNS = [figure_preset(n) for n in (2, 4, 6)] + golden_general_configs()
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Each call of an X-form metric on X elements, and of the general
-    concurrence, in order: the function's name and the number of snapshots."""
+    """Each call of an X-form metric, of the general concurrence and of the
+    linear entropy of matrices, in order: the function's name, "[general]"
+    after a call on matrices, and the number of snapshots."""
     seen = []
     for name in (*X_FORM.values(), "concurrence_from_eigs"):
         def spy(first, *args, name=name, real=getattr(metrics, name)):
@@ -36,20 +37,28 @@ def calls(monkeypatch):
                 seen.append((name, len(first.p00)))
             elif name == "concurrence_from_eigs":
                 seen.append((name, len(first)))
+            else:   # the linear entropy of matrices
+                seen.append((f"{name}[general]", len(first)))
             return real(first, *args)
 
         monkeypatch.setattr(metrics, name, spy)
     return seen
 
 
+GENERAL_FORM = {"concurrence": "concurrence_from_eigs",
+                "linear_entropy": "linear_entropy_q1[general]"}
+
+
 @pytest.mark.parametrize("cfg", RUNS, ids=[c.label for c in RUNS])
 def test_one_x_form_call_per_metric_on_every_snapshot(cfg, calls):
+    """An X run makes one X-form call per metric on all its snapshots; a
+    general run makes none, and one general-form call per metric instead."""
     traj = run_scenario(cfg)
-    if "general" in cfg.label:   # the general route overwrites some rows
-        assert all(traj.routes[m].any() for m in cfg.models)
-    x_form = [(name, n) for name, n in calls if name != "concurrence_from_eigs"]
-    assert x_form == [(X_FORM[m], cfg.n_points) for _ in cfg.models
-                      for m in cfg.metrics if m in X_FORM]
+    general = "general" in cfg.label
+    assert set(traj.routes.values()) == {"general" if general else "matrix_x"}
+    forms = GENERAL_FORM if general else X_FORM
+    assert calls == [(forms[m], cfg.n_points) for _ in cfg.models
+                     for m in cfg.metrics if m in X_FORM]
 
 
 @pytest.mark.parametrize("wanted", [("discord",), ("concurrence", "discord"),

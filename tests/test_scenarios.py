@@ -11,10 +11,9 @@ from dressedbath.linalg import (EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL, ROUNDING_TOL
                                 as_matrices, columns)
 from dressedbath.model import SystemParams, dressed_frame, rate_set
 from dressedbath.cli import main
-from dressedbath.scenarios import (MAX_POINTS, MODELS, ROUTES,
-                                   STATIONARY_METRICS, CompareReport,
-                                   ConfigError, OutOfRange, ScenarioConfig,
-                                   compare_report, figure_preset,
+from dressedbath.scenarios import (MAX_POINTS, MODELS, STATIONARY_METRICS,
+                                   CompareReport, ConfigError, OutOfRange,
+                                   ScenarioConfig, compare_report, figure_preset,
                                    initial_state_matrix, parse_config,
                                    run_scenario, sudden_death_time, sweep,
                                    sweep_csv, trajectory_csv, write_trajectory)
@@ -265,7 +264,7 @@ class TestSnapshotLayer:
                               metrics=("concurrence", "discord", "linear_entropy"))
             traj = run_scenario(cfg)
             for model in ("micro", "phenom"):
-                assert np.all(traj.routes[model] == ROUTES.index("matrix_x"))
+                assert traj.routes[model] == "matrix_x"
             rho0 = initial_state_matrix(cfg, frame)
             dressed = dressed_matrices(u.conj().T @ rho0 @ u, rates, frame, traj.times)
             oracle, held = metrics.x_elements_from_dressed(dressed, frame)
@@ -286,7 +285,7 @@ class TestSnapshotLayer:
                                         n_points=20,
                                         metrics=("concurrence", "linear_entropy")))
         for model in ("micro", "phenom"):
-            assert traj.routes[model][0] == ROUTES.index("general")
+            assert traj.routes[model] == "general"
 
     def test_margins_are_worst_snapshot_values(self):
         cfg = fast_config(n_points=200)

@@ -1,7 +1,8 @@
 """A snapshot's Hermitian part reaches LAPACK at most once per model run, and
-only from ``linalg.validate_eigs``: validation decomposes every snapshot
-that is not exactly X-shaped, those snapshots are the general metric route,
-and their eigenpairs feed the general concurrence."""
+only from ``linalg.validate_eigs``: a stack with an off-X entry in any
+snapshot takes the general metric route as a whole, validation decomposes
+all of its snapshots in one call, and their eigenpairs feed the general
+concurrence; an X-shaped stack reaches LAPACK not at all."""
 
 import sys
 from dataclasses import replace
@@ -11,9 +12,9 @@ import pytest
 
 from conftest import EVOLVED, bits, golden_general_configs, random_density, run_stacks
 from dressedbath import linalg, metrics, scenarios
-from dressedbath.linalg import (NotPSD, TraceNotOne, as_matrices, columns,
+from dressedbath.linalg import (ROUNDING_TOL, NotPSD, TraceNotOne, as_matrices, columns,
                                 validate_density, validate_eigs, width)
-from dressedbath.scenarios import ROUTES, figure_preset, run_scenario
+from dressedbath.scenarios import figure_preset, run_scenario
 
 
 def seeded_draws():
@@ -62,10 +63,6 @@ def off_x(herm):
     return columns(herm)[:, 8:]
 
 
-def off_x_rows(herm):
-    return off_x(herm).any(axis=1)
-
-
 @pytest.mark.parametrize("cfg", CONFIGS,
                          ids=[f"{c.label}-{i}" for i, c in enumerate(CONFIGS)])
 def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_calls):
@@ -74,18 +71,32 @@ def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_calls):
         lapack_calls.clear()
         traj = run_scenario(one_model)
         states, herm = hermitian_parts(traj, model)
-        general = traj.routes[model] == ROUTES.index("general")
-        np.testing.assert_array_equal(general, off_x_rows(herm))
-        if cfg.t_max == "auto":
-            assert general.all()
-        else:   # near-X snapshots, off-X entries at most 1e-10, route general
-            assert (general & (np.abs(off_x(herm)).max(axis=1) <= 1e-10)).any()
-        assert len(handed(lapack_calls)) == general.sum()
-        assert (sorted(m.tobytes() for m in handed(lapack_calls))
-                == sorted(m.tobytes() for m in herm[general]))
-        np.testing.assert_array_equal(
-            bits(traj.series[model]["concurrence"][general]),
-            bits(metrics.concurrence_general(states[general])))
+        assert traj.routes[model] == "general"
+        if cfg.t_max != "auto":   # near-X snapshots, off-X entries at most 1e-10
+            assert (np.abs(off_x(herm)).max(axis=1) <= 1e-10).any()
+        assert [code for code, _ in lapack_calls] == [linalg.validate_eigs.__code__]
+        np.testing.assert_array_equal(bits(handed(lapack_calls)), bits(herm))
+        np.testing.assert_array_equal(bits(traj.series[model]["concurrence"]),
+                                      bits(metrics.concurrence_general(states)))
+
+
+def test_exactly_x_snapshots_of_a_general_stack_take_its_route():
+    """On a 1e-3 s span the micro closed form's coherences underflow to exact
+    zeros: most late snapshots are exactly X-shaped inside a sixteen-wide
+    stack.  They take the stack's general route, whose concurrence is that
+    of the matrices alone, bit for bit, and agrees with the X form to
+    rounding."""
+    cfg = replace(golden_general_configs()[0], models=("micro",), t_max=1e-3)
+    stack = run_stacks(cfg)["micro"]
+    x_rows = ~stack[:, 8:].any(axis=1)
+    assert stack.shape == (cfg.n_points, 16) and x_rows.sum() > cfg.n_points // 2
+    traj = run_scenario(cfg)
+    assert traj.routes["micro"] == "general"
+    concurrence = traj.series["micro"]["concurrence"]
+    np.testing.assert_array_equal(
+        bits(concurrence), bits(metrics.concurrence_general(as_matrices(stack))))
+    x_form = metrics.concurrence_x(metrics.x_elements_from_columns(stack[x_rows]))
+    assert np.abs(concurrence[x_rows] - x_form).max() <= ROUNDING_TOL
 
 
 @pytest.mark.parametrize("cfg", golden_general_configs(),
@@ -102,8 +113,7 @@ def test_matrices_are_built_only_for_linear_entropy(cfg, monkeypatch):
     monkeypatch.setattr(scenarios, "as_matrices", spy)
     traj = run_scenario(replace(cfg, metrics=("concurrence",)))
     assert built == []
-    for model in scenarios.MODELS:
-        assert (traj.routes[model] == ROUTES.index("general")).all()
+    assert traj.routes == dict.fromkeys(scenarios.MODELS, "general")
     run_scenario(replace(cfg, metrics=("concurrence", "linear_entropy")))
     assert built == [cfg.n_points] * len(scenarios.MODELS)
 
@@ -136,10 +146,10 @@ def run_on(stack, monkeypatch, wanted=("concurrence", "linear_entropy"),
 
 
 def stack_of(*kinds):
-    """Snapshots by kind: ``x`` and ``edge`` take the X route, ``tiny`` (an
-    off-X pair of 1e-12), ``general`` and ``non_psd`` (smallest eigenvalue
-    -5e-9, within the evolved tolerance, beyond ``PSD_TOL``) the general one,
-    which validation decomposes."""
+    """Snapshots by kind: ``x`` and ``edge`` are X-shaped, ``tiny`` (an off-X
+    pair of 1e-12), ``general`` and ``non_psd`` (smallest eigenvalue -5e-9,
+    within the evolved tolerance, beyond ``PSD_TOL``) are not, and send a
+    stack that carries them to the general route."""
     rng = np.random.default_rng(3)
     good_x = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
     tiny = good_x.copy()
@@ -154,14 +164,16 @@ def stack_of(*kinds):
                                    ("general", "tiny", "general", "tiny")])
 def test_x_route_rows_among_the_decomposed_ones(kinds, monkeypatch,
                                                 lapack_calls):
+    """An X-shaped snapshot of a stack with a ``tiny`` one (near-X, not X) is
+    decomposed with the rest, in the one call; each concurrence is that of
+    its matrix alone, bit for bit."""
     stack = stack_of(*kinds)
     traj = run_on(stack, monkeypatch, calls=lapack_calls)
-    general = np.array([k != "x" for k in kinds])   # tiny is near-X, not X
-    assert (traj.routes["phenom"] == ROUTES.index("general")).tolist() == general.tolist()
-    assert len(handed(lapack_calls)) == 4 - kinds.count("x")
+    assert traj.routes["phenom"] == "general"
+    assert len(lapack_calls) == 1 and len(handed(lapack_calls)) == 4
     np.testing.assert_array_equal(
-        bits(traj.series["phenom"]["concurrence"][general]),
-        bits(metrics.concurrence_general(stack[general])))
+        bits(traj.series["phenom"]["concurrence"]),
+        bits(np.concatenate([metrics.concurrence_general(m[None]) for m in stack])))
 
 
 @pytest.mark.parametrize("kinds", [
@@ -182,18 +194,15 @@ def test_first_non_psd_general_snapshot_decides(kinds, monkeypatch):
 
 
 def test_edge_state_passes_validation_unseen_by_lapack(lapack_calls):
-    """Validation reads the edge state in closed form at the evolved
-    tolerances and routes it to the X route; the eigenpairs are the general
-    row's alone, and its margins are those of the rows one at a time."""
-    cols = columns(stack_of("general", "edge"))
-    margins, general, (evals, vecs) = validate_eigs(cols, **EVOLVED)
+    """Validation reads the edge state of an X-shaped stack in closed form at
+    the evolved tolerances, with no LAPACK call; its margins are those of the
+    rows one at a time."""
+    cols = columns(stack_of("x", "edge"))
+    margins, eigs = validate_eigs(cols, **EVOLVED)
     assert margins.positivity == pytest.approx(1e-8, rel=1e-6)
-    assert general.tolist() == [True, False]
-    assert len(handed(lapack_calls)) == len(evals) == len(vecs) == 1
-    singles = [validate_eigs(row[None], **EVOLVED) for row in cols]
-    assert margins == linalg.Margins(*np.max([m for m, _, _ in singles], axis=0))
-    np.testing.assert_array_equal(bits(evals), bits(singles[0][2][0]))
-    np.testing.assert_array_equal(bits(vecs), bits(singles[0][2][1]))
+    assert eigs is None and lapack_calls == []
+    singles = [validate_eigs(row[None], **EVOLVED)[0] for row in cols]
+    assert margins == linalg.Margins(*np.max(singles, axis=0))
 
 
 def test_later_validation_failure_wins_over_the_edge(monkeypatch):
@@ -221,26 +230,26 @@ def test_with_discord_the_first_general_snapshot_decides(kinds, expected,
 
 
 def assert_lapack_only_in_validation(traj, model, calls):
-    """Each snapshot that is not exactly X-shaped takes the general route and
-    was handed to LAPACK once, in one call from ``linalg.validate_eigs``; no
-    other snapshot was."""
+    """A stack with an off-X entry in any snapshot takes the general route,
+    and each of its snapshots was handed to LAPACK once, in one call from
+    ``linalg.validate_eigs``; an X-shaped stack takes the X route, with no
+    call."""
     _, herm = hermitian_parts(traj, model)
-    decomposed = off_x_rows(herm)
-    np.testing.assert_array_equal(traj.routes[model] == ROUTES.index("general"),
-                                  decomposed)
-    assert [code for code, _ in calls] == (
-        [linalg.validate_eigs.__code__] if decomposed.any() else [])
-    assert (sorted(m.tobytes() for m in handed(calls))
-            == sorted(m.tobytes() for m in herm[decomposed]))
+    general = bool(off_x(herm).any())
+    assert traj.routes[model] == ("general" if general else "matrix_x")
+    assert [code for code, _ in calls] == ([linalg.validate_eigs.__code__] if general else [])
+    if general:
+        np.testing.assert_array_equal(bits(handed(calls)), bits(herm))
 
 
 # X starts at a figure preset and at a seeded X state; non-X starts at a golden
-# config and at a seeded state whose late snapshots take the X route
+# config and at one on a span long enough that most micro snapshots are exactly
+# X-shaped
 SITE_CONFIGS = [replace(figure_preset(2), n_points=200),
                 replace(figure_preset(7), n_points=200),
                 replace(PHENOM, models=scenarios.MODELS, initial_state="ket01"),
                 golden_general_configs()[1],
-                next(c for c in CONFIGS if c.t_max != "auto")]
+                replace(golden_general_configs()[0], t_max=1e-3)]
 
 
 @pytest.mark.parametrize("cfg", SITE_CONFIGS,
@@ -266,10 +275,9 @@ def test_mixed_stacks_are_decomposed_only_in_validation(kinds, start, monkeypatc
     traj = run_on(stack_of(*kinds), monkeypatch, ("linear_entropy",),
                   lapack_calls, start)
     assert_lapack_only_in_validation(traj, "phenom", lapack_calls)
-    general = traj.routes["phenom"] == ROUTES.index("general")
     # an X start carries no off-X column, so its tiny pair is dropped
-    assert general.tolist() == [k == "general" or k == "tiny" and not isinstance(start, str)
-                                for k in kinds]
+    general = not isinstance(start, str) and bool({"general", "tiny"} & set(kinds))
+    assert traj.routes["phenom"] == ("general" if general else "matrix_x")
 
 
 def test_x_start_edge_state_fails_validation_in_closed_form(monkeypatch,
