@@ -129,15 +129,11 @@ def cmd_spectrum(args):
 
 
 def cmd_evolve(args):
-    times = slots = None   # figures 8-10 run three temperatures on one time grid
-    for cfg in _configs_from_args(args):
-        traj = run_scenario(cfg)
-        if times is not None and np.array_equal(traj.times, times):
-            traj.time_slots = slots   # the grid's text, formatted once
-        for path in write_trajectory(traj, args.out):
-            print(f"wrote {path}")
-        times, slots = traj.times, traj.time_slots
-        del traj   # only the grid outlives its run
+    """Run every configuration, then write all their files: a failing run
+    leaves no file."""
+    trajs = [run_scenario(cfg) for cfg in _configs_from_args(args)]
+    for path in write_trajectory(trajs, args.out):
+        print(f"wrote {path}")
     return 0
 
 

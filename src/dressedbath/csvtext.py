@@ -14,7 +14,9 @@ import numpy as np
 # record slots: sign, "0.000", 17 digits each but the last followed by a "."
 # slot, "e+308"; the first digit and the "e" sit at _DIGIT0 and _EXP
 SLOTS, _DIGIT0, _EXP = 44, 6, 39
-_BLOCK = 4096           # values per pass: temporaries stay below 300 KB
+# values per pass: a full pass peaks at 799 KiB traced, 176 KiB of it the
+# output (392 KiB at 2,000 values; x86-64, numpy 2.4.6)
+_BLOCK = 4096
 _K0 = 293               # powers 10^k for k = -_K0 .. 341: E = -325 .. 309
 _ROW = np.arange(17, dtype=np.uint8)[:, None]
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]   # for E = -1 .. -4

@@ -8,7 +8,7 @@ configurations produce byte-identical files.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 import pathlib
 import re
@@ -39,11 +39,16 @@ _POPULATIONS = ("pop_00", "pop_01", "pop_10", "pop_11")   # the "populations" co
 
 DEATH_THRESHOLD = 1e-12
 DEATH_RUN = 5
-# at the cap the process peaked at 134 MB for `figure 2` and 162 MB for `figure 9`
-# (X starts; X runs stay under 200 MB) and at 681 MB for a non-X `evolve --config`
-# run with three metrics (non-X runs stay under 930 MB), x86-64, numpy 2.4.6
+# at the cap the process peaked at 150 MB for `figure 2`, 178 MB for `figure 9`
+# and for `evolve --figure 9 --tmax auto` (X starts; X runs stay under 200 MB) and
+# at 663 MB for a non-X `evolve --config` run with three metrics (non-X runs stay
+# under 930 MB), x86-64, numpy 2.4.6
 MAX_POINTS = 500_000
-_CSV_VALUES = 1 << 16   # CSV values formatted per block of rows
+# values per block of rows across a command's files and distinct time grids:
+# the fastest of 2,048, 3,072 and 4,096 (best 28.9, 27.0 and 29.9 ms of 80 CSV
+# passes of the ten figures); a `figure 9` op peaks at 0.80 MiB traced, and at
+# 1.01 MiB with 4,096 (x86-64, numpy 2.4.6)
+_CSV_BLOCK = 3072
 
 # labels name output files, so they must not reach outside --out
 _SAFE_LABEL = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_.+-]*")
@@ -109,11 +114,6 @@ class Trajectory:
     routes: dict            # model -> its metric route, a name in ROUTES
     config: ScenarioConfig
     fairness_lines: list
-
-    @functools.cached_property
-    def time_slots(self) -> np.ndarray:
-        """The ``t`` column's text records, formatted once for every file."""
-        return g17_slots(self.times)
 
 
 def initial_state_matrix(cfg: ScenarioConfig, frame) -> np.ndarray:
@@ -348,33 +348,66 @@ def _meta_lines(cfg: ScenarioConfig, fairness_lines, extra=()):
     return out
 
 
-def trajectory_csv(traj: Trajectory, model: str) -> str:
-    cols = list(traj.series[model])
-    lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
-    lines.append(",".join(["t"] + cols))
-    k, step = len(cols), -(-_CSV_VALUES // (len(cols) + 1))
-    body = ["\n".join(lines) + "\n"]
-    for a in range(0, len(traj.times), step):   # each value's record, then its
-        t = traj.time_slots[:, a:a + step]      # "," or line end, in row blocks
-        values = g17_slots([traj.series[model][c][a:a + step] for c in cols])
-        table = np.empty((t.shape[1], k + 1, SLOTS + 1), np.uint8)
+def _csv_chunks(files):
+    """The bytes of each ``(traj, model)`` file of ``files``, as ``(index,
+    bytes)`` pairs: every file's ``#`` header, then its rows, block by block.
+    A block holds at most ``_CSV_BLOCK`` values: its rows of every distinct
+    time grid (equal grids are formatted once) and of every file's columns."""
+    grids, layout = [], []   # the distinct grids; per file, its grid and columns
+    for i, (traj, model) in enumerate(files):
+        g = next((g for g, t in enumerate(grids) if np.array_equal(t, traj.times)), None)
+        if g is None:
+            g = len(grids)
+            grids.append(traj.times)
+        cols = traj.series[model]
+        lines = _meta_lines(traj.config, traj.fairness_lines, (f"model = {model}",))
+        lines.append(",".join(["t", *cols]))
+        yield i, ("\n".join(lines) + "\n").encode("utf-8")
+        layout.append((g, list(cols.values())))
+    step = max(1, _CSV_BLOCK // (len(grids) + sum(len(cols) for _, cols in layout)))
+    for a in range(0, max(map(len, grids), default=0), step):
+        yield from _csv_block(grids, layout, slice(a, a + step))
+
+
+def _csv_block(grids, layout, rows):
+    """``(index, bytes)`` of each file's ``rows`` from one ``g17_slots`` call:
+    each value's record, then its "," or line end, NULs dropped.  The records
+    die on return, before the next block is formatted."""
+    sizes = [len(t[rows]) for t in grids]
+    slots = g17_slots(np.concatenate([t[rows] for t in grids]
+                                     + [c[rows] for _, cols in layout for c in cols]))
+    starts = np.cumsum([0, *sizes])   # each grid's first record
+    at, out = starts[-1], []          # the first file's first record
+    for i, (g, cols) in enumerate(layout):
+        n, k = sizes[g], len(cols)
+        table = np.empty((n, k + 1, SLOTS + 1), np.uint8)
         table[:, :, SLOTS] = np.frombuffer(b"," * k + b"\n", np.uint8)
-        table[:, 0, :SLOTS] = t.T
-        table[:, 1:, :SLOTS] = values.reshape(SLOTS, k, len(table)).transpose(2, 1, 0)
-        body.append(table.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(body)
+        table[:, 0, :SLOTS] = slots[:, starts[g]:starts[g] + n].T
+        table[:, 1:, :SLOTS] = slots[:, at:at + k * n].reshape(SLOTS, k, n).transpose(2, 1, 0)
+        out.append((i, table.tobytes().translate(None, b"\0")))
+        at += k * n
+    return out
 
 
-def write_text(out_dir, name: str, text: str) -> pathlib.Path:
-    """Write ``text`` to ``out_dir/name``, creating ``out_dir``; an OS error
-    becomes a ConfigError naming the path and the reason."""
+def trajectory_csv(traj: Trajectory, model: str) -> str:
+    """The text that ``write_trajectory`` writes to ``traj``'s ``model`` file."""
+    return b"".join(data for _, data in _csv_chunks([(traj, model)])).decode("utf-8")
+
+
+def _output_dir(out_dir) -> pathlib.Path:
     out = pathlib.Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: "
                           f"{exc.strerror or exc}") from exc
-    path = out / name
+    return out
+
+
+def write_text(out_dir, name: str, text: str) -> pathlib.Path:
+    """Write ``text`` to ``out_dir/name``, creating ``out_dir``; an OS error
+    becomes a ConfigError naming the path and the reason."""
+    path = _output_dir(out_dir) / name
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -382,10 +415,27 @@ def write_text(out_dir, name: str, text: str) -> pathlib.Path:
     return path
 
 
-def write_trajectory(traj: Trajectory, out_dir) -> list:
-    return [write_text(out_dir, f"{traj.config.label}_{model}.csv",
-                       trajectory_csv(traj, model))
-            for model in traj.config.models]
+def write_trajectory(trajs, out_dir) -> list:
+    """Write one CSV file per model of each trajectory of ``trajs`` into
+    ``out_dir``, creating it, and return their paths.  Every file stays open
+    while ``_csv_chunks`` streams its bytes; an OS error becomes a ConfigError
+    naming the path and the reason."""
+    out = _output_dir(out_dir)
+    files = [(traj, model) for traj in trajs for model in traj.config.models]
+    paths = [out / f"{traj.config.label}_{model}.csv" for traj, model in files]
+    with contextlib.ExitStack() as opened:
+        try:
+            sinks = []
+            for path in paths:
+                sinks.append(opened.enter_context(open(path, "wb")))
+            for i, data in _csv_chunks(files):
+                path = paths[i]
+                sinks[i].write(data)
+            for path, sink in zip(paths, sinks):   # a close flushes
+                sink.close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return paths
 
 
 # -- model comparison -------------------------------------------------------

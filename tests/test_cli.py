@@ -13,6 +13,7 @@ import pytest
 from conftest import out_of, set_key
 from dressedbath import cli, phenomenological
 from dressedbath.cli import build_parser, main
+from dressedbath.integrate import TraceDrift
 from dressedbath.linalg import PSD_TOL
 from dressedbath.model import dressed_frame, rate_set, spectral_density
 from dressedbath.scenarios import parse_config, run_scenario
@@ -560,6 +561,32 @@ def test_file_boundary_os_error_is_config_error(case, tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
+
+
+def test_a_failing_run_of_a_command_writes_no_file(tmp_path, monkeypatch, capsys):
+    """Every run of a command ends before any file is written: the second of
+    figure 9's three runs fails, and the first leaves nothing behind."""
+    runs = []
+
+    def second_fails(cfg):
+        runs.append(cfg.label)
+        if len(runs) == 2:
+            raise TraceDrift("trace drifted by 1e-08 at t=1")
+        return run_scenario(cfg)
+    monkeypatch.setattr(cli, "run_scenario", second_fails)
+    out_dir = tmp_path / "out"
+    assert main(["figure", "9", "--points", "20", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical invariant violated: trace drifted by 1e-08 at t=1\n")
+    assert len(runs) == 2
+    assert not out_dir.exists()
+
+
+def test_a_directory_in_place_of_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "figure2_micro.csv").mkdir()
+    assert main(["figure", "2", "--points", "20", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "configuration error: cannot write "
+                                   f"{tmp_path / 'figure2_micro.csv'}: Is a directory\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -424,6 +424,25 @@ def parent_trajectory_csv(traj, model):
     return "\n".join(lines) + "\n"
 
 
+def assert_files_are_the_row_join_bytes(paths, trajs):
+    """``paths`` hold the files of ``trajs``, in order, each the row-at-a-time
+    text of its trajectory and model."""
+    files = [(traj, model) for traj in trajs for model in traj.config.models]
+    assert len(paths) == len(files)
+    for path, (traj, model) in zip(paths, files):
+        assert path.name == f"{traj.config.label}_{model}.csv"
+        assert path.read_text(encoding="utf-8") == parent_trajectory_csv(traj, model)
+
+
+def record_g17_calls(monkeypatch):
+    """The values of every later ``g17_slots`` call of ``scenarios``."""
+    calls = []
+    real = scenarios.g17_slots
+    monkeypatch.setattr(scenarios, "g17_slots",
+                        lambda values: calls.append(values) or real(values))
+    return calls
+
+
 def preset_configs():
     """The sixteen scenario configurations of ``figure 1`` .. ``figure 10``."""
     for n in range(1, 11):
@@ -461,19 +480,16 @@ class TestCsv:
             assert list(traj.series[model]) == cols
             assert "t," + ",".join(cols) in trajectory_csv(traj, model).splitlines()
 
-    def test_time_column_formatted_once_per_trajectory(self, monkeypatch):
+    def test_time_column_formatted_once_per_trajectory(self, tmp_path, monkeypatch):
         traj = run_scenario(fast_config(metrics=("concurrence",)))
-        calls = []
-        real = scenarios.g17_slots
-        monkeypatch.setattr(scenarios, "g17_slots",
-                            lambda values: calls.append(values) or real(values))
-        micro = trajectory_csv(traj, "micro")
-        phenom = trajectory_csv(traj, "phenom")
-        # the grid once for both files, then one table of the metric column
-        # per file
-        assert [values is traj.times for values in calls] == [True, False, False]
-        assert [np.shape(values) for values in calls[1:]] == [(1, len(traj.times))] * 2
-        assert t_column(micro) == t_column(phenom) == parent_column_text(traj.times)
+        calls = record_g17_calls(monkeypatch)
+        micro, phenom = write_trajectory([traj], tmp_path)
+        # one block: the grid once for both files, then each file's column
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.concatenate(
+            [traj.times] + [traj.series[m]["concurrence"] for m in MODELS]))
+        assert (t_column(micro.read_text()) == t_column(phenom.read_text())
+                == parent_column_text(traj.times))
 
     @pytest.mark.parametrize("n", [1, 2, 150, 2000])
     def test_column_text_is_the_per_value_text(self, n):
@@ -505,33 +521,60 @@ class TestCsv:
                 assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
 
     @pytest.mark.parametrize("values", [1, 7, 64])
-    def test_row_blocks_join_to_the_row_join_bytes(self, values, monkeypatch):
+    def test_row_blocks_join_to_the_row_join_bytes(self, values, tmp_path,
+                                                  monkeypatch):
         """A table written in blocks of rows, the last one short, is the
-        table written at once."""
-        monkeypatch.setattr(scenarios, "_CSV_VALUES", values)
+        table written at once: for one run, and for three runs written
+        together, whose block edges fall inside their files."""
+        monkeypatch.setattr(scenarios, "_CSV_BLOCK", values)
         for metrics in (("concurrence",), scenarios.METRICS, ()):
             traj = run_scenario(fast_config(n_points=61, metrics=metrics))
             for model in MODELS:
                 assert trajectory_csv(traj, model) == parent_trajectory_csv(traj, model)
+        # two runs share a grid; the third ends first
+        trajs = [run_scenario(fast_config(n_points=n, metrics=metrics, t_max=t_max,
+                                          models=models, label=f"run{i}"))
+                 for i, (n, metrics, t_max, models) in enumerate([
+                     (61, ("concurrence",), 1e-2, MODELS),
+                     (61, scenarios.METRICS, 1e-2, ("phenom",)),
+                     (47, ("linear_entropy", "populations"), 3e-2, MODELS)])]
+        assert_files_are_the_row_join_bytes(write_trajectory(trajs, tmp_path), trajs)
 
     def test_figure_9_formats_its_shared_time_axis_once(self, tmp_path,
                                                         monkeypatch):
-        calls = []
-        real = scenarios.g17_slots
-        monkeypatch.setattr(scenarios, "g17_slots",
-                            lambda values: calls.append(values) or real(values))
+        """Each block holds the shared grid's rows once, then the same rows
+        of the three runs' six files."""
+        calls = record_g17_calls(monkeypatch)
         assert main(["figure", "9", "--out", str(tmp_path)]) == 0
-        files = sorted(tmp_path.glob("*.csv"))
-        assert len(files) == 6
-        cfg = figure_preset(9)[0]
-        grid = np.linspace(0.0, cfg.t_max, cfg.n_points)
-        expected = parent_column_text(grid)
-        for path in files:
-            assert t_column(path.read_text()) == expected
-        # the grid once for the three runs' six files, then one table per file
-        grids = [values for values in calls if np.ndim(values) == 1]
-        assert len(grids) == 1 and len(calls) == 7
-        assert np.array_equal(grids[0], grid)
+        trajs = [run_scenario(cfg) for cfg in figure_preset(9)]
+        grid = trajs[0].times
+        assert all(np.array_equal(traj.times, grid) for traj in trajs)
+        a = 0
+        for values in calls:
+            assert len(values) <= scenarios._CSV_BLOCK
+            rows = slice(a, a + len(values) // 7)
+            np.testing.assert_array_equal(values, np.concatenate(
+                [grid[rows]] + [traj.series[m]["discord"][rows]
+                                for traj in trajs for m in MODELS]))
+            a = rows.stop
+        assert a == len(grid)
+        paths = [tmp_path / f"{traj.config.label}_{m}.csv" for traj in trajs
+                 for m in MODELS]
+        assert sorted(tmp_path.glob("*.csv")) == sorted(paths)
+        assert_files_are_the_row_join_bytes(paths, trajs)
+
+    def test_three_time_grids_of_one_command_are_the_row_join_bytes(
+            self, tmp_path, monkeypatch):
+        calls = record_g17_calls(monkeypatch)
+        assert main(["evolve", "--figure", "8", "--tmax", "auto",
+                     "--out", str(tmp_path)]) == 0
+        trajs = [run_scenario(replace(cfg, t_max="auto")) for cfg in figure_preset(8)]
+        # three distinct grids and six one-column files in every block
+        assert len({traj.times[-1] for traj in trajs}) == 3
+        assert calls and all(len(values) % 9 == 0 for values in calls)
+        paths = [tmp_path / f"{traj.config.label}_{m}.csv" for traj in trajs
+                 for m in MODELS]
+        assert_files_are_the_row_join_bytes(paths, trajs)
 
     def test_special_values_and_two_points_are_the_row_join_bytes(self):
         """Columns holding signed zeros, subnormals, 1e+-300, infinities and
@@ -569,7 +612,7 @@ class TestCsv:
 
     def test_file_layout(self, tmp_path):
         cfg = fast_config(metrics=("concurrence",))
-        paths = write_trajectory(run_scenario(cfg), tmp_path)
+        paths = write_trajectory([run_scenario(cfg)], tmp_path)
         assert sorted(p.name for p in paths) == ["fast_micro.csv",
                                                  "fast_phenom.csv"]
         lines = paths[0].read_text().splitlines()
