@@ -183,7 +183,10 @@ def thermal_stationarity(p: SystemParams, rates: RateSet, frame: DressedFrame,
     ss = steady_state(rates)
     residual = np.abs(generator @ ss.reshape(-1)).max()
     # the dissipator scales with the channel sums, which a hot bath lifts
-    # far above gamma0
+    # far above gamma0; at subnormal sums the bound keeps 16 units of the
+    # double's resolution
+    bound = max(ROUNDING_TOL * max(channel_sums(rates)),
+                16 * np.finfo(float).smallest_subnormal)
     thermal = (np.abs(ss - gibbs_state(frame, p.temperature)).max() <= THERMAL_TOL
-               and residual <= ROUNDING_TOL * max(channel_sums(rates)))
+               and residual <= bound)
     return thermal, residual

@@ -95,49 +95,32 @@ def steady_state(p: SystemParams, rates: RateSet) -> np.ndarray:
     """Closed-form stationary state (computational basis).
 
     Nonzero entries: the four populations and the two antidiagonal
-    coherences.  Vanishes under phenom_rhs identically.
+    coherences.  Vanishes under phenom_rhs identically.  Written in the
+    damping shares u = g/s and v = gbar/s of s = g + gbar, each entry is a
+    polynomial over box = s^2 + 2 coupling^2 + 8 omega^2; from s = 1 up,
+    s, coupling and omega are first scaled down by a power of two near s.
     """
-    g = rates.emission_bare
-    gb = rates.absorption_bare
+    g, gb = rates.emission_bare, rates.absorption_bare
     if g + gb <= 0:
         raise ValueError("stationary state needs a nonzero damping rate")
-    # homogeneous of degree 0 in (g, gb, coupling, omega): scaling all four down
-    # by a power of two near g + gb is exact and keeps (g + gb)^2 finite
+    u, v = g / (g + gb), gb / (g + gb)
+    # homogeneous of degree 0 in (s, coupling, omega): scaling all three down
+    # by a power of two near s is exact and keeps s^2 finite; then box is at
+    # least s^2 >= 1/4, or at least 8 omega^2 with omega >= 1e-150
     e = max(math.frexp(g + gb)[1], 0)
-    g, gb, lam, om = (math.ldexp(v, -e) for v in (g, gb, p.coupling, p.omega))
-    lam2 = lam * lam
-    om2 = om * om
-    box = (gb + g) ** 2 + 2 * lam2 + 8 * om2
-    den = 2 * (gb + g) ** 2 * box
-    if den == 0:   # never scaled up: a tiny rate stays tiny
-        what = ("(g+gbar)^2" if (gb + g) ** 2 == 0
-                else "2 (g+gbar)^2 ((g+gbar)^2 + 2 coupling^2 + 8 omega^2)")
-        raise ValueError(f"stationary state needs {what}, which underflows "
-                         f"to 0 at the damping rate g+gbar = {g + gb:.3g}")
-
-    p11 = (3 * g ** 3 * gb + g ** 2 * (3 * gb ** 2 + lam2 + 16 * om2)
-           + g * (2 * lam2 * gb + gb ** 3) + lam2 * gb ** 2 + g ** 4) / den
-    p22 = (g ** 3 * gb + g ** 2 * (3 * gb ** 2 + lam2)
-           + g * gb * (3 * gb ** 2 + 2 * (lam2 + 8 * om2))
-           + gb ** 2 * (gb ** 2 + lam2)) / den
-    p33 = (3 * g ** 3 * gb + g ** 2 * (3 * gb ** 2 + lam2)
-           + g * gb * (gb ** 2 + 2 * (lam2 + 8 * om2))
-           + lam2 * gb ** 2 + g ** 4) / den
-    p44 = (g ** 3 * gb + g ** 2 * (3 * gb ** 2 + lam2)
-           + gb ** 2 * (gb ** 2 + lam2 + 16 * om2)
-           + g * (2 * lam2 * gb + 3 * gb ** 3)) / den
-    c_inner = 1j * lam * (gb - g) / (2 * box)
+    s, lam, om = (math.ldexp(x, -e) for x in (g + gb, p.coupling, p.omega))
+    s2, lam2, om2 = s * s, lam * lam, om * om
+    box = s2 + 2 * lam2 + 8 * om2
+    c_inner = 1j * lam * s * (v - u) / (2 * box)
     # the real part's sign follows from stationarity of the outer-coherence
-    # equation: (2i om - (g+gb)/2) c_outer + i lam (p11 - p44)/2 = 0
-    c_outer = (2 * lam * om * (gb - g) / ((gb + g) * box)
-               + 1j * lam * (g - gb) / (2 * box))
+    # equation: (2i om - s/2) c_outer + i lam (p11 - p44)/2 = 0
+    c_outer = 2 * lam * om * (v - u) / box - c_inner
 
     out = np.zeros((4, 4), dtype=complex)
-    out[0, 0], out[1, 1], out[2, 2], out[3, 3] = p11, p22, p33, p44
-    out[1, 2] = c_inner
-    out[2, 1] = np.conj(c_inner)
-    out[0, 3] = c_outer
-    out[3, 0] = np.conj(c_outer)
+    for i, (share, pair) in enumerate(((u, u * u), (v, u * v), (u, u * v), (v, v * v))):
+        out[i, i] = (s2 * share + lam2 + 16 * om2 * pair) / (2 * box)
+    out[1, 2], out[2, 1] = c_inner, c_inner.conjugate()
+    out[0, 3], out[3, 0] = c_outer, c_outer.conjugate()
     return out
 
 

@@ -418,14 +418,15 @@ def write_text(out_dir, name: str, text: str) -> pathlib.Path:
 def write_trajectory(trajs, out_dir) -> list:
     """Write one CSV file per model of each trajectory of ``trajs`` into
     ``out_dir``, creating it, and return their paths.  Every file stays open
-    while ``_csv_chunks`` streams its bytes; an OS error becomes a ConfigError
-    naming the path and the reason."""
+    while ``_csv_chunks`` streams its bytes; an OS error removes every file
+    the call opened and becomes a ConfigError naming the path and the
+    reason."""
     out = _output_dir(out_dir)
     files = [(traj, model) for traj in trajs for model in traj.config.models]
     paths = [out / f"{traj.config.label}_{model}.csv" for traj, model in files]
     with contextlib.ExitStack() as opened:
+        sinks = []
         try:
-            sinks = []
             for path in paths:
                 sinks.append(opened.enter_context(open(path, "wb")))
             for i, data in _csv_chunks(files):
@@ -434,6 +435,10 @@ def write_trajectory(trajs, out_dir) -> list:
             for path, sink in zip(paths, sinks):   # a close flushes
                 sink.close()
         except OSError as exc:
+            for sink, created in zip(sinks, paths):
+                with contextlib.suppress(OSError):   # its flush may fail again
+                    sink.close()
+                created.unlink(missing_ok=True)
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return paths
 

@@ -583,10 +583,15 @@ def test_a_failing_run_of_a_command_writes_no_file(tmp_path, monkeypatch, capsys
 
 
 def test_a_directory_in_place_of_a_file_is_config_error(tmp_path, capsys):
-    (tmp_path / "figure2_micro.csv").mkdir()
-    assert main(["figure", "2", "--points", "20", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr() == ("", "configuration error: cannot write "
-                                   f"{tmp_path / 'figure2_micro.csv'}: Is a directory\n")
+    # in place of the first file, or of the second after the first was opened:
+    # either way the directory is all that --out holds afterwards
+    for name in ("figure2_micro.csv", "figure2_phenom.csv"):
+        out_dir = tmp_path / name.removesuffix(".csv")
+        (out_dir / name).mkdir(parents=True)
+        assert main(["figure", "2", "--points", "20", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr() == ("", "configuration error: cannot write "
+                                       f"{out_dir / name}: Is a directory\n")
+        assert [p.name for p in out_dir.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -682,37 +687,60 @@ def test_vanishing_damping_reads_the_same_in_every_stationary_verb(tmp_path,
     assert not out_dir.exists()
 
 
-def test_steady_with_underflowing_damping_is_config_error(tmp_path, capsys):
-    # figure-2 parameters; (g + gbar)^2 underflows to 0 at this damping rate
+# inputs whose (g + gbar)^2 or stationary denominator 2 (g + gbar)^2 box
+# underflowed: the closed form in the damping shares divides by neither
+TINY_DAMPING = {
+    # figure-2 parameters at gamma0 1e-300: (g + gbar)^2 underflows to 0
+    "square_underflows": ("omega = 4e9\ncoupling = 4e9\ngamma0 = 1e-300\n"
+                          "bath_width = 5e10\nbath_center = 8e9\ntemperature = 5e-4\n",
+                          "0.85 0.05 0.05 0.05"),
+    # (g + gbar)^2 is a nonzero subnormal, but its product with the tiny box
+    # underflows to 0; g + gbar = 4.09e-141
+    "product_underflows": ("omega = 3.139141445936846e-27\n"
+                           "coupling = 2.511313156749477e-29\n"
+                           "gamma0 = 3.139141445936846e-31\n"
+                           "bath_width = 3.139141445936846e-28\n"
+                           "bath_center = 1.2368566110047568e+28\n"
+                           "temperature = 2.425943096085021e-37\n",
+                           "0.275298724 0.2493904356 0.2493904356 0.2259204047"),
+    # (g + gbar)^2 is subnormal (bare emission 8.9e-161 /s); the trace was
+    # off by 1.954e-10
+    "square_subnormal": ("omega = 5000000.115129256\ncoupling = 40000.00092103405\n"
+                         "gamma0 = 500.0000115129256\n"
+                         "bath_width = 1.3068668837663398e-77\n"
+                         "bath_center = 10000000.230258511\n"
+                         "temperature = 1.0000000230258512\n",
+                         "0.2500095478 0.2499999999 0.2499999999 0.2499904524"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TINY_DAMPING))
+def test_steady_runs_where_the_stationary_denominator_underflowed(case, tmp_path,
+                                                                  capsys):
+    text, diagonal = TINY_DAMPING[case]
     path = tmp_path / "tiny.cfg"
-    path.write_text("omega = 4e9\ncoupling = 4e9\ngamma0 = 1e-300\n"
-                    "bath_width = 5e10\nbath_center = 8e9\ntemperature = 5e-4\n",
-                    encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["steady", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "configuration error: stationary state needs (g+gbar)^2, which "
-        "underflows to 0 at the damping rate g+gbar = 9.94e-301\n")
+        assert main(["steady", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"phenom stationary computational diagonal: {diagonal}\n" in out
 
 
-@pytest.mark.parametrize("verb", ["steady", "compare"])
-def test_underflowing_stationary_denominator_is_config_error(verb, tmp_path, capsys):
-    # (g + gbar)^2 is a nonzero subnormal, but its product with the tiny
-    # (g + gbar)^2 + 2 coupling^2 + 8 omega^2 underflows to 0
+@pytest.mark.parametrize("case", ["product_underflows", "square_subnormal"])
+def test_compare_at_vanishing_rates_stops_in_its_death_time_trajectory(
+        case, tmp_path, capsys):
+    # the stationary states hold; the sudden-death trajectory spans 50
+    # lifetimes of rates of 1e-141 /s and below (ROADMAP items 1 and 4)
     path = tmp_path / "tiny.cfg"
-    path.write_text("omega = 3.139141445936846e-27\ncoupling = 2.511313156749477e-29\n"
-                    "gamma0 = 3.139141445936846e-31\nbath_width = 3.139141445936846e-28\n"
-                    "bath_center = 1.2368566110047568e+28\n"
-                    "temperature = 2.425943096085021e-37\n", encoding="utf-8")
+    path.write_text(TINY_DAMPING[case][0], encoding="utf-8")
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([verb, "--config", str(path), *out_of(verb, out_dir)]) == 1
+        assert main(["compare", "--config", str(path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr() == (
-        "", "configuration error: stationary state needs 2 (g+gbar)^2 ((g+gbar)^2 "
-        "+ 2 coupling^2 + 8 omega^2), which underflows to 0 at the damping rate "
-        "g+gbar = 4.09e-141\n")
+        "", "numerical invariant violated: matrix contains non-finite entries\n")
     assert not out_dir.exists()
 
 
@@ -784,23 +812,6 @@ def test_phenom_stationary_state_off_the_x_family_is_numeric_error(
     assert capsys.readouterr() == (
         "", "numerical invariant violated: invalid density matrix: "
         "positivity off by 9.500e-01\n")
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("verb", ["steady", "compare"])
-def test_stationary_state_names_its_failed_invariant(verb, tmp_path, capsys):
-    # (g + gbar)^2 is subnormal (bare emission 8.9e-161 /s), and the phenom
-    # closed form's trace is off by more than the construction tolerance
-    path = tmp_path / "subnormal.cfg"
-    path.write_text("omega = 5000000.115129256\ncoupling = 40000.00092103405\n"
-                    "gamma0 = 500.0000115129256\nbath_width = 1.3068668837663398e-77\n"
-                    "bath_center = 10000000.230258511\n"
-                    "temperature = 1.0000000230258512\n", encoding="utf-8")
-    out_dir = tmp_path / "out"
-    assert main([verb, "--config", str(path), *out_of(verb, out_dir)]) == 2
-    assert capsys.readouterr() == (
-        "", "numerical invariant violated: invalid density matrix: "
-        "trace off by 1.954e-10\n")
     assert not out_dir.exists()
 
 

@@ -7,6 +7,7 @@ from dressedbath import phenomenological as ph
 from dressedbath.linalg import as_matrices, columns, validate_eigs
 from dressedbath.model import (RateSet, SystemParams, dressed_frame, hamiltonian,
                                rate_set)
+from dressedbath.scenarios import figure_preset
 
 from conftest import EVOLVED, random_density
 
@@ -166,6 +167,41 @@ class TestSteadyState:
         ss = ph.steady_state(p, rates)
         assert ss[1, 2].real == 0.0
         assert abs(ss[0, 3]) == 0.0
+
+
+def steady_state_mp(p, rates, dps=40):
+    """The shares form of ``steady_state`` at ``dps`` digits, unscaled."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        g, gb, lam, om = (mp.mpf(x) for x in (rates.emission_bare, rates.absorption_bare,
+                                              p.coupling, p.omega))
+        s = g + gb
+        u, v = g / s, gb / s
+        box = s ** 2 + 2 * lam ** 2 + 8 * om ** 2
+        out = mp.matrix(4, 4)
+        for i, (share, a, b) in enumerate(((u, u, u), (v, u, v), (u, u, v), (v, v, v))):
+            out[i, i] = (s ** 2 * share + lam ** 2 + 16 * om ** 2 * a * b) / (2 * box)
+        out[1, 2] = 1j * lam * s * (v - u) / (2 * box)
+        out[0, 3] = 2 * lam * om * (v - u) / box - out[1, 2]
+        out[2, 1], out[3, 0] = mp.conj(out[1, 2]), mp.conj(out[0, 3])
+        return np.array(out.tolist(), dtype=complex)
+
+
+def preset_params():
+    """The 16 configurations of figures 1-10 (three for each of 8-10)."""
+    for n in range(1, 11):
+        cfgs = figure_preset(n)
+        yield from (c.params for c in (cfgs if isinstance(cfgs, list) else [cfgs]))
+
+
+def test_steady_state_matches_40_digits_at_every_preset():
+    presets = list(preset_params())
+    assert len(presets) == 16
+    for p in presets:
+        rates = rate_set(p)
+        # measured 5.6e-17 at most (1.1e-16 for the quartics over
+        # 2 (g+gbar)^2 box that this form replaced); the bound is 2 eps
+        assert np.abs(ph.steady_state(p, rates) - steady_state_mp(p, rates)).max() <= 4.4e-16
 
 
 class TestDressedRewrite:
