@@ -45,13 +45,11 @@ class AssumptionViolated(Exception):
 
 
 def _plog2(x) -> np.ndarray:
-    # 0 log 0 := 0; clamp fp dust
+    # 0 log 0 := 0; clamp fp dust; the entries at x <= 0 are discarded, and
+    # so are their warnings
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    pos = ~(x <= 0.0)
-    xp = x[pos]
-    out[pos] = -xp * np.log2(np.minimum(xp, 1.0))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x <= 0.0, 0.0, -x * np.log2(np.minimum(x, 1.0)))
 
 
 def binary_entropy(x) -> np.ndarray:
@@ -196,13 +194,10 @@ def _x_spectrum(x: XStateElements):
 
 def _ratio_term(a, b) -> np.ndarray:
     # -a log2(a / (a + b)), 0 where a <= 0; a negative b is floating-point
-    # dust, as in _plog2
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out = np.zeros(a.shape)
-    pos = ~(a <= 0.0)
-    ap = a[pos]
-    out[pos] = -ap * np.log2(ap / (ap + np.maximum(b[pos], 0.0)))
-    return out
+    # dust, as in _plog2, which discards the same way
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a <= 0.0, 0.0, -a * np.log2(a / (a + np.maximum(b, 0.0))))
 
 
 def discord_approx_q2(x: XStateElements) -> np.ndarray:

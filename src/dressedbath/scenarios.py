@@ -183,12 +183,11 @@ def _trajectory_metrics(stack, wanted):
     return margins, cols, "matrix_x" if eigs is None else "general"
 
 
-def _propagation(cfg: ScenarioConfig):
-    """The frame and time grid of ``cfg``'s run, and ``stack_of``, which
-    propagates a model to its ``(n, k)`` computational coordinates (8 for an
-    X-shaped trajectory, which both models keep from an X start)."""
-    frame = dressed_frame(cfg.params)
-    rates = rate_set(cfg.params, frame)
+def _propagation(cfg: ScenarioConfig, frame, rates):
+    """The time grid of ``cfg``'s run, whose frame and rates are ``frame``
+    and ``rates``, and ``stack_of``, which propagates a model to its
+    ``(n, k)`` computational coordinates (8 for an X-shaped trajectory,
+    which both models keep from an X start)."""
     t_max = resolve_t_max(cfg, rates)
     times = np.linspace(0.0, t_max, cfg.n_points)
     # integrate.propagate requires a strictly increasing grid; an automatic
@@ -204,7 +203,7 @@ def _propagation(cfg: ScenarioConfig):
             return frame.to_computational_columns(microscopic.propagate_analytic(
                 frame.to_dressed(rho0), rates, frame, times))
         return phenomenological.propagate(rho0, cfg.params, rates, times)
-    return frame, times, stack_of
+    return times, stack_of
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trajectory:
@@ -215,7 +214,8 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     before any metric touches it; the worst margins go to ``margins``.  A
     model's stack lives only from its propagation to its metrics.
     """
-    frame, times, stack_of = _propagation(cfg)
+    frame = dressed_frame(cfg.params)
+    times, stack_of = _propagation(cfg, frame, rate_set(cfg.params, frame))
     series, margins, routes = {}, {}, {}
     for model in cfg.models:
         margins[model], series[model], routes[model] = _trajectory_metrics(
@@ -537,7 +537,8 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
     The stationary values and states come from ``stationary_metrics``.  A
     trajectory runs only when concurrence is requested, to find each model's
     sudden death, over fifty lifetimes of the slowest mode
-    (``resolve_t_max(stationary=True)``).  Micro is thermal when its
+    (``resolve_t_max(stationary=True)``), through ``run_scenario``'s stages on
+    the comparison's own frame and rates.  Micro is thermal when its
     rate-ratio stationary state is the Gibbs state (detailed balance);
     phenom is not when dressed coherences survive in its stationary state.
     ``selftest`` checks that the micro generator annihilates the former.
@@ -553,11 +554,12 @@ def compare_report(cfg: ScenarioConfig) -> CompareReport:
 
     death = {}
     if "concurrence" in cfg.metrics:
-        traj = run_scenario(replace(
-            cfg, models=MODELS, metrics=("concurrence",),
-            t_max=resolve_t_max(cfg, rates, stationary=True)))
-        death = {model: sudden_death_time(traj.times, series["concurrence"])
-                 for model, series in traj.series.items()}
+        times, stack_of = _propagation(replace(
+            cfg, models=MODELS, t_max=resolve_t_max(cfg, rates, stationary=True)),
+            frame, rates)
+        death = {model: sudden_death_time(times, _trajectory_metrics(
+                     stack_of(model), ("concurrence",))[1]["concurrence"])
+                 for model in MODELS}
 
     gibbs = microscopic.gibbs_state(frame, cfg.params.temperature)
     micro_thermal = np.abs(micro - gibbs).max() <= THERMAL_TOL

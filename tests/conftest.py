@@ -59,10 +59,57 @@ def sixteen_wide(monkeypatch, fn, *args):
 
 def run_stacks(cfg):
     """model -> the ``(n, k)`` stack of ``cfg``'s run, from the propagation
-    that ``run_scenario`` runs (``scenarios._propagation``)."""
+    that ``run_scenario`` runs (``scenarios._propagation``) on the frame and
+    rates it builds."""
+    from dressedbath.model import dressed_frame, rate_set
     from dressedbath.scenarios import _propagation
-    _, _, stack_of = _propagation(cfg)
+    frame = dressed_frame(cfg.params)
+    _, stack_of = _propagation(cfg, frame, rate_set(cfg.params, frame))
     return {model: stack_of(model) for model in cfg.models}
+
+
+# -- the per-term basis change and the masked entropy terms: the references of
+# DressedFrame.to_computational_columns and of metrics._plog2 / _ratio_term ---
+
+def real_map_reference(frame):
+    """Per output coordinate of the real map of ``U . U^T``, its ``(input
+    coordinate, nonzero coefficient)`` pairs, from all 256 pairs of
+    coordinates; ``u . u^T`` maps Re (symmetric) and Im (antisymmetric) apart."""
+    from dressedbath.model import _COORDS
+    u = frame.unitary.real.tolist()
+    return [[(m, c) for m, (j, k, t) in enumerate(_COORDS) if t == s and (
+                c := u[i][j] * u[l][k] + (t * u[i][k] * u[l][j] if j != k else 0.0))]
+            for i, l, s in _COORDS]
+
+
+def to_computational_columns_reference(frame, d):
+    """``frame.to_computational_columns(d)`` one term at a time: each output
+    coordinate summed from +0 over ``real_map_reference``'s pairs in order."""
+    out = np.zeros(d.shape)
+    for n, terms in enumerate(real_map_reference(frame)[:d.shape[-1]]):
+        for m, c in terms:
+            out[..., n] += c * d[..., m]
+    return out
+
+
+def plog2_reference(x):
+    """``metrics._plog2`` by a boolean compress and scatter: 0 at x <= 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = ~(x <= 0.0)
+    xp = x[pos]
+    out[pos] = -xp * np.log2(np.minimum(xp, 1.0))
+    return out
+
+
+def ratio_term_reference(a, b):
+    """``metrics._ratio_term`` by a boolean compress and scatter: 0 at a <= 0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    pos = ~(a <= 0.0)
+    ap = a[pos]
+    out[pos] = -ap * np.log2(ap / (ap + np.maximum(b[pos], 0.0)))
+    return out
 
 
 def g17_texts(values):

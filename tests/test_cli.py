@@ -14,7 +14,7 @@ from conftest import out_of, set_key
 from dressedbath import cli, phenomenological
 from dressedbath.cli import build_parser, main
 from dressedbath.integrate import TraceDrift
-from dressedbath.linalg import PSD_TOL
+from dressedbath.linalg import PSD_TOL, as_matrices
 from dressedbath.model import dressed_frame, rate_set, spectral_density
 from dressedbath.scenarios import parse_config, run_scenario
 
@@ -255,6 +255,26 @@ def test_selftest_passes(monkeypatch, capsys):
         rows = _selftest_lines(capsys.readouterr().out)
         assert len(rows) == 42 and {v for v, *_ in rows} == {"PASS"}
         assert len(generators) == len(propagations) == len(rate_sets) == 3
+
+
+@pytest.mark.parametrize("number", [1, 2, 3])   # selftest's three configurations
+def test_selftest_check_one_is_the_complex_stack_deviation(number, monkeypatch):
+    """Check 1's max deviation, read off the coordinate differences, is the
+    largest entry of |difference| of the two (400, 4, 4) complex stacks, as
+    a double, and its detail prints it."""
+    seen = {}
+    for owner, name in ((cli.microscopic, "propagate_analytic"), (cli.integrate, "propagate")):
+        def spy(*args, name=name, real=getattr(owner, name)):
+            seen[name] = real(*args)
+            return seen[name]
+        monkeypatch.setattr(owner, name, spy)
+    detail = cli._selftest_checks(cli.figure_preset(number))[0][2]
+    analytic, numeric = seen["propagate_analytic"], seen["propagate"]
+    stacks = np.abs(as_matrices(analytic) - as_matrices(numeric)).max()
+    diff = analytic - numeric
+    assert np.maximum(np.abs(diff[:, :4]).max(),
+                      np.hypot(diff[:, 4::2], diff[:, 5::2]).max()) == stacks
+    assert detail.startswith(f"max dev {stacks:.2e}, ")
 
 
 def test_selftest_runs_a_figure_of_its_own_configuration(monkeypatch, capsys):

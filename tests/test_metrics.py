@@ -13,9 +13,10 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
                                  x_elements_from_matrix)
 from dressedbath.model import SystemParams, dressed_frame
 
-from conftest import (EVOLVED, concurrence_mp, concurrence_spin_flip,
-                      discord_oracle_q2, dressed_matrices, random_density,
-                      random_unitary, random_x_state, run_stacks)
+from conftest import (EVOLVED, bits, concurrence_mp, concurrence_spin_flip,
+                      discord_oracle_q2, dressed_matrices, plog2_reference,
+                      random_density, random_unitary, random_x_state,
+                      ratio_term_reference, run_stacks)
 
 
 def bell_matrix():
@@ -217,6 +218,27 @@ class TestEntropies:
             closed = np.sort(metrics._x_spectrum(x))
             evals, _ = hermitian_eigs(x.matrix())
             assert np.abs(closed - evals).max() <= 1e-10
+
+    def test_entropy_terms_are_the_masked_forms(self, rng):
+        """``_plog2`` and ``_ratio_term`` select where the references compress
+        and scatter: the same bits, sign of zero included, at every pair of
+        edge inputs and on arrays that mix them into random values, whole
+        or strided; a NaN (whose sign bit follows numpy's vector lanes, not
+        the formula) stays at the same entries."""
+        edge = np.array([0.0, -0.0, -1e-18, np.nan, 1.0, np.nextafter(1.0, 2.0)])
+        a, b = np.meshgrid(edge, edge)
+        cases = [(a.ravel(), b.ravel())]
+        for n in (1, 7, 400, 2000):
+            x, y = (np.where(rng.random(n) < 0.3, rng.choice(edge, n),
+                             rng.random(n) ** rng.integers(1, 40, n)) for _ in range(2))
+            cases += [(x, y), (np.stack([x, y], axis=1)[:, 0], y)]
+        cases += [(v, w) for v in edge for w in edge[:2]]   # 0-d inputs
+        for x, y in cases:
+            for got, expected in ((metrics._plog2(x), plog2_reference(x)),
+                                  (metrics._ratio_term(x, y), ratio_term_reference(x, y))):
+                nan = np.isnan(expected)
+                np.testing.assert_array_equal(np.isnan(got), nan)
+                np.testing.assert_array_equal(bits(got[~nan]), bits(expected[~nan]))
 
     def test_linear_entropy_pure_product(self):
         m = np.zeros((4, 4), dtype=complex)

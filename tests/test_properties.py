@@ -18,6 +18,7 @@ import io
 import math
 import os
 import pathlib
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -28,14 +29,15 @@ from hypothesis import strategies as st
 
 from conftest import (EVOLVED, assert_run_matches_dense, bits, out_of, outcome,
                       random_density, run_stacks, stationary_per_model,
-                      trajectory_metrics_per_snapshot)
+                      to_computational_columns_reference, trajectory_metrics_per_snapshot)
 from dressedbath import cli, microscopic, phenomenological
 from dressedbath.cli import main
 from dressedbath.integrate import TraceDrift
 from dressedbath.linalg import (EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL, ROUNDING_TOL,
                                 as_matrices, columns, trace_of, validate_eigs)
 from dressedbath.metrics import XStateElements, concurrence_general, x_elements_from_columns
-from dressedbath.model import KB_OVER_HBAR, SystemParams, dressed_frame, rate_set
+from dressedbath.model import (KB_OVER_HBAR, DressedFrame, SystemParams, dressed_frame,
+                               rate_set)
 from dressedbath.scenarios import (INITIAL_STATES, METRICS, STATIONARY_METRICS,
                                    ScenarioConfig, _trajectory_metrics, compare_report,
                                    resolve_t_max, run_scenario,
@@ -326,6 +328,74 @@ def test_phenom_closed_form_holds_over_the_whole_space(p):
     damping = (rates.emission_bare, rates.absorption_bare)
     assume(all(math.isfinite(r) for r in damping) and sum(damping) > 0)
     assert_phenom_closed_form(p, rates)
+
+
+def signed_zero_stack(rng, shape):
+    """Normal draws scaled by 10^U(-300, 300), a fifth of the entries +0 and
+    a fifth -0."""
+    d = rng.normal(size=shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    zeros = rng.choice([1.0, 0.0, -0.0], size=shape, p=[0.6, 0.2, 0.2])
+    return np.where(zeros == 1.0, d, zeros)
+
+
+@settings(PROFILE, max_examples=40)
+@given(st.one_of(params(), wide_params()), st.integers(0, 2 ** 32 - 1))
+# coupling 0: mix_minus is 0, and so are the coefficients it carries
+@example(SystemParams(omega=4e9, coupling=0.0, gamma0=5e7, bath_width=5e10,
+                      bath_center=8e9, temperature=5e-4), 0)
+def test_basis_change_is_the_per_term_loop(p, seed):
+    """The term table's basis change gives the bits of the per-term loop over
+    each frame's nonzero coefficients, sign of zero included, on X stacks of
+    1, 400 and 2,000 rows and on 16-wide ones; a stack with a non-finite row
+    leaves the same rows non-finite and the others the same bits."""
+    try:
+        frame = dressed_frame(p)
+    except ValueError:   # the low Bohr frequency underflows: no frame
+        assume(False)
+    rng = np.random.default_rng(seed)
+    for shape in ((8,), (1, 8), (400, 8), (2000, 8), (16,), (150, 16)):
+        d = signed_zero_stack(rng, shape)
+        got = frame.to_computational_columns(d)
+        assert got.flags.c_contiguous   # the X elements view coordinate pairs
+        np.testing.assert_array_equal(bits(got),
+                                      bits(to_computational_columns_reference(frame, d)))
+    for width in (8, 16):
+        d = signed_zero_stack(rng, (30, width))
+        d[rng.integers(30), rng.integers(width)] = rng.choice([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):   # inf - inf, in the non-finite row
+            got, expected = (f(frame, d) for f in (DressedFrame.to_computational_columns,
+                                                   to_computational_columns_reference))
+        finite = np.isfinite(expected).all(axis=1)
+        np.testing.assert_array_equal(np.isfinite(got).all(axis=1), finite)
+        np.testing.assert_array_equal(bits(got[finite]), bits(expected[finite]))
+
+
+@PROFILE
+@given(st.one_of(params(), wide_params()))
+def test_detailed_balance_over_the_whole_space(p):
+    """Every absorption rate of ``rate_set``, bare or folded with its squared
+    amplitude, is its emission partner times the Boltzmann factor at its
+    frequency, to rounding (``ROUNDING_TOL`` relative), and exactly 0 at
+    T = 0."""
+    try:
+        frame = dressed_frame(p)
+    except ValueError:   # the low Bohr frequency underflows: no frame
+        assume(False)
+    r = rate_set(p, frame)
+    for up, down, freq in ((r.absorption_low, r.emission_low, frame.bohr_low),
+                           (r.absorption_high, r.emission_high, frame.bohr_high),
+                           (r.absorption_bare, r.emission_bare, p.omega),
+                           (r.excitation_low, r.decay_low, frame.bohr_low),
+                           (r.excitation_high, r.decay_high, frame.bohr_high)):
+        if not math.isfinite(down):   # rates that compare refuses (NotFinite)
+            continue
+        if p.temperature == 0.0:
+            assert up == 0.0
+            continue
+        expected = down * math.exp(-freq / (KB_OVER_HBAR * p.temperature))
+        # a subnormal rate keeps the resolution of the smallest normal double
+        assert up == expected or (abs(up - expected)
+                                  <= ROUNDING_TOL * max(expected, sys.float_info.min))
 
 
 def verdict_or_error(fn, *args):

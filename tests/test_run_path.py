@@ -1,10 +1,10 @@
 """One site per computation on the run path: each metric is one call on a
 model run's whole stack, an X form on its X elements or a general form on
-the general route, each configuration builds one dressed frame, and
-each closed-form stationary state is evaluated once per configuration.  The
-micro closed form writes the columns of its start's width, and a model's
-stack lives only until its metrics: no series keeps it, and a ``figure`` op
-stays within 1 MiB of traced memory."""
+the general route, each configuration builds one dressed frame and one rate
+set, and each closed-form stationary state is evaluated once per
+configuration.  The micro closed form writes the columns of its start's
+width, and a model's stack lives only until its metrics: no series keeps
+it, and a ``figure`` op stays within 1 MiB of traced memory."""
 
 import sys
 import tracemalloc
@@ -71,20 +71,19 @@ def test_discord_on_a_general_row_fails_before_any_x_form_metric(wanted, calls):
     assert calls == []
 
 
-@pytest.fixture
-def frames(monkeypatch):
-    """The parameters of each ``dressed_frame`` call, wherever the package
+def spy_everywhere(monkeypatch, name):
+    """The parameters of each call of ``model.<name>``, wherever the package
     looks the function up."""
-    seen, real = [], model.dressed_frame
+    seen, real = [], getattr(model, name)
 
-    def spy(p):
+    def spy(p, *args):
         seen.append(p)
-        return real(p)
+        return real(p, *args)
 
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("dressedbath")
-                and getattr(mod, "dressed_frame", None) is real):
-            monkeypatch.setattr(mod, "dressed_frame", spy)
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, spy)
     return seen
 
 
@@ -92,13 +91,16 @@ def frames(monkeypatch):
     (["figure", "2", "--points", "50"], 1),
     (["spectrum", "--figure", "3"], 1),
     (["compare", "--figure", "4"], 1),
-    (["compare", "--figure", "2", "--points", "200"], 2),   # one run for sudden death
+    (["compare", "--figure", "2", "--points", "200"], 1),   # sudden death on its frame
     (["figure", "9", "--points", "50"], 4),   # the preset's shared span, then three runs
     (["steady", "--figure", "2"], 1),
     (["selftest"], 3)])   # figures 1-7 are three configurations
-def test_one_dressed_frame_per_configuration(argv, count, frames, tmp_path, capsys):
+def test_one_dressed_frame_per_configuration(argv, count, monkeypatch, tmp_path, capsys):
+    """One frame and one rate set per configuration."""
+    frames = spy_everywhere(monkeypatch, "dressed_frame")
+    rate_sets = spy_everywhere(monkeypatch, "rate_set")
     assert main(argv + out_of(argv[0], tmp_path)) == 0
-    assert len(frames) == count
+    assert len(frames) == len(rate_sets) == count
 
 
 @pytest.fixture
