@@ -107,26 +107,22 @@ class DressedFrame:
 
     def to_computational_columns(self, d) -> np.ndarray:
         """``U d U^T`` (U is real) as ``(..., k)`` coordinates, from the
-        dressed ``d`` at them (the basis change keeps a matrix X-shaped): each
-        output coordinate the sum of its ``_TERMS`` from +0, in their order,
-        so the result does not depend on BLAS.  One gather and one product
-        cover every slot of ``_SLOTS``, then one addition per rank; a 0
-        coefficient times a non-finite entry, in a row that is non-finite
-        either way, is no warning."""
-        k = d.shape[-1]
-        products = d[..., _SLOTS[k][0]]
-        with np.errstate(invalid="ignore"):
-            products *= self._real_map[k]
-        out = products[..., :k] + 0.0   # from +0, as a -0 product sums to +0
-        for a in range(k, products.shape[-1], k):
-            out += products[..., a:a + k]
-        return np.ascontiguousarray(out)   # numpy's gather lays out columns first
+        dressed ``d`` at them (the basis change keeps a matrix X-shaped): the
+        real map of ``U . U^T`` as fixed-order elementwise sums over its
+        nonzero coefficients, so the result does not depend on BLAS."""
+        out = np.zeros(d.shape)
+        for n, terms in enumerate(self._real_map[:d.shape[-1]]):
+            for m, c in terms:
+                out[..., n] += c * d[..., m]
+        return out
 
     @functools.cached_property
     def _real_map(self):
-        """Per width, the coefficient of each slot of ``_SLOTS``."""
-        u = np.append(self.unitary.real.ravel(), 0.0)
-        return {k: _coefficient(u, slots) for k, slots in _SLOTS.items()}
+        """Per output coordinate, its ``(input coordinate, nonzero coefficient)``
+        pairs, from its terms in ``_TERMS``."""
+        u = self.unitary.real.tolist()
+        return [[(m, c) for m in terms if (c := _coefficient(u, out, _COORDS[m]))]
+                for out, terms in zip(_COORDS, _TERMS)]
 
 
 # each coordinate as (i, j, sign): a population or Re of entry (i, j), whose
@@ -134,43 +130,21 @@ class DressedFrame:
 _COORDS = [(i, i, 1.0) for i in range(4)] + [(i, j, s) for i, j in UPPER for s in (1.0, -1.0)]
 
 
-def _coefficient(u, term):
-    """The coefficient ``u[i, j] u[l, k] + t u[i, k] u[l, j]`` of a term (or
-    of the columns of an array of them) for the flat real unitary ``u`` with
-    a 0 appended."""
-    _, ij, lk, ik, lj, t = term
-    return u[ij] * u[lk] + t * u[ik] * u[lj]
+def _coefficient(u, out, term):
+    """The coefficient of input coordinate ``term`` in output coordinate
+    ``out`` of the real map of ``U . U^T``, for the real unitary ``u`` as
+    nested lists."""
+    (i, l, _), (j, k, t) = out, term
+    return u[i][j] * u[l][k] + (t * u[i][k] * u[l][j] if j != k else 0.0)
 
 
-def _map_terms():
-    """Per output coordinate ``(i, l, s)``, its terms of the real map of
-    ``U . U^T``, in input order: for each input coordinate ``(j, k, t)``, t =
-    s, ``(input, ij, lk, ik, lj, t)``, the flat indices of the factors of its
-    ``_coefficient`` (ik and lj the appended 0 on the diagonal, j = k).  Only
-    the 51 terms that no unitary of ``dressed_frame``'s shape zeroes
-    identically, found on a generic one, are kept."""
-    r = math.sqrt(0.5)   # the rows of a unitary of that shape, then the 0
-    generic = [0.8, 0.0, 0.0, 0.6, 0.0, -r, r, 0.0, 0.0, r, r, 0.0, -0.6, 0.0, 0.0, 0.8, 0.0]
-    terms = [[(m, 4 * i + j, 4 * l + k, 4 * i + k if j != k else 16,
-               4 * l + j if j != k else 16, int(t)) for m, (j, k, t) in enumerate(_COORDS)
-              if t == s] for i, l, s in _COORDS]
-    return [[term for term in own if _coefficient(generic, term)] for own in terms]
-
-
-def _map_slots(width):
-    """The terms of the first ``width`` outputs as the columns of an array,
-    rank-major, one slot per output in each rank (a term's place among its
-    output's terms).  An output with fewer terms takes a pad, 0 times input
-    0, which leaves a finite sum as it is."""
-    terms = _TERMS[:width]
-    pad = (0, 16, 16, 16, 16, 1)
-    return np.array([own[rank] if rank < len(own) else pad
-                     for rank in range(max(map(len, terms))) for own in terms]).T
-
-
-_TERMS = _map_terms()
-# width -> slots: 3 ranks of the 8 X coordinates, 4 of all 16
-_SLOTS = {k: _map_slots(k) for k in (8, 16)}
+# per output coordinate, the input coordinates of its terms that no unitary of
+# dressed_frame's shape zeroes identically, 51 in all: those with a nonzero
+# coefficient on a generic one (u . u^T maps Re and Im apart)
+_R = math.sqrt(0.5)
+_TERMS = [[m for m, term in enumerate(_COORDS) if term[2] == out[2] and _coefficient(
+               [[0.8, 0, 0, 0.6], [0, -_R, _R, 0], [0, _R, _R, 0], [-0.6, 0, 0, 0.8]], out, term)]
+          for out in _COORDS]
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (EVOLVED, assert_run_matches_dense, bits, out_of, outcome,
-                      random_density, run_stacks, stationary_per_model,
-                      to_computational_columns_reference, trajectory_metrics_per_snapshot)
+                      random_density, real_map_reference, run_stacks,
+                      stationary_per_model, to_computational_columns_reference,
+                      trajectory_metrics_per_snapshot)
 from dressedbath import cli, microscopic, phenomenological
 from dressedbath.cli import main
 from dressedbath.integrate import TraceDrift
@@ -344,14 +345,16 @@ def signed_zero_stack(rng, shape):
 @example(SystemParams(omega=4e9, coupling=0.0, gamma0=5e7, bath_width=5e10,
                       bath_center=8e9, temperature=5e-4), 0)
 def test_basis_change_is_the_per_term_loop(p, seed):
-    """The term table's basis change gives the bits of the per-term loop over
-    each frame's nonzero coefficients, sign of zero included, on X stacks of
-    1, 400 and 2,000 rows and on 16-wide ones; a stack with a non-finite row
-    leaves the same rows non-finite and the others the same bits."""
+    """The term table gives each frame the nonzero coefficients of all 256
+    pairs of coordinates, in order, and the basis change the bits of the
+    per-term loop, sign of zero included, on X stacks of 1, 400 and 2,000
+    rows and on 16-wide ones; a stack with a non-finite row leaves the same
+    rows non-finite and the others the same bits."""
     try:
         frame = dressed_frame(p)
     except ValueError:   # the low Bohr frequency underflows: no frame
         assume(False)
+    assert frame._real_map == real_map_reference(frame)
     rng = np.random.default_rng(seed)
     for shape in ((8,), (1, 8), (400, 8), (2000, 8), (16,), (150, 16)):
         d = signed_zero_stack(rng, shape)
