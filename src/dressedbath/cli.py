@@ -28,7 +28,7 @@ from .model import (dressed_frame, fairness_check, rate_set,
                     spectral_density, thermal_occupancy)
 from .scenarios import (ConfigError, compare_report, figure_preset,
                         parse_config, run_scenario, stationary_metrics, sweep,
-                        sweep_csv, write_text, write_trajectory)
+                        sweep_csv, write_files, write_trajectory)
 
 CONFIG_ERRORS = (ConfigError, ValueError)
 NUMERIC_ERRORS = (StateValidationError, TraceDrift, AssumptionViolated,
@@ -160,11 +160,13 @@ def cmd_steady(args):
 
 
 def cmd_compare(args):
-    for cfg in _configs_from_args(args):
-        report = compare_report(cfg)
-        print(report.text(), end="")
-        path = write_text(args.out, f"{cfg.label}_compare.csv", report.csv())
-        print(f"wrote {path}")
+    """Compare every configuration, then write all their files: a failing
+    comparison leaves no file and prints no report."""
+    reports = [compare_report(cfg) for cfg in _configs_from_args(args)]
+    paths = write_files(args.out, [f"{r.config.label}_compare.csv" for r in reports],
+                        enumerate(r.csv().encode("utf-8") for r in reports))
+    for report, path in zip(reports, paths):
+        print(f"{report.text()}wrote {path}")
     return 0
 
 
@@ -173,8 +175,8 @@ def cmd_sweep(args):
     values = [_number("--values", v, "comma-separated numbers")
               for v in args.values.split(",") if v.strip()]
     reports = sweep(cfg, args.axis, values)
-    path = write_text(args.out, f"{cfg.label}_sweep_{args.axis}.csv",
-                      sweep_csv(cfg, args.axis, values, reports))
+    [path] = write_files(args.out, [f"{cfg.label}_sweep_{args.axis}.csv"],
+                         [(0, sweep_csv(cfg, args.axis, values, reports).encode("utf-8"))])
     for rep in reports:
         print(rep.text(), end="")
     print(f"wrote {path}")

@@ -14,9 +14,6 @@ import numpy as np
 # record slots: sign, "0.000", 17 digits each but the last followed by a "."
 # slot, "e+308"; the first digit and the "e" sit at _DIGIT0 and _EXP
 SLOTS, _DIGIT0, _EXP = 44, 6, 39
-# values per pass: a full pass peaks at 799 KiB traced, 176 KiB of it the
-# output (392 KiB at 2,000 values; x86-64, numpy 2.4.6)
-_BLOCK = 4096
 _K0 = 293               # powers 10^k for k = -_K0 .. 341: E = -325 .. 309
 _ROW = np.arange(17, dtype=np.uint8)[:, None]
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]   # for E = -1 .. -4
@@ -102,9 +99,10 @@ def _fill(x, out):
 
 
 def g17_slots(x) -> np.ndarray:
-    """The ``(SLOTS, x.size)`` uint8 records of ``"%.17g" % v``, ``v`` in ``x``."""
+    """The ``(SLOTS, x.size)`` uint8 records of ``"%.17g" % v``, ``v`` in ``x``,
+    from one pass over all of ``x``: its temporaries grow with ``x.size``, so
+    callers hand it blocks (``scenarios._CSV_BLOCK``)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     out = np.empty((SLOTS, x.size), np.uint8)
-    for start in range(0, x.size, _BLOCK):
-        _fill(x[start:start + _BLOCK], out[:, start:start + _BLOCK])
+    _fill(x, out)
     return out

@@ -192,14 +192,6 @@ def validate_density(matrix) -> np.ndarray:
     return m
 
 
-def partial_trace_q2(rho) -> np.ndarray:
-    """Reduced 2x2 state of qubit 1, for a computational-basis matrix or
-    each matrix of a ``(..., 4, 4)`` stack."""
-    m = np.asarray(rho)
-    # [i, j] = m[2i, 2j] + m[2i+1, 2j+1]
-    return m[..., ::2, ::2] + m[..., 1::2, 1::2]
-
-
 def hermitian_eigs(matrix):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix or of
     each matrix in a ``(..., n, n)`` stack.

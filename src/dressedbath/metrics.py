@@ -19,7 +19,8 @@ closed-form stationary states (``scenarios.stationary_metrics``), after
 ``linalg.validate_eigs`` has checked them and found the stack X-shaped;
 ``x_elements_from_matrix`` is its form for computational matrices.
 ``x_elements_from_dressed`` reads the same elements off a dressed-basis
-micro state and serves as its cross-check.
+micro state and serves as its cross-check.  Linear entropy reads the
+coordinates themselves, of a stack of either width.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, TRACE_TOL, NotPSD, columns, hermitian_eigs, partial_trace_q2
+from .linalg import PSD_TOL, TRACE_TOL, NotPSD, columns, hermitian_eigs
 from .model import DressedFrame
 
 log = logging.getLogger(__name__)
@@ -225,17 +226,17 @@ def discord_approx_q2(x: XStateElements) -> np.ndarray:
     return value
 
 
-def linear_entropy_q1(state):
-    """Mixedness of qubit 1: 1 - Tr(rho_q1^2), in [0, 1/2].
-
-    Both routes evaluate it as 2 det rho_q1, which equals it at unit trace
-    and gives one value for a snapshot whose trace is off by rounding.  For
-    X elements (one state or an array of snapshots) that is 2 P0 P1, with
-    P0 and P1 the qubit-1 populations; for full states (one
-    computational-basis matrix or a ``(..., 4, 4)`` stack of them) it is
-    2 (Re r00 Re r11 - |r01|^2) of the partial trace r.
+def linear_entropy_q1(cols):
+    """Mixedness of qubit 1, 1 - Tr(rho_q1^2) in [0, 1/2], of each snapshot of
+    an ``(..., 8)`` or ``(..., 16)`` stack of computational coordinates, as
+    2 det rho_q1 = 2 P0 P1 - 2 |z|^2, which equals it at unit trace and gives
+    one value for a snapshot whose trace is off by rounding: P0 = c0 + c1 and
+    P1 = c2 + c3 are the qubit-1 populations, and z = rho02 + rho13, complex
+    views of coordinates 10-11 and 12-13, is 0 on an 8-wide stack.
     """
-    if isinstance(state, XStateElements):
-        return 2.0 * (state.p00 + state.p01) * (state.p10 + state.p11)
-    r = partial_trace_q2(state)
-    return (2.0 * (r[..., 0, 0].real * r[..., 1, 1].real - np.abs(r[..., 0, 1]) ** 2))[()]
+    c = np.asarray(cols, dtype=float)
+    value = 2.0 * (c[..., 0] + c[..., 1]) * (c[..., 2] + c[..., 3])
+    if c.shape[-1] == 16:
+        z = c[..., 10:12].view(complex)[..., 0] + c[..., 12:14].view(complex)[..., 0]
+        value = value - 2.0 * np.abs(z) ** 2
+    return value

@@ -20,8 +20,7 @@ from . import metrics, microscopic, phenomenological
 from ._version import __version__
 from .csvtext import SLOTS, _fmt, g17_slots
 from .linalg import (EVOLVED_PSD_TOL, EVOLVED_TRACE_TOL, PSD_TOL, THERMAL_TOL, UPPER,
-                     NotFinite, as_matrices, columns, validate_eigs, validate_density,
-                     width)
+                     NotFinite, columns, validate_eigs, validate_density, width)
 from .metrics import AssumptionViolated
 from .model import SystemParams, dressed_frame, fairness_check, rate_set
 
@@ -30,8 +29,9 @@ ROUTES = ("matrix_x", "general")   # metric routes
 METRICS = ("concurrence", "discord", "linear_entropy", "populations")
 INITIAL_STATES = ("ket10", "ket01", "dressed_ground")
 
-# metric -> its X-form function, looked up in ``metrics`` at each call so that
-# a wrapper on the module attribute (perfbench/spans.py) sees it
+# metric -> its function on an X stack, looked up in ``metrics`` at each call
+# so that a wrapper on the module attribute (perfbench/spans.py) sees it; linear
+# entropy reads the stack's coordinates, the X forms its X elements
 _X_FORM = {"concurrence": "concurrence_x", "discord": "discord_approx_q2",
            "linear_entropy": "linear_entropy_q1"}
 STATIONARY_METRICS = tuple(_X_FORM)
@@ -154,30 +154,34 @@ def resolve_t_max(cfg: ScenarioConfig, rates, stationary: bool = False) -> float
     return lifetimes / rate
 
 
+def _metric_series(stack, eigs, wanted):
+    """The columns of the ``wanted`` metrics of a stack that ``validate_eigs``
+    has checked and returned ``eigs`` for: on an X stack (``eigs`` None) the
+    X forms, each one call on the X elements of the whole stack; on any other
+    concurrence from ``eigs``, and no discord; linear entropy on either."""
+    if eigs is None:
+        x = metrics.x_elements_from_columns(stack)
+    elif "discord" in wanted:
+        raise AssumptionViolated(
+            "the discord approximation needs an X-shaped state; "
+            "this trajectory left the X family")
+    return {m: (metrics.concurrence_from_eigs(*eigs) if eigs is not None and m == "concurrence"
+                else getattr(metrics, _X_FORM[m])(stack if m == "linear_entropy" else x))
+            for m in wanted if m in _X_FORM}
+
+
 def _trajectory_metrics(stack, wanted):
     """``run_scenario``'s stages after propagation on one model's trajectory
     (a ``_propagation`` stack): the worst margins of its snapshots, its
     metric columns and its route, a name in ROUTES.  Validation checks every
     snapshot at the evolved tolerances, positivity at ``PSD_TOL`` when an
-    entanglement measure is wanted, and routes the whole stack by its width:
-    an 8-wide one to the X forms, each one call on the X elements of the
-    whole stack, any other to the general forms, concurrence from the
-    eigenpairs validation returns.  No column holds a view of ``stack``,
-    which dies after.
+    entanglement measure is wanted, and routes the whole stack by its width
+    (``_metric_series``).  No column holds a view of ``stack``, which dies
+    after.
     """
     psd_tol = PSD_TOL if {"concurrence", "discord"} & set(wanted) else EVOLVED_PSD_TOL
     margins, eigs = validate_eigs(stack, trace_tol=EVOLVED_TRACE_TOL, psd_tol=psd_tol)
-    if eigs is None:
-        x = metrics.x_elements_from_columns(stack)
-        cols = {m: getattr(metrics, _X_FORM[m])(x) for m in wanted if m in _X_FORM}
-    elif "discord" in wanted:
-        raise AssumptionViolated(
-            "the discord approximation needs an X-shaped state; "
-            "this trajectory left the X family")
-    else:   # concurrence, linear entropy
-        cols = {m: (metrics.concurrence_from_eigs(*eigs) if m == "concurrence"
-                    else metrics.linear_entropy_q1(as_matrices(stack)))
-                for m in wanted if m in _X_FORM}
+    cols = _metric_series(stack, eigs, wanted)
     if "populations" in wanted:   # copies of the stack's columns
         cols.update(zip(_POPULATIONS, (stack[:, i].copy() for i in range(4))))
     return margins, cols, "matrix_x" if eigs is None else "general"
@@ -404,32 +408,19 @@ def _output_dir(out_dir) -> pathlib.Path:
     return out
 
 
-def write_text(out_dir, name: str, text: str) -> pathlib.Path:
-    """Write ``text`` to ``out_dir/name``, creating ``out_dir``; an OS error
+def write_files(out_dir, names, chunks) -> list:
+    """Write the files ``names`` into ``out_dir``, creating it, and return
+    their paths.  Every file stays open while ``chunks`` streams ``(index,
+    bytes)`` into them; an OS error removes every file the call opened and
     becomes a ConfigError naming the path and the reason."""
-    path = _output_dir(out_dir) / name
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    return path
-
-
-def write_trajectory(trajs, out_dir) -> list:
-    """Write one CSV file per model of each trajectory of ``trajs`` into
-    ``out_dir``, creating it, and return their paths.  Every file stays open
-    while ``_csv_chunks`` streams its bytes; an OS error removes every file
-    the call opened and becomes a ConfigError naming the path and the
-    reason."""
     out = _output_dir(out_dir)
-    files = [(traj, model) for traj in trajs for model in traj.config.models]
-    paths = [out / f"{traj.config.label}_{model}.csv" for traj, model in files]
+    paths = [out / name for name in names]
     with contextlib.ExitStack() as opened:
         sinks = []
         try:
             for path in paths:
                 sinks.append(opened.enter_context(open(path, "wb")))
-            for i, data in _csv_chunks(files):
+            for i, data in chunks:
                 path = paths[i]
                 sinks[i].write(data)
             for path, sink in zip(paths, sinks):   # a close flushes
@@ -441,6 +432,14 @@ def write_trajectory(trajs, out_dir) -> list:
                 created.unlink(missing_ok=True)
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return paths
+
+
+def write_trajectory(trajs, out_dir) -> list:
+    """``write_files`` of one CSV file per model of each trajectory of
+    ``trajs``, streamed by ``_csv_chunks``."""
+    files = [(traj, model) for traj in trajs for model in traj.config.models]
+    return write_files(out_dir, [f"{traj.config.label}_{model}.csv" for traj, model in files],
+                       _csv_chunks(files))
 
 
 # -- model comparison -------------------------------------------------------
@@ -524,9 +523,7 @@ def stationary_metrics(params: SystemParams, frame, rates, wanted=STATIONARY_MET
     cols = columns(states)
     cols = cols[:, :width(cols)]
     cols[0] = frame.to_computational_columns(cols[0])
-    validate_eigs(cols)
-    x = metrics.x_elements_from_columns(cols)
-    values = {m: getattr(metrics, fn)(x) for m, fn in _X_FORM.items() if m in wanted}
+    values = _metric_series(cols, validate_eigs(cols)[1], wanted)
     return ({model: {m: float(v[i]) for m, v in values.items()}
              for i, model in enumerate(MODELS)}, micro, phenom)
 

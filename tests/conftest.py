@@ -2,6 +2,7 @@ import importlib.util
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,66 @@ def ratio_term_reference(a, b):
     return out
 
 
+# -- the X-element and partial-trace linear entropy: the references of
+# metrics.linear_entropy_q1 on 8- and 16-wide stacks --------------------------
+
+def x_columns(x) -> np.ndarray:
+    """The ``(..., 8)`` coordinates of X elements: the populations, then Re
+    and Im of the outer and of the inner coherence."""
+    return np.stack(np.broadcast_arrays(
+        x.p00, x.p01, x.p10, x.p11, np.real(x.outer), np.imag(x.outer),
+        np.real(x.inner), np.imag(x.inner)), axis=-1)
+
+
+def linear_entropy_x_reference(x):
+    """2 P0 P1 of X elements, P0 and P1 the qubit-1 populations."""
+    return 2.0 * (x.p00 + x.p01) * (x.p10 + x.p11)
+
+
+def partial_trace_q2(rho) -> np.ndarray:
+    """Reduced 2x2 state of qubit 1, for a computational-basis matrix or
+    each matrix of a ``(..., 4, 4)`` stack."""
+    m = np.asarray(rho)
+    # [i, j] = m[2i, 2j] + m[2i+1, 2j+1]
+    return m[..., ::2, ::2] + m[..., 1::2, 1::2]
+
+
+def linear_entropy_matrix_reference(rho):
+    """2 (Re r00 Re r11 - |r01|^2) of the partial trace r of a matrix or of
+    each matrix of a ``(..., 4, 4)`` stack."""
+    r = partial_trace_q2(rho)
+    return (2.0 * (r[..., 0, 0].real * r[..., 1, 1].real - np.abs(r[..., 0, 1]) ** 2))[()]
+
+
+def linear_entropy_reference(cols):
+    """The linear entropy of an ``(..., 8)`` stack by the X form of its X
+    elements, and of an ``(..., 16)`` one by the matrix form of its
+    matrices."""
+    from dressedbath.linalg import as_matrices
+    from dressedbath.metrics import x_elements_from_columns
+    c = np.asarray(cols, dtype=float)
+    if c.shape[-1] == 8:
+        return linear_entropy_x_reference(x_elements_from_columns(c))
+    return linear_entropy_matrix_reference(
+        as_matrices(c.reshape(-1, 16)).reshape(c.shape[:-1] + (4, 4)))
+
+
+def dense_builds(monkeypatch):
+    """Each ``linalg.as_matrices`` call, wherever the package looks it up, as
+    the calling function's name and the number of matrices built."""
+    from dressedbath import linalg
+    built, real = [], linalg.as_matrices
+
+    def spy(cols):
+        built.append((sys._getframe(1).f_code.co_name, len(cols)))
+        return real(cols)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dressedbath" and getattr(module, "as_matrices", None) is real:
+            monkeypatch.setattr(module, "as_matrices", spy)
+    return built
+
+
 def g17_texts(values):
     """The text of each value's ``csvtext.g17_slots`` record, NULs dropped."""
     from dressedbath.csvtext import g17_slots
@@ -205,7 +266,8 @@ def trajectory_metrics_per_snapshot(stack, wanted):
     snapshot validated on that route (``validate_on_route``) at the evolved
     tolerances, positivity at ``PSD_TOL`` when concurrence or discord is
     wanted; then discord refused on a general stack; then each snapshot's
-    values, the X forms of its X elements or the general concurrence and the
+    values, the X forms of its X elements (linear entropy by
+    ``linear_entropy_x_reference``) or the general concurrence and the
     partial-trace linear entropy of its matrix.  Returns the margins, series
     and route.  Every metric runs on a stack of one snapshot."""
     from dressedbath import metrics
@@ -222,9 +284,9 @@ def trajectory_metrics_per_snapshot(stack, wanted):
             "this trajectory left the X family")
     x_form = {"concurrence": metrics.concurrence_x,
               "discord": metrics.discord_approx_q2,
-              "linear_entropy": metrics.linear_entropy_q1}
+              "linear_entropy": linear_entropy_x_reference}
     on_matrix = {"concurrence": metrics.concurrence_general,
-                 "linear_entropy": metrics.linear_entropy_q1}
+                 "linear_entropy": linear_entropy_matrix_reference}
     rows = []
     for i in range(len(stack)):
         x = metrics.x_elements_from_columns(stack[i:i + 1])
@@ -242,8 +304,9 @@ def trajectory_metrics_per_snapshot(stack, wanted):
 def stationary_per_model(params, frame, rates):
     """Stationary values by the per-model route: each closed form as a full
     computational matrix (the micro one through ``to_computational``),
-    validated, read by ``x_elements_from_matrix`` and the X-form metrics one
-    model at a time; the bitwise oracle of ``scenarios.stationary_metrics``."""
+    validated, read by ``x_elements_from_matrix`` and the X-form metrics
+    (linear entropy by ``linear_entropy_x_reference``) one model at a time;
+    the bitwise oracle of ``scenarios.stationary_metrics``."""
     from dressedbath import metrics, microscopic, phenomenological
     from dressedbath.linalg import columns, validate_eigs
     states = {"micro": to_computational(frame, microscopic.steady_state(rates)),
@@ -255,7 +318,7 @@ def stationary_per_model(params, frame, rates):
         x = metrics.x_elements_from_matrix(state)
         out[model] = {"concurrence": float(metrics.concurrence_x(x)),
                       "discord": float(metrics.discord_approx_q2(x)),
-                      "linear_entropy": float(metrics.linear_entropy_q1(x))}
+                      "linear_entropy": float(linear_entropy_x_reference(x))}
     return out
 
 

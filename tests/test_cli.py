@@ -603,12 +603,17 @@ def test_a_failing_run_of_a_command_writes_no_file(tmp_path, monkeypatch, capsys
 
 
 def test_a_directory_in_place_of_a_file_is_config_error(tmp_path, capsys):
-    # in place of the first file, or of the second after the first was opened:
-    # either way the directory is all that --out holds afterwards
-    for name in ("figure2_micro.csv", "figure2_phenom.csv"):
+    # in place of the first file, or of a later one after the first was
+    # opened, of any verb that writes: either way the directory is all that
+    # --out holds afterwards, and nothing was printed
+    for argv, name in ((["figure", "2"], "figure2_micro.csv"),
+                       (["figure", "2"], "figure2_phenom.csv"),
+                       (["compare", "--figure", "8"], "figure8_T0.05_compare.csv"),
+                       (["sweep", "--figure", "2", "--axis", "temperature",
+                         "--values", "5e-4,5e-3"], "figure2_sweep_temperature.csv")):
         out_dir = tmp_path / name.removesuffix(".csv")
         (out_dir / name).mkdir(parents=True)
-        assert main(["figure", "2", "--points", "20", "--out", str(out_dir)]) == 1
+        assert main([*argv, "--points", "20", "--out", str(out_dir)]) == 1
         assert capsys.readouterr() == ("", "configuration error: cannot write "
                                        f"{out_dir / name}: Is a directory\n")
         assert [p.name for p in out_dir.iterdir()] == [name]

@@ -41,12 +41,16 @@ def test_every_value_is_its_percent_17g_text(fallback):
 
 
 def test_shapes_and_blocks_keep_the_value_order():
-    values = hard_values()[:3 * csvtext._BLOCK + 5]
+    # one pass over all the values, however many (the callers block them)
+    values = hard_values()
+    assert values.size > 7 * 3072   # seven of scenarios._CSV_BLOCK
     want = ["%.17g" % v for v in values.tolist()]
     assert texts(values.reshape(1, -1)) == want
-    pair = 2 * (csvtext._BLOCK + 1)
+    pair = 2 * (values.size // 2)
     assert texts(values[:pair].reshape(2, -1)) == want[:pair]
+    assert texts(values[::-1].copy()) == want[::-1]
     assert csvtext.g17_slots(np.empty(0)).shape == (csvtext.SLOTS, 0)
+    assert csvtext.g17_slots(np.empty((3, 0))).shape == (csvtext.SLOTS, 0)
 
 
 def test_no_preset_value_takes_the_fallback(fallback):

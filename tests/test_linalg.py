@@ -4,12 +4,11 @@ import pytest
 from dressedbath import linalg
 from dressedbath.linalg import (MAP, NotFinite, NotHermitian, NotPSD,
                                 StateValidationError, as_matrices, columns,
-                                hermitian_eigs, partial_trace_q2, validate_density,
-                                validate_eigs, width)
+                                hermitian_eigs, validate_density, validate_eigs, width)
 from dressedbath.model import SystemParams, dressed_frame, hamiltonian
 
-from conftest import (bits, margins_of, outcome, random_density, random_x_state,
-                      to_computational, validate_on_route)
+from conftest import (bits, margins_of, outcome, partial_trace_q2, random_density,
+                      random_x_state, to_computational, validate_on_route)
 from test_x_columns import BAD, EVOLVED, x_stack
 
 
@@ -69,6 +68,8 @@ class TestValidateDensity:
 
 
 class TestPartialTrace:
+    """The partial trace behind the linear entropy's matrix reference."""
+
     def test_product_state_qubit1_excited(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0  # |1,0><1,0|

@@ -14,9 +14,9 @@ from dressedbath.metrics import (XStateElements, concurrence_general,
 from dressedbath.model import SystemParams, dressed_frame
 
 from conftest import (EVOLVED, bits, concurrence_mp, concurrence_spin_flip,
-                      discord_oracle_q2, dressed_matrices, plog2_reference,
-                      random_density, random_unitary, random_x_state,
-                      ratio_term_reference, run_stacks)
+                      discord_oracle_q2, dressed_matrices, linear_entropy_reference,
+                      plog2_reference, random_density, random_unitary, random_x_state,
+                      ratio_term_reference, run_stacks, x_columns)
 
 
 def bell_matrix():
@@ -243,30 +243,50 @@ class TestEntropies:
     def test_linear_entropy_pure_product(self):
         m = np.zeros((4, 4), dtype=complex)
         m[2, 2] = 1.0
-        assert linear_entropy_q1(m) == pytest.approx(0.0, abs=1e-14)
+        for cols in (columns(m), columns(m)[:8]):
+            assert linear_entropy_q1(cols) == pytest.approx(0.0, abs=1e-14)
 
     def test_linear_entropy_bell(self):
-        assert linear_entropy_q1(bell_matrix()) == pytest.approx(0.5)
-        assert linear_entropy_q1(bell_x()) == pytest.approx(0.5)
+        assert linear_entropy_q1(columns(bell_matrix())) == pytest.approx(0.5)
+        assert linear_entropy_q1(x_columns(bell_x())) == pytest.approx(0.5)
 
     def test_linear_entropy_routes_agree(self, rng):
+        """The eight X columns and all sixteen give one value to rounding, and
+        each width gives its reference form bit for bit: 1, 7 and 2,000 rows
+        of random and X states with +0 and -0 planted."""
         for _ in range(100):
             x = random_x_state(rng)
-            direct = linear_entropy_q1(x)
-            traced = linear_entropy_q1(x.matrix())
+            direct = linear_entropy_q1(x_columns(x))
+            traced = linear_entropy_q1(columns(x.matrix()))
             assert abs(direct - traced) <= 1e-12
+        for n in (1, 7, 2000):
+            mats = [random_density(rng) if i % 2 else random_x_state(rng).matrix()
+                    for i in range(n)]
+            cols = columns(np.array(mats))
+            cols[rng.random(cols.shape) < 0.1] = 0.0
+            cols[rng.random(cols.shape) < 0.1] = -0.0
+            cols[0, 1::5] = -0.0   # a population, an X and an off-X coordinate
+            for stack in (cols, cols[:, :8]):
+                np.testing.assert_array_equal(bits(linear_entropy_q1(stack)),
+                                              bits(linear_entropy_reference(stack)))
 
     def test_linear_entropy_routes_agree_off_unit_trace(self, rng):
         # an evolved snapshot may be off unit trace by up to EVOLVED_TRACE_TOL;
-        # its X elements and its matrix give it one value
+        # its X columns and its sixteen give it one value, each width its
+        # reference form's bits
         for _ in range(100):
-            m = random_x_state(rng).matrix() * (1.0 + 1e-9)
-            direct = linear_entropy_q1(x_elements_from_matrix(m))
-            assert abs(direct - linear_entropy_q1(m)) <= 1e-15
+            cols = columns(random_x_state(rng).matrix()) * (1.0 + 1e-9)
+            direct = linear_entropy_q1(cols[:8])
+            assert abs(direct - linear_entropy_q1(cols)) <= 1e-15
+        stack = columns(np.array([random_density(rng) for _ in range(50)]))
+        stack *= 1.0 + rng.uniform(-1e-8, 1e-8, (50, 1))
+        for cols in (stack, stack[:, :8], stack[0], stack[0, :8]):
+            np.testing.assert_array_equal(bits(linear_entropy_q1(cols)),
+                                          bits(linear_entropy_reference(cols)))
 
     def test_linear_entropy_range(self, rng):
         for _ in range(100):
-            value = linear_entropy_q1(random_density(rng))
+            value = linear_entropy_q1(columns(random_density(rng)))
             assert -1e-12 <= value <= 0.5 + 1e-12
 
 
@@ -398,7 +418,8 @@ def assert_bitwise(got, expected):
 
 
 def assert_matches_scalar(fn, x):
-    got = fn(x)
+    # linear entropy reads the coordinates of the X elements
+    got = fn(x_columns(x)) if fn is linear_entropy_q1 else fn(x)
     expected = np.array([SCALAR[fn](*row) for row in scalar_rows(x)])
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= EPS_BOUND[fn] * EPS
@@ -506,6 +527,8 @@ class TestStackedGeneralRoute:
         (concurrence_general, scalar_concurrence_general),
         (linear_entropy_q1, scalar_linear_entropy_full)])
     def test_bit_equal_to_one_state_calls(self, fn, scalar, rng):
+        if fn is linear_entropy_q1:   # it reads the sixteen coordinates
+            fn = lambda m: linear_entropy_q1(columns(m))   # noqa: E731
         stack = general_stack(rng)
         stacked = fn(stack)
         assert stacked.shape == (len(stack),)
@@ -516,7 +539,7 @@ class TestStackedGeneralRoute:
 
     def test_single_state_gives_scalar(self):
         assert concurrence_general(bell_matrix()).shape == ()
-        assert linear_entropy_q1(bell_matrix()).shape == ()
+        assert linear_entropy_q1(columns(bell_matrix())).shape == ()
 
     def test_first_non_psd_state_decides(self, rng):
         stack = general_stack(rng, 4)

@@ -41,7 +41,7 @@ from dressedbath.model import (KB_OVER_HBAR, DressedFrame, SystemParams, dressed
                                rate_set)
 from dressedbath.scenarios import (INITIAL_STATES, METRICS, STATIONARY_METRICS,
                                    ScenarioConfig, _trajectory_metrics, compare_report,
-                                   resolve_t_max, run_scenario,
+                                   figure_preset, resolve_t_max, run_scenario,
                                    stationary_metrics)
 
 STRONG = dict(omega=4e9, coupling=4e9, gamma0=5e7, bath_width=5e10,
@@ -264,6 +264,16 @@ def test_an_x_stack_validates_and_reads_as_its_zero_padded_form(cols):
     np.testing.assert_array_equal(bits(trace_of(cols)), bits(trace_of(padded)))
 
 
+def preset_examples(test):
+    """``test`` with the parameters of every figure preset as explicit
+    examples."""
+    presets = [figure_preset(n) for n in range(1, 11)]
+    configs = [c for p in presets for c in (p if isinstance(p, list) else [p])]
+    for p in dict.fromkeys(c.params for c in configs):
+        test = example(p)(test)
+    return test
+
+
 def hexed(stationary):
     """model -> metric -> the exact bits of the value, as float.hex text."""
     return {m: {k: v.hex() for k, v in d.items()} for m, d in stationary.items()}
@@ -286,6 +296,7 @@ def hexed(stationary):
                       gamma0=500.0000115129256, bath_width=1.3068668837663398e-77,
                       bath_center=10000000.230258511,
                       temperature=1.0000000230258512))
+@preset_examples
 def test_closed_form_stationary_states(p):
     frame = dressed_frame(p)
     rates = rate_set(p, frame)

@@ -1,8 +1,8 @@
 """One site per computation on the run path: each metric is one call on a
 model run's whole stack, an X form on its X elements or a general form on
-the general route, each configuration builds one dressed frame and one rate
-set, and each closed-form stationary state is evaluated once per
-configuration.  The micro closed form writes the columns of its start's
+the general route (linear entropy on the stack's coordinates on either),
+each configuration builds one dressed frame and one rate set, and each
+closed-form stationary state is evaluated once per configuration.  The micro closed form writes the columns of its start's
 width, and a model's stack lives only until its metrics: no series keeps
 it, and a ``figure`` op stays within 1 MiB of traced memory."""
 
@@ -28,8 +28,8 @@ RUNS = [figure_preset(n) for n in (2, 4, 6)] + golden_general_configs()
 @pytest.fixture
 def calls(monkeypatch):
     """Each call of an X-form metric, of the general concurrence and of the
-    linear entropy of matrices, in order: the function's name, "[general]"
-    after a call on matrices, and the number of snapshots."""
+    linear entropy, in order: the function's name, the width of the stack
+    after a linear entropy call, and the number of snapshots."""
     seen = []
     for name in (*X_FORM.values(), "concurrence_from_eigs"):
         def spy(first, *args, name=name, real=getattr(metrics, name)):
@@ -37,26 +37,29 @@ def calls(monkeypatch):
                 seen.append((name, len(first.p00)))
             elif name == "concurrence_from_eigs":
                 seen.append((name, len(first)))
-            else:   # the linear entropy of matrices
-                seen.append((f"{name}[general]", len(first)))
+            else:   # the linear entropy of a stack
+                seen.append((f"{name}[{first.shape[1]}]", len(first)))
             return real(first, *args)
 
         monkeypatch.setattr(metrics, name, spy)
     return seen
 
 
-GENERAL_FORM = {"concurrence": "concurrence_from_eigs",
-                "linear_entropy": "linear_entropy_q1[general]"}
+X_CALL = {**X_FORM, "linear_entropy": "linear_entropy_q1[8]"}
+GENERAL_CALL = {"concurrence": "concurrence_from_eigs",
+                "linear_entropy": "linear_entropy_q1[16]"}
 
 
 @pytest.mark.parametrize("cfg", RUNS, ids=[c.label for c in RUNS])
 def test_one_x_form_call_per_metric_on_every_snapshot(cfg, calls):
     """An X run makes one X-form call per metric on all its snapshots; a
-    general run makes none, and one general-form call per metric instead."""
+    general run makes none, and one general-form call per metric instead.
+    Linear entropy is one call on the stack, its eight X columns on an X run
+    and all sixteen on a general one."""
     traj = run_scenario(cfg)
     general = "general" in cfg.label
     assert set(traj.routes.values()) == {"general" if general else "matrix_x"}
-    forms = GENERAL_FORM if general else X_FORM
+    forms = GENERAL_CALL if general else X_CALL
     assert calls == [(forms[m], cfg.n_points) for _ in cfg.models
                      for m in cfg.metrics if m in X_FORM]
 

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import EVOLVED, bits, golden_general_configs, random_density, run_stacks
+from conftest import (EVOLVED, bits, dense_builds, golden_general_configs,
+                      linear_entropy_matrix_reference, random_density, run_stacks)
 from dressedbath import linalg, metrics, scenarios
 from dressedbath.linalg import (ROUNDING_TOL, NotPSD, TraceNotOne, as_matrices, columns,
                                 validate_density, validate_eigs, width)
@@ -78,6 +79,8 @@ def test_each_non_x_snapshot_is_decomposed_once(cfg, lapack_calls):
         np.testing.assert_array_equal(bits(handed(lapack_calls)), bits(herm))
         np.testing.assert_array_equal(bits(traj.series[model]["concurrence"]),
                                       bits(metrics.concurrence_general(states)))
+        np.testing.assert_array_equal(bits(traj.series[model]["linear_entropy"]),
+                                      bits(linear_entropy_matrix_reference(states)))
 
 
 def test_exactly_x_snapshots_of_a_general_stack_take_its_route():
@@ -101,21 +104,18 @@ def test_exactly_x_snapshots_of_a_general_stack_take_its_route():
 
 @pytest.mark.parametrize("cfg", golden_general_configs(),
                          ids=[c.label for c in golden_general_configs()])
-def test_matrices_are_built_only_for_linear_entropy(cfg, monkeypatch):
-    """With concurrence alone, validation decomposed every general snapshot,
-    so no ``(n, 4, 4)`` stack is built; linear entropy builds one per model."""
-    built = []
-
-    def spy(cols):
-        built.append(len(cols))
-        return as_matrices(cols)
-
-    monkeypatch.setattr(scenarios, "as_matrices", spy)
-    traj = run_scenario(replace(cfg, metrics=("concurrence",)))
-    assert built == []
-    assert traj.routes == dict.fromkeys(scenarios.MODELS, "general")
-    run_scenario(replace(cfg, metrics=("concurrence", "linear_entropy")))
-    assert built == [cfg.n_points] * len(scenarios.MODELS)
+def test_no_dense_stack_outside_validation(cfg, monkeypatch):
+    """Whatever metrics a general run wants, the only ``(n, 4, 4)`` stack it
+    builds is the one validation decomposes, one per model: concurrence
+    reads its eigenpairs and linear entropy the coordinates."""
+    built = dense_builds(monkeypatch)
+    for wanted in (("concurrence",), ("concurrence", "linear_entropy"),
+                   ("linear_entropy", "populations")):
+        one = replace(cfg, metrics=wanted)   # validates the start state
+        built.clear()
+        traj = run_scenario(one)
+        assert traj.routes == dict.fromkeys(scenarios.MODELS, "general")
+        assert built == [("validate_eigs", cfg.n_points)] * len(scenarios.MODELS)
 
 
 # X-shaped, with an outer coherence 1e-8 beyond its population bound: the

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (EVOLVED, assert_run_matches_dense, bits, margins_of, outcome,
-                      random_x_state, run_stacks, sixteen_wide)
+from conftest import (EVOLVED, assert_run_matches_dense, bits, dense_builds, margins_of,
+                      outcome, random_x_state, run_stacks, sixteen_wide)
 from dressedbath import (integrate, linalg, microscopic, phenomenological,
                          scenarios)
 from dressedbath.linalg import NotPSD, TraceNotOne, as_matrices, columns, validate_eigs
@@ -209,12 +209,12 @@ def test_each_model_validates_its_columns_once(start, monkeypatch):
         assert calls == [(stage, (50, width)) for stage in stages] * len(models)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("a dense stage ran")
-
-
 @pytest.mark.parametrize("start", list(STARTS))
 def test_run_never_builds_the_dense_stack(start, monkeypatch):
-    # a concurrence-only run builds no (n, 4, 4) stack, X-shaped or not
-    monkeypatch.setattr(scenarios, "as_matrices", _refuse)
-    run_scenario(STARTS[start][0])
+    # a run builds no (n, 4, 4) stack but the one validation decomposes on
+    # the general route: none from an X start, one per model from another
+    cfg = STARTS[start][0]
+    built = dense_builds(monkeypatch)
+    run_scenario(cfg)
+    general = [("validate_eigs", cfg.n_points)] * len(cfg.models)
+    assert built == ([] if start == "x" else general)

@@ -5,7 +5,7 @@
     python3 tools/golden.py --diff REV   # numeric change against git revision REV
     python3 tools/golden.py --outputs DIR [--src SRC]   # keep every output
 
-The runs are `figure 1..10`, `compare --figure 2..7`, three `sweep`s on the
+The runs are `figure 1..10`, `compare --figure 2..10`, three `sweep`s on the
 coarse 400-point grid, `steady --figure 1..10`, `spectrum --figure 1..10`,
 `evolve --config` on four fixed non-X initial states (full-rank and pure,
 at a strong- and a weak-coupling preset; these take the general metric
@@ -96,7 +96,7 @@ def general_configs() -> dict:
 
 def commands() -> list:
     runs = [["figure", str(n)] for n in range(1, 11)]
-    runs += [["compare", "--figure", str(n)] for n in range(2, 8)]
+    runs += [["compare", "--figure", str(n)] for n in range(2, 11)]
     runs += [["sweep", "--figure", fig, "--axis", axis, "--values", values,
               "--points", "400"] for fig, axis, values in SWEEPS]
     runs += [["steady", "--figure", str(n)] for n in range(1, 11)]
